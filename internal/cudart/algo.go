@@ -15,10 +15,13 @@ import (
 // the caller obtains a tune.Choice for its (device, problem) and Forward
 // runs that algorithm on this runtime's implementations.
 //
-//   - FUSED_WINOGRAD runs Algorithm 1 thread-for-thread on the cudart
-//     execution model (WinogradConv). The tuned kernels.Config travels
-//     with the Choice for the SASS path; the functional model here is
-//     config-independent, so every tuned config computes the same bits.
+//   - FUSED_WINOGRAD runs internal/winograd's blocked CPU Algorithm 1
+//     (bk=64/bn=32/bc=8, F(2x2,3x3)) under the SASS kernel's shape
+//     contract. Its outputs are bit-identical to WinogradConv, the
+//     thread-for-thread model kept as the test oracle. The tuned
+//     kernels.Config travels with the Choice for the SASS path; the
+//     functional model here is config-independent, so every tuned
+//     config computes the same bits.
 //   - IMPLICIT_PRECOMP_GEMM runs the GEMM-style lowering (conv.Im2col).
 //   - WINOGRAD_NONFUSED runs the non-fused F(4x4,3x3) implementation
 //     with its global-workspace round-trip (winograd.Conv2D).
@@ -29,13 +32,10 @@ import (
 func Forward(in, flt *tensor.Tensor, ch tune.Choice) (*tensor.Tensor, error) {
 	switch ch.Algo {
 	case tune.AlgoFused:
-		if in.Layout != tensor.CHWN {
-			in = in.ToLayout(tensor.CHWN)
+		if err := checkFusedShape(in.ImageShape(), flt.FilterShapeOf()); err != nil {
+			return nil, err
 		}
-		if flt.Layout != tensor.CRSK {
-			flt = flt.ToFilterLayout(tensor.CRSK)
-		}
-		return WinogradConv(in, flt)
+		return winograd.Conv2D(in, flt, 1, winograd.Options{Variant: winograd.F2x2})
 	case tune.AlgoGEMM:
 		out, err := conv.Im2col(in, flt, conv.Params{Pad: 1})
 		if err != nil {

@@ -66,8 +66,8 @@ func TestForwardAllAlgorithmsMatchDirect(t *testing.T) {
 	}
 }
 
-// TestForwardAcceptsEitherLayout checks the shim converts NCHW/KCRS
-// inputs for the layout-strict fused path.
+// TestForwardAcceptsEitherLayout checks the fused path takes NCHW/KCRS
+// inputs as well as the kernel's CHWN/CRSK.
 func TestForwardAcceptsEitherLayout(t *testing.T) {
 	const C, K, N, H, W = 8, 64, 32, 4, 4
 	rng := rand.New(rand.NewSource(11))

@@ -7,6 +7,16 @@ import (
 	"repro/internal/winograd"
 )
 
+// checkFusedShape enforces the fused SASS kernel's shape contract, which
+// the kernel generator imposes: whole 32-image and 64-filter blocks, and
+// whole 8-channel steps.
+func checkFusedShape(is tensor.Shape4, fs tensor.FilterShape) error {
+	if is.N%32 != 0 || fs.K%64 != 0 || is.C%8 != 0 {
+		return fmt.Errorf("cudart: needs N%%32==0, K%%64==0, C%%8==0 (got N=%d K=%d C=%d)", is.N, fs.K, is.C)
+	}
+	return nil
+}
+
 // WinogradConv runs the paper's Algorithm 1 thread-for-thread on the
 // cudart execution model with the exact layouts of the SASS kernel:
 // bk=64/bn=32/bc=8 blocking, CHWN input, (16, bc, bn) and (16, bc, bk)
@@ -14,6 +24,8 @@ import (
 // per-thread 2x(8x8) accumulators, and a padded shared transpose buffer
 // for the 4-round output transform. It is the CUDA-C-level twin of
 // internal/kernels' generated SASS, validated against the same reference.
+// Forward serves the fused algorithm from internal/winograd's blocked
+// CPU Algorithm 1 instead; this model is its bit-for-bit test oracle.
 //
 // in must be CHWN, flt CRSK; constraints follow the kernel generator
 // (N%32==0, K%64==0, C%8==0). Output is KHWN; pad is fixed at 1.
@@ -29,8 +41,8 @@ func WinogradConv(in, flt *tensor.Tensor) (*tensor.Tensor, error) {
 	if is.C != fs.C {
 		return nil, fmt.Errorf("cudart: channel mismatch")
 	}
-	if is.N%32 != 0 || fs.K%64 != 0 || is.C%8 != 0 {
-		return nil, fmt.Errorf("cudart: needs N%%32==0, K%%64==0, C%%8==0 (got N=%d K=%d C=%d)", is.N, fs.K, is.C)
+	if err := checkFusedShape(is, fs); err != nil {
+		return nil, err
 	}
 	C, K, N, H, W := is.C, fs.K, is.N, is.H, is.W
 
@@ -119,7 +131,7 @@ func WinogradConv(in, flt *tensor.Tensor) (*tensor.Tensor, error) {
 					}
 					for col := 0; col < 8; col++ {
 						for row := 0; row < 8; row++ {
-							acc[p][col*8+row] += iFrag[row] * fFrag[col]
+							acc[p][col*8+row] += float32(iFrag[row] * fFrag[col]) // no FMA: see winograd's ewmm
 						}
 					}
 				}

@@ -145,6 +145,20 @@ func (t *Tensor) ImageSet(n, c, h, w int, v float32) {
 	}
 }
 
+// ImageStrides returns the flat-offset strides of logical (n, c, h, w) in
+// an NCHW, CHWN or KHWN tensor: element (n, c, h, w) lives at
+// Data[n*sn + c*sc + h*sh + w*sw]. Hot loops index Data with these
+// instead of dispatching on the layout per element as ImageAt does.
+func (t *Tensor) ImageStrides() (sn, sc, sh, sw int) {
+	s := t.ImageShape()
+	switch t.Layout {
+	case NCHW:
+		return s.C * s.H * s.W, s.H * s.W, s.W, 1
+	default: // CHWN, KHWN; ImageShape has rejected everything else
+		return 1, s.H * s.W * s.N, s.W * s.N, s.N
+	}
+}
+
 // ToLayout returns a copy of t converted to the requested image layout.
 // The source and destination must both be image layouts (NCHW/CHWN/KHWN);
 // KHWN is treated as CHWN with K playing the role of C.

@@ -110,6 +110,25 @@ func TestKHWNBehavesAsImage(t *testing.T) {
 	}
 }
 
+func TestImageStridesMatchImageAt(t *testing.T) {
+	s := Shape4{N: 3, C: 2, H: 4, W: 5}
+	for _, a := range []*Tensor{NewImage(NCHW, s), NewImage(CHWN, s), New(KHWN, s.C, s.H, s.W, s.N)} {
+		a.FillRandom(9)
+		sn, sc, sh, sw := a.ImageStrides()
+		for n := 0; n < s.N; n++ {
+			for c := 0; c < s.C; c++ {
+				for h := 0; h < s.H; h++ {
+					for w := 0; w < s.W; w++ {
+						if got, want := a.Data[n*sn+c*sc+h*sh+w*sw], a.ImageAt(n, c, h, w); got != want {
+							t.Fatalf("%v (%d,%d,%d,%d): strided %v, ImageAt %v", a.Layout, n, c, h, w, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestMaxRelDiff(t *testing.T) {
 	a := New(NCHW, 1, 1, 1, 3)
 	b := New(NCHW, 1, 1, 1, 3)

@@ -2,6 +2,7 @@ package winograd
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/gemm"
 	"repro/internal/par"
@@ -17,8 +18,8 @@ type Options struct {
 	// non-fused one (transformed data round-trips through a global
 	// workspace and batched GEMM). Default is fused.
 	NonFused bool
-	// BlockK, BlockN, BlockC are the fused cache-block sizes; defaults
-	// are the paper's bk=64, bn=32, bc=8.
+	// BlockK, BlockN, BlockC are the fused cache-block sizes; defaults,
+	// and upper bounds, are the paper's bk=64, bn=32, bc=8.
 	BlockK, BlockN, BlockC int
 	// Workers bounds CPU parallelism (0 = GOMAXPROCS).
 	Workers int
@@ -56,6 +57,9 @@ func Conv2D(in, flt *tensor.Tensor, pad int, opt Options) (*tensor.Tensor, error
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("winograd: empty output for input %dx%d pad %d", is.H, is.W, pad)
 	}
+	if bk, bn, bc := opt.blocks(); !opt.NonFused && (bk > maxBK || bn > maxBN || bc > maxBC) {
+		return nil, fmt.Errorf("winograd: fused block sizes are capped at bk=%d bn=%d bc=%d, got %d/%d/%d", maxBK, maxBN, maxBC, bk, bn, bc)
+	}
 	fltHat := FilterTransformAll(flt, opt.Variant)
 	if opt.NonFused {
 		return convNonFused(in, fltHat, fs.K, pad, oh, ow, opt), nil
@@ -80,8 +84,8 @@ func FilterTransformAll(flt *tensor.Tensor, v Variant) []float32 {
 				f[r*3+s] = flt.FilterAt(k, c, r, s)
 			}
 		}
-		hat := make([]float32, area)
-		TransformFilterTile(v, &f, hat)
+		var hat [maxArea]float32
+		TransformFilterTile(v, &f, hat[:area])
 		for e := 0; e < area; e++ {
 			out[e*fs.C*fs.K+c*fs.K+k] = hat[e]
 		}
@@ -121,50 +125,88 @@ func (g tileGrid) split(j, n int) (batch, th, tw int) {
 	return
 }
 
+// image is a flat NCHW, CHWN or KHWN buffer with its logical shape and
+// strides, so tile gathers and scatters index Data directly.
+type image struct {
+	data           []float32
+	s              tensor.Shape4
+	sn, sc, sh, sw int
+}
+
+func imageOf(t *tensor.Tensor) image {
+	im := image{data: t.Data, s: t.ImageShape()}
+	im.sn, im.sc, im.sh, im.sw = t.ImageStrides()
+	return im
+}
+
 // gatherInputTile copies the t x t input patch for tile (batch, th, tw)
 // into dst, applying implicit zero padding — the CPU analogue of the
 // kernel's predicated LDGs.
-func gatherInputTile(in *tensor.Tensor, is tensor.Shape4, g tileGrid, batch, c, th, tw int, dst []float32) {
+func gatherInputTile(in image, g tileGrid, batch, c, th, tw int, dst []float32) {
+	base := batch*in.sn + c*in.sc
 	y0 := th*g.m - g.pad
 	x0 := tw*g.m - g.pad
 	for r := 0; r < g.t; r++ {
+		row := dst[r*g.t : r*g.t+g.t]
 		iy := y0 + r
-		for s := 0; s < g.t; s++ {
-			ix := x0 + s
+		if iy < 0 || iy >= in.s.H {
+			clear(row)
+			continue
+		}
+		rowBase := base + iy*in.sh
+		for s := range row {
 			var v float32
-			if iy >= 0 && iy < is.H && ix >= 0 && ix < is.W {
-				v = in.ImageAt(batch, c, iy, ix)
+			if ix := x0 + s; ix >= 0 && ix < in.s.W {
+				v = in.data[rowBase+ix*in.sw]
 			}
-			dst[r*g.t+s] = v
+			row[s] = v
 		}
 	}
 }
 
-// scatterOutputTile writes an m x m output tile to KHWN output with bounds
-// checks for the partial tiles at the right/bottom edges.
-func scatterOutputTile(out *tensor.Tensor, g tileGrid, k, batch, th, tw int, tile []float32) {
+// scatterOutputTile writes an m x m output tile to output channel k of a
+// KHWN image, with bounds checks for the partial tiles at the right and
+// bottom edges.
+func scatterOutputTile(out image, g tileGrid, k, batch, th, tw int, tile []float32) {
+	base := k*out.sc + batch*out.sn
 	y0 := th * g.m
 	x0 := tw * g.m
-	for r := 0; r < g.m; r++ {
-		oy := y0 + r
-		if oy >= g.oh {
-			break
-		}
-		for s := 0; s < g.m; s++ {
-			ox := x0 + s
-			if ox >= g.ow {
-				break
-			}
-			out.ImageSet(batch, k, oy, ox, tile[r*g.m+s])
+	for r := 0; r < g.m && y0+r < g.oh; r++ {
+		rowBase := base + (y0+r)*out.sh
+		for s := 0; s < g.m && x0+s < g.ow; s++ {
+			out.data[rowBase+(x0+s)*out.sw] = tile[r*g.m+s]
 		}
 	}
 }
+
+// Caps on the fused block sizes: the block-local buffers are fixed arrays
+// sized for the paper's blocking (bk=64, bn=32, bc=8) and the larger
+// F(4x4,3x3) tile.
+const (
+	maxBK, maxBN, maxBC = 64, 32, 8
+	maxArea             = 36
+)
+
+// fusedBlock holds one thread block's working set: the analogue of the
+// kernel's shared input buffer and its register accumulators. Blocks are
+// recycled through fusedBlocks, so a warm forward pass allocates none.
+type fusedBlock struct {
+	acc   [maxBK * maxArea * maxBN]float32 // (k, e, n): one filter's tiles are contiguous for the output transform
+	inHat [maxArea * maxBN * maxBC]float32 // (e, n, c): c fastest, the EWMM reduction
+}
+
+var fusedBlocks = sync.Pool{New: func() any { return new(fusedBlock) }}
 
 // convFused is the CPU mirror of the paper's Algorithm 1: a grid of
 // "thread blocks", each owning bk filters x bn input tiles, looping over
 // channels in steps of bc with block-local transformed-tile buffers.
+//
+// Every output element sums its products over c in ascending order,
+// starting from +0, exactly as cudart.WinogradConv's threads do, so the
+// two agree bit for bit whatever the blocking or worker count.
 func convFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int, opt Options) *tensor.Tensor {
-	is := in.ImageShape()
+	src := imageOf(in)
+	is := src.s
 	g := newTileGrid(opt.Variant, oh, ow, pad)
 	area := opt.Variant.TileArea()
 	bk, bn, bc := opt.blocks()
@@ -172,6 +214,7 @@ func convFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int, op
 	blocksN := (totalTiles + bn - 1) / bn
 	blocksK := (filters + bk - 1) / bk
 	out := tensor.New(tensor.KHWN, filters, oh, ow, is.N)
+	dst := imageOf(out)
 
 	par.For(blocksN*blocksK, opt.Workers, func(blk int) {
 		bkIdx, bnIdx := blk/blocksN, blk%blocksN
@@ -181,72 +224,106 @@ func convFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int, op
 		j1 := min(j0+bn, totalTiles)
 		nk, nn := k1-k0, j1-j0
 
-		// Block-local buffers: the analogue of the kernel's shared
-		// memory (input_smem/filter_smem) and register accumulators.
-		acc := make([]float32, area*nk*nn)
-		inHat := make([]float32, area*bc*nn)
-		raw := make([]float32, area)
-		hat := make([]float32, area)
+		b := fusedBlocks.Get().(*fusedBlock)
+		defer fusedBlocks.Put(b)
+		acc := b.acc[:nk*area*nn]
+		clear(acc)
+		var tiles [maxBN][3]int // (batch, th, tw) of each of the block's tiles
+		for ni := range tiles[:nn] {
+			t := &tiles[ni]
+			t[0], t[1], t[2] = g.split(j0+ni, is.N)
+		}
+		var raw, hat [maxArea]float32
 
 		for c0 := 0; c0 < is.C; c0 += bc {
-			c1 := min(c0+bc, is.C)
-			nc := c1 - c0
+			nc := min(bc, is.C-c0)
 			// Load + transform bn input tiles for bc channels
 			// (Algorithm 1 line 8).
-			for ci := 0; ci < nc; ci++ {
-				for ni := 0; ni < nn; ni++ {
-					batch, th, tw := g.split(j0+ni, is.N)
-					gatherInputTile(in, is, g, batch, c0+ci, th, tw, raw)
-					TransformInputTile(opt.Variant, raw, hat)
-					for e := 0; e < area; e++ {
-						inHat[(e*bc+ci)*nn+ni] = hat[e]
+			for ni, t := range tiles[:nn] {
+				for ci := 0; ci < nc; ci++ {
+					gatherInputTile(src, g, t[0], c0+ci, t[1], t[2], raw[:area])
+					TransformInputTile(opt.Variant, raw[:area], hat[:area])
+					for e, v := range hat[:area] {
+						b.inHat[(e*nn+ni)*bc+ci] = v
 					}
 				}
 			}
 			// EWMM as batched matrix multiply (Algorithm 1 lines 9-15):
-			// per tile element e, acc[e] += F_hat[e][c0:c1][k0:k1]^T x inHat[e].
+			// per tile element e, acc[e] += F_hat[e][c0:c0+nc][k0:k1]^T x inHat[e].
 			for e := 0; e < area; e++ {
-				fBase := e * is.C * filters
-				for ci := 0; ci < nc; ci++ {
-					fRow := fltHat[fBase+(c0+ci)*filters+k0 : fBase+(c0+ci)*filters+k1]
-					iRow := inHat[(e*bc+ci)*nn : (e*bc+ci)*nn+nn]
-					aBase := e * nk * nn
-					for ki := 0; ki < nk; ki++ {
-						fv := fRow[ki]
-						if fv == 0 {
-							continue
-						}
-						aRow := acc[aBase+ki*nn : aBase+ki*nn+nn]
-						for ni := 0; ni < nn; ni++ {
-							aRow[ni] += fv * iRow[ni]
-						}
-					}
-				}
+				fE := fltHat[(e*is.C+c0)*filters+k0:]
+				ewmm(acc[e*nn:], area*nn, fE, filters, b.inHat[e*nn*bc:(e+1)*nn*bc], nk, nn, nc, bc)
 			}
 		}
 		// Output transform (Algorithm 1 lines 17-18).
-		m := g.m
-		pre := make([]float32, area)
-		post := make([]float32, m*m)
+		var post [16]float32
 		for ki := 0; ki < nk; ki++ {
-			for ni := 0; ni < nn; ni++ {
-				for e := 0; e < area; e++ {
-					pre[e] = acc[(e*nk+ki)*nn+ni]
+			accK := acc[ki*area*nn : (ki+1)*area*nn]
+			for ni, t := range tiles[:nn] {
+				for e := range hat[:area] {
+					hat[e] = accK[e*nn+ni]
 				}
-				TransformOutputTile(opt.Variant, pre, post)
-				batch, th, tw := g.split(j0+ni, is.N)
-				scatterOutputTile(out, g, k0+ki, batch, th, tw, post)
+				TransformOutputTile(opt.Variant, hat[:area], post[:g.m*g.m])
+				scatterOutputTile(dst, g, k0+ki, t[0], t[1], t[2], post[:g.m*g.m])
 			}
 		}
 	})
 	return out
 }
 
+// ewmm runs one bc-channel step of one tile element's block GEMM:
+// acc[k][n] += sum over c of f[c][k] * x[n][c], for nk filters (acc rows
+// of stride lda, f rows of stride ldf) and nn tiles (x rows of stride
+// bc, nc channels used). Four filter rows go at a time, so each input
+// value loaded feeds four accumulators held in registers; c stays the
+// innermost, ascending reduction loop, which fixes every element's
+// summation order. The product is rounded before the add (the explicit
+// conversion forbids a fused multiply-add), as the thread-for-thread
+// kernel does.
+func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc, bc int) {
+	ki := 0
+	for ; ki+4 <= nk; ki += 4 {
+		var fq [maxBC][4]float32
+		for ci := 0; ci < nc; ci++ {
+			copy(fq[ci][:], f[ci*ldf+ki:ci*ldf+ki+4])
+		}
+		fs := fq[:nc]
+		r0 := acc[ki*lda : ki*lda+nn]
+		r1 := acc[(ki+1)*lda : (ki+1)*lda+nn]
+		r2 := acc[(ki+2)*lda : (ki+2)*lda+nn]
+		r3 := acc[(ki+3)*lda : (ki+3)*lda+nn]
+		for ni := range r0 {
+			xs := x[ni*bc : ni*bc+len(fs)]
+			a0, a1, a2, a3 := r0[ni], r1[ni], r2[ni], r3[ni]
+			for ci := range fs {
+				xv, fc := xs[ci], &fs[ci]
+				a0 += float32(fc[0] * xv)
+				a1 += float32(fc[1] * xv)
+				a2 += float32(fc[2] * xv)
+				a3 += float32(fc[3] * xv)
+			}
+			r0[ni], r1[ni], r2[ni], r3[ni] = a0, a1, a2, a3
+		}
+	}
+	for ; ki < nk; ki++ {
+		row := acc[ki*lda : ki*lda+nn]
+		for ni := range row {
+			xs := x[ni*bc : ni*bc+nc]
+			a := row[ni]
+			for ci, xv := range xs {
+				a += float32(f[ci*ldf+ki] * xv)
+			}
+			row[ni] = a
+		}
+	}
+}
+
 // convNonFused implements the non-fused strategy: transformed input and
 // output round-trip through global workspaces, with the EWMM step done as
 // `area` batched GEMMs — the structure of cuDNN's WINOGRAD_NONFUSED.
 func convNonFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int, opt Options) *tensor.Tensor {
-	is := in.ImageShape()
+	src := imageOf(in)
+	is := src.s
 	g := newTileGrid(opt.Variant, oh, ow, pad)
 	area := opt.Variant.TileArea()
 	totalTiles := g.tiles(is.N)
@@ -254,12 +331,11 @@ func convNonFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int,
 	// Scatter: transformed input workspace, element-major (e, c, tile).
 	inHat := make([]float32, area*is.C*totalTiles)
 	par.For(is.C, opt.Workers, func(c int) {
-		raw := make([]float32, area)
-		hat := make([]float32, area)
+		var raw, hat [maxArea]float32
 		for j := 0; j < totalTiles; j++ {
 			batch, th, tw := g.split(j, is.N)
-			gatherInputTile(in, is, g, batch, c, th, tw, raw)
-			TransformInputTile(opt.Variant, raw, hat)
+			gatherInputTile(src, g, batch, c, th, tw, raw[:area])
+			TransformInputTile(opt.Variant, raw[:area], hat[:area])
 			for e := 0; e < area; e++ {
 				inHat[(e*is.C+c)*totalTiles+j] = hat[e]
 			}
@@ -282,25 +358,18 @@ func convNonFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int,
 
 	// Gather: output transform.
 	out := tensor.New(tensor.KHWN, filters, oh, ow, is.N)
+	dst := imageOf(out)
 	par.For(filters, opt.Workers, func(k int) {
-		m := g.m
-		pre := make([]float32, area)
-		post := make([]float32, m*m)
+		var pre [maxArea]float32
+		var post [16]float32
 		for j := 0; j < totalTiles; j++ {
-			for e := 0; e < area; e++ {
+			for e := range pre[:area] {
 				pre[e] = outHat[(e*filters+k)*totalTiles+j]
 			}
-			TransformOutputTile(opt.Variant, pre, post)
+			TransformOutputTile(opt.Variant, pre[:area], post[:g.m*g.m])
 			batch, th, tw := g.split(j, is.N)
-			scatterOutputTile(out, g, k, batch, th, tw, post)
+			scatterOutputTile(dst, g, k, batch, th, tw, post[:g.m*g.m])
 		}
 	})
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package winograd
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -240,6 +241,68 @@ func TestConv2DRejectsChannelMismatch(t *testing.T) {
 	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 3, R: 3, S: 3})
 	if _, err := Conv2D(in, flt, 1, Options{}); err == nil {
 		t.Fatal("expected channel mismatch error")
+	}
+}
+
+func TestConv2DRejectsOversizeBlocks(t *testing.T) {
+	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 1, H: 8, W: 8})
+	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 1, R: 3, S: 3})
+	for _, opt := range []Options{{BlockK: 128}, {BlockN: 64}, {BlockC: 16}} {
+		if _, err := Conv2D(in, flt, 1, opt); err == nil {
+			t.Fatalf("%+v: expected a block-size error", opt)
+		}
+		opt.NonFused = true // the non-fused path has no block buffers
+		if _, err := Conv2D(in, flt, 1, opt); err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+	}
+}
+
+// TestFusedBitsIndependentOfWorkers: blocks write disjoint outputs and
+// each element's summation order is fixed, so the fused result is the
+// same bits at any worker count — on a shape with several blocks along
+// both K and N, partial edge tiles, and a channel tail (C%8 != 0).
+func TestFusedBitsIndependentOfWorkers(t *testing.T) {
+	in := tensor.NewImage(tensor.CHWN, tensor.Shape4{N: 5, C: 19, H: 7, W: 9})
+	in.FillRandom(41)
+	flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: 70, C: 19, R: 3, S: 3})
+	flt.FillRandom(42)
+	var ref *tensor.Tensor
+	for _, w := range []int{1, 2, 4} {
+		got, err := Conv2D(in, flt, 1, Options{Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i := range ref.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(ref.Data[i]) {
+				t.Fatalf("workers=%d: element %d is %v, workers=1 gave %v", w, i, got.Data[i], ref.Data[i])
+			}
+		}
+	}
+}
+
+// TestFusedAllocsPinned: the fused path's buffers are fixed arrays
+// recycled across blocks and calls, and the filter transform works in a
+// stack tile, so a forward pass allocates a small constant — not one
+// slice per (c, k) filter or per block.
+func TestFusedAllocsPinned(t *testing.T) {
+	in := tensor.NewImage(tensor.CHWN, tensor.Shape4{N: 32, C: 8, H: 6, W: 6})
+	in.FillRandom(1)
+	flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: 64, C: 8, R: 3, S: 3})
+	flt.FillRandom(2)
+	if n := testing.AllocsPerRun(20, func() { FilterTransformAll(flt, F2x2) }); n > 4 {
+		t.Errorf("FilterTransformAll: %v allocs/op, want <= 4", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Conv2D(in, flt, 1, Options{Workers: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 16 {
+		t.Errorf("fused Conv2D: %v allocs/op, want <= 16", n)
 	}
 }
 
