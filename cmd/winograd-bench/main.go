@@ -3,7 +3,7 @@
 // Usage:
 //
 //	winograd-bench [-waves N] [-quick] [-markdown] [-jobs N] [-timings] [-prof] [experiment ...]
-//	winograd-bench [-waves N] [-quick] [-jobs N] [-budget N] [-store PATH] [-shard i/N] [-storeverify] [-tunecache PATH] [-device D] tune
+//	winograd-bench [-waves N] [-quick] [-jobs N] [-budget N] [-store PATH] [-shard i/N] [-storeverify] [-device D] tune
 //	winograd-bench [-jobs N] [-markdown] [-backend B] [-device D] calibrate
 //	winograd-bench [-requests N] [-seed S] [-jobs N] [-waves N] [-device D] [-store PATH] [-serveexec K] [-listen ADDR] serve
 //	winograd-bench store merge -o OUT IN...
@@ -20,8 +20,8 @@
 // The `tune` subcommand searches the kernels.Config knob space per
 // ResNet layer on the simulator (statically pruned, budgeted by
 // -budget), persists measurements to the content-addressed experiment
-// store at -store (and/or the legacy tune/v1 -tunecache file), and
-// prints the tuned-vs-default report and per-layer algorithm selection.
+// store at -store, and prints the tuned-vs-default report and per-layer
+// algorithm selection.
 // With -shard i/N it measures only its deterministic partition of the
 // pruned lattice and writes a partial store; `store merge` over all N
 // partials reproduces the single-process store byte for byte.
@@ -78,7 +78,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	backend := fs.String("backend", "threaded", "simulator execution backend (threaded or switch; bit-identical results)")
 	simWorkers := fs.Int("simworkers", 0, "worker goroutines per sharded full-grid simulation (0 = GOMAXPROCS)")
 	budget := fs.Int("budget", 12, "tune: max simulated candidate configs per layer (paper default always included)")
-	tuneCache := fs.String("tunecache", "", "tune: path of the legacy tune/v1 JSON cache (imported into the store, kept updated)")
 	storePath := fs.String("store", "", "tune: path of the content-addressed store/v1 experiment store (empty = in-memory only)")
 	storeVerify := fs.Bool("storeverify", false, "tune: force the full key round-trip check on every store hit")
 	shard := fs.String("shard", "", "tune: deterministic lattice partition i/N; requires -store, suppresses tables")
@@ -118,10 +117,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 
 	// `tune` is a subcommand, not an experiment: it owns its own sweep,
-	// cache, and tables, so it cannot be mixed with experiment ids.
+	// store, and tables, so it cannot be mixed with experiment ids.
 	if len(args) == 1 && args[0] == "tune" {
 		return runTune(tuneOpts{waves: *waves, quick: *quick, markdown: *markdown,
-			jobs: *jobs, budget: *budget, cache: *tuneCache, storePath: *storePath,
+			jobs: *jobs, budget: *budget, storePath: *storePath,
 			storeVerify: *storeVerify, shard: *shard, device: *device}, stdout, stderr)
 	}
 

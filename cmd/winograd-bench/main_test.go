@@ -86,10 +86,9 @@ const tuneGoldenPath = "testdata/tune_quick.golden"
 
 // TestTuneQuickGolden pins the quick tune sweep the same way: stdout
 // (report + selection tables) against a committed golden, -jobs 1 versus
-// -jobs 4, plus the persistent cache contract — the cache files written
-// by both schedules are byte-identical, and a warm rerun over an
-// existing cache simulates nothing, reprints the same tables, and leaves
-// the cache bytes untouched.
+// -jobs 4, and the experiment stores both schedules write are
+// byte-identical to each other and to the committed store golden (the
+// warm-rerun contract is TestTuneStoreGolden's).
 //
 // Regenerate after an intentional change with:
 //
@@ -99,8 +98,8 @@ func TestTuneQuickGolden(t *testing.T) {
 		t.Skip("tune sweep simulates a dozen kernels")
 	}
 	dir := t.TempDir()
-	cache1 := filepath.Join(dir, "jobs1.json")
-	seq, _, code := runCapture(t, "-quick", "-budget", "6", "-jobs", "1", "-tunecache", cache1, "tune")
+	store1 := filepath.Join(dir, "jobs1.json")
+	seq, _, code := runCapture(t, "-quick", "-budget", "6", "-jobs", "1", "-store", store1, "tune")
 	if code != 0 {
 		t.Fatalf("sequential tune exited %d", code)
 	}
@@ -121,44 +120,27 @@ func TestTuneQuickGolden(t *testing.T) {
 		t.Errorf("-jobs 1 tune stdout diverges from %s:\n%s", tuneGoldenPath, diff)
 	}
 
-	cache4 := filepath.Join(dir, "jobs4.json")
-	par, _, code := runCapture(t, "-quick", "-budget", "6", "-jobs", "4", "-tunecache", cache4, "tune")
+	store4 := filepath.Join(dir, "jobs4.json")
+	par, _, code := runCapture(t, "-quick", "-budget", "6", "-jobs", "4", "-store", store4, "tune")
 	if code != 0 {
 		t.Fatalf("concurrent tune exited %d", code)
 	}
 	if diff := firstDiff(seq, par); diff != "" {
 		t.Errorf("-jobs 4 tune stdout diverges from -jobs 1:\n%s", diff)
 	}
-	b1, err := os.ReadFile(cache1)
+	b1, err := os.ReadFile(store1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b4, err := os.ReadFile(cache4)
+	b4, err := os.ReadFile(store4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1, b4) {
-		t.Error("tune cache files differ between -jobs 1 and -jobs 4")
+		t.Error("tune store files differ between -jobs 1 and -jobs 4")
 	}
-
-	// Warm rerun against the jobs-1 cache: same stdout, no simulation
-	// ("0 candidates simulated"), identical cache bytes afterwards.
-	warm, warmErr, code := runCapture(t, "-quick", "-budget", "6", "-jobs", "4", "-tunecache", cache1, "tune")
-	if code != 0 {
-		t.Fatalf("warm tune exited %d", code)
-	}
-	if diff := firstDiff(seq, warm); diff != "" {
-		t.Errorf("warm tune stdout diverges from cold:\n%s", diff)
-	}
-	if !strings.Contains(warmErr, "0 candidates simulated") {
-		t.Errorf("warm run was not served from the cache: %q", warmErr)
-	}
-	bw, err := os.ReadFile(cache1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, bw) {
-		t.Error("warm rerun rewrote the cache with different bytes")
+	if want, err := os.ReadFile(storeGoldenPath); err != nil || !bytes.Equal(b1, want) {
+		t.Errorf("-jobs 1 tune store diverges from %s (%v)", storeGoldenPath, err)
 	}
 }
 

@@ -206,15 +206,10 @@ func TestStoreCLIFailures(t *testing.T) {
 		t.Fatalf("round-trip-failing verify exited %d", code)
 	}
 
-	// Shard misuse: no -store, or combined with the legacy cache.
+	// Shard misuse: no -store, or an out-of-range index.
 	if _, errOut, code := runCapture(t, "-shard", "1/2", "tune"); code != 2 ||
 		!strings.Contains(errOut, "-shard requires -store") {
 		t.Fatalf("shard without store: code=%d stderr=%q", code, errOut)
-	}
-	if _, errOut, code := runCapture(t, "-shard", "1/2", "-store", filepath.Join(dir, "s.json"),
-		"-tunecache", filepath.Join(dir, "c.json"), "tune"); code != 2 ||
-		!strings.Contains(errOut, "legacy") {
-		t.Fatalf("shard with tunecache: code=%d stderr=%q", code, errOut)
 	}
 	if _, _, code := runCapture(t, "-shard", "9/2", "-store", filepath.Join(dir, "s.json"), "tune"); code != 2 {
 		t.Fatalf("out-of-range shard exited %d", code)

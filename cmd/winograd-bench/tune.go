@@ -17,7 +17,6 @@ type tuneOpts struct {
 	markdown    bool
 	jobs        int
 	budget      int
-	cache       string // legacy tune/v1 file (imported and kept updated)
 	storePath   string // content-addressed store/v1 file
 	storeVerify bool
 	shard       string
@@ -26,11 +25,10 @@ type tuneOpts struct {
 
 // runTune is the `winograd-bench tune` subcommand: search the scheduling
 // knob space per ResNet layer on the simulator, persist measurements to
-// the content-addressed experiment store (and, for compatibility, the
-// legacy tune/v1 cache), and print the tuned-vs-default report plus the
-// per-layer algorithm selection table. Tables go to stdout and are
-// byte-identical for any -jobs value and for cold versus warm stores;
-// store/cache warnings and scheduling stats go to stderr.
+// the content-addressed experiment store, and print the tuned-vs-default
+// report plus the per-layer algorithm selection table. Tables go to
+// stdout and are byte-identical for any -jobs value and for cold versus
+// warm stores; store warnings and scheduling stats go to stderr.
 //
 // With -shard i/N the run measures only its deterministic partition of
 // the pruned candidate lattice and emits a partial store: no tables
@@ -49,10 +47,6 @@ func runTune(o tuneOpts, stdout, stderr io.Writer) int {
 		return 2
 	}
 	sharded := shard.Count > 1
-	if sharded && o.cache != "" {
-		fmt.Fprintln(stderr, "winograd-bench tune: -tunecache is a whole-lattice legacy format; shards persist through -store only")
-		return 2
-	}
 	if sharded && o.storePath == "" {
 		fmt.Fprintln(stderr, "winograd-bench tune: -shard requires -store (the partial store is the shard's product)")
 		return 2
@@ -64,27 +58,6 @@ func runTune(o tuneOpts, stdout, stderr io.Writer) int {
 		st, rep = store.Load(o.storePath)
 		for _, w := range rep.Warnings {
 			fmt.Fprintln(stderr, w)
-		}
-	}
-
-	// Legacy tune/v1 import: entries seed the store under current-source
-	// keys, then the file is rewritten with this run's measurements so
-	// existing -tunecache workflows keep functioning.
-	var legacy *tune.Cache
-	if o.cache != "" {
-		var warns []string
-		legacy, warns = tune.Load(o.cache)
-		for _, w := range warns {
-			fmt.Fprintln(stderr, w)
-		}
-		for _, e := range legacy.Entries {
-			if e.Device != dev.Name {
-				continue
-			}
-			if err := tune.SeedStore(st, dev, e); err != nil {
-				fmt.Fprintf(stderr, "winograd-bench tune: importing legacy cache: %v\n", err)
-				return 1
-			}
 		}
 	}
 
@@ -111,17 +84,6 @@ func runTune(o tuneOpts, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if o.cache != "" {
-		for _, r := range results {
-			for _, e := range r.Candidates {
-				legacy.Put(e)
-			}
-		}
-		if err := legacy.Save(o.cache); err != nil {
-			fmt.Fprintf(stderr, "winograd-bench tune: saving legacy cache: %v\n", err)
-			return 1
-		}
-	}
 	if o.storePath != "" {
 		if err := st.Save(o.storePath); err != nil {
 			fmt.Fprintf(stderr, "winograd-bench tune: saving store: %v\n", err)

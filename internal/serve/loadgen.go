@@ -2,8 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/gpu"
@@ -12,18 +14,18 @@ import (
 )
 
 // The load generator is a discrete-event simulation in virtual time, not
-// a wall-clock harness: it drives the exact Policy code the live server
-// runs (BatchSize / Admit / Deadline) through a deterministic arrival
-// stream, models each device as the serial executor a GPU is (one batch
-// at a time, FIFO), and takes each batch's service time from the
-// selector's predicted seconds — so the report (latency percentiles,
-// batch-size occupancy, algorithm selection) is a pure function of
-// (seed, config) and byte-identical across runs and across -jobs
-// counts. Real execution is not skipped: every ExecEvery-th dispatched
-// batch is additionally run for real through the Executor with
-// deterministic request images, and its output checksum lands in the
-// report (these sampled runs fan out across Jobs workers; their results
-// recombine in dispatch order, preserving determinism).
+// a wall-clock harness: it drives the live server's coalescer, with a
+// wake slot per queue standing in for the server's timer, through a
+// deterministic arrival stream, models each device as the serial
+// executor a GPU is (one batch at a time, FIFO), and takes each batch's
+// service time from the selector's predicted seconds — so the report
+// (latency percentiles, batch-size occupancy, algorithm selection) is a
+// pure function of (seed, config) and byte-identical across runs and
+// across -jobs counts. Real execution is not skipped: every ExecEvery-th
+// dispatched batch is additionally run for real through the Executor
+// with deterministic request images, and its output checksum lands in
+// the report (these sampled runs fan out across Jobs workers; their
+// results recombine in dispatch order, preserving determinism).
 //
 // The arrival stream is phased so every sweet spot appears: a burst
 // phase floods one queue far faster than service (full 128-batches cut
@@ -113,22 +115,22 @@ type arrival struct {
 	qi int
 }
 
-// pendReq is one queued simulated request.
-type pendReq struct {
-	arrive int64
-	dl     int64 // arrive + MaxWait, fixed at admission
+// simQueue is the DES twin of a server queue: the same coalescer, driven
+// in virtual time, plus the queue's one wake slot — its next expiry
+// check, at virtual time wakeT (never while the queue is empty), with
+// wakeSeq, the global arming order, breaking ties between queues.
+type simQueue struct {
+	dev            int // index into cfg.Devices
+	spec           LayerSpec
+	flt            *tensor.Tensor
+	co             *coalescer[int64] // items are arrival instants, virtual nanos
+	wakeT, wakeSeq int64
+	accepted       int
+	rejected       int
+	lats           []int64 // per completed request: done - arrive, in cut order
 }
 
-// simQueue is the DES twin of a server queue.
-type simQueue struct {
-	dev      int // index into cfg.Devices
-	spec     LayerSpec
-	flt      *tensor.Tensor
-	pending  []pendReq
-	accepted int
-	rejected int
-	lats     []int64 // per completed request: done - arrive, in cut order
-}
+const never = math.MaxInt64 // the wake time of an empty queue
 
 // simBatch is one dispatched batch on the virtual timeline.
 type simBatch struct {
@@ -136,62 +138,6 @@ type simBatch struct {
 	done               int64
 	algo               string
 	source             string
-}
-
-// dlEvent is a deadline-expiry event: fire at t, valid only while the
-// queue's oldest pending deadline is still dl.
-type dlEvent struct {
-	t, dl int64
-	qi    int
-	seq   int // push order, the total-order tie-break
-}
-
-// dlHeap is a minimal binary heap over (t, seq).
-type dlHeap []dlEvent
-
-func (h dlHeap) less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *dlHeap) push(e dlEvent) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func (h *dlHeap) pop() dlEvent {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && (*h).less(l, s) {
-			s = l
-		}
-		if r < n && (*h).less(r, s) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		(*h)[i], (*h)[s] = (*h)[s], (*h)[i]
-		i = s
-	}
-	return top
 }
 
 // Generate runs the load simulation and builds the report.
@@ -204,7 +150,8 @@ func Generate(cfg LoadConfig) (*Report, error) {
 	for d := range cfg.Devices {
 		for _, name := range cfg.Model.LayerNames() {
 			spec, flt, _ := cfg.Model.Layer(name)
-			queues = append(queues, &simQueue{dev: d, spec: spec, flt: flt})
+			queues = append(queues, &simQueue{dev: d, spec: spec, flt: flt,
+				co: newCoalescer[int64](cfg.Policy), wakeT: never})
 		}
 	}
 	if len(queues) == 0 {
@@ -213,92 +160,80 @@ func Generate(cfg LoadConfig) (*Report, error) {
 
 	arrivals := genArrivals(cfg, maxWaitN, len(queues))
 
-	// --- the event loop: arrivals merged with deadline expiries ---
+	// --- the event loop: arrivals merged with the queues' wake-ups ---
 	devBusy := make([]int64, len(cfg.Devices))
 	var batches []simBatch
 	var intervals [][2]int64 // (arrive, done) per accepted request
-	var heap dlHeap
-	seq := 0
-	pushDL := func(q *simQueue, qi int, now int64) {
-		if len(q.pending) == 0 {
-			return
+	var seq int64
+	// arm moves q's wake slot to its oldest deadline, no earlier than now.
+	arm := func(q *simQueue, now int64) {
+		q.wakeT, q.wakeSeq = never, seq
+		if at := q.co.wakeAt(); !at.IsZero() {
+			q.wakeT = max(at.UnixNano(), now)
 		}
-		t := q.pending[0].dl
-		if t < now {
-			t = now
-		}
-		heap.push(dlEvent{t: t, dl: q.pending[0].dl, qi: qi, seq: seq})
 		seq++
 	}
-	cut := func(q *simQueue, qi int, take, batchN int, now int64) error {
-		reqs := q.pending[:take]
-		ch, err := cfg.Selector.Choose(cfg.Devices[q.dev], q.spec.Problem(batchN))
+	// run serves a cut on its device, FIFO, for the predicted seconds.
+	run := func(qi int, b cut[int64], now int64) error {
+		q := queues[qi]
+		ch, err := cfg.Selector.Choose(cfg.Devices[q.dev], q.spec.Problem(b.n))
 		if err != nil {
 			return err
 		}
-		svc := int64(ch.Seconds * 1e9)
-		if svc < 1 {
-			svc = 1
-		}
-		start := now
-		if devBusy[q.dev] > start {
-			start = devBusy[q.dev]
-		}
-		done := start + svc
+		done := max(now, devBusy[q.dev]) + max(int64(ch.Seconds*1e9), 1)
 		devBusy[q.dev] = done
-		for _, r := range reqs {
-			q.lats = append(q.lats, done-r.arrive)
-			intervals = append(intervals, [2]int64{r.arrive, done})
+		for _, arrive := range b.items {
+			q.lats = append(q.lats, done-arrive)
+			intervals = append(intervals, [2]int64{arrive, done})
 		}
 		batches = append(batches, simBatch{
-			qi: qi, batchN: batchN, filled: take, done: done,
+			qi: qi, batchN: b.n, filled: len(b.items), done: done,
 			algo: string(ch.Algo), source: ch.Source,
 		})
-		q.pending = append([]pendReq(nil), q.pending[take:]...)
 		return nil
 	}
 
 	ai := 0
-	for ai < len(arrivals) || len(heap) > 0 {
-		if ai < len(arrivals) && (len(heap) == 0 || arrivals[ai].t <= heap[0].t) {
+	for {
+		w := 0 // the earliest wake slot in (t, seq) order
+		for qi, q := range queues {
+			if q.wakeT < queues[w].wakeT || q.wakeT == queues[w].wakeT && q.wakeSeq < queues[w].wakeSeq {
+				w = qi
+			}
+		}
+		// Arrivals first: a request arriving at a deadline instant joins
+		// the batch that deadline cuts.
+		if ai < len(arrivals) && arrivals[ai].t <= queues[w].wakeT {
 			a := arrivals[ai]
 			ai++
 			q := queues[a.qi]
-			if !cfg.Policy.Admit(len(q.pending)) {
+			if !q.co.admits() {
 				q.rejected++
 				continue
 			}
 			q.accepted++
-			wasEmpty := len(q.pending) == 0
-			q.pending = append(q.pending, pendReq{arrive: a.t, dl: a.t + maxWaitN})
-			if wasEmpty {
-				pushDL(q, a.qi, a.t)
-			}
-			if n, ok := cfg.Policy.BatchSize(len(q.pending), false); ok {
-				if err := cut(q, a.qi, n, n, a.t); err != nil {
+			b, full := q.co.push(a.t, time.Unix(0, a.t))
+			if full {
+				if err := run(a.qi, b, a.t); err != nil {
 					return nil, err
 				}
-				pushDL(q, a.qi, a.t) // new oldest, new expiry
+			}
+			if full || q.wakeT == never {
+				arm(q, a.t) // a new oldest request, a new expiry
 			}
 			continue
 		}
-		e := heap.pop()
-		q := queues[e.qi]
-		if len(q.pending) == 0 || q.pending[0].dl != e.dl {
-			continue // stale: an earlier cut removed that oldest request
+		q := queues[w]
+		now := q.wakeT
+		if now == never {
+			break
 		}
-		n, ok := cfg.Policy.BatchSize(len(q.pending), true)
-		if !ok {
-			continue
+		if b, ok, _ := q.co.next(time.Unix(0, now)); ok {
+			if err := run(w, b, now); err != nil {
+				return nil, err
+			}
 		}
-		take := n
-		if take > len(q.pending) {
-			take = len(q.pending)
-		}
-		if err := cut(q, e.qi, take, n, e.t); err != nil {
-			return nil, err
-		}
-		pushDL(q, e.qi, e.t)
+		arm(q, now)
 	}
 
 	return buildReport(cfg, queues, batches, intervals)
@@ -317,9 +252,9 @@ func genArrivals(cfg LoadConfig, maxWaitN int64, nqueues int) []arrival {
 	}
 	phases := []phase{
 		{share: 2, gap: maxWaitN / 1000000}, // burst -> 128s + in-flight peak
-		{share: 1, gap: maxWaitN / 110},    // expiry depth ~110 -> 96s
-		{share: 1, gap: maxWaitN / 78},     // expiry depth ~78  -> 64s
-		{share: 1, gap: maxWaitN / 45},     // expiry depth ~45  -> 32s
+		{share: 1, gap: maxWaitN / 110},     // expiry depth ~110 -> 96s
+		{share: 1, gap: maxWaitN / 78},      // expiry depth ~78  -> 64s
+		{share: 1, gap: maxWaitN / 45},      // expiry depth ~45  -> 32s
 	}
 	parts := 0
 	for _, p := range phases {

@@ -91,7 +91,7 @@ func (t *TuneSelector) WarmFromStore(st *store.Store, verify bool) (int, []strin
 func (t *TuneSelector) Cached() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.cache.Len()
+	return len(t.cache.Entries)
 }
 
 // ChooseCounts returns, per shape key, how often the underlying choice

@@ -20,6 +20,19 @@ func fusedEntry(dev gpu.Device, p kernels.Problem, waves int, seconds float64) t
 	}
 }
 
+// storeEntry puts a tune measurement into the store under the key the
+// current kernel and device sources derive.
+func storeEntry(t *testing.T, st *store.Store, dev gpu.Device, e tune.Entry) {
+	t.Helper()
+	key, err := tune.StoreKey(dev, e.Shape, e.Waves, e.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, e); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTuneSelectorColdMissMeasuredOnce: many dispatchers asking for the
 // same cold shape trigger exactly one Measure (the singleflight), and
 // the resulting choice is the simulated fused time, not the model
@@ -92,9 +105,7 @@ func TestTuneSelectorWarmFromStore(t *testing.T) {
 	dev := gpu.RTX2070()
 	p := kernels.Problem{C: 8, K: 64, N: 32, H: 6, W: 6}
 	st := store.New()
-	if err := tune.SeedStore(st, dev, fusedEntry(dev, p, 4, 2e-9)); err != nil {
-		t.Fatal(err)
-	}
+	storeEntry(t, st, dev, fusedEntry(dev, p, 4, 2e-9))
 
 	sel := NewTuneSelector(4)
 	sel.Measure = func(gpu.Device, kernels.Problem) (tune.Entry, error) {
@@ -121,9 +132,7 @@ func TestTuneSelectorWavesMismatchStaysCold(t *testing.T) {
 	dev := gpu.RTX2070()
 	p := kernels.Problem{C: 8, K: 64, N: 32, H: 6, W: 6}
 	st := store.New()
-	if err := tune.SeedStore(st, dev, fusedEntry(dev, p, 2, 2e-9)); err != nil {
-		t.Fatal(err)
-	}
+	storeEntry(t, st, dev, fusedEntry(dev, p, 2, 2e-9))
 	sel := NewTuneSelector(4) // depth 4 != stored depth 2
 	if n, _ := sel.WarmFromStore(st, false); n != 1 {
 		t.Fatalf("warmed %d entries, want 1", n)

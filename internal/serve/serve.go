@@ -2,11 +2,13 @@
 // cudart.Forward: requests for one (device, layer) shape coalesce in a
 // bounded queue until a batch-size sweet spot (N ∈ {32, 64, 96, 128})
 // fills or the oldest request's deadline expires, then the batch runs
-// the algorithm a warm tune.Select chose for that shape. The batching
-// and admission decisions live in Policy — pure functions shared with
-// the deterministic load generator (loadgen.go) — and the scheduling
-// plumbing (caching singleflight, drain-on-close worker pools) comes
-// from internal/sched, the core factored out of the bench runner.
+// the algorithm a warm tune.Select chose for that shape. Every batch cut
+// is decided by one clock-free state machine (the coalescer in
+// policy.go), which a goroutine and a timer drive here and the
+// deterministic load generator (loadgen.go) drives in virtual time. The
+// scheduling plumbing (caching singleflight, drain-on-close worker
+// pools) comes from internal/sched, the core factored out of the bench
+// runner.
 package serve
 
 import (
@@ -132,9 +134,8 @@ type Request struct {
 	Layer  string    // model layer name
 	Image  []float32 // length LayerSpec.InLen(), (c, h, w) row-major
 
-	resp     chan Response
-	enq      time.Time
-	deadline time.Time
+	resp chan Response
+	enq  time.Time
 }
 
 // Response answers one Request once its batch has run.
@@ -304,7 +305,6 @@ func (s *Server) Submit(req *Request) (<-chan Response, error) {
 	}
 	req.resp = make(chan Response, 1)
 	req.enq = time.Now()
-	req.deadline = s.cfg.Policy.Deadline(req.enq)
 	select {
 	case q.ch <- req:
 		return req.resp, nil
@@ -343,68 +343,49 @@ func (s *Server) Close() {
 	}
 }
 
-// coalesce is one queue's batching loop: accumulate requests until a
-// sweet spot fills (dispatch immediately) or the oldest request's
-// deadline expires (dispatch the largest fitting spot, padded below 32).
+// coalesce is one queue's goroutine: it pushes each request into the
+// coalescer, dispatches every cut, and arms one timer at exactly wakeAt,
+// so a lone request leaves MaxWait after it arrived.
 func (s *Server) coalesce(q *queue) {
 	defer s.wg.Done()
-	var pending []*Request
+	c := newCoalescer[*Request](s.cfg.Policy)
 	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	stopTimer := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
+	timer.Stop()
+	var armedAt time.Time // the deadline the timer is armed for; zero while idle
 	for {
-		// A full sweet spot never waits.
-		if n, ok := s.cfg.Policy.BatchSize(len(pending), false); ok {
-			s.dispatch(q, pending[:n], n)
-			pending = append([]*Request(nil), pending[n:]...)
-			continue
+		var wake <-chan time.Time
+		if !armedAt.IsZero() {
+			wake = timer.C
 		}
-		if len(pending) == 0 {
-			r, ok := <-q.ch
-			if !ok {
-				return
-			}
-			pending = append(pending, r)
-			continue
-		}
-		wait := time.Until(pending[0].deadline)
-		if wait <= 0 {
-			n, _ := s.cfg.Policy.BatchSize(len(pending), true)
-			take := n
-			if take > len(pending) {
-				take = len(pending)
-			}
-			s.dispatch(q, pending[:take], n)
-			pending = append([]*Request(nil), pending[take:]...)
-			continue
-		}
-		stopTimer()
-		timer.Reset(wait)
 		select {
 		case r, ok := <-q.ch:
 			if !ok {
-				// Drain on close: flush everything left as expired batches.
-				for len(pending) > 0 {
-					n, _ := s.cfg.Policy.BatchSize(len(pending), true)
-					take := n
-					if take > len(pending) {
-						take = len(pending)
-					}
-					s.dispatch(q, pending[:take], n)
-					pending = pending[take:]
+				timer.Stop()
+				for _, b := range c.drain() {
+					s.dispatch(q, b)
 				}
 				return
 			}
-			pending = append(pending, r)
-		case <-timer.C:
-			// Oldest deadline expired; the top of the loop cuts the batch.
+			if b, full := c.push(r, r.enq); full {
+				s.dispatch(q, b)
+			}
+		case <-wake:
+			armedAt = time.Time{}
+		}
+		b, ok, wakeAt := c.next(time.Now())
+		for ; ok; b, ok, wakeAt = c.next(time.Now()) {
+			s.dispatch(q, b)
+		}
+		if !wakeAt.Equal(armedAt) {
+			if !timer.Stop() {
+				select { // fired but not yet received
+				case <-timer.C:
+				default:
+				}
+			}
+			if armedAt = wakeAt; !wakeAt.IsZero() {
+				timer.Reset(time.Until(wakeAt))
+			}
 		}
 	}
 }
@@ -413,10 +394,9 @@ func (s *Server) coalesce(q *queue) {
 // pool is a single worker — kernel launches on one device serialize —
 // and Submit blocks when DispatchDepth batches already wait, which is
 // the backpressure that lets admission control engage upstream.
-func (s *Server) dispatch(q *queue, reqs []*Request, batchN int) {
-	batch := append([]*Request(nil), reqs...)
-	if ok := s.pools[q.dev.Name].Submit(func() { s.runBatch(q, batch, batchN) }); !ok {
-		for _, r := range batch {
+func (s *Server) dispatch(q *queue, b cut[*Request]) {
+	if ok := s.pools[q.dev.Name].Submit(func() { s.runBatch(q, b.items, b.n) }); !ok {
+		for _, r := range b.items {
 			r.resp <- Response{Err: ErrClosed}
 		}
 	}

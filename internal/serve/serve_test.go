@@ -158,6 +158,37 @@ func TestDeadlinePartialBatch(t *testing.T) {
 	}
 }
 
+// TestLoneRequestWaitsMaxWait: the coalescer's timer is armed at the
+// oldest request's deadline — a lone request is neither cut early nor
+// left waiting for a second arrival.
+func TestLoneRequestWaitsMaxWait(t *testing.T) {
+	const wait = 30 * time.Millisecond
+	model := DemoModel(6)
+	s, err := NewServer(Config{
+		Policy:   Policy{MaxWait: wait},
+		Model:    model,
+		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
+		Exec:     &stubExec{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		resp, err := s.Infer(demoRequest(model, "conv_a", uint64(i)))
+		if err != nil || resp.Err != nil {
+			t.Fatalf("request %d: %v %v", i, err, resp.Err)
+		}
+		if took := time.Since(start); took < wait || took > wait+5*time.Second {
+			t.Fatalf("request %d answered after %v, want MaxWait %v", i, took, wait)
+		}
+		if resp.BatchN != 32 || resp.Filled != 1 {
+			t.Fatalf("request %d: batch %d/%d, want 1/32", i, resp.Filled, resp.BatchN)
+		}
+	}
+}
+
 // TestFullBatchImmediate: a full 128 dispatches at once even under an
 // effectively infinite deadline.
 func TestFullBatchImmediate(t *testing.T) {

@@ -1,32 +1,15 @@
 package tune
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 
 	"repro/internal/kernels"
 )
 
-// Schema versions the cache file format. Loaders refuse (with a warning,
-// not an error) any file carrying a different schema: a stale cache must
-// degrade to a cold one, never poison a run with entries measured under
-// different semantics.
-//
-// tune/v1 is the legacy persistence format: the content-addressed
-// experiment store (internal/store, store/v1) supersedes it, because the
-// flat cache cannot tell whether its entries were measured under the
-// current kernel generator or device specs. Legacy files remain
-// importable — SeedStore converts entries into store keys under the
-// current sources' hashes, inheriting exactly the trust the old
-// warm-cache path always assumed.
-const Schema = "tune/v1"
-
 // Entry is one simulator measurement of a kernel configuration on a
-// problem shape. Everything the report and the selection logic need is
-// denormalized into the entry, so warm runs render tables from the cache
+// problem shape, and the payload it persists as in the experiment store
+// (store.go). Everything the report and the selection logic need is
+// denormalized into the entry, so warm runs render tables from the store
 // alone, byte-identical to the cold run that wrote it.
 type Entry struct {
 	Device    string          `json:"device"`
@@ -54,49 +37,17 @@ func cacheKey(device string, p kernels.Problem, waves int, cfgKey string) string
 }
 
 // Cache is the in-memory tuning-result working set, keyed by
-// (device, problem, waves, Config.Key) — and, via Load/Save, the legacy
-// tune/v1 on-disk format.
+// (device, problem, waves, Config.Key). It has no file format of its
+// own: results persist through the experiment store.
 type Cache struct {
-	Schema  string  `json:"schema"`
-	Entries []Entry `json:"entries"`
+	Entries []Entry // insertion order
 
 	index map[string]int
 }
 
-// NewCache returns an empty cache with the current schema.
+// NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{Schema: Schema, index: map[string]int{}}
-}
-
-// Load reads the cache at path. A missing file is a plain cold start; a
-// corrupt file, a schema mismatch, or an entry that no longer
-// round-trips its own keys yields an empty cache plus warnings — tuning
-// then re-simulates, it never fails and never trusts stale data.
-func Load(path string) (*Cache, []string) {
-	c := NewCache()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return c, nil
-		}
-		return c, []string{fmt.Sprintf("tune: unreadable cache %s: %v (starting cold)", path, err)}
-	}
-	var raw Cache
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return c, []string{fmt.Sprintf("tune: corrupt cache %s: %v (starting cold)", path, err)}
-	}
-	if raw.Schema != Schema {
-		return c, []string{fmt.Sprintf("tune: cache %s has schema %q, want %q (starting cold)", path, raw.Schema, Schema)}
-	}
-	var warns []string
-	for _, e := range raw.Entries {
-		if e.Config.Key() != e.ConfigKey || e.Shape.Key() != e.Problem {
-			warns = append(warns, fmt.Sprintf("tune: cache %s: entry %s does not round-trip its keys (dropped)", path, e.key()))
-			continue
-		}
-		c.Put(e)
-	}
-	return c, warns
+	return &Cache{index: map[string]int{}}
 }
 
 // Put inserts or replaces the entry under its key.
@@ -119,29 +70,4 @@ func (c *Cache) Get(device string, p kernels.Problem, waves int, cfgKey string) 
 		return Entry{}, false
 	}
 	return c.Entries[i], true
-}
-
-// Len reports how many measurements the cache holds.
-func (c *Cache) Len() int { return len(c.Entries) }
-
-// Save writes the cache to path, creating parent directories as needed.
-// Entries are sorted by key and floats serialized by encoding/json's
-// shortest round-trip form, so the bytes are a pure function of the
-// cache contents: any worker count, and any cold/warm history, that
-// measured the same entries writes the identical file.
-func (c *Cache) Save(path string) error {
-	sorted := append([]Entry(nil), c.Entries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key() < sorted[j].key() })
-	out := Cache{Schema: Schema, Entries: sorted}
-	data, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -12,11 +12,10 @@ import (
 
 // Store adapter: tune measurements persist as payloads in the
 // content-addressed experiment store (internal/store), keyed by
-// (device name + spec hash, kernel-source hash, problem, mode). The
-// tune/v1 JSON cache (cache.go) survives as an importable legacy
-// format — SeedStore converts its entries — but the store is the
-// persistence layer: generator or device-file changes miss instead of
-// serving stale measurements, and shards merge byte-deterministically.
+// (device name + spec hash, kernel-source hash, problem, mode). The store
+// is the only persistence layer: generator or device-file changes miss
+// instead of serving stale measurements, and shards merge
+// byte-deterministically.
 
 // Mode names the tune measurement protocol at one sampling depth. The
 // simulation backend and worker count are deliberately absent: they are
@@ -38,23 +37,6 @@ func StoreKey(dev gpu.Device, p kernels.Problem, waves int, cfg kernels.Config) 
 		Problem:    p.Key(),
 		Mode:       Mode(waves),
 	}, nil
-}
-
-// SeedStore imports one legacy tune/v1 cache entry into the store under
-// the key the current sources derive. The legacy format carries no
-// kernel or device hashes, so the import inherits tune/v1's trust
-// model: the entry is assumed to have been measured under the current
-// generator and device spec — exactly the assumption the old warm-cache
-// path always made, and the reason store/v1 supersedes it.
-func SeedStore(st *store.Store, dev gpu.Device, e Entry) error {
-	if e.Device != dev.Name {
-		return fmt.Errorf("tune: seeding %s entry into a %s store key", e.Device, dev.Name)
-	}
-	key, err := StoreKey(dev, e.Shape, e.Waves, e.Config)
-	if err != nil {
-		return err
-	}
-	return st.Put(key, e)
 }
 
 // EntryFromStore decodes a store entry back into a tune measurement.

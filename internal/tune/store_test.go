@@ -123,78 +123,6 @@ func TestShardedTuneMergesToSingleProcessBytes(t *testing.T) {
 	}
 }
 
-// TestLegacyCacheSeedsStore proves tune/v1 remains importable: entries
-// from a legacy cache file seed the store under current-source keys, and
-// a tune run over the seeded store simulates nothing.
-func TestLegacyCacheSeedsStore(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates the tiny lattice once")
-	}
-	dir := t.TempDir()
-	dev := gpu.RTX2070()
-	cases := []Case{tinyCase()}
-
-	// Cold run through the store, then export its entries to a legacy
-	// tune/v1 file (candidates carry every measurement of the run).
-	st := store.New()
-	tn := &Tuner{Dev: dev, Budget: 4, Workers: 2}
-	results, _, err := tn.Tune(st, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := NewCache()
-	for _, r := range results {
-		for _, e := range r.Candidates {
-			legacy.Put(e)
-		}
-	}
-	legacyPath := filepath.Join(dir, "tune_v1.json")
-	if err := legacy.Save(legacyPath); err != nil {
-		t.Fatal(err)
-	}
-
-	// Import the legacy file into a fresh store and tune warm.
-	loaded, warns := Load(legacyPath)
-	if len(warns) != 0 {
-		t.Fatalf("legacy load warnings: %v", warns)
-	}
-	seeded := store.New()
-	for _, e := range loaded.Entries {
-		if err := SeedStore(seeded, dev, e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	warmResults, _, err := (&Tuner{Dev: dev, Budget: 4, Workers: 2}).Tune(seeded, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmResults[0].Simulated != 0 {
-		t.Fatalf("seeded store still simulated %d candidates", warmResults[0].Simulated)
-	}
-
-	// The seeded store serializes to the same bytes as the cold-run
-	// store: legacy import is lossless for matching sources.
-	p1, p2 := filepath.Join(dir, "cold.json"), filepath.Join(dir, "seeded.json")
-	if err := st.Save(p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := seeded.Save(p2); err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := os.ReadFile(p1)
-	b2, _ := os.ReadFile(p2)
-	if string(b1) != string(b2) {
-		t.Fatal("legacy-seeded store bytes differ from cold-run store bytes")
-	}
-
-	// Seeding an entry for the wrong device is refused.
-	foreign := loaded.Entries[0]
-	foreign.Device = "v100"
-	if err := SeedStore(store.New(), dev, foreign); err == nil {
-		t.Fatal("cross-device seed accepted")
-	}
-}
-
 // TestEntryFromStoreValidation pins the two-tier validation policy: the
 // cheap address-consistency checks always run, the expensive round-trip
 // only under verify — and a poisoned entry is quarantined (warned and

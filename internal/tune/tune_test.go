@@ -154,84 +154,6 @@ func TestTuneDeterministicAcrossWorkersAndStoreState(t *testing.T) {
 	}
 }
 
-func TestCacheLoadGraceful(t *testing.T) {
-	dir := t.TempDir()
-
-	// Missing file: cold start, no warnings.
-	c, warns := Load(filepath.Join(dir, "absent.json"))
-	if c.Len() != 0 || len(warns) != 0 {
-		t.Fatalf("missing cache: len %d, warns %v", c.Len(), warns)
-	}
-
-	// Corrupt file: cold start with a warning.
-	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte("{not json"), 0o644)
-	c, warns = Load(bad)
-	if c.Len() != 0 || len(warns) != 1 {
-		t.Fatalf("corrupt cache: len %d, warns %v", c.Len(), warns)
-	}
-
-	// Stale schema: cold start with a warning.
-	stale := filepath.Join(dir, "stale.json")
-	os.WriteFile(stale, []byte(`{"schema":"tune/v0","entries":[]}`), 0o644)
-	c, warns = Load(stale)
-	if c.Len() != 0 || len(warns) != 1 {
-		t.Fatalf("stale cache: len %d, warns %v", c.Len(), warns)
-	}
-
-	// An entry whose embedded keys do not round-trip is dropped alone.
-	drift := filepath.Join(dir, "drift.json")
-	os.WriteFile(drift, []byte(`{"schema":"`+Schema+`","entries":[
-	  {"device":"X","problem":"mismatched","shape":{"C":8,"K":64,"N":32,"H":4,"W":4},
-	   "config":{"BK":64,"UseP2R":true},"config_key":"also-wrong","waves":4,"seconds":1}
-	]}`), 0o644)
-	c, warns = Load(drift)
-	if c.Len() != 0 || len(warns) != 1 {
-		t.Fatalf("drifted entry: len %d, warns %v", c.Len(), warns)
-	}
-}
-
-func TestCacheSaveOrderIndependent(t *testing.T) {
-	dir := t.TempDir()
-	p := kernels.Problem{C: 8, K: 64, N: 32, H: 4, W: 4}
-	mk := func(cfg kernels.Config, secs float64) Entry {
-		cfg = cfg.Canonical()
-		return Entry{Device: "dev", Problem: p.Key(), Shape: p, Config: cfg,
-			ConfigKey: cfg.Key(), Waves: 4, Seconds: secs}
-	}
-	a := mk(kernels.Ours(), 1.5)
-	b := mk(kernels.CuDNNLike(), 2.5)
-
-	c1 := NewCache()
-	c1.Put(a)
-	c1.Put(b)
-	c2 := NewCache()
-	c2.Put(b)
-	c2.Put(a)
-	p1, p2 := filepath.Join(dir, "ab.json"), filepath.Join(dir, "ba.json")
-	if err := c1.Save(p1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.Save(p2); err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := os.ReadFile(p1)
-	b2, _ := os.ReadFile(p2)
-	if string(b1) != string(b2) {
-		t.Fatal("cache bytes depend on insertion order")
-	}
-
-	// Round-trip: what was saved loads back identically.
-	c3, warns := Load(p1)
-	if len(warns) != 0 || c3.Len() != 2 {
-		t.Fatalf("round-trip: len %d, warns %v", c3.Len(), warns)
-	}
-	got, ok := c3.Get("dev", p, 4, kernels.Ours().Key())
-	if !ok || got.Seconds != 1.5 {
-		t.Fatalf("round-trip lost the entry: %+v ok=%t", got, ok)
-	}
-}
-
 func TestSelectFallsBackToModelOnColdCache(t *testing.T) {
 	dev := gpu.V100()
 	conv2 := bench.Layers()[0].Problem(32)
