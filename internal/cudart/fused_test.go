@@ -11,19 +11,48 @@ import (
 )
 
 // fusedCase is one convolution shape for the fused-path tests and
-// benchmarks.
+// benchmarks. edit, when set, rewrites the random problem before use.
 type fusedCase struct {
 	name          string
 	C, K, N, H, W int
+	edit          func(in, flt *tensor.Tensor)
 }
 
 // The serving demo model's two layers (serve.DemoModel) and a ResNet-like
 // layer in the paper's C,K >= 64 regime.
 var (
-	convA    = fusedCase{"conv_a", 8, 64, 32, 6, 6}
-	convB    = fusedCase{"conv_b", 16, 64, 32, 4, 4}
-	resnet64 = fusedCase{"c64k64_14x14", 64, 64, 32, 14, 14}
+	convA    = fusedCase{name: "conv_a", C: 8, K: 64, N: 32, H: 6, W: 6}
+	convB    = fusedCase{name: "conv_b", C: 16, K: 64, N: 32, H: 4, W: 4}
+	resnet64 = fusedCase{name: "c64k64_14x14", C: 64, K: 64, N: 32, H: 14, W: 14}
 )
+
+// filled returns fc with every image from slot n on set to +0, the batch
+// serve.AssembleBatch builds around n requests.
+func (fc fusedCase) filled(n int) fusedCase {
+	fc.name = fmt.Sprintf("%s_filled%d", fc.name, n)
+	edit := fc.edit
+	fc.edit = func(in, flt *tensor.Tensor) {
+		if edit != nil {
+			edit(in, flt)
+		}
+		for b := n; b < fc.N; b++ {
+			fillImage(in, b, 0)
+		}
+	}
+	return fc
+}
+
+// fillImage sets every input of image n to v.
+func fillImage(in *tensor.Tensor, n int, v float32) {
+	s := in.ImageShape()
+	for c := 0; c < s.C; c++ {
+		for h := 0; h < s.H; h++ {
+			for w := 0; w < s.W; w++ {
+				in.ImageSet(n, c, h, w, v)
+			}
+		}
+	}
+}
 
 // problem builds a random input and filter in the layouts given.
 func (fc fusedCase) problem(inLayout, fltLayout tensor.Layout) (in, flt *tensor.Tensor) {
@@ -31,6 +60,9 @@ func (fc fusedCase) problem(inLayout, fltLayout tensor.Layout) (in, flt *tensor.
 	in.FillRandom(uint64(fc.C*1000 + fc.K + fc.N))
 	flt = tensor.NewFilter(fltLayout, tensor.FilterShape{K: fc.K, C: fc.C, R: 3, S: 3})
 	flt.FillRandom(uint64(fc.K*1000 + fc.C))
+	if fc.edit != nil {
+		fc.edit(in, flt)
+	}
 	return in, flt
 }
 
@@ -60,9 +92,13 @@ func requireSameBits(t *testing.T, got, want *tensor.Tensor) {
 // contract with its oracle: Forward's blocked CPU Algorithm 1 and the
 // thread-for-thread WinogradConv sum the same products in the same order,
 // so every output bit agrees — on the demo layers at every served batch
-// size, on a partial-tile 7x7 layer, and on NCHW/KCRS inputs.
+// size, on a partial-tile 7x7 layer, and on NCHW/KCRS inputs. The
+// zero-padded batches check the all-zero image skip: a skipped image's
+// +0 output, padded slots included, must be the oracle's, a -0 image
+// between live ones is skipped too, and a +Inf weight turns the skip off
+// so the padded slots carry the oracle's Inf*0 NaNs.
 func TestForwardFusedMatchesWinogradConvBitwise(t *testing.T) {
-	cases := []fusedCase{{"c64k128_7x7", 64, 128, 32, 7, 7}}
+	cases := []fusedCase{{name: "c64k128_7x7", C: 64, K: 128, N: 32, H: 7, W: 7}}
 	for _, n := range []int{32, 64, 128} {
 		for _, fc := range []fusedCase{convA, convB} {
 			fc.N = n
@@ -70,6 +106,24 @@ func TestForwardFusedMatchesWinogradConvBitwise(t *testing.T) {
 			cases = append(cases, fc)
 		}
 	}
+	for _, n := range []int{0, 1, 17, 31} {
+		cases = append(cases, convA.filled(n))
+	}
+	negZero := convA
+	negZero.name = "conv_a_negzero"
+	negZero.edit = func(in, _ *tensor.Tensor) { fillImage(in, 1, float32(math.Copysign(0, -1))) }
+	infWeight := convA
+	infWeight.name = "conv_a_infweight"
+	infWeight.edit = func(_, flt *tensor.Tensor) { flt.FilterSet(5, 3, 1, 1, float32(math.Inf(1))) }
+	infWeight = infWeight.filled(1)
+	convB128 := convB
+	convB128.N, convB128.name = 128, "conv_b_n128"
+	cases = append(cases,
+		convB128.filled(1),
+		negZero,
+		fusedCase{name: "odd5x7", C: 8, K: 64, N: 32, H: 5, W: 7}.filled(3),
+		infWeight,
+	)
 	for _, fc := range cases {
 		for _, layouts := range [][2]tensor.Layout{{tensor.CHWN, tensor.CRSK}, {tensor.NCHW, tensor.KCRS}} {
 			t.Run(fc.name+"/"+layouts[0].String(), func(t *testing.T) {
@@ -81,6 +135,11 @@ func TestForwardFusedMatchesWinogradConvBitwise(t *testing.T) {
 				want, err := WinogradConv(in.ToLayout(tensor.CHWN), flt.ToFilterLayout(tensor.CRSK))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if fc.name == infWeight.name {
+					if v := want.ImageAt(fc.N-1, 5, 2, 2); v == v {
+						t.Fatalf("oracle gave %v in a padded slot, want NaN: the probe does not disable the skip", v)
+					}
 				}
 				requireSameBits(t, got, want)
 			})
@@ -128,9 +187,9 @@ func TestForwardFusedNonFiniteMatchesOracle(t *testing.T) {
 // the SASS kernel cannot run, with the kernel generator's error text.
 func TestForwardFusedShapeContract(t *testing.T) {
 	for _, fc := range []fusedCase{
-		{"n31", 8, 64, 31, 4, 4},
-		{"k32", 8, 32, 32, 4, 4},
-		{"c4", 4, 64, 32, 4, 4},
+		{name: "n31", C: 8, K: 64, N: 31, H: 4, W: 4},
+		{name: "k32", C: 8, K: 32, N: 32, H: 4, W: 4},
+		{name: "c4", C: 4, K: 64, N: 32, H: 4, W: 4},
 	} {
 		in, flt := fc.problem(tensor.CHWN, tensor.CRSK)
 		_, err := Forward(in, flt, tune.Choice{Algo: tune.AlgoFused})
@@ -142,9 +201,10 @@ func TestForwardFusedShapeContract(t *testing.T) {
 }
 
 // BenchmarkForward times every algorithm Forward dispatches on the host,
-// per shape: the serving demo's two layers and a ResNet-like C=K=64 layer.
+// per shape: the serving demo's two layers, full and as a lone request
+// zero-padded to N=32 (filled1), and a ResNet-like C=K=64 layer.
 func BenchmarkForward(b *testing.B) {
-	for _, fc := range []fusedCase{convA, convB, resnet64} {
+	for _, fc := range []fusedCase{convA, convA.filled(1), convB, convB.filled(1), resnet64} {
 		in, flt := fc.problem(tensor.CHWN, tensor.CRSK)
 		for _, algo := range []struct {
 			name string

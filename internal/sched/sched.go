@@ -9,6 +9,7 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 )
@@ -37,7 +38,9 @@ type flightEntry[V any] struct {
 // Do returns the cached result for key, running fn at most once per key
 // per Flight. Concurrent callers of one key share a single fn call; fn
 // errors are cached like values (a failed key stays failed — callers that
-// need retry semantics use a fresh key or a fresh Flight).
+// need retry semantics use a fresh key or a fresh Flight). A panicking fn
+// panics in its own caller and caches an error for everyone else, so no
+// requester of the key blocks forever.
 func (f *Flight[V]) Do(key string, fn func() (V, error)) (V, error) {
 	f.mu.Lock()
 	if f.m == nil {
@@ -54,8 +57,15 @@ func (f *Flight[V]) Do(key string, fn func() (V, error)) (V, error) {
 	f.computes[key]++
 	f.mu.Unlock()
 
+	returned := false
+	defer func() {
+		if !returned {
+			e.err = fmt.Errorf("sched: computing %q panicked", key)
+		}
+		close(e.done)
+	}()
 	e.v, e.err = fn()
-	close(e.done)
+	returned = true
 	return e.v, e.err
 }
 

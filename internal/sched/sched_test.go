@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,6 +63,23 @@ func TestFlightCachesErrors(t *testing.T) {
 	}
 	if computes != 1 {
 		t.Fatalf("failed key recomputed %d times", computes)
+	}
+}
+
+// TestFlightPanicCachesError: a panicking fn panics in its caller, and
+// every later requester of the key gets an error instead of blocking.
+func TestFlightPanicCachesError(t *testing.T) {
+	var f Flight[int]
+	func() {
+		defer func() {
+			if p := recover(); p != "boom" {
+				t.Fatalf("recovered %v, want the fn's panic", p)
+			}
+		}()
+		f.Do("k", func() (int, error) { panic("boom") })
+	}()
+	if _, err := f.Do("k", func() (int, error) { return 1, nil }); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("after the panic: err = %v, want the cached panic error", err)
 	}
 }
 

@@ -22,11 +22,32 @@ type inferResponse struct {
 	Error  string    `json:"error,omitempty"`
 }
 
+// Request bodies are bounded by the largest layer's image: bytesPerFloat
+// covers any float32's JSON text (at most 22 bytes, e.g. "-1.2345679e+20"
+// written out in full by encoding/json) plus its comma and whitespace,
+// and bodySlack the device and layer names and the field syntax.
+const (
+	bytesPerFloat = 32
+	bodySlack     = 4 << 10
+)
+
+// maxBody is the largest /v1/infer body the handler reads.
+func (s *Server) maxBody() int64 {
+	longest := 0
+	for _, name := range s.cfg.Model.LayerNames() {
+		spec, _, _ := s.cfg.Model.Layer(name)
+		longest = max(longest, spec.InLen())
+	}
+	return int64(longest)*bytesPerFloat + bodySlack
+}
+
 // Handler exposes the server over HTTP: POST /v1/infer with a JSON
 // body {device, layer, image} blocks until the request's batch has run
-// and returns the output image. Admission rejections map to 429,
-// shutdown to 503 — the status codes a load balancer retries on.
+// and returns the output image. A body over maxBody gets 413.
+// Admission rejections map to 429, shutdown to 503 — the status codes a
+// load balancer retries on — and a panicked batch to 500.
 func (s *Server) Handler() http.Handler {
+	limit := s.maxBody()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/infer", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -34,8 +55,13 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		var in inferRequest
-		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
-			writeJSON(w, http.StatusBadRequest, inferResponse{Error: err.Error()})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&in); err != nil {
+			code := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, code, inferResponse{Error: err.Error()})
 			return
 		}
 		resp, err := s.Infer(&Request{Device: in.Device, Layer: in.Layer, Image: in.Image})
@@ -49,6 +75,8 @@ func (s *Server) Handler() http.Handler {
 				code = http.StatusTooManyRequests
 			case errors.Is(err, ErrClosed):
 				code = http.StatusServiceUnavailable
+			case errors.Is(err, ErrPanicked):
+				code = http.StatusInternalServerError
 			}
 			writeJSON(w, code, inferResponse{Error: err.Error()})
 			return

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -61,10 +62,74 @@ func TestHTTPInfer(t *testing.T) {
 		t.Fatalf("unknown device: status %d, want 400", code)
 	}
 
+	// A body over the bound is refused before it is decoded: an image
+	// of the largest layer written with more than bytesPerFloat bytes a
+	// value (padded with JSON whitespace) does not fit.
+	img, err := json.Marshal(make([]float32, spec.InLen()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := bytes.Repeat([]byte(" "), int(s.maxBody()))
+	body := append(append([]byte(`{"device":"RTX2070","layer":"conv_a","image":`), img...), append(pad, '}')...)
+	resp, err := http.Post(ts.URL+"/v1/infer", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413", len(body), resp.StatusCode)
+	}
+
 	s.Close()
 	if code, _ := postInfer(t, ts.URL, inferRequest{
 		Device: gpu.RTX2070().Name, Layer: "conv_a", Image: make([]float32, spec.InLen()),
 	}); code != http.StatusServiceUnavailable {
 		t.Fatalf("after Close: status %d, want 503", code)
 	}
+}
+
+// FuzzInferHandler feeds raw bodies to /v1/infer: the handler never
+// panics and answers every body with one of the statuses it documents.
+func FuzzInferHandler(f *testing.F) {
+	model := DemoModel(29)
+	s, err := NewServer(Config{
+		Policy:   Policy{MaxWait: time.Millisecond},
+		Model:    model,
+		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
+		Exec:     &stubExec{},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+
+	spec, _, _ := model.Layer("conv_b")
+	valid, err := json.Marshal(inferRequest{Device: gpu.RTX2070().Name, Layer: "conv_b", Image: make([]float32, spec.InLen())})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(valid),
+		"",
+		"{}",
+		"null",
+		`{"device":"RTX2070","layer":"conv_b","image":[1,2,3]}`,
+		`{"device":"RTX2070","layer":"nope","image":[]}`,
+		`{"image":[1e39]}`,
+		`{"image":"x"}`,
+		"{" + strings.Repeat(" ", int(s.maxBody())) + "}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("status %d for body %q", rec.Code, body)
+		}
+	})
 }

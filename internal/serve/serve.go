@@ -34,6 +34,10 @@ var (
 	ErrOverloaded = errors.New("serve: queue full, request rejected")
 	// ErrClosed rejects a request submitted after Close began.
 	ErrClosed = errors.New("serve: server closed")
+	// ErrPanicked fails every request of a batch whose Selector,
+	// Executor or output slicing panicked; the dispatcher goes on to the
+	// next batch.
+	ErrPanicked = errors.New("serve: batch panicked")
 )
 
 // LayerSpec names one convolution layer a model serves: a 3x3
@@ -402,19 +406,33 @@ func (s *Server) dispatch(q *queue, b cut[*Request]) {
 	}
 }
 
-// runBatch selects the algorithm for this batch shape (warm via the
-// tune store; cold misses computed once via singleflight), executes,
-// and fans the per-slot outputs back to the requesters.
+// runBatch runs one batch and answers each of its requests exactly once.
 func (s *Server) runBatch(q *queue, reqs []*Request, batchN int) {
-	fail := func(err error) {
-		for _, r := range reqs {
-			r.resp <- Response{Err: err}
-		}
+	for i, resp := range s.execBatch(q, reqs, batchN) {
+		reqs[i].resp <- resp
 	}
+}
+
+// execBatch selects the algorithm for this batch shape (warm via the
+// tune store; cold misses computed once via singleflight), executes, and
+// slices out the per-slot outputs. A panic anywhere in that fails the
+// whole batch with ErrPanicked and the panic value, and nothing else.
+func (s *Server) execBatch(q *queue, reqs []*Request, batchN int) (resps []Response) {
+	resps = make([]Response, len(reqs))
+	fail := func(err error) []Response {
+		for i := range resps {
+			resps[i] = Response{Err: err}
+		}
+		return resps
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			fail(fmt.Errorf("%w: %s N=%d on %s: %v", ErrPanicked, q.spec.Name, batchN, q.dev.Name, p))
+		}
+	}()
 	choice, err := s.cfg.Selector.Choose(q.dev, q.spec.Problem(batchN))
 	if err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
 	images := make([][]float32, len(reqs))
 	for i, r := range reqs {
@@ -422,15 +440,15 @@ func (s *Server) runBatch(q *queue, reqs []*Request, batchN int) {
 	}
 	out, err := s.cfg.Exec.Run(q.spec, q.flt, choice, images, batchN)
 	if err != nil {
-		fail(err)
-		return
+		return fail(err)
 	}
-	for i, r := range reqs {
-		r.resp <- Response{
+	for i := range resps {
+		resps[i] = Response{
 			Output: sliceOutput(q.spec, out, i),
 			BatchN: batchN,
 			Filled: len(reqs),
 			Algo:   choice.Algo,
 		}
 	}
+	return resps
 }

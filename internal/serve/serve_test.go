@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/conv"
 	"repro/internal/gpu"
+	"repro/internal/kernels"
 	"repro/internal/tensor"
 	"repro/internal/tune"
 )
@@ -186,6 +188,78 @@ func TestLoneRequestWaitsMaxWait(t *testing.T) {
 		if resp.BatchN != 32 || resp.Filled != 1 {
 			t.Fatalf("request %d: batch %d/%d, want 1/32", i, resp.Filled, resp.BatchN)
 		}
+	}
+}
+
+// faultSelector and faultExec panic on their first call and then defer
+// to the test stubs: a fault injected into one batch.
+type faultSelector struct {
+	FixedSelector
+	calls atomic.Int32
+}
+
+func (f *faultSelector) Choose(dev gpu.Device, p kernels.Problem) (tune.Choice, error) {
+	if f.calls.Add(1) == 1 {
+		panic("injected selector fault")
+	}
+	return f.FixedSelector.Choose(dev, p)
+}
+
+type faultExec struct {
+	stubExec
+	calls atomic.Int32
+}
+
+func (e *faultExec) Run(spec LayerSpec, flt *tensor.Tensor, ch tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error) {
+	if e.calls.Add(1) == 1 {
+		panic("injected executor fault")
+	}
+	return e.stubExec.Run(spec, flt, ch, images, batchN)
+}
+
+// TestPanicContainedToBatch: a Selector or Executor that panics fails
+// every request of its own batch with ErrPanicked naming the panic, and
+// the server goes on serving the next batch.
+func TestPanicContainedToBatch(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"selector", Config{Selector: &faultSelector{FixedSelector: FixedSelector{Algo: tune.AlgoFused}}, Exec: &stubExec{}}, "injected selector fault"},
+		{"executor", Config{Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}), Exec: &faultExec{}}, "injected executor fault"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			model := DemoModel(8)
+			cfg := tc.cfg
+			cfg.Policy, cfg.Model = Policy{MaxWait: 2 * time.Millisecond}, model
+			s, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			var chans []<-chan Response
+			for i := 0; i < 3; i++ {
+				ch, err := s.Submit(demoRequest(model, "conv_a", uint64(i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				chans = append(chans, ch)
+			}
+			for i, ch := range chans {
+				resp := <-ch
+				if !errors.Is(resp.Err, ErrPanicked) || !strings.Contains(resp.Err.Error(), tc.want) {
+					t.Fatalf("request %d: err = %v, want ErrPanicked naming %q", i, resp.Err, tc.want)
+				}
+			}
+			resp, err := s.Infer(demoRequest(model, "conv_a", 9))
+			if err != nil || resp.Err != nil {
+				t.Fatalf("batch after the panic: %v %v", err, resp.Err)
+			}
+			if resp.BatchN != 32 || resp.Filled != 1 {
+				t.Fatalf("batch after the panic: %d/%d, want 1/32", resp.Filled, resp.BatchN)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package winograd
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/gemm"
@@ -116,7 +117,8 @@ func newTileGrid(v Variant, oh, ow, pad int) tileGrid {
 func (g tileGrid) tiles(n int) int { return n * g.tilesH * g.tilesW }
 
 // split maps a global tile index to (n, th, tw); n varies fastest, which is
-// what makes warp-wide loads of consecutive tiles coalesced in CHWN.
+// what makes warp-wide loads of consecutive tiles coalesced in CHWN. The
+// fused path passes its live-image count, so batch indexes that list.
 func (g tileGrid) split(j, n int) (batch, th, tw int) {
 	batch = j % n
 	rest := j / n
@@ -137,6 +139,56 @@ func imageOf(t *tensor.Tensor) image {
 	im := image{data: t.Data, s: t.ImageShape()}
 	im.sn, im.sc, im.sh, im.sw = t.ImageStrides()
 	return im
+}
+
+// zero reports whether every input of image n is ±0, reading up to its
+// first non-zero value.
+func (im image) zero(n int) bool {
+	for c := 0; c < im.s.C; c++ {
+		for h := 0; h < im.s.H; h++ {
+			row := n*im.sn + c*im.sc + h*im.sh
+			for w := 0; w < im.s.W; w++ {
+				if im.data[row+w*im.sw] != 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// liveImages lists the images whose output the fused path computes. An
+// all-±0 image is skipped when every fltHat value is finite: each of its
+// products is then ±0, so every accumulator stays at its +0 start, and
+// the output transform maps all +0 to +0, the value tensor.New already
+// holds. A non-finite fltHat keeps every image, so Inf*0 = NaN
+// propagates exactly as in cudart.WinogradConv.
+func liveImages(in image, fltHat []float32) []int {
+	live := make([]int, 0, in.s.N)
+	for n := 0; n < in.s.N; n++ {
+		if !in.zero(n) {
+			live = append(live, n)
+		}
+	}
+	if len(live) == in.s.N || allFinite(fltHat) {
+		return live
+	}
+	live = live[:0]
+	for n := 0; n < in.s.N; n++ {
+		live = append(live, n)
+	}
+	return live
+}
+
+// allFinite reports whether no value is ±Inf or NaN, the float32s whose
+// exponent bits are all ones.
+func allFinite(xs []float32) bool {
+	for _, x := range xs {
+		if math.Float32bits(x)&0x7f800000 == 0x7f800000 {
+			return false
+		}
+	}
+	return true
 }
 
 // gatherInputTile copies the t x t input patch for tile (batch, th, tw)
@@ -203,14 +255,17 @@ var fusedBlocks = sync.Pool{New: func() any { return new(fusedBlock) }}
 //
 // Every output element sums its products over c in ascending order,
 // starting from +0, exactly as cudart.WinogradConv's threads do, so the
-// two agree bit for bit whatever the blocking or worker count.
+// two agree bit for bit whatever the blocking or worker count. The tile
+// grid covers only the live images (liveImages); a skipped all-zero
+// image's output is the +0 the oracle computes for it.
 func convFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int, opt Options) *tensor.Tensor {
 	src := imageOf(in)
 	is := src.s
 	g := newTileGrid(opt.Variant, oh, ow, pad)
 	area := opt.Variant.TileArea()
 	bk, bn, bc := opt.blocks()
-	totalTiles := g.tiles(is.N)
+	live := liveImages(src, fltHat)
+	totalTiles := g.tiles(len(live))
 	blocksN := (totalTiles + bn - 1) / bn
 	blocksK := (filters + bk - 1) / bk
 	out := tensor.New(tensor.KHWN, filters, oh, ow, is.N)
@@ -231,7 +286,8 @@ func convFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int, op
 		var tiles [maxBN][3]int // (batch, th, tw) of each of the block's tiles
 		for ni := range tiles[:nn] {
 			t := &tiles[ni]
-			t[0], t[1], t[2] = g.split(j0+ni, is.N)
+			t[0], t[1], t[2] = g.split(j0+ni, len(live))
+			t[0] = live[t[0]]
 		}
 		var raw, hat [maxArea]float32
 
