@@ -1,8 +1,19 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"net"
+	"net/http"
 	"os"
+	"regexp"
+	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
+
+	"repro/internal/serve"
 )
 
 const serveGoldenPath = "testdata/serve_quick.golden"
@@ -55,5 +66,126 @@ func TestServeUnknownDevice(t *testing.T) {
 	}
 	if errOut == "" {
 		t.Fatal("no error message")
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to read while another goroutine
+// writes to it.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestServeListenGracefulStop drives `serve -listen` end to end: with a
+// request held inside the handler, SIGTERM closes the listener, the
+// request still completes with 200, and only then does the batched
+// server close and the command exit 0.
+func TestServeListenGracefulStop(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var enterOnce, releaseOnce sync.Once
+	defer releaseOnce.Do(func() { close(release) })
+	prev := wrapHandler
+	wrapHandler = func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			enterOnce.Do(func() { close(entered) })
+			<-release
+			h.ServeHTTP(w, r)
+		})
+	}
+	defer func() { wrapHandler = prev }()
+
+	var errOut syncBuffer
+	exit := make(chan int, 1)
+	go func() { exit <- run([]string{"-listen", "127.0.0.1:0", "serve"}, &bytes.Buffer{}, &errOut) }()
+	addrRE := regexp.MustCompile(` at (127\.0\.0\.1:\d+) `)
+	var addr string
+	for deadline := time.Now().Add(10 * time.Second); addr == ""; time.Sleep(5 * time.Millisecond) {
+		if m := addrRE.FindStringSubmatch(errOut.String()); m != nil {
+			addr = m[1]
+		} else if time.Now().After(deadline) {
+			t.Fatalf("server did not come up; stderr:\n%s", errOut.String())
+		}
+	}
+
+	spec, _, _ := serve.DemoModel(42).Layer("conv_a")
+	body, err := json.Marshal(map[string]any{"device": "RTX2070", "layer": "conv_a", "image": make([]float32, spec.InLen())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		code   int
+		output int
+		err    error
+	}
+	replied := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post("http://"+addr+"/v1/infer", "application/json", bytes.NewReader(body))
+		if err != nil {
+			replied <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var out struct{ Output []float32 }
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		replied <- reply{code: resp.StatusCode, output: len(out.Output), err: err}
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("request never reached the handler")
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	// Shutdown closes the listener first; the held request keeps its
+	// connection.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("listener still accepting after SIGTERM")
+		}
+	}
+	select {
+	case code := <-exit:
+		t.Fatalf("command exited %d with a request in flight", code)
+	default:
+	}
+	releaseOnce.Do(func() { close(release) })
+
+	select {
+	case r := <-replied:
+		if r.err != nil || r.code != http.StatusOK || r.output != spec.OutLen() {
+			t.Fatalf("in-flight request: status %d, %d output floats, err %v", r.code, r.output, r.err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("in-flight request never completed")
+	}
+	select {
+	case code := <-exit:
+		if code != 0 {
+			t.Fatalf("exit %d, want 0; stderr:\n%s", code, errOut.String())
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("command did not exit after the drain")
+	}
+	if !strings.Contains(errOut.String(), "draining in-flight requests") {
+		t.Errorf("stderr does not report the drain:\n%s", errOut.String())
 	}
 }

@@ -66,8 +66,7 @@ func (s Space) Enumerate() []kernels.Config {
 	if len(smems) == 0 {
 		smems = []int{0}
 	}
-	seen := map[string]bool{}
-	var out []kernels.Config
+	byKey := map[string]kernels.Config{}
 	for _, bk := range orDefault(s.BK, 64) {
 		for _, yield := range orDefault(s.YieldEvery, 0) {
 			for _, ldg := range orDefault(s.LDGGap, 8) {
@@ -79,16 +78,21 @@ func (s Space) Enumerate() []kernels.Config {
 							if c.Validate() != nil {
 								continue
 							}
-							if k := c.Key(); !seen[k] {
-								seen[k] = true
-								out = append(out, c)
-							}
+							byKey[c.Key()] = c
 						}
 					}
 				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]kernels.Config, len(keys))
+	for i, k := range keys {
+		out[i] = byKey[k]
+	}
 	return out
 }

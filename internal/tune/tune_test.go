@@ -1,8 +1,11 @@
 package tune
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -197,5 +200,73 @@ func TestSelectPrefersSimulatedFusedEntry(t *testing.T) {
 	}
 	if ch.Config.Key() != cfg.Key() {
 		t.Fatalf("choice should carry the winning config, got %s", ch.Config.Key())
+	}
+}
+
+// TestTuneWorkerCountInvariant pins the -jobs contract of the whole
+// tune, key derivation and lint fan-out included: a cold quick tune and
+// a warm rerun over its store, each at 1, 2 and 8 workers, return the
+// same results (only the simulated count tells cold from warm) and save
+// the same store bytes. Under -race, two tiny cases stand in for the
+// quick layers; the concurrent paths are the same.
+func TestTuneWorkerCountInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the quick lattice three times")
+	}
+	cases := SweepCases(true)
+	if raceEnabled {
+		cases = []Case{tinyCase(), {Tag: "Tiny7N32", P: kernels.Problem{C: 8, K: 64, N: 32, H: 7, W: 7}}}
+	}
+	dir := t.TempDir()
+	dev := gpu.RTX2070()
+	run := func(workers int, st *store.Store) ([]Result, []byte) {
+		t.Helper()
+		tn := &Tuner{Dev: dev, Budget: 3, Waves: 1, Workers: workers,
+			Warnf: func(format string, args ...any) { t.Errorf("unexpected warning: "+format, args...) }}
+		results, _, err := tn.Tune(st, cases)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("run%d.json", workers))
+		if err := st.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results, b
+	}
+	var want []Result
+	var wantBytes []byte
+	check := func(label string, got []Result, b []byte, simulated int) {
+		t.Helper()
+		for i := range got {
+			if got[i].Simulated != simulated {
+				t.Fatalf("%s: case %d simulated %d candidates, want %d", label, i, got[i].Simulated, simulated)
+			}
+			got[i].Simulated = 0
+		}
+		if want == nil {
+			want, wantBytes = got, b
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: results differ from the 1-worker cold run", label)
+		}
+		if !bytes.Equal(b, wantBytes) {
+			t.Fatalf("%s: store bytes differ from the 1-worker cold run", label)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		st := store.New()
+		cold, b := run(workers, st)
+		check(fmt.Sprintf("cold, %d workers", workers), cold, b, 3)
+		warmSt, rep := store.Load(filepath.Join(dir, fmt.Sprintf("run%d.json", workers)))
+		if len(rep.Warnings) != 0 || rep.Quarantined != 0 {
+			t.Fatalf("unexpected load report: %+v", rep)
+		}
+		warm, b := run(workers, warmSt)
+		check(fmt.Sprintf("warm, %d workers", workers), warm, b, 0)
 	}
 }
