@@ -3,6 +3,7 @@ package turingas
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -301,21 +302,45 @@ func TestBarCounted(t *testing.T) {
 	}
 }
 
+// TestMultipleKernels assembles kernels of different lengths and labels
+// in one module and checks each encodes exactly as it does on its own,
+// so nothing leaks from one kernel into the next.
 func TestMultipleKernels(t *testing.T) {
-	mod, err := Assemble(`
+	srcs := []string{`
 .kernel a
+--:-:-:Y:1  MOV R0, 0x0;
+top:
+--:-:-:Y:1  IADD3 R0, R0, 0x1, RZ;
+--:-:-:Y:1  ISETP.LT P0, R0, 0x8;
+--:-:-:Y:5  @P0 BRA top;
 --:-:-:Y:5  EXIT;
 .endkernel
+`, `
 .kernel b
---:-:-:Y:1  MOV R0, 0x1;
 --:-:-:Y:5  EXIT;
 .endkernel
-`)
+`, `
+.kernel c
+.regs 8
+--:-:-:Y:1  MOV R3, 0x1;
+--:-:-:Y:5  BRA done;
+--:-:-:Y:1  MOV R3, 0x2;
+done:
+--:-:-:Y:5  EXIT;
+.endkernel
+`}
+	mod, err := Assemble(strings.Join(srcs, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(mod.Kernels) != 2 {
-		t.Fatalf("kernels = %d", len(mod.Kernels))
+	if len(mod.Kernels) != len(srcs) {
+		t.Fatalf("kernels = %d, want %d", len(mod.Kernels), len(srcs))
+	}
+	for i, src := range srcs {
+		want := mustKernel(t, src)
+		if got := mod.Kernels[i]; !reflect.DeepEqual(got, *want) {
+			t.Errorf("kernel %d in module = %+v, alone = %+v", i, got, *want)
+		}
 	}
 	if _, err := mod.Kernel("b"); err != nil {
 		t.Fatal(err)
