@@ -32,9 +32,8 @@ type serveOpts struct {
 
 // runServe is the `winograd-bench serve` subcommand. By default it runs
 // the deterministic load generator against the demo model — the phased
-// arrival stream that exercises every batch-size sweet spot, the
-// padded-partial deadline fallback, and a thousand-plus in-flight
-// requests — and prints the report (latency percentiles, batch
+// arrival stream that exercises every batch-size sweet spot, padded
+// cuts, and a thousand-plus in-flight requests — and prints the report (latency percentiles, batch
 // occupancy, sampled real executions) to stdout, byte-identical for a
 // fixed -seed across runs and -jobs counts. With -store the algorithm
 // selection warms from the content-addressed tune store; otherwise the

@@ -1,16 +1,12 @@
-// Package sched is the reusable scheduling core shared by the benchmark
-// job runner (internal/bench) and the batched inference service
-// (internal/serve): a caching singleflight for deduplicating expensive
-// keyed computations, and a context-cancellable worker pool whose
-// shutdown drains queued tasks instead of abandoning them. Both were
+// Package sched is the caching singleflight shared by the benchmark job
+// runner (internal/bench) and the batched inference service
+// (internal/serve): it deduplicates expensive keyed computations. It was
 // factored out of internal/bench's job-graph machinery so the bench CLI
 // and the server consume one implementation.
 package sched
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sync"
 )
 
@@ -111,83 +107,4 @@ func (f *Flight[V]) ComputeCounts() map[string]int {
 		out[k] = v
 	}
 	return out
-}
-
-// Pool is a bounded worker pool with drain-on-close semantics: Submit
-// enqueues a task for one of Workers goroutines, Close stops intake and
-// blocks until every queued and in-flight task has finished. Cancelling
-// the context passed to Start only stops intake (Submit fails fast);
-// tasks already accepted still run to completion — shutdown drains the
-// queue, it never abandons work a producer is waiting on.
-type Pool struct {
-	tasks chan func()
-	wg    sync.WaitGroup
-	ctx   context.Context
-
-	// mu guards closed and makes Submit's send and Close's channel close
-	// mutually exclusive: Submit holds the read lock across the send, so
-	// Close (write lock) cannot close the channel under an in-flight send.
-	mu     sync.RWMutex
-	closed bool
-}
-
-// StartPool launches workers goroutines (GOMAXPROCS when <= 0) draining
-// a task queue of capacity queue (unbuffered when <= 0).
-func StartPool(ctx context.Context, workers, queue int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if queue < 0 {
-		queue = 0
-	}
-	p := &Pool{
-		tasks: make(chan func(), queue),
-		ctx:   ctx,
-	}
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for task := range p.tasks {
-				task()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues a task, blocking while the queue is full. It returns
-// false without running the task when the pool is closed or its context
-// is cancelled — the caller owns the rejected task's cleanup. A Submit
-// already blocked on a full queue when Close begins still wins: its task
-// is accepted and drained before Close returns.
-func (p *Pool) Submit(task func()) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return false
-	}
-	select {
-	case <-p.ctx.Done():
-		return false
-	default:
-	}
-	select {
-	case p.tasks <- task:
-		return true
-	case <-p.ctx.Done():
-		return false
-	}
-}
-
-// Close stops intake and waits for every accepted task to finish. Safe to
-// call more than once; Submits that arrive after Close are refused.
-func (p *Pool) Close() {
-	p.mu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-	}
-	p.mu.Unlock()
-	p.wg.Wait()
 }

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/gpu"
 	"repro/internal/tune"
@@ -36,7 +35,6 @@ func postInfer(t *testing.T, url string, body inferRequest) (int, inferResponse)
 func TestHTTPInfer(t *testing.T) {
 	model := DemoModel(23)
 	s, err := NewServer(Config{
-		Policy:   Policy{MaxWait: 2 * time.Millisecond},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 		Exec:     &stubExec{},
@@ -93,7 +91,6 @@ func TestHTTPInfer(t *testing.T) {
 func FuzzInferHandler(f *testing.F) {
 	model := DemoModel(29)
 	s, err := NewServer(Config{
-		Policy:   Policy{MaxWait: time.Millisecond},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 		Exec:     &stubExec{},

@@ -2,10 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/gpu"
@@ -14,10 +12,10 @@ import (
 )
 
 // The load generator is a discrete-event simulation in virtual time, not
-// a wall-clock harness: it drives the live server's coalescer, with a
-// wake slot per queue standing in for the server's timer, through a
-// deterministic arrival stream, models each device as the serial
-// executor a GPU is (one batch at a time, FIFO), and takes each batch's
+// a wall-clock harness: it drives the live server's coalescer through a
+// deterministic arrival stream, with a device-free event standing in for
+// each device's dispatcher finishing a batch, models each device as the
+// serial executor a GPU is (one batch at a time), and takes each batch's
 // service time from the selector's predicted seconds — so the report
 // (latency percentiles, batch-size occupancy, algorithm selection) is a
 // pure function of (seed, config) and byte-identical across runs and
@@ -28,12 +26,12 @@ import (
 // results recombine in dispatch order, preserving determinism).
 //
 // The arrival stream is phased so every sweet spot appears: a burst
-// phase floods one queue far faster than service (full 128-batches cut
-// immediately, and the in-flight high-water mark climbs past the
-// thousand-request criterion), then three paced phases whose mean
-// arrival rate holds the queue depth at deadline expiry inside the
-// [96,128), [64,96) and [32,64) windows. Stream tails below 32 go out
-// as padded partial batches — the deadline fallback.
+// phase floods one queue far faster than service (the backlog leaves in
+// full 128s, and the in-flight high-water mark climbs past the
+// thousand-request criterion), then three paced phases of clumps of
+// 1 + k requests, k = 96, 64 and 32. A clump's head finds its device
+// idle and rides alone in a padded 32; the k behind it arrive while the
+// head runs and leave together as a full k.
 
 // LoadConfig configures one load-generation run.
 type LoadConfig struct {
@@ -115,27 +113,30 @@ type arrival struct {
 	qi int
 }
 
-// simQueue is the DES twin of a server queue: the same coalescer, driven
-// in virtual time, plus the queue's one wake slot — its next expiry
-// check, at virtual time wakeT (never while the queue is empty), with
-// wakeSeq, the global arming order, breaking ties between queues.
+// simQueue is the DES twin of a server queue: a lane of its device's
+// coalescer, plus its accounting.
 type simQueue struct {
-	dev            int // index into cfg.Devices
-	spec           LayerSpec
-	flt            *tensor.Tensor
-	co             *coalescer[int64] // items are arrival instants, virtual nanos
-	wakeT, wakeSeq int64
-	accepted       int
-	rejected       int
-	lats           []int64 // per completed request: done - arrive, in cut order
+	dev      int // index into cfg.Devices
+	lane     int
+	spec     LayerSpec
+	flt      *tensor.Tensor
+	accepted int
+	rejected int
+	lats     []int64 // per completed request: done - arrive, in cut order
 }
 
-const never = math.MaxInt64 // the wake time of an empty queue
+// simDevice is the DES twin of a server device: the same coalescer,
+// driven in virtual time, and while a batch runs, its device-free event.
+type simDevice struct {
+	co     *coalescer[int64] // items are arrival instants, virtual nanos
+	queues []int             // simQueue index by lane
+	busy   bool
+	free   int64 // virtual nanos; meaningful while busy
+}
 
 // simBatch is one dispatched batch on the virtual timeline.
 type simBatch struct {
 	qi, batchN, filled int
-	done               int64
 	algo               string
 	source             string
 }
@@ -143,51 +144,49 @@ type simBatch struct {
 // Generate runs the load simulation and builds the report.
 func Generate(cfg LoadConfig) (*Report, error) {
 	cfg = cfg.withDefaults()
-	maxWaitN := cfg.Policy.maxWait().Nanoseconds()
-
-	// One simulated queue per (device, layer), in deterministic order.
-	var queues []*simQueue
-	for d := range cfg.Devices {
-		for _, name := range cfg.Model.LayerNames() {
-			spec, flt, _ := cfg.Model.Layer(name)
-			queues = append(queues, &simQueue{dev: d, spec: spec, flt: flt,
-				co: newCoalescer[int64](cfg.Policy), wakeT: never})
-		}
-	}
-	if len(queues) == 0 {
+	names := cfg.Model.LayerNames()
+	if len(names) == 0 {
 		return nil, fmt.Errorf("serve: load model has no layers")
 	}
 
-	arrivals := genArrivals(cfg, maxWaitN, len(queues))
+	// One simulated queue per (device, layer), in deterministic order.
+	var queues []*simQueue
+	devs := make([]*simDevice, len(cfg.Devices))
+	for d := range devs {
+		devs[d] = &simDevice{co: newCoalescer[int64](cfg.Policy, len(names))}
+		for lane, name := range names {
+			spec, flt, _ := cfg.Model.Layer(name)
+			devs[d].queues = append(devs[d].queues, len(queues))
+			queues = append(queues, &simQueue{dev: d, lane: lane, spec: spec, flt: flt})
+		}
+	}
 
-	// --- the event loop: arrivals merged with the queues' wake-ups ---
-	devBusy := make([]int64, len(cfg.Devices))
+	arrivals := genArrivals(cfg.Seed, cfg.Requests, len(queues))
+
+	// --- the event loop: arrivals merged with the device-free events ---
 	var batches []simBatch
 	var intervals [][2]int64 // (arrive, done) per accepted request
-	var seq int64
-	// arm moves q's wake slot to its oldest deadline, no earlier than now.
-	arm := func(q *simQueue, now int64) {
-		q.wakeT, q.wakeSeq = never, seq
-		if at := q.co.wakeAt(); !at.IsZero() {
-			q.wakeT = max(at.UnixNano(), now)
+	// pull is device d's dispatcher, free at now: it cuts the next batch,
+	// if any is pending, and runs it for the predicted seconds.
+	pull := func(d int, now int64) error {
+		dv := devs[d]
+		lane, b, ok := dv.co.cut()
+		if dv.busy = ok; !ok {
+			return nil
 		}
-		seq++
-	}
-	// run serves a cut on its device, FIFO, for the predicted seconds.
-	run := func(qi int, b cut[int64], now int64) error {
+		qi := dv.queues[lane]
 		q := queues[qi]
-		ch, err := cfg.Selector.Choose(cfg.Devices[q.dev], q.spec.Problem(b.n))
+		ch, err := cfg.Selector.Choose(cfg.Devices[d], q.spec.Problem(b.n))
 		if err != nil {
 			return err
 		}
-		done := max(now, devBusy[q.dev]) + max(int64(ch.Seconds*1e9), 1)
-		devBusy[q.dev] = done
+		dv.free = now + max(int64(ch.Seconds*1e9), 1)
 		for _, arrive := range b.items {
-			q.lats = append(q.lats, done-arrive)
-			intervals = append(intervals, [2]int64{arrive, done})
+			q.lats = append(q.lats, dv.free-arrive)
+			intervals = append(intervals, [2]int64{arrive, dv.free})
 		}
 		batches = append(batches, simBatch{
-			qi: qi, batchN: b.n, filled: len(b.items), done: done,
+			qi: qi, batchN: b.n, filled: len(b.items),
 			algo: string(ch.Algo), source: ch.Source,
 		})
 		return nil
@@ -195,66 +194,71 @@ func Generate(cfg LoadConfig) (*Report, error) {
 
 	ai := 0
 	for {
-		w := 0 // the earliest wake slot in (t, seq) order
-		for qi, q := range queues {
-			if q.wakeT < queues[w].wakeT || q.wakeT == queues[w].wakeT && q.wakeSeq < queues[w].wakeSeq {
-				w = qi
+		d := -1 // the earliest device-free event, lowest device on ties
+		for i, dv := range devs {
+			if dv.busy && (d < 0 || dv.free < devs[d].free) {
+				d = i
 			}
 		}
-		// Arrivals first: a request arriving at a deadline instant joins
-		// the batch that deadline cuts.
-		if ai < len(arrivals) && arrivals[ai].t <= queues[w].wakeT {
+		// Arrivals first: a request arriving as its device frees joins
+		// the cut.
+		if ai < len(arrivals) && (d < 0 || arrivals[ai].t <= devs[d].free) {
 			a := arrivals[ai]
 			ai++
 			q := queues[a.qi]
-			if !q.co.admits() {
+			dv := devs[q.dev]
+			if !dv.co.admits(q.lane) {
 				q.rejected++
 				continue
 			}
 			q.accepted++
-			b, full := q.co.push(a.t, time.Unix(0, a.t))
-			if full {
-				if err := run(a.qi, b, a.t); err != nil {
+			dv.co.push(q.lane, a.t)
+			if !dv.busy {
+				if err := pull(q.dev, a.t); err != nil {
 					return nil, err
 				}
 			}
-			if full || q.wakeT == never {
-				arm(q, a.t) // a new oldest request, a new expiry
-			}
 			continue
 		}
-		q := queues[w]
-		now := q.wakeT
-		if now == never {
+		if d < 0 {
 			break
 		}
-		if b, ok, _ := q.co.next(time.Unix(0, now)); ok {
-			if err := run(w, b, now); err != nil {
-				return nil, err
-			}
+		if err := pull(d, devs[d].free); err != nil {
+			return nil, err
 		}
-		arm(q, now)
 	}
 
 	return buildReport(cfg, queues, batches, intervals)
 }
 
+// The arrival stream's spacing, in virtual nanos: mean gaps, jittered
+// as below. A burst outruns service at once, and a clump's k requests
+// land within its head's batch time (0.6–2.5 µs per batch on the demo
+// model). Clump heads are spaced far wider than a clump's service time,
+// so each clump finds its device idle, and the phase gap lets the
+// burst's backlog drain before the next phase.
+const (
+	trainGap = 4       // inside a burst or a clump
+	clumpGap = 20_000  // before a clump head
+	phaseGap = 200_000 // between phases, not jittered
+)
+
 // genArrivals builds the phased deterministic arrival stream. Gaps are
 // uniform in [g/2, 3g/2) from the repo's splitmix RNG — no
 // transcendentals, per the byte-determinism contract.
-func genArrivals(cfg LoadConfig, maxWaitN int64, nqueues int) []arrival {
-	rng := tensor.NewRNG(cfg.Seed*0x9e3779b97f4a7c15 + 1)
-	// Per-phase mean queue depth at deadline expiry (the burst phase
-	// outruns service entirely, cutting full 128s on arrival).
+func genArrivals(seed uint64, requests, nqueues int) []arrival {
+	rng := tensor.NewRNG(seed*0x9e3779b97f4a7c15 + 1)
+	// Each phase is a train of clumps of 1 + k requests; the burst is
+	// one unbroken train.
 	type phase struct {
-		share int   // fraction denominator parts of the request budget
-		gap   int64 // mean inter-arrival nanos
+		share int // fraction denominator parts of the request budget
+		k     int // requests behind each clump head; 0 for the burst
 	}
 	phases := []phase{
-		{share: 2, gap: maxWaitN / 1000000}, // burst -> 128s + in-flight peak
-		{share: 1, gap: maxWaitN / 110},     // expiry depth ~110 -> 96s
-		{share: 1, gap: maxWaitN / 78},      // expiry depth ~78  -> 64s
-		{share: 1, gap: maxWaitN / 45},      // expiry depth ~45  -> 32s
+		{share: 2},        // burst -> 128s + in-flight peak
+		{share: 1, k: 96}, // 1/32 + 96/96 per clump
+		{share: 1, k: 64}, // 1/32 + 64/64
+		{share: 1, k: 32}, // 1/32 + 32/32
 	}
 	parts := 0
 	for _, p := range phases {
@@ -262,25 +266,23 @@ func genArrivals(cfg LoadConfig, maxWaitN int64, nqueues int) []arrival {
 	}
 	var arrivals []arrival
 	now := int64(0)
-	left := cfg.Requests
+	left := requests
 	for pi, p := range phases {
-		n := cfg.Requests * p.share / parts
+		n := requests * p.share / parts
 		if pi == len(phases)-1 {
 			n = left
 		}
 		left -= n
-		g := p.gap
-		if g < 1 {
-			g = 1
-		}
 		qi := pi % nqueues
 		for i := 0; i < n; i++ {
+			g := int64(trainGap)
+			if p.k > 0 && i > 0 && i%(p.k+1) == 0 {
+				g = clumpGap
+			}
 			now += g/2 + int64(rng.Uint64()%uint64(g))
 			arrivals = append(arrivals, arrival{t: now, qi: qi})
 		}
-		// Idle long enough for the queue to flush by deadline before the
-		// next phase retargets (devices may still be draining backlog).
-		now += 4 * maxWaitN
+		now += phaseGap
 	}
 	return arrivals
 }
@@ -313,7 +315,7 @@ func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, interva
 		}
 	}
 
-	us := func(ns int64) string { return fmt.Sprintf("%.1f", float64(ns)/1e3) }
+	us := func(ns int64) string { return fmt.Sprintf("%.3f", float64(ns)/1e3) }
 	pct := func(sorted []int64, p int) int64 {
 		if len(sorted) == 0 {
 			return 0
@@ -365,7 +367,7 @@ func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, interva
 		}
 		return keys[i].n < keys[j].n
 	})
-	occ := &bench.Table{ID: "serve-batches", Title: "batch-size occupancy (deadline-coalesced dispatches)",
+	occ := &bench.Table{ID: "serve-batches", Title: "batch-size occupancy (coalesced dispatches)",
 		Header: []string{"device", "layer", "batch N", "batches", "requests", "fill %", "algo", "source"}}
 	for _, k := range keys {
 		q := queues[k.qi]
@@ -374,7 +376,7 @@ func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, interva
 			fmt.Sprint(occCount[k]), fmt.Sprint(occFill[k]),
 			fmt.Sprintf("%.1f", fill), occAlgo[k], occSrc[k])
 	}
-	occ.Note("%d zero-padded slots across %d batches; slots below the N=32 kernel floor pad up (partial-batch fallback)",
+	occ.Note("%d zero-padded slots across %d batches; cuts pad up to the next sweet spot",
 		rep.PaddedSlots, len(batches))
 
 	// Sampled real executions: every ExecEvery-th dispatched batch runs

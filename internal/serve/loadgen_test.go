@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // quickLoad is a small but fully representative config: big enough for
 // every sweet spot to appear, stub-executed so the DES itself is what
@@ -99,7 +96,7 @@ func TestGenerateInFlightCriterion(t *testing.T) {
 // must show up in the accounting.
 func TestGenerateRejectsUnderSmallCap(t *testing.T) {
 	cfg := quickLoad(42, 1)
-	cfg.Policy = Policy{QueueCap: 16, MaxWait: 2 * time.Millisecond}
+	cfg.Policy = Policy{QueueCap: 16}
 	rep, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,170 +1,103 @@
 package serve
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestPolicyBatchSize pins the coalescing decision table: full 128s cut
-// immediately, expiry cuts the largest fitting sweet spot, sub-32
-// expiries pad up to the kernel's batch floor, and nothing dispatches
-// early without an expired deadline.
+// TestPolicyBatchSize pins the pad-up rule: a cut takes at most 128
+// requests and runs at the next sweet spot up, so nothing below the
+// kernel's 32-image floor waits for company.
 func TestPolicyBatchSize(t *testing.T) {
-	p := Policy{}
-	cases := []struct {
-		queued  int
-		expired bool
-		n       int
-		ok      bool
-	}{
-		{0, false, 0, false},
-		{0, true, 0, false},
-		{1, false, 0, false},
-		{31, false, 0, false},
-		{127, false, 0, false},
-		{128, false, 128, true},
-		{300, false, 128, true},
-		{1, true, 32, true}, // padded partial batch
-		{31, true, 32, true},
-		{32, true, 32, true},
-		{63, true, 32, true},
-		{64, true, 64, true},
-		{95, true, 64, true},
-		{96, true, 96, true},
-		{127, true, 96, true},
-		{128, true, 128, true},
-	}
-	for _, c := range cases {
-		n, ok := p.batchSize(c.queued, c.expired)
-		if n != c.n || ok != c.ok {
-			t.Errorf("batchSize(%d, %v) = (%d, %v), want (%d, %v)", c.queued, c.expired, n, ok, c.n, c.ok)
+	for _, c := range []struct{ pending, n int }{
+		{1, 32}, {31, 32}, {32, 32},
+		{33, 64}, {63, 64}, {64, 64},
+		{65, 96}, {96, 96},
+		{97, 128}, {127, 128}, {128, 128}, {300, 128},
+	} {
+		if n := batchSize(c.pending); n != c.n {
+			t.Errorf("batchSize(%d) = %d, want %d", c.pending, n, c.n)
 		}
 	}
 }
 
-// TestPolicyDefaults: zero values get the documented defaults, explicit
-// values win.
+// TestPolicyDefaults: a zero QueueCap gets the documented default, an
+// explicit one wins.
 func TestPolicyDefaults(t *testing.T) {
-	p := Policy{}
-	if got := p.maxWait(); got != 2*time.Millisecond {
-		t.Errorf("default MaxWait = %v", got)
+	if got := (Policy{}).queueCap(); got != 4096 {
+		t.Errorf("default QueueCap = %d, want 4096", got)
 	}
-	if !p.admit(4095) || p.admit(4096) {
-		t.Error("default QueueCap is not 4096")
+	c := newCoalescer[int](Policy{QueueCap: 2}, 1)
+	for i := 0; i < 2; i++ {
+		if !c.admits(0) {
+			t.Fatalf("lane holding %d of QueueCap 2 refused", i)
+		}
+		c.push(0, i)
 	}
-	p = Policy{MaxWait: time.Second, QueueCap: 2}
-	enq := time.Unix(100, 0)
-	if got := p.deadline(enq); got != enq.Add(time.Second) {
-		t.Errorf("deadline = %v", got)
-	}
-	if !p.admit(1) || p.admit(2) {
+	if c.admits(0) {
 		t.Error("explicit QueueCap ignored")
 	}
 }
 
-// TestCoalescer drives the batch-cut state machine on a virtual clock,
-// checking each cut's size, its real occupancy, and that requests leave
-// in arrival order.
+// TestCoalescer drives the batch-cut state machine the way a device's
+// dispatcher does: queue requests on lanes, then cut until nothing is
+// pending. It checks each cut's lane, size and real occupancy, and that
+// requests leave in arrival order within their lane.
 func TestCoalescer(t *testing.T) {
-	const wait = 2 * time.Millisecond
-	const empty = -1 // wakeAt is the zero Time: nothing pending
-	t0 := time.Unix(1000, 0)
-	type step struct {
-		push  int           // queue this many requests at `at`; 0 calls next(at)
-		drain bool          // call drain instead
-		at    time.Duration // virtual instant, relative to t0
-		cuts  [][2]int      // expected (batch n, filled) per cut, in order
-		wake  time.Duration // next: expected wakeAt relative to t0, or empty
-	}
+	type want struct{ lane, n, filled int }
 	for _, tc := range []struct {
-		name  string
-		steps []step
+		name   string
+		pushes []int // lane of each request, in arrival order
+		cuts   []want
 	}{
-		{"the 128th push cuts with no wait", []step{
-			{push: 127},
-			{push: 1, cuts: [][2]int{{128, 128}}},
-			{wake: empty},
-		}},
-		{"wakeAt is the oldest enqueue plus MaxWait", []step{
-			{push: 1, at: 0},
-			{push: 1, at: wait / 4},
-			{at: wait / 2, wake: wait},
-			{at: wait - 1, wake: wait},
-			{at: wait, cuts: [][2]int{{32, 2}}, wake: empty},
-		}},
-		{"a push at the deadline instant joins the expiry cut", []step{
-			{push: 1, at: 0},
-			{push: 1, at: wait},
-			{at: wait, cuts: [][2]int{{32, 2}}, wake: empty},
-		}},
-		{"two expired cuts back to back at one instant", []step{
-			{push: 70, at: 0},
-			{push: 30, at: wait / 2},
-			{at: 2 * wait, cuts: [][2]int{{96, 96}}, wake: wait + wait/2},
-			{at: 2 * wait, cuts: [][2]int{{32, 4}}, wake: empty},
-		}},
-		{"drain 1", []step{
-			{push: 1},
-			{drain: true, cuts: [][2]int{{32, 1}}},
-			{at: time.Hour, wake: empty},
-		}},
-		{"drain 33", []step{
-			{push: 33},
-			{drain: true, cuts: [][2]int{{32, 32}, {32, 1}}},
-			{at: time.Hour, wake: empty},
-		}},
-		{"drain 100", []step{
-			{push: 100},
-			{drain: true, cuts: [][2]int{{96, 96}, {32, 4}}},
-			{at: time.Hour, wake: empty},
-		}},
+		{"drain 1", lanes(1, 0), []want{{0, 32, 1}}},
+		{"drain 33", lanes(33, 0), []want{{0, 64, 33}}},
+		{"drain 100", lanes(100, 0), []want{{0, 128, 100}}},
+		{"pad up to 96", lanes(70, 0), []want{{0, 96, 70}}},
+		{"128 leaves whole", lanes(128, 0), []want{{0, 128, 128}}},
+		{"300 pending leave as 128 then 128 then 44", lanes(300, 0),
+			[]want{{0, 128, 128}, {0, 128, 128}, {0, 64, 44}}},
+		{"oldest head first across lanes",
+			append(append(lanes(2, 1), lanes(3, 0)...), lanes(1, 1)...),
+			[]want{{1, 32, 3}, {0, 32, 3}}},
+		{"a long lane waits for an older head",
+			append(append(lanes(1, 0), lanes(200, 1)...), lanes(5, 0)...),
+			[]want{{0, 32, 6}, {1, 128, 128}, {1, 96, 72}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCoalescer[int](Policy{MaxWait: wait})
-			pushed, left := 0, 0 // requests queued so far; the next to leave
-			for si, s := range tc.steps {
-				var got []cut[int]
-				switch {
-				case s.drain:
-					got = c.drain()
-				case s.push > 0:
-					for i := 0; i < s.push; i++ {
-						if b, ok := c.push(pushed, t0.Add(s.at)); ok {
-							got = append(got, b)
-						}
-						pushed++
-					}
-				default:
-					b, ok, wakeAt := c.next(t0.Add(s.at))
-					if ok {
-						got = append(got, b)
-					}
-					want := time.Time{}
-					if s.wake != empty {
-						want = t0.Add(s.wake)
-					}
-					if !wakeAt.Equal(want) {
-						t.Errorf("step %d: wakeAt %v, want %v", si, wakeAt, want)
-					}
+			c := newCoalescer[int](Policy{}, 2)
+			var next [2][]int // per lane: request ids still to leave, in order
+			for id, lane := range tc.pushes {
+				c.push(lane, id)
+				next[lane] = append(next[lane], id)
+			}
+			for i, w := range tc.cuts {
+				lane, b, ok := c.cut()
+				if !ok {
+					t.Fatalf("cut %d: nothing pending, want %+v", i, w)
 				}
-				if len(got) != len(s.cuts) {
-					t.Fatalf("step %d: %d cuts, want %d", si, len(got), len(s.cuts))
+				if lane != w.lane || b.n != w.n || len(b.items) != w.filled {
+					t.Fatalf("cut %d: lane %d batch %d holding %d, want lane %d batch %d holding %d",
+						i, lane, b.n, len(b.items), w.lane, w.n, w.filled)
 				}
-				for i, b := range got {
-					if b.n != s.cuts[i][0] || len(b.items) != s.cuts[i][1] {
-						t.Errorf("step %d cut %d: batch %d holding %d, want %d holding %d",
-							si, i, b.n, len(b.items), s.cuts[i][0], s.cuts[i][1])
+				for _, id := range b.items {
+					if id != next[lane][0] {
+						t.Fatalf("cut %d: request %d left out of order (want %d)", i, id, next[lane][0])
 					}
-					for _, id := range b.items {
-						if id != left {
-							t.Fatalf("step %d cut %d: request %d left out of order (want %d)", si, i, id, left)
-						}
-						left++
-					}
+					next[lane] = next[lane][1:]
 				}
+			}
+			if lane, b, ok := c.cut(); ok {
+				t.Fatalf("extra cut: lane %d batch %d holding %d", lane, b.n, len(b.items))
 			}
 		})
 	}
+}
+
+// lanes returns n pushes onto lane.
+func lanes(n, lane int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = lane
+	}
+	return s
 }
 
 // TestSweetSpotsPinned: the batching targets are the paper's evaluated

@@ -1,28 +1,24 @@
 // Package serve is a batched multi-tenant inference service on top of
-// cudart.Forward: requests for one (device, layer) shape coalesce in a
-// bounded queue until a batch-size sweet spot (N ∈ {32, 64, 96, 128})
-// fills or the oldest request's deadline expires, then the batch runs
-// the algorithm a warm tune.Select chose for that shape. Every batch cut
-// is decided by one clock-free state machine (the coalescer in
-// policy.go), which a goroutine and a timer drive here and the
-// deterministic load generator (loadgen.go) drives in virtual time. The
-// scheduling plumbing (caching singleflight, drain-on-close worker
-// pools) comes from internal/sched, the core factored out of the bench
-// runner.
+// cudart.Forward: requests for one (device, layer) shape wait in a
+// bounded queue until their device is free, then leave as one batch
+// padded up to a sweet spot (N ∈ {32, 64, 96, 128}) that runs the
+// algorithm a warm tune.Select chose for that shape. Every batch cut is
+// decided by one clock-free state machine (the coalescer in policy.go),
+// which one dispatcher goroutine per device drives here and the
+// deterministic load generator (loadgen.go) drives in virtual time.
+// Cold-miss selection is deduplicated by internal/sched's caching
+// singleflight.
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/cudart"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
-	"repro/internal/sched"
 	"repro/internal/tensor"
 	"repro/internal/tune"
 )
@@ -139,7 +135,6 @@ type Request struct {
 	Image  []float32 // length LayerSpec.InLen(), (c, h, w) row-major
 
 	resp chan Response
-	enq  time.Time
 }
 
 // Response answers one Request once its batch has run.
@@ -170,9 +165,9 @@ func (ForwardExecutor) Run(spec LayerSpec, flt *tensor.Tensor, choice tune.Choic
 }
 
 // AssembleBatch packs per-request images into one CHWN batch tensor of
-// batchN images, zero-padding the slots past len(images) (the
-// partial-batch fallback: a deadline-expired batch below the 32-image
-// floor still runs as N=32).
+// batchN images, zero-padding the slots past len(images) (a cut runs
+// at the next sweet spot up, so fewer than 32 requests still run as
+// N=32).
 func AssembleBatch(spec LayerSpec, images [][]float32, batchN int) *tensor.Tensor {
 	in := tensor.New(tensor.CHWN, spec.C, spec.H, spec.W, batchN)
 	for n, img := range images {
@@ -209,11 +204,6 @@ type Config struct {
 	Selector Selector     // default: cold NewTuneSelector(4) (analytic-model fallback)
 	Exec     Executor     // default: ForwardExecutor
 	Devices  []gpu.Device // default: RTX2070
-	// DispatchDepth bounds how many cut batches may queue behind the one
-	// executing on each device; a full dispatch queue backpressures the
-	// coalescer, which in turn fills the request queue until admission
-	// control rejects. Default 32.
-	DispatchDepth int
 }
 
 func (c Config) withDefaults() Config {
@@ -229,77 +219,79 @@ func (c Config) withDefaults() Config {
 	if len(c.Devices) == 0 {
 		c.Devices = []gpu.Device{gpu.RTX2070()}
 	}
-	if c.DispatchDepth <= 0 {
-		c.DispatchDepth = 32
-	}
 	return c
 }
 
-// queue is one (device, layer) request stream: the bounded admission
-// channel feeding that stream's coalescer goroutine.
+// queue is one (device, layer) request stream: a lane of its device's
+// coalescer.
 type queue struct {
-	dev  gpu.Device
+	d    *device
+	lane int
 	spec LayerSpec
 	flt  *tensor.Tensor
-	ch   chan *Request
 }
 
 func queueKey(device, layer string) string { return device + "|" + layer }
 
-// Server is the batched inference service: one coalescer per
-// (device, layer) queue, one serial dispatcher per device (a GPU
-// serializes kernel launches), responses delivered per request.
-type Server struct {
-	cfg    Config
-	queues map[string]*queue
-	pools  map[string]*sched.Pool // per device: 1 worker = serial launches
-	wg     sync.WaitGroup         // live coalescers
+// device is one GPU: the coalescer holding its queues' pending requests
+// and the state its dispatcher goroutine sleeps on. A GPU serializes
+// kernel launches, so the dispatcher runs one batch at a time.
+type device struct {
+	gpu    gpu.Device
+	queues []*queue // by lane
 
-	// mu makes Submit's channel send and Close's channel close mutually
-	// exclusive (same discipline as sched.Pool): Submit holds the read
-	// lock across the try-send, Close flips closed under the write lock
-	// before closing the queues.
-	mu     sync.RWMutex
+	mu     sync.Mutex
+	wake   sync.Cond // signalled by Submit and Close
+	co     *coalescer[*Request]
 	closed bool
 }
 
-// NewServer starts a server for every (device, layer) pair of the
-// config. Close must be called to drain it.
+// Server is the batched inference service: one coalescer and one
+// dispatcher per device, responses delivered per request.
+type Server struct {
+	cfg     Config
+	queues  map[string]*queue
+	devices []*device
+	wg      sync.WaitGroup // live dispatchers
+}
+
+// NewServer starts a dispatcher for every device of the config. Close
+// must be called to drain it.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if len(cfg.Model.LayerNames()) == 0 {
+	names := cfg.Model.LayerNames()
+	if len(names) == 0 {
 		return nil, errors.New("serve: model has no layers")
 	}
-	s := &Server{
-		cfg:    cfg,
-		queues: map[string]*queue{},
-		pools:  map[string]*sched.Pool{},
-	}
+	s := &Server{cfg: cfg, queues: map[string]*queue{}}
 	for _, dev := range cfg.Devices {
-		if _, dup := s.pools[dev.Name]; dup {
-			return nil, fmt.Errorf("serve: duplicate device %q", dev.Name)
+		for _, d := range s.devices {
+			if d.gpu.Name == dev.Name {
+				return nil, fmt.Errorf("serve: duplicate device %q", dev.Name)
+			}
 		}
-		s.pools[dev.Name] = sched.StartPool(context.Background(), 1, cfg.DispatchDepth)
-		for _, name := range cfg.Model.LayerNames() {
+		d := &device{gpu: dev, co: newCoalescer[*Request](cfg.Policy, len(names))}
+		d.wake.L = &d.mu
+		for lane, name := range names {
 			spec, flt, _ := cfg.Model.Layer(name)
-			q := &queue{dev: dev, spec: spec, flt: flt, ch: make(chan *Request, cfg.Policy.queueCap())}
+			q := &queue{d: d, lane: lane, spec: spec, flt: flt}
+			d.queues = append(d.queues, q)
 			s.queues[queueKey(dev.Name, name)] = q
-			s.wg.Add(1)
-			go s.coalesce(q)
 		}
+		s.devices = append(s.devices, d)
+	}
+	for _, d := range s.devices {
+		s.wg.Add(1)
+		go s.dispatch(d)
 	}
 	return s, nil
 }
 
 // Submit enqueues a request and returns the channel its Response will
 // arrive on (buffered; the response is never dropped). It fails fast
-// with ErrOverloaded when the queue is full, ErrClosed after Close.
+// with ErrOverloaded when QueueCap requests of its queue already wait
+// to be cut, ErrClosed after Close.
 func (s *Server) Submit(req *Request) (<-chan Response, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
 	q, ok := s.queues[queueKey(req.Device, req.Layer)]
 	if !ok {
 		return nil, fmt.Errorf("serve: no queue for device %q layer %q", req.Device, req.Layer)
@@ -307,14 +299,19 @@ func (s *Server) Submit(req *Request) (<-chan Response, error) {
 	if len(req.Image) != q.spec.InLen() {
 		return nil, fmt.Errorf("serve: layer %q wants %d image floats, got %d", req.Layer, q.spec.InLen(), len(req.Image))
 	}
-	req.resp = make(chan Response, 1)
-	req.enq = time.Now()
-	select {
-	case q.ch <- req:
-		return req.resp, nil
-	default:
+	d := q.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	switch {
+	case d.closed:
+		return nil, ErrClosed
+	case !d.co.admits(q.lane):
 		return nil, ErrOverloaded
 	}
+	req.resp = make(chan Response, 1)
+	d.co.push(q.lane, req)
+	d.wake.Signal()
+	return req.resp, nil
 }
 
 // Infer is the blocking convenience wrapper: Submit, then wait.
@@ -326,83 +323,41 @@ func (s *Server) Infer(req *Request) (Response, error) {
 	return <-ch, nil
 }
 
-// Close stops intake, flushes every queued request through the
-// executors (partial batches go out padded, exactly as on deadline
-// expiry), waits for all of it to finish, and returns. Safe to call
-// once; requests submitted after Close fail with ErrClosed.
+// Close stops intake, runs every queued request through the executors
+// (cut as they would be on a free device), waits for all of it to
+// finish, and returns. Requests submitted after Close fail with
+// ErrClosed; calling it again is a no-op.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
+	for _, d := range s.devices {
+		d.mu.Lock()
+		d.closed = true
+		d.wake.Signal()
+		d.mu.Unlock()
 	}
-	s.closed = true
-	for _, q := range s.queues {
-		close(q.ch)
-	}
-	s.mu.Unlock()
-	s.wg.Wait() // coalescers flush their pending batches into the pools
-	for _, p := range s.pools {
-		p.Close() // drain-on-close: queued batches still execute
-	}
+	s.wg.Wait()
 }
 
-// coalesce is one queue's goroutine: it pushes each request into the
-// coalescer, dispatches every cut, and arms one timer at exactly wakeAt,
-// so a lone request leaves MaxWait after it arrived.
-func (s *Server) coalesce(q *queue) {
+// dispatch is one device's dispatcher. Whenever it is free it pulls the
+// next cut from the coalescer, so a request on an idle device leaves at
+// once and the backlog that forms while a batch runs leaves as one
+// batch. It sleeps while nothing is pending and returns once the device
+// is closed and drained.
+func (s *Server) dispatch(d *device) {
 	defer s.wg.Done()
-	c := newCoalescer[*Request](s.cfg.Policy)
-	timer := time.NewTimer(time.Hour)
-	timer.Stop()
-	var armedAt time.Time // the deadline the timer is armed for; zero while idle
+	d.mu.Lock()
 	for {
-		var wake <-chan time.Time
-		if !armedAt.IsZero() {
-			wake = timer.C
-		}
-		select {
-		case r, ok := <-q.ch:
-			if !ok {
-				timer.Stop()
-				for _, b := range c.drain() {
-					s.dispatch(q, b)
-				}
+		lane, b, ok := d.co.cut()
+		if !ok {
+			if d.closed {
+				d.mu.Unlock()
 				return
 			}
-			if b, full := c.push(r, r.enq); full {
-				s.dispatch(q, b)
-			}
-		case <-wake:
-			armedAt = time.Time{}
+			d.wake.Wait()
+			continue
 		}
-		b, ok, wakeAt := c.next(time.Now())
-		for ; ok; b, ok, wakeAt = c.next(time.Now()) {
-			s.dispatch(q, b)
-		}
-		if !wakeAt.Equal(armedAt) {
-			if !timer.Stop() {
-				select { // fired but not yet received
-				case <-timer.C:
-				default:
-				}
-			}
-			if armedAt = wakeAt; !wakeAt.IsZero() {
-				timer.Reset(time.Until(wakeAt))
-			}
-		}
-	}
-}
-
-// dispatch hands one cut batch to the queue's device dispatcher. The
-// pool is a single worker — kernel launches on one device serialize —
-// and Submit blocks when DispatchDepth batches already wait, which is
-// the backpressure that lets admission control engage upstream.
-func (s *Server) dispatch(q *queue, b cut[*Request]) {
-	if ok := s.pools[q.dev.Name].Submit(func() { s.runBatch(q, b.items, b.n) }); !ok {
-		for _, r := range b.items {
-			r.resp <- Response{Err: ErrClosed}
-		}
+		d.mu.Unlock()
+		s.runBatch(d.queues[lane], b.items, b.n)
+		d.mu.Lock()
 	}
 }
 
@@ -427,10 +382,10 @@ func (s *Server) execBatch(q *queue, reqs []*Request, batchN int) (resps []Respo
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			fail(fmt.Errorf("%w: %s N=%d on %s: %v", ErrPanicked, q.spec.Name, batchN, q.dev.Name, p))
+			fail(fmt.Errorf("%w: %s N=%d on %s: %v", ErrPanicked, q.spec.Name, batchN, q.d.gpu.Name, p))
 		}
 	}()
-	choice, err := s.cfg.Selector.Choose(q.dev, q.spec.Problem(batchN))
+	choice, err := s.cfg.Selector.Choose(q.d.gpu, q.spec.Problem(batchN))
 	if err != nil {
 		return fail(err)
 	}

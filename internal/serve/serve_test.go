@@ -21,13 +21,22 @@ import (
 // gate closes), it records every batch and returns zeros of the right
 // shape.
 type stubExec struct {
-	gate chan struct{} // nil = never blocks
+	gate    chan struct{} // nil = never blocks
+	running chan struct{} // if non-nil (capacity 1), Run signals entry on it
 
 	mu      sync.Mutex
 	batches [][2]int // (batchN, filled)
 }
 
+func gatedExec() *stubExec {
+	return &stubExec{gate: make(chan struct{}), running: make(chan struct{}, 1)}
+}
+
 func (e *stubExec) Run(spec LayerSpec, flt *tensor.Tensor, ch tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error) {
+	select {
+	case e.running <- struct{}{}:
+	default:
+	}
 	if e.gate != nil {
 		<-e.gate
 	}
@@ -56,6 +65,32 @@ func demoRequest(m *Model, layer string, seed uint64) *Request {
 	return &Request{Device: gpu.RTX2070().Name, Layer: layer, Image: img}
 }
 
+// occupy makes the device busy: it submits one request and returns once
+// the gated executor e is running its batch, which holds the device
+// until e's gate opens. Requests submitted meanwhile pile up pending, so
+// the next cut takes them together. The occupying request answers 1/32.
+func occupy(t *testing.T, s *Server, e *stubExec, m *Model) <-chan Response {
+	t.Helper()
+	ch, err := s.Submit(demoRequest(m, "conv_a", 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-e.running:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone request on an idle device was not cut")
+	}
+	return ch
+}
+
+// checkOccupier checks the occupying request's answer.
+func checkOccupier(t *testing.T, ch <-chan Response) {
+	t.Helper()
+	if resp := <-ch; resp.Err != nil || resp.BatchN != 32 || resp.Filled != 1 {
+		t.Fatalf("occupying request: batch %d/%d err %v, want 1/32", resp.Filled, resp.BatchN, resp.Err)
+	}
+}
+
 // TestServerForwardEndToEnd runs real batches through cudart.Forward and
 // checks every response against the CPU direct-convolution oracle —
 // convolution is per-image independent, so each response must match the
@@ -63,7 +98,6 @@ func demoRequest(m *Model, layer string, seed uint64) *Request {
 func TestServerForwardEndToEnd(t *testing.T) {
 	model := DemoModel(3)
 	s, err := NewServer(Config{
-		Policy:   Policy{MaxWait: 3 * time.Millisecond},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 	})
@@ -72,7 +106,7 @@ func TestServerForwardEndToEnd(t *testing.T) {
 	}
 	defer s.Close()
 
-	const n = 48 // 32-cut on expiry plus a padded partial
+	const n = 48
 	type pend struct {
 		req *Request
 		ch  <-chan Response
@@ -122,13 +156,12 @@ func TestServerForwardEndToEnd(t *testing.T) {
 }
 
 // TestDeadlinePartialBatch: fewer requests than the 32-image kernel
-// floor must still dispatch when the deadline expires — padded up to
-// N=32, with Filled reporting the real occupancy.
+// floor, pending together when the device frees, leave as one batch
+// padded up to N=32, with Filled reporting the real occupancy.
 func TestDeadlinePartialBatch(t *testing.T) {
-	exec := &stubExec{}
+	exec := gatedExec()
 	model := DemoModel(5)
 	s, err := NewServer(Config{
-		Policy:   Policy{MaxWait: 2 * time.Millisecond},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 		Exec:     exec,
@@ -138,6 +171,7 @@ func TestDeadlinePartialBatch(t *testing.T) {
 	}
 	defer s.Close()
 
+	busy := occupy(t, s, exec, model)
 	var chans []<-chan Response
 	for i := 0; i < 5; i++ {
 		ch, err := s.Submit(demoRequest(model, "conv_a", uint64(i)))
@@ -146,6 +180,8 @@ func TestDeadlinePartialBatch(t *testing.T) {
 		}
 		chans = append(chans, ch)
 	}
+	close(exec.gate)
+	checkOccupier(t, busy)
 	for i, ch := range chans {
 		resp := <-ch
 		if resp.Err != nil {
@@ -160,58 +196,73 @@ func TestDeadlinePartialBatch(t *testing.T) {
 	}
 }
 
-// TestLoneRequestWaitsMaxWait: the coalescer's timer is armed at the
-// oldest request's deadline — a lone request is neither cut early nor
-// left waiting for a second arrival.
-func TestLoneRequestWaitsMaxWait(t *testing.T) {
-	const wait = 30 * time.Millisecond
+// TestLoneRequestCutOnIdle: a request that finds its device idle is
+// cut at once, alone, with no timer to wait out; requests that arrive
+// while a batch runs leave together as one batch once the device frees.
+func TestLoneRequestCutOnIdle(t *testing.T) {
+	exec := gatedExec()
 	model := DemoModel(6)
 	s, err := NewServer(Config{
-		Policy:   Policy{MaxWait: wait},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
-		Exec:     &stubExec{},
+		Exec:     exec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		resp, err := s.Infer(demoRequest(model, "conv_a", uint64(i)))
-		if err != nil || resp.Err != nil {
-			t.Fatalf("request %d: %v %v", i, err, resp.Err)
+
+	busy := occupy(t, s, exec, model) // idle device: cut alone at once
+	var chans []<-chan Response
+	for i := 0; i < 70; i++ {
+		ch, err := s.Submit(demoRequest(model, "conv_a", uint64(i)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if took := time.Since(start); took < wait || took > wait+5*time.Second {
-			t.Fatalf("request %d answered after %v, want MaxWait %v", i, took, wait)
+		chans = append(chans, ch)
+	}
+	close(exec.gate)
+	checkOccupier(t, busy)
+	for i, ch := range chans {
+		if resp := <-ch; resp.Err != nil || resp.BatchN != 96 || resp.Filled != 70 {
+			t.Fatalf("request %d: batch %d/%d err %v, want the 70 that arrived during the busy batch as 70/96",
+				i, resp.Filled, resp.BatchN, resp.Err)
+		}
+	}
+
+	for i := 0; i < 3; i++ { // idle again: each lone request goes alone
+		resp, err := s.Infer(demoRequest(model, "conv_b", uint64(100+i)))
+		if err != nil || resp.Err != nil {
+			t.Fatalf("lone request %d: %v %v", i, err, resp.Err)
 		}
 		if resp.BatchN != 32 || resp.Filled != 1 {
-			t.Fatalf("request %d: batch %d/%d, want 1/32", i, resp.Filled, resp.BatchN)
+			t.Fatalf("lone request %d: batch %d/%d, want 1/32", i, resp.Filled, resp.BatchN)
 		}
 	}
 }
 
-// faultSelector and faultExec panic on their first call and then defer
-// to the test stubs: a fault injected into one batch.
+// faultSelector and faultExec panic on their second call — the batch
+// after the one holding the device busy — and otherwise defer to the
+// test stubs: a fault injected into one batch.
 type faultSelector struct {
 	FixedSelector
 	calls atomic.Int32
 }
 
 func (f *faultSelector) Choose(dev gpu.Device, p kernels.Problem) (tune.Choice, error) {
-	if f.calls.Add(1) == 1 {
+	if f.calls.Add(1) == 2 {
 		panic("injected selector fault")
 	}
 	return f.FixedSelector.Choose(dev, p)
 }
 
 type faultExec struct {
-	stubExec
+	*stubExec
 	calls atomic.Int32
 }
 
 func (e *faultExec) Run(spec LayerSpec, flt *tensor.Tensor, ch tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error) {
-	if e.calls.Add(1) == 1 {
+	if e.calls.Add(1) == 2 {
 		panic("injected executor fault")
 	}
 	return e.stubExec.Run(spec, flt, ch, images, batchN)
@@ -221,23 +272,27 @@ func (e *faultExec) Run(spec LayerSpec, flt *tensor.Tensor, ch tune.Choice, imag
 // every request of its own batch with ErrPanicked naming the panic, and
 // the server goes on serving the next batch.
 func TestPanicContainedToBatch(t *testing.T) {
+	fused := FixedSelector{Algo: tune.AlgoFused}
 	for _, tc := range []struct {
 		name string
-		cfg  Config
+		sel  func() Selector
+		exec func(*stubExec) Executor
 		want string
 	}{
-		{"selector", Config{Selector: &faultSelector{FixedSelector: FixedSelector{Algo: tune.AlgoFused}}, Exec: &stubExec{}}, "injected selector fault"},
-		{"executor", Config{Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}), Exec: &faultExec{}}, "injected executor fault"},
+		{"selector", func() Selector { return &faultSelector{FixedSelector: fused} },
+			func(e *stubExec) Executor { return e }, "injected selector fault"},
+		{"executor", func() Selector { return fused },
+			func(e *stubExec) Executor { return &faultExec{stubExec: e} }, "injected executor fault"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := DemoModel(8)
-			cfg := tc.cfg
-			cfg.Policy, cfg.Model = Policy{MaxWait: 2 * time.Millisecond}, model
-			s, err := NewServer(cfg)
+			gated := gatedExec()
+			s, err := NewServer(Config{Model: model, Selector: tc.sel(), Exec: tc.exec(gated)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			busy := occupy(t, s, gated, model)
 			var chans []<-chan Response
 			for i := 0; i < 3; i++ {
 				ch, err := s.Submit(demoRequest(model, "conv_a", uint64(i)))
@@ -246,6 +301,8 @@ func TestPanicContainedToBatch(t *testing.T) {
 				}
 				chans = append(chans, ch)
 			}
+			close(gated.gate)
+			checkOccupier(t, busy)
 			for i, ch := range chans {
 				resp := <-ch
 				if !errors.Is(resp.Err, ErrPanicked) || !strings.Contains(resp.Err.Error(), tc.want) {
@@ -263,13 +320,12 @@ func TestPanicContainedToBatch(t *testing.T) {
 	}
 }
 
-// TestFullBatchImmediate: a full 128 dispatches at once even under an
-// effectively infinite deadline.
+// TestFullBatchImmediate: 128 requests pending when the device frees
+// leave as one full batch.
 func TestFullBatchImmediate(t *testing.T) {
-	exec := &stubExec{}
+	exec := gatedExec()
 	model := DemoModel(7)
 	s, err := NewServer(Config{
-		Policy:   Policy{MaxWait: time.Hour},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 		Exec:     exec,
@@ -279,6 +335,7 @@ func TestFullBatchImmediate(t *testing.T) {
 	}
 	defer s.Close()
 
+	busy := occupy(t, s, exec, model)
 	var chans []<-chan Response
 	for i := 0; i < 128; i++ {
 		ch, err := s.Submit(demoRequest(model, "conv_b", uint64(i)))
@@ -287,6 +344,8 @@ func TestFullBatchImmediate(t *testing.T) {
 		}
 		chans = append(chans, ch)
 	}
+	close(exec.gate)
+	checkOccupier(t, busy)
 	deadline := time.After(30 * time.Second)
 	for i, ch := range chans {
 		select {
@@ -298,24 +357,22 @@ func TestFullBatchImmediate(t *testing.T) {
 				t.Fatalf("request %d: batch %d/%d, want 128/128", i, resp.Filled, resp.BatchN)
 			}
 		case <-deadline:
-			t.Fatal("full batch did not dispatch before the deadline — coalescer waited out MaxWait")
+			t.Fatal("the full batch was not cut when the device freed")
 		}
 	}
 }
 
-// TestAdmissionControl: with the executor gated shut, a tiny dispatch
-// depth and a tiny queue cap, backpressure must propagate to admission —
-// floods get ErrOverloaded instead of unbounded queueing — and every
+// TestAdmissionControl: with the executor gated shut and a tiny queue
+// cap, floods get ErrOverloaded instead of unbounded queueing, and every
 // accepted request still completes once the gate opens.
 func TestAdmissionControl(t *testing.T) {
 	exec := &stubExec{gate: make(chan struct{})}
 	model := DemoModel(9)
 	s, err := NewServer(Config{
-		Policy:        Policy{MaxWait: time.Nanosecond, QueueCap: 8},
-		Model:         model,
-		Selector:      FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
-		Exec:          exec,
-		DispatchDepth: 1,
+		Policy:   Policy{QueueCap: 8},
+		Model:    model,
+		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
+		Exec:     exec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -346,15 +403,17 @@ func TestAdmissionControl(t *testing.T) {
 	s.Close()
 }
 
-// TestDrainOnClose: Close must flush queued requests through the
-// executor (no dropped responses) and leave no goroutine behind.
-func TestDrainOnClose(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-
-	exec := &stubExec{}
-	model := DemoModel(11)
+// TestBusyDeviceAdmitsQueueCap pins the admission rule the load
+// generator shares: a queue admits while fewer than QueueCap requests
+// wait to be cut. With the device busy on one request, a flood from
+// several goroutines gets exactly QueueCap more accepted; the rest are
+// refused, and every accepted request completes once the device frees.
+func TestBusyDeviceAdmitsQueueCap(t *testing.T) {
+	const queueCap, flooders, each = 8, 4, 25
+	exec := gatedExec()
+	model := DemoModel(10)
 	s, err := NewServer(Config{
-		Policy:   Policy{MaxWait: time.Hour}, // only Close can flush these
+		Policy:   Policy{QueueCap: queueCap},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 		Exec:     exec,
@@ -362,7 +421,61 @@ func TestDrainOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var chans []<-chan Response
+	defer s.Close()
+
+	chans := []<-chan Response{occupy(t, s, exec, model)}
+	rejected := 0
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for f := 0; f < flooders; f++ {
+		wg.Add(1)
+		go func(f int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				ch, err := s.Submit(demoRequest(model, "conv_a", uint64(f*each+i)))
+				mu.Lock()
+				switch {
+				case err == nil:
+					chans = append(chans, ch)
+				case errors.Is(err, ErrOverloaded):
+					rejected++
+				default:
+					t.Errorf("submit %d/%d: %v", f, i, err)
+				}
+				mu.Unlock()
+			}
+		}(f)
+	}
+	wg.Wait()
+	if len(chans) != 1+queueCap || rejected != flooders*each-queueCap {
+		t.Fatalf("accepted %d, rejected %d; want 1 in flight + %d pending accepted, %d rejected",
+			len(chans), rejected, queueCap, flooders*each-queueCap)
+	}
+	close(exec.gate)
+	for i, ch := range chans {
+		if resp := <-ch; resp.Err != nil {
+			t.Fatalf("accepted request %d failed: %v", i, resp.Err)
+		}
+	}
+}
+
+// TestDrainOnClose: Close must flush requests still pending when it
+// begins through the executor (no dropped responses) and leave no
+// goroutine behind.
+func TestDrainOnClose(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+
+	exec := gatedExec()
+	model := DemoModel(11)
+	s, err := NewServer(Config{
+		Model:    model,
+		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
+		Exec:     exec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chans := []<-chan Response{occupy(t, s, exec, model)}
 	for i := 0; i < 40; i++ {
 		ch, err := s.Submit(demoRequest(model, model.LayerNames()[i%2], uint64(i)))
 		if err != nil {
@@ -370,7 +483,24 @@ func TestDrainOnClose(t *testing.T) {
 		}
 		chans = append(chans, ch)
 	}
-	s.Close()
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	for { // Close has begun once it refuses new requests
+		ch, err := s.Submit(demoRequest(model, "conv_a", 1))
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch) // accepted before Close: drained too
+		time.Sleep(time.Millisecond)
+	}
+	close(exec.gate) // only now can the 40 pending requests run
+	<-closed
 	for i, ch := range chans {
 		select {
 		case resp := <-ch:
@@ -422,11 +552,10 @@ func TestThousandsInFlight(t *testing.T) {
 	exec := &stubExec{gate: make(chan struct{})}
 	model := DemoModel(17)
 	s, err := NewServer(Config{
-		Policy:        Policy{MaxWait: time.Millisecond, QueueCap: 4096},
-		Model:         model,
-		Selector:      FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
-		Exec:          exec,
-		DispatchDepth: 256,
+		Policy:   Policy{QueueCap: 4096},
+		Model:    model,
+		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
+		Exec:     exec,
 	})
 	if err != nil {
 		t.Fatal(err)
