@@ -200,6 +200,25 @@ func TestForwardFusedShapeContract(t *testing.T) {
 	}
 }
 
+// TestForwardFusedAllocsPinned: a warm fused Forward takes its
+// transformed filter from the memo, so a lone request padded to N=32
+// allocates the output, the live-image list and the par.For workers: 4
+// allocs/op, against 10 when every call transformed the filter.
+func TestForwardFusedAllocsPinned(t *testing.T) {
+	for _, fc := range []fusedCase{convA.filled(1), convB.filled(1)} {
+		in, flt := fc.problem(tensor.CHWN, tensor.CRSK)
+		forward := func() {
+			if _, err := Forward(in, flt, tune.Choice{Algo: tune.AlgoFused}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		forward()
+		if n := testing.AllocsPerRun(20, forward); n > 6 {
+			t.Errorf("%s: warm Forward: %v allocs/op, want <= 6", fc.name, n)
+		}
+	}
+}
+
 // BenchmarkForward times every algorithm Forward dispatches on the host,
 // per shape: the serving demo's two layers, full and as a lone request
 // zero-padded to N=32 (filled1), and a ResNet-like C=K=64 layer.

@@ -41,17 +41,78 @@ func (o Options) blocks() (bk, bn, bc int) {
 }
 
 // Conv2D computes a batched stride-1 3x3 convolution with the Winograd
-// algorithm. The input may be in NCHW or CHWN layout; the filter in KCRS
-// or CRSK. The output is produced in the paper's KHWN layout. pad is the
-// symmetric zero padding (ResNet 3x3 layers use pad=1).
+// algorithm: TransformFilter, then ConvTransformed. The input may be in
+// NCHW or CHWN layout; the filter in KCRS or CRSK. The output is produced
+// in the paper's KHWN layout. pad is the symmetric zero padding (ResNet
+// 3x3 layers use pad=1).
 func Conv2D(in, flt *tensor.Tensor, pad int, opt Options) (*tensor.Tensor, error) {
-	is := in.ImageShape()
+	f, err := TransformFilter(flt, opt)
+	if err != nil {
+		return nil, err
+	}
+	return ConvTransformed(in, &f, pad, opt)
+}
+
+// Filter is a filter bank after the Winograd filter transform, the
+// output of the paper's separate FX kernel. It depends only on the
+// weights and on opt.Variant and opt.NonFused, so a caller whose weights
+// do not change can transform once and convolve many times. A Filter is
+// immutable and safe for concurrent use.
+type Filter struct {
+	variant  Variant
+	nonFused bool
+	c, k     int
+	// hat is element-major. The fused path reads it as area (C x K)
+	// matrices, index e*(C*K) + c*K + k (FilterTransformAll); the
+	// non-fused path as the (K x C) transposes its GEMM consumes, index
+	// e*(K*C) + k*C + c.
+	hat []float32
+	// finite records that no hat value is ±Inf or NaN, the condition
+	// under which the fused path may skip all-zero images (liveImages).
+	finite bool
+}
+
+// TransformFilter applies the filter transform for opt.Variant to every
+// (c, k) filter of flt (KCRS or CRSK) and lays the result out for the
+// strategy opt.NonFused selects.
+func TransformFilter(flt *tensor.Tensor, opt Options) (Filter, error) {
 	fs := flt.FilterShapeOf()
 	if fs.R != 3 || fs.S != 3 {
-		return nil, fmt.Errorf("winograd: needs a 3x3 filter, got %dx%d", fs.R, fs.S)
+		return Filter{}, fmt.Errorf("winograd: needs a 3x3 filter, got %dx%d", fs.R, fs.S)
 	}
-	if is.C != fs.C {
-		return nil, fmt.Errorf("winograd: channel mismatch: input C=%d filter C=%d", is.C, fs.C)
+	hat := FilterTransformAll(flt, opt.Variant)
+	if opt.NonFused {
+		hat = transposeElements(hat, opt.Variant.TileArea(), fs.C, fs.K, opt.Workers)
+	}
+	return Filter{variant: opt.Variant, nonFused: opt.NonFused, c: fs.C, k: fs.K, hat: hat, finite: allFinite(hat)}, nil
+}
+
+// transposeElements turns area element-major (rows x cols) matrices into
+// their (cols x rows) transposes.
+func transposeElements(m []float32, area, rows, cols, workers int) []float32 {
+	t := make([]float32, len(m))
+	par.For(area, workers, func(e int) {
+		src := m[e*rows*cols : (e+1)*rows*cols]
+		dst := t[e*rows*cols : (e+1)*rows*cols]
+		for r := 0; r < rows; r++ {
+			for c := 0; c < cols; c++ {
+				dst[c*rows+r] = src[r*cols+c]
+			}
+		}
+	})
+	return t
+}
+
+// ConvTransformed convolves in with an already transformed filter; opt's
+// Variant and NonFused must be the ones f was transformed for.
+func ConvTransformed(in *tensor.Tensor, f *Filter, pad int, opt Options) (*tensor.Tensor, error) {
+	if f.variant != opt.Variant || f.nonFused != opt.NonFused {
+		return nil, fmt.Errorf("winograd: filter transformed for %s (non-fused %v), options ask for %s (non-fused %v)",
+			f.variant, f.nonFused, opt.Variant, opt.NonFused)
+	}
+	is := in.ImageShape()
+	if is.C != f.c {
+		return nil, fmt.Errorf("winograd: channel mismatch: input C=%d filter C=%d", is.C, f.c)
 	}
 	oh := is.H + 2*pad - 2
 	ow := is.W + 2*pad - 2
@@ -61,11 +122,10 @@ func Conv2D(in, flt *tensor.Tensor, pad int, opt Options) (*tensor.Tensor, error
 	if bk, bn, bc := opt.blocks(); !opt.NonFused && (bk > maxBK || bn > maxBN || bc > maxBC) {
 		return nil, fmt.Errorf("winograd: fused block sizes are capped at bk=%d bn=%d bc=%d, got %d/%d/%d", maxBK, maxBN, maxBC, bk, bn, bc)
 	}
-	fltHat := FilterTransformAll(flt, opt.Variant)
 	if opt.NonFused {
-		return convNonFused(in, fltHat, fs.K, pad, oh, ow, opt), nil
+		return convNonFused(in, f, pad, oh, ow, opt), nil
 	}
-	return convFused(in, fltHat, fs.K, pad, oh, ow, opt), nil
+	return convFused(in, f, pad, oh, ow, opt), nil
 }
 
 // FilterTransformAll applies the filter transform to every (c, k) 3x3
@@ -158,24 +218,17 @@ func (im image) zero(n int) bool {
 }
 
 // liveImages lists the images whose output the fused path computes. An
-// all-±0 image is skipped when every fltHat value is finite: each of its
-// products is then ±0, so every accumulator stays at its +0 start, and
-// the output transform maps all +0 to +0, the value tensor.New already
-// holds. A non-finite fltHat keeps every image, so Inf*0 = NaN
-// propagates exactly as in cudart.WinogradConv.
-func liveImages(in image, fltHat []float32) []int {
+// all-±0 image is skipped when every transformed filter value is finite:
+// each of its products is then ±0, so every accumulator stays at its +0
+// start, and the output transform maps all +0 to +0, the value
+// tensor.New already holds. A non-finite filter keeps every image, so
+// Inf*0 = NaN propagates exactly as in cudart.WinogradConv.
+func liveImages(in image, finite bool) []int {
 	live := make([]int, 0, in.s.N)
 	for n := 0; n < in.s.N; n++ {
-		if !in.zero(n) {
+		if !finite || !in.zero(n) {
 			live = append(live, n)
 		}
-	}
-	if len(live) == in.s.N || allFinite(fltHat) {
-		return live
-	}
-	live = live[:0]
-	for n := 0; n < in.s.N; n++ {
-		live = append(live, n)
 	}
 	return live
 }
@@ -258,13 +311,14 @@ var fusedBlocks = sync.Pool{New: func() any { return new(fusedBlock) }}
 // two agree bit for bit whatever the blocking or worker count. The tile
 // grid covers only the live images (liveImages); a skipped all-zero
 // image's output is the +0 the oracle computes for it.
-func convFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int, opt Options) *tensor.Tensor {
+func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tensor.Tensor {
 	src := imageOf(in)
 	is := src.s
 	g := newTileGrid(opt.Variant, oh, ow, pad)
 	area := opt.Variant.TileArea()
 	bk, bn, bc := opt.blocks()
-	live := liveImages(src, fltHat)
+	fltHat, filters := f.hat, f.k
+	live := liveImages(src, f.finite)
 	totalTiles := g.tiles(len(live))
 	blocksN := (totalTiles + bn - 1) / bn
 	blocksK := (filters + bk - 1) / bk
@@ -377,8 +431,9 @@ func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc,
 // convNonFused implements the non-fused strategy: transformed input and
 // output round-trip through global workspaces, with the EWMM step done as
 // `area` batched GEMMs — the structure of cuDNN's WINOGRAD_NONFUSED.
-func convNonFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int, opt Options) *tensor.Tensor {
+func convNonFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tensor.Tensor {
 	src := imageOf(in)
+	filters := f.k
 	is := src.s
 	g := newTileGrid(opt.Variant, oh, ow, pad)
 	area := opt.Variant.TileArea()
@@ -400,17 +455,7 @@ func convNonFused(in *tensor.Tensor, fltHat []float32, filters, pad, oh, ow int,
 
 	// Batched GEMM: O_hat[e] (K x T) = F_hat[e]^T (K x C) * I_hat[e] (C x T).
 	outHat := make([]float32, area*filters*totalTiles)
-	fT := make([]float32, area*filters*is.C)
-	par.For(area, opt.Workers, func(e int) {
-		base := e * is.C * filters
-		dst := fT[e*filters*is.C : (e+1)*filters*is.C]
-		for c := 0; c < is.C; c++ {
-			for k := 0; k < filters; k++ {
-				dst[k*is.C+c] = fltHat[base+c*filters+k]
-			}
-		}
-	})
-	gemm.Batched(fT, inHat, outHat, area, filters, is.C, totalTiles, opt.Workers)
+	gemm.Batched(f.hat, inHat, outHat, area, filters, is.C, totalTiles, opt.Workers)
 
 	// Gather: output transform.
 	out := tensor.New(tensor.KHWN, filters, oh, ow, is.N)

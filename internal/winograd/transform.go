@@ -119,7 +119,7 @@ func TransformFilterTile(v Variant, f *FilterTile3, dst []float32) {
 	case F2x2:
 		transformFilter2(f, dst)
 	case F4x4:
-		transformFilterGeneric(6, g4rows(), f, dst)
+		transformFilterGeneric(6, g4Rows, f, dst)
 	default:
 		panic("winograd: unknown variant")
 	}
@@ -147,18 +147,19 @@ func transformFilter2(f *FilterTile3, dst []float32) {
 	}
 }
 
-func g4rows() [][]float32 {
-	rows := make([][]float32, 6)
-	for i := range rows {
-		rows[i] = G4[i][:]
-	}
-	return rows
-}
+// The F(4x4,3x3) matrices as row slices for the generic transforms,
+// built once so a tile transform allocates nothing.
+var (
+	g4Rows  = [][]float32{G4[0][:], G4[1][:], G4[2][:], G4[3][:], G4[4][:], G4[5][:]}
+	bt4Rows = [][]float32{BT4[0][:], BT4[1][:], BT4[2][:], BT4[3][:], BT4[4][:], BT4[5][:]}
+	at4Rows = [][]float32{AT4[0][:], AT4[1][:], AT4[2][:], AT4[3][:]}
+)
 
-// transformFilterGeneric computes G f G^T for a t x 3 matrix G given as rows.
+// transformFilterGeneric computes G f G^T for a t x 3 matrix G given as
+// rows, t <= 6.
 func transformFilterGeneric(t int, g [][]float32, f *FilterTile3, dst []float32) {
 	// gf = G (t x 3) * f (3 x 3) -> t x 3.
-	gf := make([]float32, t*3)
+	var gf [6 * 3]float32
 	for i := 0; i < t; i++ {
 		for j := 0; j < 3; j++ {
 			var acc float32
@@ -188,7 +189,7 @@ func TransformInputTile(v Variant, src, dst []float32) {
 	case F2x2:
 		transformInput2(src, dst)
 	case F4x4:
-		transformInputGeneric(6, bt4rows(), src, dst)
+		transformInputGeneric(6, bt4Rows, src, dst)
 	default:
 		panic("winograd: unknown variant")
 	}
@@ -217,18 +218,10 @@ func transformInput2(d, dst []float32) {
 	}
 }
 
-func bt4rows() [][]float32 {
-	rows := make([][]float32, 6)
-	for i := range rows {
-		rows[i] = BT4[i][:]
-	}
-	return rows
-}
-
-// transformInputGeneric computes Bt d Bt^T-style product for a t x t tile:
-// dst = Bt * d * Bt^T where bt holds the rows of B^T.
+// transformInputGeneric computes Bt d Bt^T-style product for a t x t tile,
+// t <= 6: dst = Bt * d * Bt^T where bt holds the rows of B^T.
 func transformInputGeneric(t int, bt [][]float32, d, dst []float32) {
-	tmp := make([]float32, t*t)
+	var tmp [maxArea]float32
 	for i := 0; i < t; i++ {
 		for j := 0; j < t; j++ {
 			var acc float32
@@ -256,7 +249,7 @@ func TransformOutputTile(v Variant, src, dst []float32) {
 	case F2x2:
 		transformOutput2(src, dst)
 	case F4x4:
-		transformOutputGeneric(6, 4, at4rows(), src, dst)
+		transformOutputGeneric(6, 4, at4Rows, src, dst)
 	default:
 		panic("winograd: unknown variant")
 	}
@@ -279,17 +272,9 @@ func transformOutput2(m, dst []float32) {
 	}
 }
 
-func at4rows() [][]float32 {
-	rows := make([][]float32, 4)
-	for i := range rows {
-		rows[i] = AT4[i][:]
-	}
-	return rows
-}
-
-// transformOutputGeneric computes At (m x t) * src (t x t) * At^T.
+// transformOutputGeneric computes At (m x t) * src (t x t) * At^T, t <= 6.
 func transformOutputGeneric(t, m int, at [][]float32, src, dst []float32) {
-	tmp := make([]float32, m*t)
+	var tmp [maxArea]float32
 	for i := 0; i < m; i++ {
 		for j := 0; j < t; j++ {
 			var acc float32

@@ -320,6 +320,56 @@ func TestFusedAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestNonFusedAllocsPinned: the F(4x4,3x3) tile transforms work in
+// stack arrays, so a non-fused forward pass allocates its workspaces and
+// a constant for the par.For loops — not one scratch slice per tile
+// (9,759 allocs/op on this shape when they did).
+func TestNonFusedAllocsPinned(t *testing.T) {
+	in := tensor.NewImage(tensor.CHWN, tensor.Shape4{N: 32, C: 8, H: 6, W: 6})
+	in.FillRandom(1)
+	flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: 64, C: 8, R: 3, S: 3})
+	flt.FillRandom(2)
+	opt := Options{Variant: F4x4, NonFused: true, Workers: 4}
+	f, err := TransformFilter(flt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := ConvTransformed(in, &f, 1, opt); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 32 {
+		t.Errorf("non-fused ConvTransformed: %v allocs/op, want <= 32", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := Conv2D(in, flt, 1, opt); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 48 {
+		t.Errorf("non-fused Conv2D: %v allocs/op, want <= 48", n)
+	}
+}
+
+// TestConvTransformedRejectsOtherOptions: a transformed filter is laid
+// out for one variant and strategy, so convolving it under another is an
+// error, not a wrong answer.
+func TestConvTransformedRejectsOtherOptions(t *testing.T) {
+	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 2, H: 8, W: 8})
+	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 3, C: 2, R: 3, S: 3})
+	f, err := TransformFilter(flt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []Options{{Variant: F4x4}, {NonFused: true}} {
+		if _, err := ConvTransformed(in, &f, 1, opt); err == nil {
+			t.Errorf("%+v: expected a transform mismatch error", opt)
+		}
+	}
+	if _, err := ConvTransformed(in, &f, 1, Options{}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConv2DRejectsTinyInput(t *testing.T) {
 	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 1, H: 2, W: 2})
 	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 1, R: 3, S: 3})
