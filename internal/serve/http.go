@@ -1,31 +1,16 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 )
 
-// inferRequest is the POST /v1/infer wire format.
-type inferRequest struct {
-	Device string    `json:"device"`
-	Layer  string    `json:"layer"`
-	Image  []float32 `json:"image"`
-}
-
-// inferResponse is its reply.
-type inferResponse struct {
-	Output []float32 `json:"output,omitempty"`
-	BatchN int       `json:"batch_n,omitempty"`
-	Filled int       `json:"filled,omitempty"`
-	Algo   string    `json:"algo,omitempty"`
-	Error  string    `json:"error,omitempty"`
-}
-
 // Request bodies are bounded by the largest layer's image: bytesPerFloat
-// covers any float32's JSON text (at most 22 bytes, e.g. "-1.2345679e+20"
-// written out in full by encoding/json) plus its comma and whitespace,
-// and bodySlack the device and layer names and the field syntax.
+// covers any float32 as the codec writes it (appendFloat32 takes at most
+// 22 bytes, for -1.2345679e20 written out in full) plus its comma and
+// whitespace, so a client may send back what the server replies, and
+// bodySlack covers the device and layer names and the field syntax.
 const (
 	bytesPerFloat = 32
 	bodySlack     = 4 << 10
@@ -43,9 +28,11 @@ func (s *Server) maxBody() int64 {
 
 // Handler exposes the server over HTTP: POST /v1/infer with a JSON
 // body {device, layer, image} blocks until the request's batch has run
-// and returns the output image. A body over maxBody gets 413.
-// Admission rejections map to 429, shutdown to 503 — the status codes a
-// load balancer retries on — and a panicked batch to 500.
+// and returns the output image. A body over maxBody gets 413 and a
+// malformed one 400. Admission rejections map to 429, shutdown to 503 —
+// the status codes a load balancer retries on — a panicked batch to
+// 500, and an output holding a value JSON cannot carry (±Inf or NaN) to
+// 422. Bodies are read and replies written by the codec in wire.go.
 func (s *Server) Handler() http.Handler {
 	limit := s.maxBody()
 	mux := http.NewServeMux()
@@ -54,14 +41,16 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		var in inferRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(&in); err != nil {
+		wb := wireBufs.Get().(*wireBuf)
+		defer wireBufs.Put(wb)
+		in, err := wb.readRequest(http.MaxBytesReader(w, r.Body, limit))
+		if err != nil {
 			code := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
 				code = http.StatusRequestEntityTooLarge
 			}
-			writeJSON(w, code, inferResponse{Error: err.Error()})
+			wb.reply(w, code, &inferResponse{Error: err.Error()})
 			return
 		}
 		resp, err := s.Infer(&Request{Device: in.Device, Layer: in.Layer, Image: in.Image})
@@ -78,18 +67,16 @@ func (s *Server) Handler() http.Handler {
 			case errors.Is(err, ErrPanicked):
 				code = http.StatusInternalServerError
 			}
-			writeJSON(w, code, inferResponse{Error: err.Error()})
+			wb.reply(w, code, &inferResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, inferResponse{
+		if i := wb.reply(w, http.StatusOK, &inferResponse{
 			Output: resp.Output, BatchN: resp.BatchN, Filled: resp.Filled, Algo: string(resp.Algo),
-		})
+		}); i >= 0 {
+			wb.reply(w, http.StatusUnprocessableEntity, &inferResponse{
+				Error: fmt.Sprintf("serve: layer %q output %d is %v, which JSON cannot carry", in.Layer, i, resp.Output[i]),
+			})
+		}
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -124,9 +126,111 @@ func FuzzInferHandler(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body)))
 		switch rec.Code {
 		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
-			http.StatusTooManyRequests, http.StatusServiceUnavailable:
+			http.StatusUnprocessableEntity, http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		default:
 			t.Fatalf("status %d for body %q", rec.Code, body)
 		}
 	})
+}
+
+// TestHTTPNonFiniteOutput: valid float32 inputs whose convolution
+// overflows get 422 with an error naming the layer and the first
+// non-finite output, not a 200 with an empty body.
+func TestHTTPNonFiniteOutput(t *testing.T) {
+	model := DemoModel(37)
+	s, err := NewServer(Config{Model: model, Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec, _, _ := model.Layer("conv_a")
+	img := make([]float32, spec.InLen())
+	for i := range img {
+		img[i] = 3e38
+		if i%2 == 1 {
+			img[i] = -3e38
+		}
+	}
+	direct, err := s.Infer(&Request{Device: gpu.RTX2070().Name, Layer: "conv_a", Image: img})
+	if err != nil || direct.Err != nil {
+		t.Fatal(err, direct.Err)
+	}
+	first := -1
+	for i, x := range direct.Output {
+		if math.IsInf(float64(x), 0) || math.IsNaN(float64(x)) {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatal("no non-finite output: the image no longer overflows")
+	}
+
+	code, out := postInfer(t, ts.URL, inferRequest{Device: gpu.RTX2070().Name, Layer: "conv_a", Image: img})
+	if code != http.StatusUnprocessableEntity || len(out.Output) != 0 {
+		t.Fatalf("status %d with %d output floats, want 422 and none", code, len(out.Output))
+	}
+	if want := fmt.Sprintf(`layer "conv_a" output %d `, first); !strings.Contains(out.Error, want) {
+		t.Fatalf("error %q does not contain %q", out.Error, want)
+	}
+}
+
+// benchWriter is a reusable http.ResponseWriter that keeps only the
+// status, so BenchmarkHandler charges the handler and not a recorder.
+type benchWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *benchWriter) Header() http.Header         { return w.header }
+func (w *benchWriter) WriteHeader(code int)        { w.code = code }
+func (w *benchWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// benchBody is a request body that rewinds for the next iteration.
+type benchBody struct{ bytes.Reader }
+
+func (*benchBody) Close() error { return nil }
+
+// BenchmarkHandler times warm lone requests through Handler().ServeHTTP
+// with the default ForwardExecutor: decode, admission, a padded N=32
+// fused forward, and the reply.
+func BenchmarkHandler(b *testing.B) {
+	model := DemoModel(31)
+	s, err := NewServer(Config{Model: model, Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused})})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	for _, layer := range []string{"conv_a", "conv_b"} {
+		b.Run(layer, func(b *testing.B) {
+			req := demoRequest(model, layer, 7)
+			body, err := json.Marshal(inferRequest{Device: req.Device, Layer: layer, Image: req.Image})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := httptest.NewRequest(http.MethodPost, "/v1/infer", nil)
+			rb := &benchBody{}
+			r.Body = rb
+			w := &benchWriter{header: http.Header{}}
+			serve := func() {
+				rb.Reset(body)
+				w.code, w.n = 0, 0
+				h.ServeHTTP(w, r)
+				if w.code != http.StatusOK || w.n == 0 {
+					b.Fatalf("status %d, %d reply bytes", w.code, w.n)
+				}
+			}
+			serve() // warm: the filter memo and the selector
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve()
+			}
+		})
+	}
 }

@@ -184,15 +184,13 @@ func AssembleBatch(spec LayerSpec, images [][]float32, batchN int) *tensor.Tenso
 	return in
 }
 
-// sliceOutput extracts request slot n of a KHWN batch output.
+// sliceOutput extracts request slot n of a batch output: its (k, h, w)
+// elements are contiguous in every image layout, one w-stride apart.
 func sliceOutput(spec LayerSpec, out *tensor.Tensor, n int) []float32 {
-	res := make([]float32, 0, spec.OutLen())
-	for k := 0; k < spec.K; k++ {
-		for h := 0; h < spec.H; h++ {
-			for w := 0; w < spec.W; w++ {
-				res = append(res, out.ImageAt(n, k, h, w))
-			}
-		}
+	sn, _, _, sw := out.ImageStrides()
+	res := make([]float32, spec.OutLen())
+	for i, j := 0, n*sn; i < len(res); i, j = i+1, j+sw {
+		res[i] = out.Data[j]
 	}
 	return res
 }
