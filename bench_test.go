@@ -256,7 +256,7 @@ func BenchmarkBatchedGEMMKernel(b *testing.B) {
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	p := kernels.Problem{C: 64, K: 64, N: 32, H: 8, W: 8}
 	for i := 0; i < b.N; i++ {
-		res, err := kernels.RunConv(gpu.RTX2070(), kernels.Ours(), p, nil, nil, 1, true, false)
+		res, err := kernels.RunConvWith(gpu.RTX2070(), kernels.Ours(), p, kernels.ConvOpts{SampleBlocks: 1, MainLoopOnly: true})
 		if err != nil {
 			b.Fatal(err)
 		}

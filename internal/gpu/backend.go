@@ -8,10 +8,12 @@ import (
 )
 
 // Backend selects the per-instruction execution engine behind the
-// simulator's scheduling model. Both backends implement the same machine
-// and produce bit-identical Metrics, memory contents, and profiles; the
-// differential tests in internal/kernels enforce that on every
-// quick-sweep configuration and on randomized kernels.
+// simulator's scheduling model. The scheduler itself (warp selection,
+// stall classification, events) is one piece of code; the backend picks
+// only how the chosen warp's instruction executes, so both produce
+// bit-identical Metrics, memory contents, and profiles. The differential
+// tests in internal/kernels enforce that on every quick-sweep
+// configuration and on randomized kernels.
 type Backend uint8
 
 const (
@@ -43,14 +45,6 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendSwitch, nil
 	}
 	return 0, fmt.Errorf("gpu: unknown backend %q (want threaded or switch)", s)
-}
-
-// runBackend runs the SM instance to completion on the selected engine.
-func (sm *smSim) runBackend(b Backend) error {
-	if b == BackendSwitch {
-		return sm.run()
-	}
-	return sm.runThreaded()
 }
 
 // simPools is one independent set of the recycling pools an SM instance
@@ -104,7 +98,6 @@ type shardState struct {
 	workers []*shardWorker
 	entryL2 *l2cache
 	l2Final *l2cache
-	backend Backend
 	prof    *Profiler
 	kernel  string
 	next    atomic.Int64
@@ -131,7 +124,6 @@ type shardState struct {
 func (s *Sim) launchSharded(total *Metrics, kernel string, plan [][]int) error {
 	st := &s.shard
 	st.plan = plan
-	st.backend = s.Backend
 	st.prof = s.Prof
 	st.kernel = kernel
 	n := len(plan)
@@ -252,7 +244,7 @@ func (s *Sim) shardRunInstance(wk *shardWorker, i int, l2 *l2cache) {
 		coll.beginSM(i)
 	}
 	inst := st.lc.newInstance(&wk.pools, st.plan[i], l2, coll)
-	err := inst.runBackend(st.backend)
+	err := inst.run()
 	r := &st.res[i]
 	if err != nil {
 		r.err = err

@@ -36,8 +36,9 @@ type warp struct {
 	barPending [6]int // outstanding dependency-barrier counts
 	// barMask mirrors barPending as a bitmask (bit b set iff
 	// barPending[b] > 0), maintained at every increment/decrement so the
-	// threaded backend's eligibility check is one AND against the
-	// instruction's baked wait mask instead of a six-barrier loop.
+	// scheduler's eligibility check (stallReason, shared by both
+	// backends) is one AND against the instruction's baked wait mask
+	// instead of a six-barrier loop.
 	barMask uint8
 
 	// Operand reuse cache: regs latched by the previous instruction's

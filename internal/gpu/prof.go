@@ -14,10 +14,11 @@ import "repro/internal/sass"
 // compare on an already-loaded struct — no allocation, no work — so the
 // zero-alloc fast path of the issue loop is preserved (the perf harness
 // gates this against BENCH_sim.json). With a profiler attached the
-// simulator classifies every resident warp on every visited cycle, which
-// costs real time but never changes simulation results: the collector
-// only reads machine state (its MIO-queue probe is a non-mutating count),
-// so cycle counts and outputs are bit-identical with profiling on or off.
+// simulator classifies every resident warp on every visited cycle with
+// the scheduler's own rule (stallReason), which costs real time but never
+// changes simulation results: the only state the classifier touches is
+// mioSlotFree's pruning of queue entries that have already expired, so
+// cycle counts and outputs are bit-identical with profiling on or off.
 
 // StallReason classifies what a resident warp did with one cycle.
 type StallReason uint8
@@ -452,75 +453,6 @@ func (c *launchCollector) merge(part *launchCollector) {
 	lp.DroppedEvents += pp.DroppedEvents
 }
 
-// mioBlocked is the collector's read-only twin of mioSlotFree: it counts
-// live queue entries without pruning, so classification never mutates
-// simulator state. Returns 0 free, 1 dispatch queue full, 2 MSHRs
-// exhausted.
-func (sm *smSim) mioBlocked(isLDG bool) int {
-	live := 0
-	for _, t := range sm.dispQ {
-		if t > sm.now {
-			live++
-		}
-	}
-	if live >= sm.dev.MIOQueueDepth {
-		return 1
-	}
-	if isLDG {
-		live = 0
-		for _, t := range sm.globQ {
-			if t > sm.now {
-				live++
-			}
-		}
-		if live >= sm.dev.MSHRs {
-			return 2
-		}
-	}
-	return 0
-}
-
-// stallReasonFor classifies why warp w is not issuing this cycle. It
-// mirrors eligible() exactly but reports the blocking condition instead
-// of a boolean, and must stay in lockstep with it.
-func (sm *smSim) stallReasonFor(sc *scheduler, w *warp) StallReason {
-	if w.atBar {
-		return StallBarSync
-	}
-	if w.nextIssue > sm.now {
-		return StallCtrl
-	}
-	if w.pc >= len(sm.insts) {
-		return StallCtrl
-	}
-	in := &sm.insts[w.pc]
-	if in.Ctrl.WaitMask != 0 {
-		for b := 0; b < 6; b++ {
-			if in.Ctrl.WaitMask&(1<<uint(b)) != 0 && w.barPending[b] > 0 {
-				return StallBarDep
-			}
-		}
-	}
-	switch sm.meta[w.pc].class {
-	case classMem:
-		switch sm.mioBlocked(sm.meta[w.pc].isLDG) {
-		case 1:
-			return StallMIOFull
-		case 2:
-			return StallMSHRFull
-		}
-	case classFP:
-		if sc.fpBusyUntil > sm.now {
-			return StallPipe
-		}
-	case classInt:
-		if sc.intBusyUntil > sm.now {
-			return StallPipe
-		}
-	}
-	return StallNotSelected
-}
-
 // profAccount attributes the visited interval [sm.now, sm.now+dt) for
 // every resident warp and issue slot. It runs once per visited cycle
 // when a profiler is attached: between visited cycles no machine state
@@ -540,7 +472,10 @@ func (sm *smSim) profAccount(dt int64) {
 				// are fully accounted at noteIssue time.
 				continue
 			}
-			r := sm.stallReasonFor(sc, w)
+			r := sm.stallReason(sc, w)
+			if r == StallNone {
+				r = StallNotSelected
+			}
 			c.lp.Warps[w.profIdx].Stalls[r] += dt
 			if w.pc < len(c.lp.PerInst) {
 				c.lp.PerInst[w.pc].Stalls[r] += dt

@@ -233,7 +233,7 @@ type Metrics struct {
 	RegBankConflicts   int64 // extra FP-pipe cycles from register bank conflicts
 	SmemConflictCycles int64 // extra MIO cycles from shared-memory bank conflicts
 	SwitchCount        int64 // warp switches (each costs one issue cycle)
-	MIOStallCycles     int64 // scheduler-cycles blocked on the full smem queue
+	MIOStallCycles     int64 // scheduler-cycles blocked on the full MIO dispatch queue
 	MSHRStallCycles    int64 // scheduler-cycles blocked on exhausted MSHRs
 	L2Hits, L2Misses   int64
 
@@ -409,16 +409,17 @@ func (s *Sim) LaunchM(k *cubin.Kernel, opts LaunchOpts, total *Metrics) error {
 
 	lc := &s.shard.lc
 	*lc = launchCtx{
-		dev:    &s.Dev,
-		gmem:   &s.mem,
-		kern:   k,
-		prog:   prog,
-		consts: consts,
-		occ:    occ,
-		gridX:  opts.Grid,
-		gridY:  opts.GridY,
-		hazard: s.HazardCheck,
-		oracle: s.Oracle,
+		dev:     &s.Dev,
+		gmem:    &s.mem,
+		kern:    k,
+		prog:    prog,
+		consts:  consts,
+		occ:     occ,
+		gridX:   opts.Grid,
+		gridY:   opts.GridY,
+		hazard:  s.HazardCheck,
+		oracle:  s.Oracle,
+		backend: s.Backend,
 	}
 	if opts.Sharded {
 		lc.memLimit = len(s.mem.data)
@@ -434,7 +435,7 @@ func (s *Sim) LaunchM(k *cubin.Kernel, opts LaunchOpts, total *Metrics) error {
 			coll.beginSM(smi)
 		}
 		inst := lc.newInstance(&s.pools, blocks, s.l2, coll)
-		if err := inst.runBackend(s.Backend); err != nil {
+		if err := inst.run(); err != nil {
 			return fmt.Errorf("gpu: SM %d: %w", smi, err)
 		}
 		if coll != nil {
@@ -494,6 +495,7 @@ type launchCtx struct {
 	// instances must not grow the shared memory image, so a store beyond
 	// the allocation watermark is an error instead of a data race.
 	memLimit int
+	backend  Backend
 }
 
 type smSim struct {
@@ -510,6 +512,7 @@ type smSim struct {
 	hazard   bool
 	memLimit int
 	oracle   *SmemOracle
+	backend  Backend
 
 	occ          Occupancy
 	gridX, gridY int
@@ -584,6 +587,7 @@ func (lc *launchCtx) newInstance(pools *simPools, blocks []int, l2 *l2cache, col
 		hazard:      lc.hazard,
 		memLimit:    lc.memLimit,
 		oracle:      lc.oracle,
+		backend:     lc.backend,
 		occ:         lc.occ,
 		gridX:       lc.gridX,
 		gridY:       lc.gridY,
@@ -752,6 +756,8 @@ func foldMetrics(t, m *Metrics, now int64, nscheds int) {
 	}
 }
 
+// run simulates the SM instance to completion: the one scheduling loop
+// both backends share.
 func (sm *smSim) run() error {
 	idleGuard := 0
 	for sm.resident > 0 || len(sm.pending) > 0 {
@@ -878,7 +884,9 @@ func (sm *smSim) fireEvents() {
 // mioSlotFree reports MIO availability: every memory instruction needs a
 // shared dispatch slot, and global loads additionally need a free MSHR.
 // Released queue entries are pruned lazily — only when a queue looks full
-// — which keeps the common eligibility check O(1).
+// — which keeps the common eligibility check O(1). Pruning drops only
+// entries that have already expired, which no later check or wake-up
+// reads, so calling it more often never changes the simulation.
 func (sm *smSim) mioSlotFree(isLDG bool) bool {
 	if len(sm.dispQ) >= sm.dev.MIOQueueDepth {
 		pruneQueue(&sm.dispQ, sm.now)
@@ -907,42 +915,46 @@ func pruneQueue(q *[]int64, now int64) {
 	*q = kept
 }
 
-// eligible reports whether warp w can issue its next instruction now;
-// blocked reports which memory queue (if any) prevented the issue:
-// 0 none, 1 shared-memory queue, 2 MSHRs.
-func (sm *smSim) eligible(sc *scheduler, w *warp) (ok bool, blocked int) {
-	if w.done || w.atBar || w.nextIssue > sm.now {
-		return false, 0
-	}
-	if w.pc >= len(sm.insts) {
-		return false, 0
-	}
-	in := &sm.insts[w.pc]
-	if in.Ctrl.WaitMask != 0 {
-		for b := 0; b < 6; b++ {
-			if in.Ctrl.WaitMask&(1<<uint(b)) != 0 && w.barPending[b] > 0 {
-				return false, 0
-			}
+// stallReason is the scheduler's one eligibility rule: it reports why
+// warp w cannot issue its next instruction this cycle, or StallNone when
+// it may. tryIssue picks among the StallNone warps; profAccount charges
+// every other resident warp-cycle to the returned reason. Done and
+// barrier-parked warps carry an infinite nextIssue (warpExit,
+// warpBarrier), so the first compare covers them too.
+func (sm *smSim) stallReason(sc *scheduler, w *warp) StallReason {
+	if w.nextIssue > sm.now {
+		if w.atBar {
+			return StallBarSync
 		}
+		return StallCtrl
 	}
-	switch sm.meta[w.pc].class {
+	if w.pc >= len(sm.nodes) {
+		return StallCtrl
+	}
+	nd := &sm.nodes[w.pc]
+	if nd.waitMask&w.barMask != 0 {
+		return StallBarDep
+	}
+	switch nd.class {
 	case classMem:
-		if !sm.mioSlotFree(sm.meta[w.pc].isLDG) {
-			if sm.meta[w.pc].isLDG {
-				return false, 2
+		if !sm.mioSlotFree(nd.isLDG) {
+			// mioSlotFree tests the dispatch queue first, so a queue
+			// with room left means the load found every MSHR held.
+			if nd.isLDG && len(sm.dispQ) < sm.dev.MIOQueueDepth {
+				return StallMSHRFull
 			}
-			return false, 1
+			return StallMIOFull
 		}
 	case classFP:
 		if sc.fpBusyUntil > sm.now {
-			return false, 0
+			return StallPipe
 		}
 	case classInt:
 		if sc.intBusyUntil > sm.now {
-			return false, 0
+			return StallPipe
 		}
 	}
-	return true, 0
+	return StallNone
 }
 
 func isFP(op sass.Opcode) bool {
@@ -958,60 +970,83 @@ func isInt(op sass.Opcode) bool {
 	return false
 }
 
-// tryIssue attempts one instruction issue on a scheduler.
+// tryIssue attempts one instruction issue on a scheduler. Selection is
+// the same for both backends; sm.backend decides only how the chosen
+// warp's instruction executes.
 func (sm *smSim) tryIssue(sc *scheduler) (bool, error) {
 	if sc.busyUntil > sm.now || len(sc.warps) == 0 {
 		return false, nil
 	}
 	var chosen *warp
-	blockKind := 0
+	blocked := StallNone
+	now := sm.now
 	// Yield semantics (paper Section 6.1): when the last instruction of
 	// the current warp had the yield bit set, the scheduler prefers to
 	// keep issuing from it; when cleared it prefers any other warp, and
 	// switching costs one cycle and invalidates the reuse cache.
-	if sc.last != nil && sc.last.lastYield {
-		if ok, bk := sm.eligible(sc, sc.last); ok {
-			chosen = sc.last
-		} else if bk > blockKind {
-			blockKind = bk
-		}
+	if sc.last != nil && sc.last.lastYield && sc.last.nextIssue <= now &&
+		sm.canIssue(sc, sc.last, &blocked) {
+		chosen = sc.last
 	}
 	if chosen == nil {
 		n := len(sc.warps)
+		// Round-robin scan without the per-step modulo: idx walks the
+		// ring starting one past rr, wrapping once at most. The stalled
+		// check is inlined — it also rejects done and barrier-parked
+		// warps (infinite nextIssue) — so the common rejection costs one
+		// compare, not a call.
+		idx := (sc.rr + 1) % n
 		for i := 1; i <= n; i++ {
-			w := sc.warps[(sc.rr+i)%n]
-			if w == sc.last {
+			w := sc.warps[idx]
+			cur := idx
+			idx++
+			if idx == n {
+				idx = 0
+			}
+			if w.nextIssue > now || w == sc.last {
 				continue
 			}
-			if ok, bk := sm.eligible(sc, w); ok {
+			if sm.canIssue(sc, w, &blocked) {
 				chosen = w
-				sc.rr = (sc.rr + i) % n
+				sc.rr = cur
 				break
-			} else if bk > blockKind {
-				blockKind = bk
 			}
 		}
 		// Fall back to the current warp even when it asked to yield.
-		if chosen == nil && sc.last != nil {
-			if ok, bk := sm.eligible(sc, sc.last); ok {
-				chosen = sc.last
-			} else if bk > blockKind {
-				blockKind = bk
-			}
+		if chosen == nil && sc.last != nil && sc.last.nextIssue <= now &&
+			sm.canIssue(sc, sc.last, &blocked) {
+			chosen = sc.last
 		}
 	}
 	if chosen == nil {
-		switch blockKind {
-		case 1:
+		switch blocked {
+		case StallMIOFull:
 			sm.m.MIOStallCycles++
-		case 2:
+		case StallMSHRFull:
 			sm.m.MSHRStallCycles++
 		}
 		return false, nil
 	}
-	return true, sm.issue(sc, chosen)
+	if sm.backend == BackendSwitch {
+		return true, sm.issue(sc, chosen)
+	}
+	return true, sm.issueThreaded(sc, chosen)
 }
 
+// canIssue reports whether w may issue now. A warp blocked on a memory
+// queue is folded into *blocked for the scheduler's stall counters, MSHR
+// exhaustion outranking a full dispatch queue.
+func (sm *smSim) canIssue(sc *scheduler, w *warp, blocked *StallReason) bool {
+	r := sm.stallReason(sc, w)
+	if (r == StallMIOFull || r == StallMSHRFull) && r > *blocked {
+		*blocked = r
+	}
+	return r == StallNone
+}
+
+// issue is the switch backend's issue path: exec through the decode-
+// dispatch interpreter, re-deriving control-code fields from the raw
+// instruction. It is the differential oracle for issueThreaded.
 func (sm *smSim) issue(sc *scheduler, w *warp) error {
 	pc := w.pc
 	in := &sm.insts[w.pc]

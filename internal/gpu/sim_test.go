@@ -624,3 +624,107 @@ func TestAllocAlignmentAndRoundtrip(t *testing.T) {
 		t.Fatalf("fill = %v", v)
 	}
 }
+
+// stallSrc gives TestStallReason one instruction of each issue class: an
+// FFMA (FP pipe), an IADD3 (ALU pipe), an LDS and an LDG (MIO), and a MOV
+// whose wait mask names dependency barrier 0.
+const stallSrc = `
+.kernel stall
+--:-:-:Y:1  FFMA R0, R1, R2, R3;
+--:-:-:Y:1  IADD3 R4, R5, R6, RZ;
+--:-:0:-:1  LDS R7, [R8];
+--:-:1:-:1  LDG R9, [R10];
+01:-:-:Y:1  MOV R11, R12;
+--:-:-:Y:5  EXIT;
+.endkernel
+`
+
+// TestStallReason pins the scheduler's one eligibility rule on a
+// hand-built SM instance, and that tryIssue charges a memory-queue block
+// to the counter of the queue that is actually full.
+func TestStallReason(t *testing.T) {
+	prog, err := decodeProgram(assemble(t, stallSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := RTX2070()
+	const now = 100
+	fill := func(q *[]int64, n int, at int64) {
+		*q = (*q)[:0]
+		for i := 0; i < n; i++ {
+			*q = append(*q, at)
+		}
+	}
+	cases := []struct {
+		name  string
+		pc    int
+		setup func(sm *smSim, sc *scheduler, w *warp)
+		want  StallReason
+	}{
+		{"bar-sync", 0, func(sm *smSim, sc *scheduler, w *warp) {
+			w.atBar = true
+			w.nextIssue = math.MaxInt64
+		}, StallBarSync},
+		{"ctrl", 0, func(sm *smSim, sc *scheduler, w *warp) { w.nextIssue = now + 3 }, StallCtrl},
+		{"bar-dep", 4, func(sm *smSim, sc *scheduler, w *warp) { w.barInc(0) }, StallBarDep},
+		{"bar-dep-other-barrier", 4, func(sm *smSim, sc *scheduler, w *warp) { w.barInc(1) }, StallNone},
+		{"mio-full-lds", 2, func(sm *smSim, sc *scheduler, w *warp) {
+			fill(&sm.dispQ, dev.MIOQueueDepth, now+10)
+		}, StallMIOFull},
+		{"mio-full-ldg-mshrs-free", 3, func(sm *smSim, sc *scheduler, w *warp) {
+			fill(&sm.dispQ, dev.MIOQueueDepth, now+10)
+		}, StallMIOFull},
+		{"mshr-full", 3, func(sm *smSim, sc *scheduler, w *warp) {
+			fill(&sm.globQ, dev.MSHRs, now+10)
+		}, StallMSHRFull},
+		{"mshr-full-lds-unaffected", 2, func(sm *smSim, sc *scheduler, w *warp) {
+			fill(&sm.globQ, dev.MSHRs, now+10)
+		}, StallNone},
+		{"expired-queue-entries", 3, func(sm *smSim, sc *scheduler, w *warp) {
+			fill(&sm.dispQ, dev.MIOQueueDepth, now)
+			fill(&sm.globQ, dev.MSHRs, now)
+		}, StallNone},
+		{"pipe-fp", 0, func(sm *smSim, sc *scheduler, w *warp) { sc.fpBusyUntil = now + 1 }, StallPipe},
+		{"pipe-int", 1, func(sm *smSim, sc *scheduler, w *warp) { sc.intBusyUntil = now + 1 }, StallPipe},
+		{"none", 0, func(sm *smSim, sc *scheduler, w *warp) {}, StallNone},
+	}
+	sm := &smSim{dev: &dev, insts: prog.insts, meta: prog.meta, nodes: prog.nodes}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// reset rebuilds the case's machine state, so the tryIssue
+			// pass sees exactly what stallReason saw.
+			reset := func() (*scheduler, *warp) {
+				sm.now = now
+				sm.m = Metrics{}
+				sm.dispQ, sm.globQ = sm.dispQ[:0], sm.globQ[:0]
+				w := &warp{pc: tc.pc, nextIssue: now}
+				sc := &scheduler{warps: []*warp{w}}
+				tc.setup(sm, sc, w)
+				return sc, w
+			}
+			sc, w := reset()
+			if got := sm.stallReason(sc, w); got != tc.want {
+				t.Fatalf("stallReason = %v, want %v", got, tc.want)
+			}
+			if tc.want == StallNone {
+				return
+			}
+			sc, _ = reset()
+			issued, err := sm.tryIssue(sc)
+			if err != nil || issued {
+				t.Fatalf("tryIssue = %v, %v; want no issue", issued, err)
+			}
+			var wantMIO, wantMSHR int64
+			switch tc.want {
+			case StallMIOFull:
+				wantMIO = 1
+			case StallMSHRFull:
+				wantMSHR = 1
+			}
+			if sm.m.MIOStallCycles != wantMIO || sm.m.MSHRStallCycles != wantMSHR {
+				t.Fatalf("MIOStallCycles=%d MSHRStallCycles=%d, want %d and %d",
+					sm.m.MIOStallCycles, sm.m.MSHRStallCycles, wantMIO, wantMSHR)
+			}
+		})
+	}
+}

@@ -1,24 +1,20 @@
 package gpu
 
-import (
-	"fmt"
-
-	"repro/internal/sass"
-)
+import "repro/internal/sass"
 
 // This file is the threaded-code execution backend. The decoded-program
 // cache partitions every kernel into basic blocks and pre-resolves, per
 // block, a flat chain of typed handler funcs (program.nodes) with all
-// per-instruction metadata baked in at decode time; the hot loop here
+// per-instruction metadata baked in at decode time; the issue path here
 // runs the chain instead of switching on the opcode and re-deriving
 // control-code fields per issue.
 //
-// Equivalence contract: the threaded backend must produce byte-identical
-// Metrics, memory contents, and profiles to the switch interpreter in
-// sim.go/exec.go, which is retained as the differential oracle. Every
-// handler below replicates the corresponding exec() case for the exact
-// shape it was selected for (same expressions, same order of effects),
-// and issueThreaded mirrors issue() operation for operation. The
+// Equivalence contract: the scheduler (run, tryIssue, stallReason in
+// sim.go) is shared, so the backend only decides how the chosen warp's
+// instruction executes. issueThreaded is the one mirrored path: it must
+// match issue() in sim.go operation for operation, and every handler
+// below replicates the corresponding exec() case for the exact shape it
+// was selected for (same expressions, same order of effects). The
 // differential backend tests (internal/kernels) run the full quick-sweep
 // config set plus randomized control codes over both backends to keep
 // this honest.
@@ -330,148 +326,6 @@ func hMemGeneral(sm *smSim, w *warp, nd *node) (execResult, error) {
 		}
 	}
 	return execResult{mem: req}, nil
-}
-
-// runThreaded is the threaded backend's scheduling loop: identical to
-// run() except that issue selection walks the pre-resolved node chains.
-func (sm *smSim) runThreaded() error {
-	idleGuard := 0
-	for sm.resident > 0 || len(sm.pending) > 0 {
-		if sm.nextEventAt <= sm.now {
-			sm.fireEvents()
-		}
-		issued := false
-		for _, sc := range sm.scheds {
-			ok, err := sm.tryIssueThreaded(sc)
-			if err != nil {
-				return err
-			}
-			issued = issued || ok
-		}
-		if issued {
-			if sm.prof != nil {
-				sm.profAccount(1)
-			}
-			sm.now++
-			idleGuard = 0
-			continue
-		}
-		next, found := sm.nextWake()
-		if !found {
-			if sm.resident == 0 && len(sm.pending) > 0 {
-				// Shouldn't happen: block loads are events.
-				return fmt.Errorf("stalled with pending blocks at cycle %d", sm.now)
-			}
-			return fmt.Errorf("deadlock at cycle %d: no eligible warp and no pending event", sm.now)
-		}
-		if next <= sm.now {
-			next = sm.now + 1
-		}
-		if sm.prof != nil {
-			sm.profAccount(next - sm.now)
-		}
-		sm.now = next
-		idleGuard++
-		if idleGuard > 1<<20 {
-			return fmt.Errorf("livelock at cycle %d", sm.now)
-		}
-	}
-	return nil
-}
-
-// eligibleThreaded is eligible() on baked node metadata: the wait-mask
-// scan collapses to one AND against the warp's pending-barrier bitmask.
-// eligibleThreaded reports whether w can issue this cycle. Callers must
-// have already rejected stalled warps (w.nextIssue > sm.now), which also
-// covers done and barrier-parked warps: both carry an infinite
-// nextIssue (see warpExit / warpBarrier).
-func (sm *smSim) eligibleThreaded(sc *scheduler, w *warp) (ok bool, blocked int) {
-	if w.pc >= len(sm.nodes) {
-		return false, 0
-	}
-	nd := &sm.nodes[w.pc]
-	if nd.waitMask&w.barMask != 0 {
-		return false, 0
-	}
-	switch nd.class {
-	case classMem:
-		if !sm.mioSlotFree(nd.isLDG) {
-			if nd.isLDG {
-				return false, 2
-			}
-			return false, 1
-		}
-	case classFP:
-		if sc.fpBusyUntil > sm.now {
-			return false, 0
-		}
-	case classInt:
-		if sc.intBusyUntil > sm.now {
-			return false, 0
-		}
-	}
-	return true, 0
-}
-
-// tryIssueThreaded mirrors tryIssue with threaded eligibility and issue.
-func (sm *smSim) tryIssueThreaded(sc *scheduler) (bool, error) {
-	if sc.busyUntil > sm.now || len(sc.warps) == 0 {
-		return false, nil
-	}
-	var chosen *warp
-	blockKind := 0
-	now := sm.now
-	if sc.last != nil && sc.last.lastYield && sc.last.nextIssue <= now {
-		if ok, bk := sm.eligibleThreaded(sc, sc.last); ok {
-			chosen = sc.last
-		} else if bk > blockKind {
-			blockKind = bk
-		}
-	}
-	if chosen == nil {
-		n := len(sc.warps)
-		// Round-robin scan without the per-step modulo: idx walks the
-		// ring starting one past rr, wrapping once at most. The stalled
-		// check is inlined — it also rejects done and barrier-parked
-		// warps (infinite nextIssue) — so the common rejection costs one
-		// compare, not a call.
-		idx := (sc.rr + 1) % n
-		for i := 1; i <= n; i++ {
-			w := sc.warps[idx]
-			cur := idx
-			idx++
-			if idx == n {
-				idx = 0
-			}
-			if w.nextIssue > now || w == sc.last {
-				continue
-			}
-			if ok, bk := sm.eligibleThreaded(sc, w); ok {
-				chosen = w
-				sc.rr = cur
-				break
-			} else if bk > blockKind {
-				blockKind = bk
-			}
-		}
-		if chosen == nil && sc.last != nil && sc.last.nextIssue <= now {
-			if ok, bk := sm.eligibleThreaded(sc, sc.last); ok {
-				chosen = sc.last
-			} else if bk > blockKind {
-				blockKind = bk
-			}
-		}
-	}
-	if chosen == nil {
-		switch blockKind {
-		case 1:
-			sm.m.MIOStallCycles++
-		case 2:
-			sm.m.MSHRStallCycles++
-		}
-		return false, nil
-	}
-	return true, sm.issueThreaded(sc, chosen)
 }
 
 // issueThreaded mirrors issue() operation for operation on node

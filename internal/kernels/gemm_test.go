@@ -113,7 +113,7 @@ func TestGEMMDensityExceedsWinograd(t *testing.T) {
 	gm := runGemm(t, GemmProblem{Batch: 16, M: 64, N: 32, K: 128}, Ours())
 
 	p := Problem{C: 128, K: 64, N: 32, H: 4, W: 4}
-	res, err := RunConv(gpu.RTX2070(), Ours(), p, nil, nil, 1, true, false)
+	res, err := RunConvWith(gpu.RTX2070(), Ours(), p, ConvOpts{SampleBlocks: 1, MainLoopOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

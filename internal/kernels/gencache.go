@@ -2,54 +2,26 @@ package kernels
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cubin"
+	"repro/internal/sched"
 )
 
 // Generation cache. Emitting and assembling a fused main kernel is pure
 // CPU work that depends only on (Config, Problem, mainLoopOnly), yet the
-// sequential harness used to redo it inside every RunConvSampled call —
-// once per sampled wave configuration, per experiment. The cache computes
-// each distinct kernel exactly once and is safe for concurrent use: the
-// first caller of a key generates while later callers of the same key
-// wait on its entry (singleflight), so no kernel is ever assembled twice
-// even under a concurrent job runner.
+// sequential harness used to redo it for every sampled simulation — once
+// per sampled wave configuration, per experiment. The cache computes
+// each distinct kernel exactly once and is safe for concurrent use: it is
+// a sched.Flight, so the first caller of a key generates while later
+// callers of the same key wait on its entry, and no kernel is ever
+// assembled twice even under a concurrent job runner.
 //
 // Cached kernels are shared across callers and goroutines; callers must
 // treat the returned *cubin.Kernel as read-only (the simulator does:
 // Launch decodes the code into a fresh instruction slice per launch).
 // Entries are never evicted — the key space is bounded by the sweep's
 // distinct (config, problem) pairs, a few hundred small kernels at most.
-type genEntry struct {
-	done chan struct{}
-	k    *cubin.Kernel
-	err  error
-}
-
-var genCache = struct {
-	sync.Mutex
-	m        map[string]*genEntry
-	computed int64 // distinct keys actually generated (for tests/metrics)
-}{m: map[string]*genEntry{}}
-
-func genCached(key string, raw func() (*cubin.Kernel, error)) (*cubin.Kernel, error) {
-	genCache.Lock()
-	if e, ok := genCache.m[key]; ok {
-		genCache.Unlock()
-		<-e.done
-		return e.k, e.err
-	}
-	e := &genEntry{done: make(chan struct{})}
-	genCache.m[key] = e
-	genCache.Unlock()
-
-	e.k, e.err = raw()
-	atomic.AddInt64(&genCache.computed, 1)
-	close(e.done)
-	return e.k, e.err
-}
+var genCache sched.Flight[*cubin.Kernel]
 
 // Generate returns the fused Winograd kernel for one problem shape (the
 // generator specializes all strides as immediates, as the paper's
@@ -62,7 +34,7 @@ func genCached(key string, raw func() (*cubin.Kernel, error)) (*cubin.Kernel, er
 // as read-only. Generate is safe for concurrent use.
 func Generate(cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
 	key := fmt.Sprintf("main|%s|%s|loop%t", cfg.Key(), p.Key(), mainLoopOnly)
-	return genCached(key, func() (*cubin.Kernel, error) { return generate(cfg, p, mainLoopOnly) })
+	return genCache.Do(key, func() (*cubin.Kernel, error) { return generate(cfg, p, mainLoopOnly) })
 }
 
 // GenerateFTF returns the filter-transform kernel for K output channels
@@ -70,12 +42,12 @@ func Generate(cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
 // the returned kernel is shared and must be treated as read-only.
 // GenerateFTF is safe for concurrent use.
 func GenerateFTF(k int) (*cubin.Kernel, error) {
-	return genCached(fmt.Sprintf("ftf|k%d", k), func() (*cubin.Kernel, error) { return generateFTF(k) })
+	return genCache.Do(fmt.Sprintf("ftf|k%d", k), func() (*cubin.Kernel, error) { return generateFTF(k) })
 }
 
 // GeneratedKernels reports how many distinct kernels have been generated
-// process-wide — the denominator for cache-effectiveness checks in tests
-// and the runner's stats output.
+// (or are being generated) process-wide — the denominator for
+// cache-effectiveness checks in tests and the runner's stats output.
 func GeneratedKernels() int64 {
-	return atomic.LoadInt64(&genCache.computed)
+	return int64(genCache.Len())
 }

@@ -31,7 +31,8 @@ func HashKernel(k *cubin.Kernel) string {
 }
 
 // srcHashCache memoizes SourceHash per generation key; the underlying
-// kernels are already memoized (genCache), this just skips re-hashing.
+// kernels are already memoized (genCache, a sched.Flight), this just
+// skips re-hashing.
 var srcHashCache sync.Map // generation key -> hash string
 
 // SourceHash returns the content hash of the generated fused kernel for

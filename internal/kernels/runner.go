@@ -53,44 +53,15 @@ type ConvOpts struct {
 	Sim SimOpts
 }
 
-// RunConvSampled is a timing-only convenience: it samples `sampleBlocks`
-// main-kernel blocks on one SM, sequentially (hot=true: maximal L2 reuse,
-// the compute-bound steady state) or strided across the grid (hot=false:
-// the L2 locality one SM of a fully loaded device sees).
-func RunConvSampled(dev gpu.Device, cfg Config, p Problem, sampleBlocks int, mainLoopOnly, hot bool) (*ConvResult, error) {
-	return RunConvWith(dev, cfg, p, ConvOpts{SampleBlocks: sampleBlocks, MainLoopOnly: mainLoopOnly, Hot: hot})
-}
-
-// RunConvSampledProfiled is RunConvSampled with a profiler attached to
-// the simulator: prof collects one LaunchProfile for the filter
-// transform and one for the main kernel (in launch order). A nil prof
-// is identical to RunConvSampled.
-func RunConvSampledProfiled(dev gpu.Device, cfg Config, p Problem, sampleBlocks int, mainLoopOnly, hot bool, prof *gpu.Profiler) (*ConvResult, error) {
-	return RunConvWith(dev, cfg, p, ConvOpts{SampleBlocks: sampleBlocks, MainLoopOnly: mainLoopOnly, Hot: hot, Prof: prof})
-}
-
-// RunConv executes the full Winograd convolution (filter-transform kernel
+// RunConvWith executes the Winograd convolution (filter-transform kernel
 // followed by the fused main kernel) on a fresh simulator for dev, and
-// returns the output with launch metrics. The input must be CHWN and the
-// filter CRSK with shapes matching p; pad is fixed at 1, stride at 1.
-//
-// sampleBlocks > 0 simulates only that many main-kernel blocks on one SM
-// (a timing sample; no output is returned). mainLoopOnly trims the output
-// transform, matching the paper's "main loop" measurements.
-func RunConv(dev gpu.Device, cfg Config, p Problem, in, flt *tensor.Tensor,
-	sampleBlocks int, mainLoopOnly bool, hazardCheck bool) (*ConvResult, error) {
-	return RunConvWith(dev, cfg, p, ConvOpts{
-		In: in, Flt: flt, SampleBlocks: sampleBlocks,
-		MainLoopOnly: mainLoopOnly, HazardCheck: hazardCheck,
-	})
-}
-
-// RunConvWith is the fully general conv entry point. It is safe for
-// concurrent calls: every invocation allocates its own gpu.Sim (device
-// memory, allocator, L2 model) and its own buffers, so independent
-// simulations never share mutable state. The generated kernels come from
-// the process-wide generation cache and are shared read-only (see
-// gencache.go).
+// returns the output with launch metrics; pad is fixed at 1, stride at 1.
+// It is the one conv entry point — every option is a ConvOpts field. It
+// is safe for concurrent calls: every invocation allocates its own
+// gpu.Sim (device memory, allocator, L2 model) and its own buffers, so
+// independent simulations never share mutable state. The generated
+// kernels come from the process-wide generation cache and are shared
+// read-only (see gencache.go).
 //
 // Full-grid runs (SampleBlocks == 0) launch Sharded: the whole-device
 // simulation is split SM-by-SM across Sim.Workers goroutines with

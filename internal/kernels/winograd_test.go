@@ -20,7 +20,7 @@ func runAndCompare(t *testing.T, cfg Config, p Problem, dev gpu.Device) *ConvRes
 	flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: p.K, C: p.C, R: 3, S: 3})
 	flt.FillRandom(102)
 
-	res, err := RunConv(dev, cfg, p, in, flt, 0, false, true)
+	res, err := RunConvWith(dev, cfg, p, ConvOpts{In: in, Flt: flt, HazardCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestOursOccupancyMatchesTable7(t *testing.T) {
 
 func TestMainLoopOnlySampling(t *testing.T) {
 	p := Problem{C: 16, K: 64, N: 32, H: 4, W: 4}
-	res, err := RunConv(gpu.RTX2070(), Ours(), p, nil, nil, 1, true, false)
+	res, err := RunConvWith(gpu.RTX2070(), Ours(), p, ConvOpts{SampleBlocks: 1, MainLoopOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,6 @@ func Benchmarks() []Benchmark {
 		{CalibrationName, benchCalibrate},
 		{"sim/mainloop", benchSimMainLoop},
 		{"sim/mainloop-prof", benchSimMainLoopProf},
-		{"sim/fullconv", benchSimFullConv},
 		{"sim/switch", benchSimSwitch},
 		{"sim/threaded", benchSimThreaded},
 		{"sim/parallel", benchSimParallel},
@@ -137,7 +136,9 @@ func benchSimMainLoop(b *testing.B) {
 	var instrs, cycles float64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		res, err := kernels.RunConvSampled(gpu.RTX2070(), kernels.Ours(), perfProblem, 1, true, true)
+		res, err := kernels.RunConvWith(gpu.RTX2070(), kernels.Ours(), perfProblem, kernels.ConvOpts{
+			SampleBlocks: 1, MainLoopOnly: true, Hot: true,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +161,9 @@ func benchSimMainLoopProf(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := gpu.NewProfiler()
-		res, err := kernels.RunConvSampledProfiled(gpu.RTX2070(), kernels.Ours(), perfProblem, 1, true, true, p)
+		res, err := kernels.RunConvWith(gpu.RTX2070(), kernels.Ours(), perfProblem, kernels.ConvOpts{
+			SampleBlocks: 1, MainLoopOnly: true, Hot: true, Prof: p,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -170,28 +173,12 @@ func benchSimMainLoopProf(b *testing.B) {
 	}
 }
 
-// benchSimFullConv measures a full functional convolution (filter
-// transform + main kernel over the whole grid, output read back), the
-// path the differential tests and Table 5 correctness checks use.
-func benchSimFullConv(b *testing.B) {
-	p := perfProblem
-	in := tensor.NewImage(tensor.CHWN, tensor.Shape4{N: p.N, C: p.C, H: p.H, W: p.W})
-	in.FillRandom(1)
-	flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: p.K, C: p.C, R: 3, S: 3})
-	flt.FillRandom(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := kernels.RunConv(gpu.RTX2070(), kernels.Ours(), p, in, flt, 0, false, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchFullConvWith is benchSimFullConv pinned to one execution engine,
-// so one report carries the oracle, the single-worker interpreter, and
-// the parallel path side by side — measured together on one machine,
-// which is the only way their ratio is meaningful.
+// benchFullConvWith measures a full functional convolution (filter
+// transform + main kernel over the whole grid, output read back) pinned
+// to one execution engine, so one report carries the oracle, the
+// single-worker interpreter, and the parallel path side by side —
+// measured together on one machine, which is the only way their ratio is
+// meaningful.
 func benchFullConvWith(b *testing.B, sim kernels.SimOpts) {
 	p := perfProblem
 	in := tensor.NewImage(tensor.CHWN, tensor.Shape4{N: p.N, C: p.C, H: p.H, W: p.W})

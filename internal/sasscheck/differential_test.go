@@ -113,7 +113,7 @@ func TestDifferentialBroken(t *testing.T) {
 
 // TestDifferentialCleanKernels runs the generated kernels end to end
 // with the dynamic hazard checker enabled: zero violations, matching
-// the zero static diagnostics the lint tests assert. RunConv fails on
+// the zero static diagnostics the lint tests assert. RunConvWith fails on
 // any hazard, so success is the assertion.
 func TestDifferentialCleanKernels(t *testing.T) {
 	if testing.Short() {
@@ -121,7 +121,7 @@ func TestDifferentialCleanKernels(t *testing.T) {
 	}
 	p := kernels.Problem{C: 16, K: 64, N: 32, H: 4, W: 4}
 	for _, cfg := range []kernels.Config{kernels.Ours(), kernels.CuDNNLike()} {
-		if _, err := kernels.RunConv(gpu.RTX2070(), cfg, p, nil, nil, 2, false, true); err != nil {
+		if _, err := kernels.RunConvWith(gpu.RTX2070(), cfg, p, kernels.ConvOpts{SampleBlocks: 2, HazardCheck: true}); err != nil {
 			t.Errorf("bk%d: %v", cfg.BK, err)
 		}
 	}

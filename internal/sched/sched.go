@@ -1,8 +1,8 @@
 // Package sched is the caching singleflight shared by the benchmark job
-// runner (internal/bench) and the batched inference service
-// (internal/serve): it deduplicates expensive keyed computations. It was
-// factored out of internal/bench's job-graph machinery so the bench CLI
-// and the server consume one implementation.
+// runner (internal/bench), the batched inference service (internal/serve)
+// and the kernel-generation cache (internal/kernels): it deduplicates
+// expensive keyed computations. It was factored out of internal/bench's
+// job-graph machinery so all three consume one implementation.
 package sched
 
 import (
