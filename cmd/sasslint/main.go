@@ -1,13 +1,15 @@
 // sasslint statically verifies SASS kernels against the scheduling
 // contract the paper's generator encodes: control-code ranges, stall
 // and dependency-barrier hazard coverage, register bank conflicts and
-// reuse-flag validity, shared-memory bank conflicts, and resource
-// ceilings (internal/sasscheck). On top of the per-instruction rules it
-// runs the whole-block verifier: an abstract interpretation of the
-// kernel proving shared-memory race freedom, bounds safety, and barrier
-// convergence on every path. It runs between the assembler and the
-// simulator: anything it reports, the simulator's dynamic checkers
-// (HazardCheck, SmemOracle) could observe on some schedule.
+// reuse-flag validity, and resource ceilings (internal/sasscheck). On
+// top of the per-instruction rules it runs the whole-block verifier: an
+// abstract interpretation of the kernel that derives every warp's
+// shared-memory addresses from the instruction stream and proves race
+// freedom, bounds safety, barrier convergence, and freedom from
+// unexempted bank conflicts on every path. It runs between the
+// assembler and the simulator: anything it reports, the simulator's
+// dynamic checkers (HazardCheck, SmemOracle) could observe on some
+// schedule.
 //
 // Usage:
 //
@@ -19,8 +21,7 @@
 //	sasslint -list                       list the rule catalogue
 //
 // With -gen and no -ftf/-gemm, the main convolution kernel for the
-// given scheduling knobs is generated, linted, and its shared-memory
-// access patterns verified against the 32-bank model. -rules takes a
+// given scheduling knobs is generated and linted. -rules takes a
 // comma-separated list of rule IDs from -list; unknown IDs are
 // rejected. Exit status: 0 clean, 1 diagnostics reported, 2 usage or
 // assembly failure.
@@ -32,6 +33,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cubin"
 	"repro/internal/kernels"
 	"repro/internal/sasscheck"
 	"repro/internal/turingas"
@@ -131,9 +133,23 @@ func report(name string, ds []sasscheck.Diag) int {
 	return n
 }
 
-// lintFile assembles one .sass source file and checks every kernel in
-// the resulting module: the per-instruction rules plus the whole-block
-// verifier at the given block size.
+// lintKernel checks one kernel with the per-instruction rules and the
+// whole-block verifier at the given block size, and reports the
+// findings under name.
+func lintKernel(name string, k *cubin.Kernel, threads int) int {
+	ds, err := sasscheck.CheckKernel(k)
+	if err != nil {
+		fatal(err)
+	}
+	vds, err := sasscheck.VerifyKernel(k, sasscheck.VerifyOpts{Threads: threads})
+	if err != nil {
+		fatal(err)
+	}
+	return report(name, append(ds, vds...))
+}
+
+// lintFile assembles one .sass source file and lints every kernel in
+// the resulting module at the given block size.
 func lintFile(path string, block int) int {
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -146,22 +162,12 @@ func lintFile(path string, block int) int {
 	n := 0
 	for i := range mod.Kernels {
 		k := &mod.Kernels[i]
-		ds, err := sasscheck.CheckKernel(k)
-		if err != nil {
-			fatal(err)
-		}
-		vds, err := sasscheck.VerifyKernel(k, sasscheck.VerifyOpts{Threads: block})
-		if err != nil {
-			fatal(err)
-		}
-		n += report(fmt.Sprintf("%s:%s", path, k.Name), append(ds, vds...))
+		n += lintKernel(fmt.Sprintf("%s:%s", path, k.Name), k, block)
 	}
 	return n
 }
 
-// lintGenerated generates the requested kernels and checks the
-// instruction stream, the whole-block verifier, and (for the main
-// kernel) the hand-enumerated shared-memory access patterns.
+// lintGenerated generates the requested kernels and lints each one.
 func lintGenerated(cfg kernels.Config, mainloop, odd, ftf, gemm bool) int {
 	n := 0
 	if ftf {
@@ -170,15 +176,7 @@ func lintGenerated(cfg kernels.Config, mainloop, odd, ftf, gemm bool) int {
 			if err != nil {
 				fatal(err)
 			}
-			ds, err := sasscheck.CheckKernel(kern)
-			if err != nil {
-				fatal(err)
-			}
-			vds, err := sasscheck.VerifyKernel(kern, sasscheck.VerifyOpts{Threads: kernels.FTFBlock(k)})
-			if err != nil {
-				fatal(err)
-			}
-			n += report(fmt.Sprintf("ftf(k=%d)", k), append(ds, vds...))
+			n += lintKernel(fmt.Sprintf("ftf(k=%d)", k), kern, kernels.FTFBlock(k))
 		}
 	}
 	if gemm {
@@ -186,15 +184,7 @@ func lintGenerated(cfg kernels.Config, mainloop, odd, ftf, gemm bool) int {
 		if err != nil {
 			fatal(err)
 		}
-		ds, err := sasscheck.CheckKernel(k)
-		if err != nil {
-			fatal(err)
-		}
-		vds, err := sasscheck.VerifyKernel(k, sasscheck.VerifyOpts{Threads: 256})
-		if err != nil {
-			fatal(err)
-		}
-		n += report("gemm", append(ds, vds...))
+		n += lintKernel("gemm", k, 256)
 	}
 	if ftf || gemm {
 		return n
@@ -210,21 +200,5 @@ func lintGenerated(cfg kernels.Config, mainloop, odd, ftf, gemm bool) int {
 	}
 	name := fmt.Sprintf("conv(bk=%d,yield=%d,ldg=%d,sts=%d,p2r=%v,mainloop=%v,odd=%v)",
 		cfg.BK, cfg.YieldEvery, cfg.LDGGap, cfg.STSGap, cfg.UseP2R, mainloop, odd)
-	ds, err := sasscheck.CheckKernel(k)
-	if err != nil {
-		fatal(err)
-	}
-	vds, err := sasscheck.VerifyKernel(k, sasscheck.VerifyOpts{Threads: 256})
-	if err != nil {
-		fatal(err)
-	}
-	n += report(name, append(ds, vds...))
-
-	accs := []sasscheck.SmemAccess{}
-	for _, sp := range kernels.SmemPatterns(cfg) {
-		accs = append(accs, sasscheck.SmemAccess{Desc: sp.Desc, Width: sp.Width,
-			Addrs: sp.Addrs, Active: sp.Active, AllowConflicts: sp.AllowConflicts})
-	}
-	n += report(name+" smem", sasscheck.CheckSmem(accs))
-	return n
+	return n + lintKernel(name, k, 256)
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -100,15 +99,6 @@ func (r *Runner) workers() int {
 // the cache fills it on demand, serialized into the render phase — it
 // just forgoes the parallelism.
 func (r *Runner) Run(exps []Experiment) ([]ExperimentResult, *RunStats, error) {
-	return r.RunCtx(context.Background(), exps)
-}
-
-// RunCtx is Run with cooperative cancellation: cancelling ctx stops the
-// prefetch from claiming new jobs, lets in-flight simulations finish
-// (draining, not abandoning, the worker pool), and returns ctx.Err()
-// without rendering. The lowest-index job error still wins over a
-// cancellation that races it, matching par.ForErrCtx.
-func (r *Runner) RunCtx(ctx context.Context, exps []Experiment) ([]ExperimentResult, *RunStats, error) {
 	c := r.Ctx
 	stats := &RunStats{Workers: r.workers()}
 
@@ -133,12 +123,12 @@ func (r *Runner) RunCtx(ctx context.Context, exps []Experiment) ([]ExperimentRes
 	stats.Unique = len(jobs)
 
 	// Phase 1: simulate every unique job across the worker pool. The
-	// lowest-index error wins deterministically; par.ForErrCtx drains the
-	// remaining jobs on error or cancellation.
+	// lowest-index error wins deterministically; par.ForErr drains the
+	// remaining jobs on error.
 	stats.Jobs = make([]JobTiming, len(jobs))
 	var mu sync.Mutex
 	start := time.Now()
-	err := par.ForErrCtx(ctx, len(jobs), r.workers(), func(i int) error {
+	err := par.ForErr(len(jobs), r.workers(), func(i int) error {
 		js := time.Now()
 		_, serr := c.sample(jobs[i])
 		t := JobTiming{Key: jobs[i].Key(c.waves()), Elapsed: time.Since(js)}

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -76,65 +74,6 @@ func TestRunnerErrorMidPrefetchNoLeak(t *testing.T) {
 			buf := make([]byte, 1<<20)
 			n := runtime.Stack(buf, true)
 			t.Fatalf("goroutines leaked after Run returned: %d > baseline %d\n%s",
-				runtime.NumGoroutine(), baseline, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestRunnerCancelMidPrefetchNoLeak cancels a concurrent prefetch from
-// the outside: the context is cancelled while real simulations are in
-// flight. RunCtx must stop claiming jobs, let the in-flight simulations
-// finish (drain, not abandon), return ctx.Err() without rendering, and
-// leave no goroutine behind — the shutdown path the inference server
-// relies on.
-func TestRunnerCancelMidPrefetchNoLeak(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-
-	mk := func(n int, h int) Job {
-		return Job{
-			Dev: gpu.RTX2070(), Cfg: kernels.Ours(),
-			P:        kernels.Problem{C: 64, K: 64, N: n, H: h, W: h},
-			MainOnly: true, Hot: true,
-		}
-	}
-	jobs := []Job{mk(32, 8), mk(64, 8), mk(96, 8), mk(128, 8), mk(32, 10), mk(64, 10), mk(96, 10), mk(128, 10)}
-
-	rendered := false
-	exp := Experiment{
-		ID: "cancelled", Title: "cancel mid-prefetch",
-		Jobs: func(*Ctx) []Job { return jobs },
-		Run: func(*Ctx) (*Table, error) {
-			rendered = true
-			return nil, nil
-		},
-	}
-
-	// Cancel shortly after the workers have picked up their first
-	// simulations; the prefetch then stops claiming and drains.
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	runner := &Runner{Ctx: NewCtx(), Workers: 4}
-	_, _, err := runner.RunCtx(ctx, []Experiment{exp})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx returned %v, want context.Canceled", err)
-	}
-	if rendered {
-		t.Fatal("render phase ran despite cancellation")
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if runtime.NumGoroutine() <= baseline {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked after cancelled RunCtx returned: %d > baseline %d\n%s",
 				runtime.NumGoroutine(), baseline, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -68,12 +68,13 @@ func (o *SmemOracle) Reset() {
 }
 
 // Records returns a copy of the access log in (block, phase, pc, warp,
-// lane) order.
+// lane) order; repeated executions of one lane at one pc within a phase
+// keep their execution order.
 func (o *SmemOracle) Records() []OracleRecord {
 	o.mu.Lock()
 	rs := append([]OracleRecord(nil), o.records...)
 	o.mu.Unlock()
-	sort.Slice(rs, func(i, j int) bool {
+	sort.SliceStable(rs, func(i, j int) bool {
 		a, b := rs[i], rs[j]
 		if a.Block != b.Block {
 			return a.Block < b.Block

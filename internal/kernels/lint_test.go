@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
-	"repro/internal/sass"
 	"repro/internal/sasscheck"
 )
 
@@ -95,74 +94,4 @@ func TestGeneratedKernelsLintClean(t *testing.T) {
 			t.Errorf("%s", d)
 		}
 	})
-}
-
-func toAccesses(ps []kernels.SmemPattern) []sasscheck.SmemAccess {
-	accs := make([]sasscheck.SmemAccess, len(ps))
-	for i, p := range ps {
-		accs[i] = sasscheck.SmemAccess{Desc: p.Desc, Width: p.Width,
-			Addrs: p.Addrs, Active: p.Active, AllowConflicts: p.AllowConflicts}
-	}
-	return accs
-}
-
-// TestSmemLayoutsConflictFree proves the Figure-3 fragment layout and
-// the Figure-5 padded transpose bank-clean for both blockings: every
-// pattern the generator's address arithmetic produces services without
-// conflict cycles, except the epilogue scatter, whose two-way conflicts
-// are the documented DESIGN.md deviation — asserted present so the
-// AllowConflicts flag stays honest.
-func TestSmemLayoutsConflictFree(t *testing.T) {
-	for _, cfg := range []kernels.Config{kernels.Ours(), kernels.CuDNNLike()} {
-		ps := kernels.SmemPatterns(cfg)
-		if len(ps) == 0 {
-			t.Fatalf("bk%d: no patterns", cfg.BK)
-		}
-		if ds := sasscheck.CheckSmem(toAccesses(ps)); len(ds) != 0 {
-			for _, d := range ds {
-				t.Errorf("bk%d: %s", cfg.BK, d)
-			}
-		}
-		// The scatter's tolerated conflicts must actually exist: if the
-		// layout ever becomes conflict-free, the AllowConflicts carve-out
-		// (and the DESIGN.md deviation note) should be deleted.
-		scatter := 0
-		accs := toAccesses(ps)
-		for i := range accs {
-			if accs[i].AllowConflicts {
-				accs[i].AllowConflicts = false
-				scatter++
-			}
-		}
-		if scatter == 0 {
-			t.Fatalf("bk%d: no scatter patterns marked AllowConflicts", cfg.BK)
-		}
-		if ds := sasscheck.CheckSmem(accs); len(ds) == 0 {
-			t.Errorf("bk%d: scatter stores lint clean; drop AllowConflicts and the DESIGN.md deviation", cfg.BK)
-		}
-	}
-}
-
-// TestUnpaddedTransposeConflicts is the negative control for the
-// Figure-5 rule: reading a column of the round buffer without the +1
-// row padding serializes all 32 lanes on one bank, and the checker must
-// say so. The padded version of the same access is clean.
-func TestUnpaddedTransposeConflicts(t *testing.T) {
-	mkCol := func(rowWords int) sasscheck.SmemAccess {
-		a := sasscheck.SmemAccess{
-			Desc:  fmt.Sprintf("column read, %d-word rows", rowWords),
-			Width: sass.W32,
-		}
-		for l := 0; l < 32; l++ {
-			a.Addrs[l] = uint32(l * rowWords * 4)
-			a.Active[l] = true
-		}
-		return a
-	}
-	if ds := sasscheck.CheckSmem([]sasscheck.SmemAccess{mkCol(32)}); len(ds) != 1 {
-		t.Errorf("unpadded column read not flagged: %v", ds)
-	}
-	if ds := sasscheck.CheckSmem([]sasscheck.SmemAccess{mkCol(33)}); len(ds) != 0 {
-		t.Errorf("padded column read flagged: %v", ds)
-	}
 }

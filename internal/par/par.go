@@ -4,7 +4,6 @@
 package par
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,16 +57,6 @@ func For(n, workers int, f func(i int)) {
 // byte-determinism contract of the harnesses built on top. With no
 // failures it returns nil after every index has run exactly once.
 func ForErr(n, workers int, f func(i int) error) error {
-	return ForErrCtx(context.Background(), n, workers, f)
-}
-
-// ForErrCtx is ForErr with cooperative cancellation: when ctx is
-// cancelled, workers stop claiming new indices, in-flight calls finish,
-// and ForErrCtx returns ctx.Err() — unless some f call also failed, in
-// which case the lowest-index error still wins (cancellation is the
-// weakest outcome, reported only when no call failed). Shutdown paths use
-// this to drain a job queue instead of abandoning goroutines mid-call.
-func ForErrCtx(ctx context.Context, n, workers int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -79,9 +68,6 @@ func ForErrCtx(ctx context.Context, n, workers int, f func(i int) error) error {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			if err := f(i); err != nil {
 				return err
 			}
@@ -96,17 +82,11 @@ func ForErrCtx(ctx context.Context, n, workers int, f func(i int) error) error {
 		first    error
 		wg       sync.WaitGroup
 	)
-	done := ctx.Done()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for atomic.LoadInt32(&stopped) == 0 {
-				select {
-				case <-done:
-					return
-				default:
-				}
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= n {
 					return
@@ -128,8 +108,5 @@ func ForErrCtx(ctx context.Context, n, workers int, f func(i int) error) error {
 		}()
 	}
 	wg.Wait()
-	if first != nil {
-		return first
-	}
-	return ctx.Err()
+	return first
 }

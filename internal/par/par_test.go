@@ -1,7 +1,6 @@
 package par
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -154,68 +153,5 @@ func TestForErrLowestIndexWins(t *testing.T) {
 				t.Fatalf("workers=%d rep=%d: index 7 ran %d times", workers, rep, ran7)
 			}
 		}
-	}
-}
-
-func TestForErrCtxCancelDrains(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started, finished int64
-	release := make(chan struct{})
-	go func() {
-		// Cancel once work is in flight, then let the in-flight calls run
-		// to completion: drain semantics, not abandonment.
-		for atomic.LoadInt64(&started) < 4 {
-			time.Sleep(time.Millisecond)
-		}
-		cancel()
-		close(release)
-	}()
-	err := ForErrCtx(ctx, 1000, 4, func(i int) error {
-		atomic.AddInt64(&started, 1)
-		<-release
-		atomic.AddInt64(&finished, 1)
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	if s, f := atomic.LoadInt64(&started), atomic.LoadInt64(&finished); s != f {
-		t.Fatalf("started %d calls but only %d finished: in-flight work abandoned", s, f)
-	}
-	if s := atomic.LoadInt64(&started); s >= 1000 {
-		t.Fatalf("all %d indices ran despite cancellation", s)
-	}
-}
-
-func TestForErrCtxErrorBeatsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	sentinel := errors.New("boom")
-	err := ForErrCtx(ctx, 100, 4, func(i int) error {
-		if i == 3 {
-			cancel() // cancel and fail on the same call
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("error = %v, want the f error to win over cancellation", err)
-	}
-}
-
-func TestForErrCtxSequentialCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls int
-	err := ForErrCtx(ctx, 100, 1, func(i int) error {
-		calls++
-		if i == 3 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("error = %v, want context.Canceled", err)
-	}
-	if calls != 4 {
-		t.Fatalf("sequential run made %d calls after cancel at index 3, want 4", calls)
 	}
 }

@@ -42,49 +42,9 @@ type VerifyOpts struct {
 	NoExemptions bool
 }
 
-// AccessPattern is one distinct per-warp shared-memory access the
-// interpreter derived: the same shape as SmemAccess, plus provenance.
-// The kernels package cross-checks these against its hand-enumerated
-// SmemPatterns.
-type AccessPattern struct {
-	PC     int
-	Write  bool
-	Width  sass.MemWidth
-	Warp   int
-	Addrs  [32]uint32
-	Active [32]bool
-}
-
-// VerifyResult carries the diagnostics plus the derived access patterns.
-type VerifyResult struct {
-	Diags []Diag
-	// Patterns holds every distinct exact per-warp access observed, in
-	// deterministic order (pc, then warp).
-	Patterns []AccessPattern
-}
-
-// Verify runs the race/bounds/divergence verifier over an instruction
-// stream. A nil result means every path is proven clean.
+// Verify runs the race/bounds/divergence/bank-conflict verifier over
+// an instruction stream. A nil result means every path is proven clean.
 func Verify(insts []sass.Inst, opts VerifyOpts) []Diag {
-	return VerifyFull(insts, opts).Diags
-}
-
-// VerifyKernel verifies an assembled kernel, taking the declared
-// shared-memory size from its metadata when the caller leaves
-// opts.SmemBytes zero.
-func VerifyKernel(k *cubin.Kernel, opts VerifyOpts) ([]Diag, error) {
-	insts, err := k.Decode()
-	if err != nil {
-		return nil, fmt.Errorf("sasscheck: %s does not decode: %w", k.Name, err)
-	}
-	if opts.SmemBytes == 0 {
-		opts.SmemBytes = k.SmemBytes
-	}
-	return Verify(insts, opts), nil
-}
-
-// VerifyFull is Verify plus the derived access patterns.
-func VerifyFull(insts []sass.Inst, opts VerifyOpts) *VerifyResult {
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = 256
@@ -107,27 +67,30 @@ func VerifyFull(insts []sass.Inst, opts VerifyOpts) *VerifyResult {
 		widened:  map[int]*absState{},
 		seen:     map[int][]*absState{},
 		targets:  branchTargets(insts),
-		patterns: map[AccessPattern]bool{},
 	}
 	ai.run()
-	res := &VerifyResult{Diags: ai.diags}
-	for p := range ai.patterns {
-		res.Patterns = append(res.Patterns, p)
+	ds := ai.diags
+	sort.SliceStable(ds, func(i, j int) bool {
+		if ds[i].PC != ds[j].PC {
+			return ds[i].PC < ds[j].PC
+		}
+		return ds[i].Rule < ds[j].Rule
+	})
+	return ds
+}
+
+// VerifyKernel verifies an assembled kernel, taking the declared
+// shared-memory size from its metadata when the caller leaves
+// opts.SmemBytes zero.
+func VerifyKernel(k *cubin.Kernel, opts VerifyOpts) ([]Diag, error) {
+	insts, err := k.Decode()
+	if err != nil {
+		return nil, fmt.Errorf("sasscheck: %s does not decode: %w", k.Name, err)
 	}
-	sort.Slice(res.Patterns, func(i, j int) bool {
-		a, b := res.Patterns[i], res.Patterns[j]
-		if a.PC != b.PC {
-			return a.PC < b.PC
-		}
-		return a.Warp < b.Warp
-	})
-	sort.SliceStable(res.Diags, func(i, j int) bool {
-		if res.Diags[i].PC != res.Diags[j].PC {
-			return res.Diags[i].PC < res.Diags[j].PC
-		}
-		return res.Diags[i].Rule < res.Diags[j].Rule
-	})
-	return res
+	if opts.SmemBytes == 0 {
+		opts.SmemBytes = k.SmemBytes
+	}
+	return Verify(insts, opts), nil
 }
 
 // branchTargets returns the set of pcs that some BRA can jump to; every
@@ -237,7 +200,6 @@ type interp struct {
 	widened  map[int]*absState
 	seen     map[int][]*absState
 	targets  map[int]bool
-	patterns map[AccessPattern]bool
 }
 
 func (ai *interp) diag(d Diag) {

@@ -176,6 +176,32 @@ func TestVerifyNegatives(t *testing.T) {
 	}
 }
 
+// TestVerifyBankConflicts is the negative control for the derived
+// bank-conflict rule, the Figure-5 argument in miniature: a store at
+// tid*128 puts every lane of a warp on bank 0 and must be reported
+// exactly once, while the +1-word padded stride tid*132 spreads the
+// lanes over all 32 banks and verifies clean. Conflicts are Warn
+// findings, which is why this is not a TestVerifyNegatives case.
+func TestVerifyBankConflicts(t *testing.T) {
+	store := func(stride uint32) []sass.Inst {
+		return []sass.Inst{
+			mkInst(sass.OpS2R, func(in *sass.Inst) { in.Rd = 0; in.Imm = sass.SRTidX }),
+			mkInst(sass.OpIMAD, func(in *sass.Inst) { in.Rd = 1; in.Rs0 = 0; in.SrcMode = sass.SrcImm; in.Imm = stride }),
+			mkInst(sass.OpSTS, func(in *sass.Inst) { in.Rs0 = 1; in.Rs2 = 0 }),
+			mkInst(sass.OpEXIT, nil),
+		}
+	}
+	opts := sasscheck.VerifyOpts{Threads: 64, SmemBytes: 16384}
+
+	ds := sasscheck.Verify(store(128), opts)
+	if len(ds) != 1 || ds[0].Rule != "smem-conflict" || ds[0].Sev != sasscheck.Warn || ds[0].PC != 2 {
+		t.Fatalf("unpadded stride: want one smem-conflict warning at pc 2, got %v", ds)
+	}
+	if ds := sasscheck.Verify(store(132), opts); len(ds) != 0 {
+		t.Fatalf("padded stride: want clean, got %v", ds)
+	}
+}
+
 // TestVerifyRaceDedup pins the diagnostic granularity: one smem-race
 // per instruction pair, not one per overlapping byte range.
 func TestVerifyRaceDedup(t *testing.T) {

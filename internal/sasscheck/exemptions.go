@@ -7,18 +7,16 @@ import "repro/internal/sass"
 // the finding is a documented trade rather than a bug, and a predicate
 // precise enough that an is-still-needed test can prove the exemption
 // is load-bearing (stripping it must re-surface the diagnostic). This
-// mirrors the SmemPatterns discipline: AllowConflicts there is asserted
-// per enumerated pattern; Exemptions here is asserted per derived
-// pattern.
+// list is the only place in the repository that tolerates a bank
+// conflict.
 //
 // Race, bounds, and divergence findings have no exemptions: the
 // generated kernels verify clean outright (the epilogue scatter's
 // byte-disjoint writes and barrier-separated read/write rounds need no
 // waiver). The only tolerated finding class is the derived bank
-// conflict on the epilogue scatter stores, the same trade CheckSmem
-// documents (DESIGN.md §5): scattering transposed outputs costs 2-way
-// conflicts once per tile and buys conflict-free gathers everywhere
-// else.
+// conflict on the epilogue scatter stores (DESIGN.md §5): scattering
+// transposed outputs costs 2-way conflicts once per tile and buys
+// conflict-free gathers everywhere else.
 
 // Exemption is one tolerated finding class.
 type Exemption struct {

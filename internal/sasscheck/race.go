@@ -59,7 +59,6 @@ func (ai *interp) memAccess(s *absState, in *sass.Inst, g absPred, pc int, write
 	ai.checkBounds(pc, in, addr, active, width)
 	if addr.exact() {
 		ai.checkConflicts(pc, in, addr, active)
-		ai.recordPatterns(pc, in, addr, active, write)
 	}
 	s.log = append(s.log, intervalAccess{pc: pc, write: write, width: width, addr: addr, active: active})
 }
@@ -93,10 +92,11 @@ func (ai *interp) checkBounds(pc int, in *sass.Inst, addr absVal, active []bool,
 }
 
 // checkConflicts prices each warp's derived access pattern with the
-// 32-bank phase model and reports conflicts that the exemption list
-// (exemptions.go) does not cover. This is the same model CheckSmem
-// applies to hand-enumerated patterns, run instead on what the
-// interpreter proved the kernel actually does.
+// simulator's 32-bank phase model (gpu.SmemAccessCost) and reports
+// conflicts that the exemption list (exemptions.go) does not cover. It
+// is the repository's only static bank-conflict check: every exact
+// LDS/STS address of every warp comes through here, and a non-exact
+// one has already been reported as absint-limit.
 func (ai *interp) checkConflicts(pc int, in *sass.Inst, addr absVal, active []bool) {
 	for w := 0; w*32 < ai.threads; w++ {
 		var addrs [32]uint32
@@ -126,27 +126,6 @@ func (ai *interp) checkConflicts(pc int, in *sass.Inst, addr absVal, active []bo
 				in.Op, w, conflict, cycles-conflict),
 			Hint: "pad the leading dimension or swizzle the layout so each phase's lanes hit distinct banks (Figures 3 and 5)"})
 		return
-	}
-}
-
-// recordPatterns stores the distinct per-warp access shapes for the
-// SmemPatterns cross-check.
-func (ai *interp) recordPatterns(pc int, in *sass.Inst, addr absVal, active []bool, write bool) {
-	for w := 0; w*32 < ai.threads; w++ {
-		p := AccessPattern{PC: pc, Write: write, Width: in.Width, Warp: w}
-		any := false
-		for l := 0; l < 32; l++ {
-			t := w*32 + l
-			if t >= ai.threads || (active != nil && !active[t]) {
-				continue
-			}
-			p.Addrs[l] = addr.at(t)
-			p.Active[l] = true
-			any = true
-		}
-		if any {
-			ai.patterns[p] = true
-		}
 	}
 }
 

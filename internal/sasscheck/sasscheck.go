@@ -95,7 +95,6 @@ func Rules() []Rule {
 		{"reuse-flags", "reuse bits only on register source slots of ALU instructions", "Section 6.1"},
 		{"reuse-stale", "a latched reuse operand must not be overwritten by its own instruction", "Section 6.1"},
 		{"ffma-bank", "FP operand triples must not all read one 64-bit register bank", "Section 6.1, Figure 4"},
-		{"smem-bank", "shared-memory access patterns free of bank conflicts", "Section 4.3, Figures 3 and 5"},
 		{"smem-race", "no write-write or read-write shared-memory overlap between warps within one barrier interval", "Section 4.3, Figure 3 (verifier)"},
 		{"smem-bounds", "every STS/LDS stays inside the declared shared memory, aligned to its width", "Section 4.2 (verifier)"},
 		{"bar-divergent", "no BAR.SYNC reachable under divergent predication", "Section 5.2.1 (verifier)"},
@@ -106,9 +105,9 @@ func Rules() []Rule {
 
 // Check runs every instruction-stream rule over insts and returns the
 // diagnostics sorted by instruction index. A nil result means the
-// stream is clean. Shared-memory access patterns are not derivable from
-// the instruction stream (addresses are computed at run time); check
-// those separately with CheckSmem.
+// stream is clean. Shared-memory addresses live in registers, so bank
+// conflicts, races and bounds are proven by Verify, which derives them
+// from the instruction stream.
 func Check(insts []sass.Inst) []Diag {
 	var ds []Diag
 	emit := func(d Diag) { ds = append(ds, d) }
