@@ -134,8 +134,8 @@ func calibrateDevice(name string, o calibrateOpts) (out struct {
 func selectionSweep(dev gpu.Device) *bench.Table {
 	cache := tune.NewCache()
 	t := &bench.Table{
-		ID:    "calibrate-select",
-		Title: fmt.Sprintf("Per-layer algorithm selection from the analytic model (%s, N=32)", dev.Name),
+		ID:     "calibrate-select",
+		Title:  fmt.Sprintf("Per-layer algorithm selection from the analytic model (%s, N=32)", dev.Name),
 		Header: []string{"Layer", "algo", "fused (ms)", "gemm (ms)", "nonfused (ms)"},
 	}
 	for _, l := range bench.Layers() {

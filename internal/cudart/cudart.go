@@ -61,11 +61,11 @@ func (t *TCtx) SyncThreads() {
 type Kernel func(t *TCtx)
 
 type blockCtx struct {
-	shared []float32
-	ctaid  Dim3
-	mu     sync.Mutex
-	cond   *sync.Cond
-	live   int   // threads that have not yet returned or panicked
+	shared  []float32
+	ctaid   Dim3
+	mu      sync.Mutex
+	cond    *sync.Cond
+	live    int   // threads that have not yet returned or panicked
 	waiting []int // tids currently blocked in barrier, arrival order
 	phase   int
 	exited  []int // tids that returned normally, exit order

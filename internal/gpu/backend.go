@@ -9,8 +9,9 @@ import (
 
 // Backend selects the per-instruction execution engine behind the
 // simulator's scheduling model. The scheduler itself (warp selection,
-// stall classification, events) is one piece of code; the backend picks
-// only how the chosen warp's instruction executes, so both produce
+// stall classification, events) and the issue path are one piece of
+// code; the backend picks only the function that executes the chosen
+// warp's instruction, so both produce
 // bit-identical Metrics, memory contents, and profiles. The differential
 // tests in internal/kernels enforce that on every quick-sweep
 // configuration and on randomized kernels.
@@ -21,8 +22,10 @@ const (
 	// (threaded.go): per-pc handler chains with all metadata baked at
 	// decode time. The default.
 	BackendThreaded Backend = iota
-	// BackendSwitch is the original decode-dispatch interpreter
-	// (sim.go/exec.go), retained as the differential oracle.
+	// BackendSwitch runs every instruction through the per-lane
+	// reference warp.exec (exec.go) instead of the node's handler. It
+	// is the differential oracle for the handlers' fast paths, slower
+	// by design.
 	BackendSwitch
 )
 

@@ -20,8 +20,8 @@ import (
 var deviceFiles embed.FS
 
 var registry struct {
-	once sync.Once
-	mu   sync.Mutex
+	once   sync.Once
+	mu     sync.Mutex
 	byName map[string]Device
 }
 

@@ -160,19 +160,6 @@ func (w *warp) writeReg(r sass.Reg, lane int, v uint32) {
 	w.regs[r][lane] = v
 }
 
-// zeroRegs is the read-only lane image of RZ, so uniform fast paths can
-// treat every source as a plain array pointer. Never written.
-var zeroRegs [warpSize]uint32
-
-// srcPtr returns the lane array backing register r for reading (RZ reads
-// as the shared zero image).
-func (w *warp) srcPtr(r sass.Reg) *[warpSize]uint32 {
-	if r == sass.RZ {
-		return &zeroRegs
-	}
-	return &w.regs[r]
-}
-
 // operandB resolves the flexible b operand for one lane.
 func (w *warp) operandB(in *sass.Inst, lane int, consts []uint32) uint32 {
 	switch in.SrcMode {
@@ -189,30 +176,18 @@ func (w *warp) operandB(in *sass.Inst, lane int, consts []uint32) uint32 {
 	}
 }
 
-// scalarB resolves a lane-invariant b operand (immediate or constant).
-// Only valid when in.SrcMode != SrcReg.
-func scalarB(in *sass.Inst, consts []uint32) uint32 {
-	if in.SrcMode == sass.SrcImm {
-		return in.Imm
-	}
-	ofs := int(in.ConstOfs) / 4
-	if in.ConstBank != 0 || ofs >= len(consts) {
-		return 0
-	}
-	return consts[ofs]
-}
-
 // exec executes one instruction functionally across the warp and reports
 // its machine requirements. Memory instructions have their addresses
 // computed here; the data movement happens in the simulator so that the
 // MIO model can account for it first.
 //
-// The hot opcodes each have a fast path for the common shape — guard
-// predicate PT (mi.uniform), register or lane-invariant operands, a real
-// destination — that walks the lane arrays through direct pointers with
-// no per-lane predicate or RZ checks. The general path below each one is
-// the semantic reference; the fast paths compute bit-identical results
-// (FP expressions keep the exact a*b+c shape so rounding cannot change).
+// exec is the per-lane semantic reference: every case walks the lanes
+// through laneActive, readReg, operandB and writeReg, with no shape-
+// specialized shortcuts. The fast paths live only in the threaded
+// handlers (threaded.go); the switch backend runs every instruction
+// through exec, so the backend differential tests check those handlers
+// against this independent definition. mi is consulted only for the
+// uniform guard of EXIT and BRA.
 func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, error) {
 	var res execResult
 	switch in.Op {
@@ -241,30 +216,6 @@ func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, e
 	case sass.OpBAR:
 		res.barrier = true
 	case sass.OpFFMA:
-		if in.Rd == sass.RZ {
-			break // no architectural effect
-		}
-		if mi.uniform && !in.NegA && !in.NegB {
-			d := &w.regs[in.Rd]
-			ap, cp := w.srcPtr(in.Rs0), w.srcPtr(in.Rs2)
-			if in.SrcMode == sass.SrcReg {
-				bp := w.srcPtr(in.Rs1)
-				for l := 0; l < warpSize; l++ {
-					a := bitsToF32(ap[l])
-					b := bitsToF32(bp[l])
-					c := bitsToF32(cp[l])
-					d[l] = f32ToBits(a*b + c)
-				}
-			} else {
-				b := bitsToF32(scalarB(in, consts))
-				for l := 0; l < warpSize; l++ {
-					a := bitsToF32(ap[l])
-					c := bitsToF32(cp[l])
-					d[l] = f32ToBits(a*b + c)
-				}
-			}
-			break
-		}
 		for l := 0; l < warpSize; l++ {
 			if !w.laneActive(in, l) {
 				continue
@@ -275,17 +226,6 @@ func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, e
 			w.writeReg(in.Rd, l, f32ToBits(a*b+c))
 		}
 	case sass.OpFADD:
-		if in.Rd == sass.RZ {
-			break
-		}
-		if mi.uniform && !in.NegA && !in.NegB && in.SrcMode == sass.SrcReg {
-			d := &w.regs[in.Rd]
-			ap, bp := w.srcPtr(in.Rs0), w.srcPtr(in.Rs1)
-			for l := 0; l < warpSize; l++ {
-				d[l] = f32ToBits(bitsToF32(ap[l]) + bitsToF32(bp[l]))
-			}
-			break
-		}
 		for l := 0; l < warpSize; l++ {
 			if !w.laneActive(in, l) {
 				continue
@@ -293,17 +233,6 @@ func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, e
 			w.writeReg(in.Rd, l, f32ToBits(w.fpA(in, l)+w.fpB(in, l, consts)))
 		}
 	case sass.OpFMUL:
-		if in.Rd == sass.RZ {
-			break
-		}
-		if mi.uniform && !in.NegA && !in.NegB && in.SrcMode == sass.SrcReg {
-			d := &w.regs[in.Rd]
-			ap, bp := w.srcPtr(in.Rs0), w.srcPtr(in.Rs1)
-			for l := 0; l < warpSize; l++ {
-				d[l] = f32ToBits(bitsToF32(ap[l]) * bitsToF32(bp[l]))
-			}
-			break
-		}
 		for l := 0; l < warpSize; l++ {
 			if !w.laneActive(in, l) {
 				continue
@@ -311,21 +240,6 @@ func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, e
 			w.writeReg(in.Rd, l, f32ToBits(w.fpA(in, l)*w.fpB(in, l, consts)))
 		}
 	case sass.OpMOV:
-		if in.Rd == sass.RZ {
-			break
-		}
-		if mi.uniform {
-			d := &w.regs[in.Rd]
-			if in.SrcMode == sass.SrcReg {
-				*d = *w.srcPtr(in.Rs1)
-			} else {
-				v := scalarB(in, consts)
-				for l := 0; l < warpSize; l++ {
-					d[l] = v
-				}
-			}
-			break
-		}
 		for l := 0; l < warpSize; l++ {
 			if !w.laneActive(in, l) {
 				continue
@@ -333,25 +247,6 @@ func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, e
 			w.writeReg(in.Rd, l, w.operandB(in, l, consts))
 		}
 	case sass.OpIADD3:
-		if in.Rd == sass.RZ {
-			break
-		}
-		if mi.uniform {
-			d := &w.regs[in.Rd]
-			ap, cp := w.srcPtr(in.Rs0), w.srcPtr(in.Rs2)
-			if in.SrcMode == sass.SrcReg {
-				bp := w.srcPtr(in.Rs1)
-				for l := 0; l < warpSize; l++ {
-					d[l] = ap[l] + bp[l] + cp[l]
-				}
-			} else {
-				b := scalarB(in, consts)
-				for l := 0; l < warpSize; l++ {
-					d[l] = ap[l] + b + cp[l]
-				}
-			}
-			break
-		}
 		for l := 0; l < warpSize; l++ {
 			if !w.laneActive(in, l) {
 				continue
@@ -360,37 +255,6 @@ func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, e
 			w.writeReg(in.Rd, l, v)
 		}
 	case sass.OpIMAD:
-		if in.Rd == sass.RZ {
-			break
-		}
-		if mi.uniform {
-			d := &w.regs[in.Rd]
-			ap, cp := w.srcPtr(in.Rs0), w.srcPtr(in.Rs2)
-			if in.SrcMode == sass.SrcReg {
-				bp := w.srcPtr(in.Rs1)
-				if in.ShRight { // IMAD.HI
-					for l := 0; l < warpSize; l++ {
-						d[l] = uint32((uint64(ap[l])*uint64(bp[l]))>>32) + cp[l]
-					}
-				} else {
-					for l := 0; l < warpSize; l++ {
-						d[l] = ap[l]*bp[l] + cp[l]
-					}
-				}
-			} else {
-				b := scalarB(in, consts)
-				if in.ShRight {
-					for l := 0; l < warpSize; l++ {
-						d[l] = uint32((uint64(ap[l])*uint64(b))>>32) + cp[l]
-					}
-				} else {
-					for l := 0; l < warpSize; l++ {
-						d[l] = ap[l]*b + cp[l]
-					}
-				}
-			}
-			break
-		}
 		for l := 0; l < warpSize; l++ {
 			if !w.laneActive(in, l) {
 				continue
@@ -435,25 +299,6 @@ func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, e
 			}
 		}
 	case sass.OpLOP3:
-		if in.Rd == sass.RZ {
-			break
-		}
-		if mi.uniform {
-			d := &w.regs[in.Rd]
-			ap, cp := w.srcPtr(in.Rs0), w.srcPtr(in.Rs2)
-			if in.SrcMode == sass.SrcReg {
-				bp := w.srcPtr(in.Rs1)
-				for l := 0; l < warpSize; l++ {
-					d[l] = lop3(ap[l], bp[l], cp[l], in.Lut)
-				}
-			} else {
-				b := scalarB(in, consts)
-				for l := 0; l < warpSize; l++ {
-					d[l] = lop3(ap[l], b, cp[l], in.Lut)
-				}
-			}
-			break
-		}
 		for l := 0; l < warpSize; l++ {
 			if !w.laneActive(in, l) {
 				continue
@@ -544,24 +389,15 @@ func (w *warp) exec(in *sass.Inst, mi *instMeta, consts []uint32) (execResult, e
 		req.shared = in.Op == sass.OpLDS || in.Op == sass.OpSTS
 		req.load = in.Op == sass.OpLDG || in.Op == sass.OpLDS
 		req.any = false
-		if mi.uniform {
-			ap := w.srcPtr(in.Rs0)
-			for l := 0; l < warpSize; l++ {
-				req.addrs[l] = ap[l] + in.Imm
+		// The scratch is reused, so inactive lanes must be cleared
+		// explicitly.
+		for l := 0; l < warpSize; l++ {
+			if w.laneActive(in, l) {
+				req.addrs[l] = w.readReg(in.Rs0, l) + in.Imm
 				req.active[l] = true
-			}
-			req.any = true
-		} else {
-			// The scratch is reused, so inactive lanes must be cleared
-			// explicitly.
-			for l := 0; l < warpSize; l++ {
-				if w.laneActive(in, l) {
-					req.addrs[l] = w.readReg(in.Rs0, l) + in.Imm
-					req.active[l] = true
-					req.any = true
-				} else {
-					req.active[l] = false
-				}
+				req.any = true
+			} else {
+				req.active[l] = false
 			}
 		}
 		res.mem = req

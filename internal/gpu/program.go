@@ -7,7 +7,7 @@ import (
 	"repro/internal/sass"
 )
 
-// Instruction classes, precomputed per pc so the per-cycle issue path
+// Instruction classes, baked into each node so the per-cycle issue path
 // never re-derives them from the opcode.
 const (
 	classOther uint8 = iota // NOP, EXIT, BRA, BAR
@@ -16,24 +16,15 @@ const (
 	classMem                // LDG/STG/LDS/STS: MIO pipe
 )
 
-// instMeta is the per-instruction scheduling metadata the simulator
-// consults every issue cycle. It is computed once per kernel when the
-// program is decoded and shared read-only by every Sim that launches the
-// kernel, replacing the per-issue opcode switches and the per-exec
-// source/destination register recomputation (which allocated).
+// instMeta is the per-instruction metadata shared by the reference exec
+// and the hazard checker. It is computed once per kernel when the program
+// is decoded and shared read-only by every Sim that launches the kernel,
+// replacing the per-exec source/destination register recomputation
+// (which allocated).
 type instMeta struct {
-	class uint8
 	// uniform means the guard predicate is PT and not negated: every
 	// lane executes, so per-lane laneActive checks can be skipped.
 	uniform bool
-	// isLDG marks global loads, which need an MSHR in addition to a
-	// dispatch-queue slot.
-	isLDG bool
-	// isS2R marks special-register reads, the one classInt shape with its
-	// own latency-table entry. The latency itself lives on the Device (it
-	// varies per model), so the decoded program stays device-independent
-	// and the process-wide program cache can keep sharing it.
-	isS2R bool
 	// srcRegs/dstRegs are the distinct live register reads/writes, used
 	// by the hazard checker and the register sizing pass.
 	srcRegs []sass.Reg
@@ -59,9 +50,9 @@ type progBlock struct {
 // program.
 type node struct {
 	fn handlerFn
-	// Scheduling metadata (mirrors sass.Ctrl / instMeta, pre-extracted).
+	// Scheduling metadata, pre-extracted from the opcode and sass.Ctrl.
 	class    uint8
-	isLDG    bool
+	isLDG    bool // global load: holds an MSHR as well as a dispatch slot
 	isFFMA   bool
 	yield    bool
 	waitMask uint8
@@ -69,8 +60,11 @@ type node struct {
 	writeBar int8
 	readBar  int8
 	stall    int64 // max(Ctrl.Stall, 1)
-	isS2R    bool
-	braOfs   int // pc delta of a uniform BRA
+	// isS2R marks special-register reads, the one classInt shape with its
+	// own latency. The latency itself lives on the Device, so the decoded
+	// program stays device-independent and shareable.
+	isS2R  bool
+	braOfs int // pc delta of a uniform BRA
 	// mayBank gates the dynamic register-bank-conflict check: false when
 	// the static (no-reuse) live source set can never put three reads in
 	// one bank, which is exact because operand reuse only shrinks the set.
@@ -144,6 +138,12 @@ func buildProgram(k *cubin.Kernel) (*program, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newProgram(insts), nil
+}
+
+// newProgram analyzes a decoded instruction stream: per-pc metadata,
+// register sizing, the basic-block partition and the handler chains.
+func newProgram(insts []sass.Inst) *program {
 	p := &program{
 		insts:      insts,
 		meta:       make([]instMeta, len(insts)),
@@ -152,16 +152,6 @@ func buildProgram(k *cubin.Kernel) (*program, error) {
 	for i := range insts {
 		in := &insts[i]
 		mi := &p.meta[i]
-		switch {
-		case in.Op.IsMemory():
-			mi.class = classMem
-			mi.isLDG = in.Op == sass.OpLDG
-		case isFP(in.Op):
-			mi.class = classFP
-		case isInt(in.Op):
-			mi.class = classInt
-			mi.isS2R = in.Op == sass.OpS2R
-		}
 		mi.uniform = in.Pred == sass.PT && !in.PredNeg
 		mi.srcRegs = sourceRegs(in)
 		mi.dstRegs = destRegs(in)
@@ -178,7 +168,7 @@ func buildProgram(k *cubin.Kernel) (*program, error) {
 	}
 	buildBlocks(p)
 	buildNodes(p)
-	return p, nil
+	return p
 }
 
 // buildBlocks partitions the instruction stream into basic blocks:
@@ -221,8 +211,15 @@ func buildNodes(p *program) {
 		in := &p.insts[pc]
 		mi := &p.meta[pc]
 		nd := &p.nodes[pc]
-		nd.class = mi.class
-		nd.isLDG = mi.isLDG
+		switch {
+		case in.Op.IsMemory():
+			nd.class = classMem
+		case isFP(in.Op):
+			nd.class = classFP
+		case isInt(in.Op):
+			nd.class = classInt
+		}
+		nd.isLDG = in.Op == sass.OpLDG
 		nd.isFFMA = in.Op == sass.OpFFMA
 		nd.yield = in.Ctrl.Yield
 		nd.waitMask = in.Ctrl.WaitMask
@@ -233,11 +230,11 @@ func buildNodes(p *program) {
 		if nd.stall < 1 {
 			nd.stall = 1
 		}
-		nd.isS2R = mi.isS2R
+		nd.isS2R = in.Op == sass.OpS2R
 		if in.Op == sass.OpBRA {
 			nd.braOfs = int(int32(in.Imm))
 		}
-		if mi.class == classFP {
+		if nd.class == classFP {
 			nd.mayBank = mayBankConflict(in)
 		}
 		nd.reuseRegs = [3]sass.Reg{in.Rs0, in.Rs1, in.Rs2}

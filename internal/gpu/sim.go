@@ -50,8 +50,9 @@ type Sim struct {
 	Oracle *SmemOracle
 	// Backend selects the per-instruction execution engine (see
 	// backend.go). The zero value is the threaded-code backend;
-	// BackendSwitch keeps the original decode-dispatch interpreter as the
-	// differential oracle. Both produce bit-identical results.
+	// BackendSwitch runs every instruction through the per-lane reference
+	// interpreter as the differential oracle. Both produce bit-identical
+	// results.
 	Backend Backend
 	// Workers bounds the goroutine pool used for Sharded launches
 	// (0 = GOMAXPROCS). Results are identical at any worker count.
@@ -178,13 +179,6 @@ type LaunchOpts struct {
 	// OneSM forces all simulated blocks through a single SM instance,
 	// the configuration used for steady-state main-loop measurements.
 	OneSM bool
-	// SampleStride spaces the blocks handed to the OneSM instance by
-	// this many grid positions (default 1). Sampling with stride = SMs
-	// mimics what one SM of a full device sees: consecutive resident
-	// blocks come from across the grid, so L2 locality between them
-	// matches the real concurrent mix rather than an artificially
-	// sequential one.
-	SampleStride int
 	// SampleWaves/SampleSMs select wave sampling: SampleSMs instances
 	// (sharing the device L2 model) each run SampleWaves waves, taking
 	// every (SMs/SampleSMs)-th resident slot of each device wave. This
@@ -349,10 +343,6 @@ func (s *Sim) LaunchM(k *cubin.Kernel, opts LaunchOpts, total *Metrics) error {
 	if smCount > simBlocks {
 		smCount = simBlocks
 	}
-	stride := 1
-	if opts.OneSM && opts.SampleStride > 1 {
-		stride = opts.SampleStride
-	}
 	if opts.SampleWaves > 0 {
 		smCount = opts.SampleSMs
 		if smCount <= 0 {
@@ -390,7 +380,7 @@ func (s *Sim) LaunchM(k *cubin.Kernel, opts LaunchOpts, total *Metrics) error {
 				}
 			}
 		} else {
-			for b := smi; len(ints)-start < (simBlocks+smCount-1-smi)/smCount; b += smCount * stride {
+			for b := smi; len(ints)-start < (simBlocks+smCount-1-smi)/smCount; b += smCount {
 				ints = append(ints, b%gridBlocks)
 			}
 		}
@@ -502,8 +492,6 @@ type smSim struct {
 	dev    *Device
 	gmem   *mem
 	kern   *cubin.Kernel
-	insts  []sass.Inst
-	meta   []instMeta
 	nodes  []node
 	prog   *program
 	consts []uint32
@@ -578,8 +566,6 @@ func (lc *launchCtx) newInstance(pools *simPools, blocks []int, l2 *l2cache, col
 		dev:         dev,
 		gmem:        lc.gmem,
 		kern:        lc.kern,
-		insts:       lc.prog.insts,
-		meta:        lc.prog.meta,
 		nodes:       lc.prog.nodes,
 		prog:        lc.prog,
 		consts:      lc.consts,
@@ -971,8 +957,8 @@ func isInt(op sass.Opcode) bool {
 }
 
 // tryIssue attempts one instruction issue on a scheduler. Selection is
-// the same for both backends; sm.backend decides only how the chosen
-// warp's instruction executes.
+// the same for both backends; sm.backend decides only, inside issue,
+// which function executes the chosen warp's instruction.
 func (sm *smSim) tryIssue(sc *scheduler) (bool, error) {
 	if sc.busyUntil > sm.now || len(sc.warps) == 0 {
 		return false, nil
@@ -1027,10 +1013,7 @@ func (sm *smSim) tryIssue(sc *scheduler) (bool, error) {
 		}
 		return false, nil
 	}
-	if sm.backend == BackendSwitch {
-		return true, sm.issue(sc, chosen)
-	}
-	return true, sm.issueThreaded(sc, chosen)
+	return true, sm.issue(sc, chosen)
 }
 
 // canIssue reports whether w may issue now. A warp blocked on a memory
@@ -1042,108 +1025,6 @@ func (sm *smSim) canIssue(sc *scheduler, w *warp, blocked *StallReason) bool {
 		*blocked = r
 	}
 	return r == StallNone
-}
-
-// issue is the switch backend's issue path: exec through the decode-
-// dispatch interpreter, re-deriving control-code fields from the raw
-// instruction. It is the differential oracle for issueThreaded.
-func (sm *smSim) issue(sc *scheduler, w *warp) error {
-	pc := w.pc
-	in := &sm.insts[w.pc]
-	mi := &sm.meta[w.pc]
-	w.pc++
-
-	switched := sc.last != nil && sc.last != w
-	penalty := int64(0)
-	if switched {
-		penalty = 1
-		sm.m.SwitchCount++
-		w.reuseValid = false
-	}
-
-	res, err := w.exec(in, mi, sm.consts)
-	if err != nil {
-		return err
-	}
-	sm.m.Issued++
-	if sm.prof != nil {
-		sm.prof.noteIssue(w, pc, sm.now, res.exited)
-		sc.profLastIssueAt = sm.now
-		sm.m.WarpCycles[StallNone]++
-	}
-
-	if sm.hazard {
-		sm.checkHazards(w, in, mi)
-	}
-
-	// A warp switch delays the effective issue by one cycle (paper
-	// footnote 4: "one extra cycle to switch to another warp").
-	base := sm.now + penalty
-	stall := int64(in.Ctrl.Stall)
-	if stall < 1 {
-		stall = 1
-	}
-	w.nextIssue = base + stall
-	sc.busyUntil = base + 1
-
-	switch mi.class {
-	case classFP:
-		sm.m.FPIssued++
-		if in.Op == sass.OpFFMA {
-			sm.m.FFMAs++
-		}
-		dur := sm.fpDur
-		if sm.regBankConflict(w, in) {
-			dur++
-			sm.m.RegBankConflicts++
-		}
-		sc.fpBusyUntil = base + dur
-		sm.m.FPPipeUseful += sm.fpDur
-		sm.noteFixedWrite(w, mi, sm.fpLat)
-	case classInt:
-		sm.m.IntIssued++
-		sc.intBusyUntil = base + 2
-		lat := sm.aluLat
-		if mi.isS2R {
-			lat = sm.s2rLat
-		}
-		sm.noteFixedWrite(w, mi, lat)
-		if in.Ctrl.WriteBar >= 0 {
-			w.barInc(in.Ctrl.WriteBar)
-			sm.addEvent(event{at: base + lat, kind: evBarRelease, warp: w, bar: in.Ctrl.WriteBar})
-		}
-	case classMem:
-		if err := sm.issueMem(w, in, mi, res.mem, base); err != nil {
-			return err
-		}
-	default:
-		switch {
-		case res.barrier:
-			sm.warpBarrier(w, in)
-		case res.exited:
-			sm.warpExit(w)
-		}
-	}
-
-	// Latch operand-reuse state for the next ALU instruction of this
-	// warp. Interleaved memory instructions leave the latch untouched;
-	// only a warp switch (above) or an ALU instruction without reuse
-	// flags invalidates it.
-	if mi.class == classFP || mi.class == classInt {
-		if in.Ctrl.Reuse != 0 {
-			w.reuseValid = true
-			w.reuseMask = in.Ctrl.Reuse
-			w.reuseRegs = [3]sass.Reg{in.Rs0, in.Rs1, in.Rs2}
-			if in.SrcMode != sass.SrcReg {
-				w.reuseRegs[1] = sass.RZ
-			}
-		} else {
-			w.reuseValid = false
-		}
-	}
-	w.lastYield = in.Ctrl.Yield
-	sc.last = w
-	return nil
 }
 
 // warpBarrier parks a warp at BAR.SYNC, releasing the whole block when it

@@ -688,7 +688,7 @@ func TestStallReason(t *testing.T) {
 		{"pipe-int", 1, func(sm *smSim, sc *scheduler, w *warp) { sc.intBusyUntil = now + 1 }, StallPipe},
 		{"none", 0, func(sm *smSim, sc *scheduler, w *warp) {}, StallNone},
 	}
-	sm := &smSim{dev: &dev, insts: prog.insts, meta: prog.meta, nodes: prog.nodes}
+	sm := &smSim{dev: &dev, nodes: prog.nodes}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// reset rebuilds the case's machine state, so the tryIssue

@@ -2,22 +2,24 @@ package gpu
 
 import "repro/internal/sass"
 
-// This file is the threaded-code execution backend. The decoded-program
-// cache partitions every kernel into basic blocks and pre-resolves, per
-// block, a flat chain of typed handler funcs (program.nodes) with all
-// per-instruction metadata baked in at decode time; the issue path here
-// runs the chain instead of switching on the opcode and re-deriving
-// control-code fields per issue.
+// This file is the threaded-code execution backend and the one issue
+// path both backends share. The decoded-program cache partitions every
+// kernel into basic blocks and pre-resolves, per block, a flat chain of
+// typed handler funcs (program.nodes) with all per-instruction metadata
+// baked in at decode time; issue runs the chain instead of switching on
+// the opcode and re-deriving control-code fields per issue.
 //
 // Equivalence contract: the scheduler (run, tryIssue, stallReason in
-// sim.go) is shared, so the backend only decides how the chosen warp's
-// instruction executes. issueThreaded is the one mirrored path: it must
-// match issue() in sim.go operation for operation, and every handler
-// below replicates the corresponding exec() case for the exact shape it
-// was selected for (same expressions, same order of effects). The
-// differential backend tests (internal/kernels) run the full quick-sweep
-// config set plus randomized control codes over both backends to keep
-// this honest.
+// sim.go) and issue below are shared, so the backends differ only in the
+// function that executes the chosen instruction. The threaded backend
+// runs the node's handler; the switch backend runs hGeneric, that is
+// exec (exec.go), the per-lane reference, on every node. The handlers
+// below are the only fast paths: each computes, for the exact shape it
+// was selected for, what exec computes (same expressions, so FP rounding
+// cannot differ). TestHandlersMatchReference checks that instruction by
+// instruction on random shapes and warp states; the differential backend
+// tests (internal/kernels) check it on the full quick-sweep config set
+// plus randomized control codes.
 
 // handlerFn executes one instruction functionally across a warp. The
 // node carries the pre-resolved shape, so handlers skip the opcode
@@ -26,9 +28,8 @@ import "repro/internal/sass"
 type handlerFn func(sm *smSim, w *warp, nd *node) (execResult, error)
 
 // selectHandler picks the chain handler for an instruction's exact
-// shape. Shapes without a specialized handler fall back to the switch
-// interpreter's exec() for that single instruction, which keeps the two
-// backends semantically identical by construction on the cold paths.
+// shape. Shapes without a specialized handler fall back to hGeneric, the
+// reference exec for that single instruction.
 func selectHandler(in *sass.Inst, mi *instMeta) handlerFn {
 	switch in.Op {
 	case sass.OpNOP:
@@ -117,16 +118,43 @@ func selectHandler(in *sass.Inst, mi *instMeta) handlerFn {
 		if mi.uniform {
 			return hMemUniform
 		}
-		return hMemGeneral
 	}
 	return hGeneric
 }
 
-// hGeneric is the fallback for shapes with no specialized handler: the
-// switch interpreter executes the single instruction (ISETP, SHF, SEL,
-// S2R, P2R, R2P, predicated ALU/control shapes, unknown opcodes).
+// hGeneric runs the reference exec on one instruction. It is the
+// threaded backend's fallback for shapes with no specialized handler
+// (ISETP, SHF, SEL, S2R, P2R, R2P, predicated ALU, memory and control
+// shapes, unknown opcodes) and the switch backend's handler for every
+// instruction.
 func hGeneric(sm *smSim, w *warp, nd *node) (execResult, error) {
 	return w.exec(nd.in, nd.mi, sm.consts)
+}
+
+// zeroRegs is the read-only lane image of RZ, so uniform fast paths can
+// treat every source as a plain array pointer. Never written.
+var zeroRegs [warpSize]uint32
+
+// srcPtr returns the lane array backing register r for reading (RZ reads
+// as the shared zero image).
+func (w *warp) srcPtr(r sass.Reg) *[warpSize]uint32 {
+	if r == sass.RZ {
+		return &zeroRegs
+	}
+	return &w.regs[r]
+}
+
+// scalarB resolves a lane-invariant b operand (immediate or constant).
+// Only valid when in.SrcMode != SrcReg.
+func scalarB(in *sass.Inst, consts []uint32) uint32 {
+	if in.SrcMode == sass.SrcImm {
+		return in.Imm
+	}
+	ofs := int(in.ConstOfs) / 4
+	if in.ConstBank != 0 || ofs >= len(consts) {
+		return 0
+	}
+	return consts[ofs]
 }
 
 func hNop(sm *smSim, w *warp, nd *node) (execResult, error) {
@@ -308,30 +336,11 @@ func hMemUniform(sm *smSim, w *warp, nd *node) (execResult, error) {
 	return execResult{mem: req}, nil
 }
 
-func hMemGeneral(sm *smSim, w *warp, nd *node) (execResult, error) {
-	in := nd.in
-	req := &w.memReq
-	req.op = in.Op
-	req.width = in.Width
-	req.shared = in.Op == sass.OpLDS || in.Op == sass.OpSTS
-	req.load = in.Op == sass.OpLDG || in.Op == sass.OpLDS
-	req.any = false
-	for l := 0; l < warpSize; l++ {
-		if w.laneActive(in, l) {
-			req.addrs[l] = w.readReg(in.Rs0, l) + in.Imm
-			req.active[l] = true
-			req.any = true
-		} else {
-			req.active[l] = false
-		}
-	}
-	return execResult{mem: req}, nil
-}
-
-// issueThreaded mirrors issue() operation for operation on node
-// metadata: exec through the pre-resolved handler, then counters, prof
-// hooks, hazard check, timing, and class effects, in the same order.
-func (sm *smSim) issueThreaded(sc *scheduler, w *warp) error {
+// issue executes the chosen warp's next instruction and applies its
+// machine effects: counters, profiler hooks, hazard check, timing, and
+// class effects, all read from the node. Both backends run this path;
+// the switch backend only swaps the node's handler for hGeneric.
+func (sm *smSim) issue(sc *scheduler, w *warp) error {
 	pc := w.pc
 	nd := &sm.nodes[pc]
 	w.pc++
@@ -344,7 +353,11 @@ func (sm *smSim) issueThreaded(sc *scheduler, w *warp) error {
 		w.reuseValid = false
 	}
 
-	res, err := nd.fn(sm, w, nd)
+	fn := nd.fn
+	if sm.backend == BackendSwitch {
+		fn = hGeneric
+	}
+	res, err := fn(sm, w, nd)
 	if err != nil {
 		return err
 	}
@@ -359,6 +372,8 @@ func (sm *smSim) issueThreaded(sc *scheduler, w *warp) error {
 		sm.checkHazards(w, nd.in, nd.mi)
 	}
 
+	// A warp switch delays the effective issue by one cycle (paper
+	// footnote 4: "one extra cycle to switch to another warp").
 	base := sm.now + penalty
 	w.nextIssue = base + nd.stall
 	sc.busyUntil = base + 1
@@ -402,6 +417,10 @@ func (sm *smSim) issueThreaded(sc *scheduler, w *warp) error {
 		}
 	}
 
+	// Latch operand-reuse state for the next ALU instruction of this
+	// warp. Interleaved memory instructions leave the latch untouched;
+	// only a warp switch (above) or an ALU instruction without reuse
+	// flags invalidates it.
 	if nd.class == classFP || nd.class == classInt {
 		if nd.reuse != 0 {
 			w.reuseValid = true

@@ -69,16 +69,6 @@ func GenerateBatchedGEMM(cfg Config, p GemmProblem) (*cubin.Kernel, error) {
 	return k, nil
 }
 
-// BatchedGEMMSource returns the generated assembly text.
-func BatchedGEMMSource(cfg Config, p GemmProblem) (string, error) {
-	cfg = cfg.withDefaults()
-	if err := p.Validate(); err != nil {
-		return "", err
-	}
-	g := &gemmGen{cfg: cfg, p: p, e: newEmitter(cfg.YieldEvery)}
-	return g.generate(), nil
-}
-
 type gemmGen struct {
 	cfg Config
 	p   GemmProblem

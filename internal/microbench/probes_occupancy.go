@@ -44,8 +44,8 @@ func occExpect(d gpu.Device, threads, regs, smem int) int {
 // reg_alloc_unit, and max_smem_per_sm respectively.
 func (c *calib) probeOccupancy() error {
 	points := []struct {
-		probe, field         string
-		threads, regs, smem  int
+		probe, field        string
+		threads, regs, smem int
 	}{
 		// 1024 threads, tiny regs: warps bind.
 		{"occ_warps", "max_warps_per_sm", 1024, 16, 0},

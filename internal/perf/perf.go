@@ -61,7 +61,6 @@ func Benchmarks() []Benchmark {
 		{CalibrationName, benchCalibrate},
 		{"sim/mainloop", benchSimMainLoop},
 		{"sim/mainloop-prof", benchSimMainLoopProf},
-		{"sim/switch", benchSimSwitch},
 		{"sim/threaded", benchSimThreaded},
 		{"sim/parallel", benchSimParallel},
 		{"sim/steadystate", benchSimSteadyState},
@@ -175,10 +174,9 @@ func benchSimMainLoopProf(b *testing.B) {
 
 // benchFullConvWith measures a full functional convolution (filter
 // transform + main kernel over the whole grid, output read back) pinned
-// to one execution engine, so one report carries the oracle, the
-// single-worker interpreter, and the parallel path side by side —
-// measured together on one machine, which is the only way their ratio is
-// meaningful.
+// to one execution engine, so one report carries the single-worker
+// interpreter and the parallel path side by side — measured together on
+// one machine, which is the only way their ratio is meaningful.
 func benchFullConvWith(b *testing.B, sim kernels.SimOpts) {
 	p := perfProblem
 	in := tensor.NewImage(tensor.CHWN, tensor.Shape4{N: p.N, C: p.C, H: p.H, W: p.W})
@@ -196,14 +194,10 @@ func benchFullConvWith(b *testing.B, sim kernels.SimOpts) {
 	}
 }
 
-// benchSimSwitch is the full conv on the switch oracle, sequentially —
-// the seed's execution model, kept as the in-report speedup reference.
-func benchSimSwitch(b *testing.B) {
-	benchFullConvWith(b, kernels.SimOpts{Backend: gpu.BackendSwitch, Workers: 1})
-}
-
-// benchSimThreaded isolates the threaded interpreter's gain: one worker,
-// no parallelism.
+// benchSimThreaded is the threaded interpreter on one worker, no
+// parallelism. The switch backend is not measured: it runs every
+// instruction through the per-lane reference exec by design, as the
+// differential tests' oracle, not as a production path.
 func benchSimThreaded(b *testing.B) {
 	benchFullConvWith(b, kernels.SimOpts{Backend: gpu.BackendThreaded, Workers: 1})
 }
