@@ -134,7 +134,7 @@ func main() {
 	ctx.Waves = *waves
 	ctx.Profile = *profFlag || *trace != ""
 	ctx.ProfileTimeline = *trace != ""
-	ctx.Sim = simOpts
+	ctx.Backend = be
 	s, err := ctx.KernelSample(dev, cfg, p, *mainloop)
 	if err != nil {
 		fatal(err)

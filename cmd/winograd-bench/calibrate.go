@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/gpu"
 	"repro/internal/microbench"
+	"repro/internal/par"
 	"repro/internal/tune"
 )
 
@@ -39,35 +39,10 @@ func runCalibrate(o calibrateOpts, stdout, stderr io.Writer) int {
 		names = []string{strings.ToLower(dev.Name)}
 	}
 
-	type devReport struct {
-		text string
-		fail []string
-		err  error
-	}
 	reports := make([]devReport, len(names))
-	jobs := o.jobs
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(names) {
-		jobs = len(names)
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				reports[i] = calibrateDevice(names[i], o)
-			}
-		}()
-	}
-	for i := range names {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+	par.For(len(names), max(o.jobs, 1), func(i int) {
+		reports[i] = calibrateDevice(names[i], o)
+	})
 
 	failed := 0
 	for i, r := range reports {
@@ -90,12 +65,16 @@ func runCalibrate(o calibrateOpts, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// calibrateDevice produces one device's calibration section.
-func calibrateDevice(name string, o calibrateOpts) (out struct {
+// devReport is one device's calibration section: its stdout text, its
+// failed probes, or the error that stopped it.
+type devReport struct {
 	text string
 	fail []string
 	err  error
-}) {
+}
+
+// calibrateDevice produces one device's calibration section.
+func calibrateDevice(name string, o calibrateOpts) (out devReport) {
 	dev, err := gpu.DeviceByName(name)
 	if err != nil {
 		out.err = err

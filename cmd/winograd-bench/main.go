@@ -56,7 +56,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/gpu"
-	"repro/internal/kernels"
 )
 
 func main() {
@@ -76,7 +75,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	timings := fs.Bool("timings", false, "print per-job timing detail to stderr")
 	profile := fs.Bool("prof", false, "profile every sample and add stall-breakdown columns where tables support them")
 	backend := fs.String("backend", "threaded", "simulator execution backend (threaded or switch; bit-identical results)")
-	simWorkers := fs.Int("simworkers", 0, "worker goroutines per sharded full-grid simulation (0 = GOMAXPROCS)")
 	budget := fs.Int("budget", 12, "tune: max simulated candidate configs per layer (paper default always included)")
 	storePath := fs.String("store", "", "tune: path of the content-addressed store/v1 experiment store (empty = in-memory only)")
 	storeVerify := fs.Bool("storeverify", false, "tune: force the full key round-trip check on every store hit")
@@ -129,8 +127,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if len(args) == 1 && args[0] == "serve" {
 		return runServe(serveOpts{requests: *requests, seed: *seed, jobs: *jobs,
 			markdown: *markdown, waves: *waves, device: *device,
-			storePath: *storePath, storeVerify: *storeVerify,
-			execEvery: *serveExec, listen: *listen}, stdout, stderr)
+			storePath: *storePath, execEvery: *serveExec, listen: *listen}, stdout, stderr)
 	}
 
 	// `store` operates on store/v1 files: merge, ls, verify.
@@ -187,7 +184,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	ctx.Waves = *waves
 	ctx.Quick = *quick
 	ctx.Profile = *profile
-	ctx.Sim = kernels.SimOpts{Backend: be, Workers: *simWorkers}
+	ctx.Backend = be
 
 	runner := &bench.Runner{Ctx: ctx, Workers: *jobs}
 	start := time.Now()

@@ -64,20 +64,16 @@ func TestQuickSweepGolden(t *testing.T) {
 		t.Errorf("-jobs 4 stdout diverges from -jobs 1:\n%s", diff)
 	}
 
-	// The execution backend and the sharded-simulation worker count must
-	// be invisible in the tables: every cell of the backend x workers
-	// matrix reproduces the same bytes (CI additionally checks the same
-	// matrix from the real binary against the committed golden).
+	// The execution backend must be invisible in the tables: both
+	// backends reproduce the same bytes (CI additionally checks them from
+	// the real binary against the committed golden).
 	for _, backend := range []string{"switch", "threaded"} {
-		for _, workers := range []string{"1", "4"} {
-			got, _, code := runCapture(t, "-quick", "-jobs", "4",
-				"-backend", backend, "-simworkers", workers, "all")
-			if code != 0 {
-				t.Fatalf("-backend %s -simworkers %s exited %d", backend, workers, code)
-			}
-			if diff := firstDiff(seq, got); diff != "" {
-				t.Errorf("-backend %s -simworkers %s stdout diverges:\n%s", backend, workers, diff)
-			}
+		got, _, code := runCapture(t, "-quick", "-jobs", "4", "-backend", backend, "all")
+		if code != 0 {
+			t.Fatalf("-backend %s exited %d", backend, code)
+		}
+		if diff := firstDiff(seq, got); diff != "" {
+			t.Errorf("-backend %s stdout diverges:\n%s", backend, diff)
 		}
 	}
 }

@@ -18,16 +18,15 @@ import (
 
 // serveOpts carries the serve-subcommand flags out of run's flag set.
 type serveOpts struct {
-	requests    int
-	seed        uint64
-	jobs        int
-	markdown    bool
-	waves       int
-	device      string
-	storePath   string
-	storeVerify bool
-	execEvery   int
-	listen      string
+	requests  int
+	seed      uint64
+	jobs      int
+	markdown  bool
+	waves     int
+	device    string
+	storePath string
+	execEvery int
+	listen    string
 }
 
 // runServe is the `winograd-bench serve` subcommand. By default it runs
@@ -53,7 +52,7 @@ func runServe(o serveOpts, stdout, stderr io.Writer) int {
 		for _, w := range rep.Warnings {
 			fmt.Fprintln(stderr, w)
 		}
-		n, warns := sel.WarmFromStore(st, o.storeVerify)
+		n, warns := sel.WarmFromStore(st)
 		for _, w := range warns {
 			fmt.Fprintln(stderr, w)
 		}

@@ -32,10 +32,11 @@ type Ctx struct {
 	// ProfileTimeline additionally records per-warp interval events and
 	// LDG spans (needed for Chrome traces; more memory per sample).
 	ProfileTimeline bool
-	// Sim selects the simulator execution engine (backend and sharding
-	// workers). Backends and worker counts are bit-identical by contract,
-	// so samples are cached without regard to it.
-	Sim kernels.SimOpts
+	// Backend selects the simulator's per-instruction engine. Backends
+	// are bit-identical by contract, so samples are cached without regard
+	// to it. Samples simulate a few waves, never a sharded full grid, so
+	// no sharding worker count applies.
+	Backend gpu.Backend
 
 	// flight deduplicates and caches samples per job key; its compute
 	// counts are the observable the cross-experiment dedup tests and the
@@ -115,7 +116,8 @@ func (c *Ctx) simulate(j Job) (*Sample, error) {
 	}
 	res, err := kernels.RunConvWith(j.Dev, j.Cfg, j.P, kernels.ConvOpts{
 		SampleBlocks: occ.BlocksPerSM * c.waves(),
-		MainLoopOnly: j.MainOnly, Hot: j.Hot, Prof: prof, Sim: c.Sim,
+		MainLoopOnly: j.MainOnly, Hot: j.Hot, Prof: prof,
+		Sim: kernels.SimOpts{Backend: c.Backend},
 	})
 	if err != nil {
 		return nil, err

@@ -14,7 +14,6 @@ package conv
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/fft"
 	"repro/internal/gemm"
@@ -58,47 +57,23 @@ func checkShapes(in tensor.Shape4, f tensor.FilterShape, p Params) error {
 
 // Direct computes the convolution with quadruple loops, layout-agnostic.
 // Output layout is NCHW (with K in the channel slot). It is deliberately
-// simple: this function defines correct behaviour for the whole repo.
+// simple and serial: this function defines correct behaviour for the
+// whole repo.
 func Direct(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
-	is := in.ImageShape()
-	fs := flt.FilterShapeOf()
-	if err := checkShapes(is, fs, p); err != nil {
-		return nil, err
-	}
-	_, _, oh, ow := OutputShape(is, fs, p)
-	st := p.stride()
-	out := tensor.New(tensor.NCHW, is.N, fs.K, oh, ow)
-	for n := 0; n < is.N; n++ {
-		for k := 0; k < fs.K; k++ {
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
-					var acc float32
-					for c := 0; c < is.C; c++ {
-						for r := 0; r < fs.R; r++ {
-							iy := y*st + r - p.Pad
-							if iy < 0 || iy >= is.H {
-								continue
-							}
-							for s := 0; s < fs.S; s++ {
-								ix := x*st + s - p.Pad
-								if ix < 0 || ix >= is.W {
-									continue
-								}
-								acc += in.ImageAt(n, c, iy, ix) * flt.FilterAt(k, c, r, s)
-							}
-						}
-					}
-					out.Set(n, k, y, x, acc)
-				}
-			}
-		}
-	}
-	return out, nil
+	return direct(in, flt, p, 1)
 }
 
 // DirectParallel computes the same result as Direct, parallelized over
-// (n, k) pairs. Used when the reference is needed on larger problems.
+// (n, k) output planes. Used when the reference is needed on larger
+// problems; every plane keeps Direct's summation order, so the result is
+// bitwise equal.
 func DirectParallel(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
+	return direct(in, flt, p, 0)
+}
+
+// direct runs the reference loop nest, one (n, k) output plane per
+// par.For index, on at most workers goroutines (GOMAXPROCS when <= 0).
+func direct(in, flt *tensor.Tensor, p Params, workers int) (*tensor.Tensor, error) {
 	is := in.ImageShape()
 	fs := flt.FilterShapeOf()
 	if err := checkShapes(is, fs, p); err != nil {
@@ -107,62 +82,38 @@ func DirectParallel(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
 	_, _, oh, ow := OutputShape(is, fs, p)
 	st := p.stride()
 	out := tensor.New(tensor.NCHW, is.N, fs.K, oh, ow)
-	jobs := is.N * fs.K
-	workers := runtime.GOMAXPROCS(0)
-	if workers > jobs {
-		workers = jobs
-	}
-	var next int64
-	var mu sync.Mutex
-	take := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		j := int(next)
-		next++
-		return j
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := take()
-				if j >= jobs {
-					return
-				}
-				n, k := j/fs.K, j%fs.K
-				for y := 0; y < oh; y++ {
-					for x := 0; x < ow; x++ {
-						var acc float32
-						for c := 0; c < is.C; c++ {
-							for r := 0; r < fs.R; r++ {
-								iy := y*st + r - p.Pad
-								if iy < 0 || iy >= is.H {
-									continue
-								}
-								for s := 0; s < fs.S; s++ {
-									ix := x*st + s - p.Pad
-									if ix < 0 || ix >= is.W {
-										continue
-									}
-									acc += in.ImageAt(n, c, iy, ix) * flt.FilterAt(k, c, r, s)
-								}
-							}
+	par.For(is.N*fs.K, workers, func(j int) {
+		n, k := j/fs.K, j%fs.K
+		for y := 0; y < oh; y++ {
+			for x := 0; x < ow; x++ {
+				var acc float32
+				for c := 0; c < is.C; c++ {
+					for r := 0; r < fs.R; r++ {
+						iy := y*st + r - p.Pad
+						if iy < 0 || iy >= is.H {
+							continue
 						}
-						out.Set(n, k, y, x, acc)
+						for s := 0; s < fs.S; s++ {
+							ix := x*st + s - p.Pad
+							if ix < 0 || ix >= is.W {
+								continue
+							}
+							acc += in.ImageAt(n, c, iy, ix) * flt.FilterAt(k, c, r, s)
+						}
 					}
 				}
+				out.Set(n, k, y, x, acc)
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return out, nil
 }
 
 // Im2col computes the convolution by lowering each image to a
 // (C*R*S) x (OH*OW) matrix and multiplying by the (K) x (C*R*S) filter
-// matrix — the GEMM algorithm in the paper's comparison. Output is NCHW.
+// matrix — the GEMM algorithm in the paper's comparison. Output is NCHW,
+// so each image's K x (OH*OW) product is written in place. Images are
+// strided across par.For workers, each owning one lowering buffer.
 func Im2col(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
 	is := in.ImageShape()
 	fs := flt.FilterShapeOf()
@@ -188,54 +139,35 @@ func Im2col(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
 		}
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > is.N {
-		workers = is.N
-	}
-	var wg sync.WaitGroup
-	per := (is.N + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		n0 := w * per
-		n1 := n0 + per
-		if n1 > is.N {
-			n1 = is.N
-		}
-		if n0 >= n1 {
-			break
-		}
-		wg.Add(1)
-		go func(n0, n1 int) {
-			defer wg.Done()
-			cols := make([]float32, kdim*oh*ow)
-			prod := make([]float32, fs.K*oh*ow)
-			for n := n0; n < n1; n++ {
-				// Lower image n.
-				row := 0
-				for c := 0; c < fs.C; c++ {
-					for r := 0; r < fs.R; r++ {
-						for s := 0; s < fs.S; s++ {
-							base := row * oh * ow
-							for y := 0; y < oh; y++ {
-								iy := y*st + r - p.Pad
-								for x := 0; x < ow; x++ {
-									ix := x*st + s - p.Pad
-									var v float32
-									if iy >= 0 && iy < is.H && ix >= 0 && ix < is.W {
-										v = in.ImageAt(n, c, iy, ix)
-									}
-									cols[base+y*ow+x] = v
+	plane := fs.K * oh * ow
+	workers := min(runtime.GOMAXPROCS(0), is.N)
+	par.For(workers, workers, func(w int) {
+		cols := make([]float32, kdim*oh*ow)
+		for n := w; n < is.N; n += workers {
+			// Lower image n.
+			row := 0
+			for c := 0; c < fs.C; c++ {
+				for r := 0; r < fs.R; r++ {
+					for s := 0; s < fs.S; s++ {
+						base := row * oh * ow
+						for y := 0; y < oh; y++ {
+							iy := y*st + r - p.Pad
+							for x := 0; x < ow; x++ {
+								ix := x*st + s - p.Pad
+								var v float32
+								if iy >= 0 && iy < is.H && ix >= 0 && ix < is.W {
+									v = in.ImageAt(n, c, iy, ix)
 								}
+								cols[base+y*ow+x] = v
 							}
-							row++
 						}
+						row++
 					}
 				}
-				gemm.Blocked(fm, cols, prod, fs.K, kdim, oh*ow)
-				copy(out.Data[n*fs.K*oh*ow:(n+1)*fs.K*oh*ow], prod)
 			}
-		}(n0, n1)
-	}
-	wg.Wait()
+			gemm.Blocked(fm, cols, out.Data[n*plane:(n+1)*plane], fs.K, kdim, oh*ow)
+		}
+	})
 	return out, nil
 }
 

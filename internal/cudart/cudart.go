@@ -10,9 +10,10 @@ package cudart
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
+
+	"repro/internal/par"
 )
 
 // Dim3 is a 3-component launch dimension.
@@ -207,11 +208,12 @@ func (l *panicLog) err() error {
 	return errors.New(msg)
 }
 
-// Launch runs the kernel over the whole grid. Blocks execute concurrently
-// up to GOMAXPROCS worker slots; threads within a block are goroutines so
-// SyncThreads works. Panics inside kernel threads (including divergent-
-// barrier diagnostics) are all collected; the returned error reports the
-// first by (block, tid) order plus a count of the suppressed rest.
+// Launch runs the kernel over the whole grid. Blocks execute through
+// par.For on up to GOMAXPROCS workers; threads within a block are
+// goroutines so SyncThreads works. Panics inside kernel threads
+// (including divergent-barrier diagnostics) are all collected; the
+// returned error reports the first by (block, tid) order plus a count of
+// the suppressed rest.
 func Launch(cfg LaunchConfig, k Kernel) error {
 	if cfg.BlockThreads <= 0 {
 		return fmt.Errorf("cudart: block must have threads")
@@ -226,27 +228,8 @@ func Launch(cfg LaunchConfig, k Kernel) error {
 		gy = 1
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > blocks {
-		workers = blocks
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
 	log := &panicLog{}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range ch {
-				runBlock(cfg, k, b, gx, gy, log)
-			}
-		}()
-	}
-	for b := 0; b < blocks; b++ {
-		ch <- b
-	}
-	close(ch)
-	wg.Wait()
+	par.For(blocks, 0, func(b int) { runBlock(cfg, k, b, gx, gy, log) })
 	return log.err()
 }
 

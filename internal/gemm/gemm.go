@@ -1,7 +1,7 @@
 // Package gemm implements single-precision general matrix multiplication:
-// a straightforward reference kernel, a cache-blocked serial kernel, a
-// parallel kernel that splits row panels across goroutines, and a batched
-// variant. It is the substrate for im2col convolution and for the
+// a straightforward reference kernel, a cache-blocked serial kernel, and a
+// batched variant that fans the blocked kernel out over batch indices
+// through par.For. It is the substrate for im2col convolution and for the
 // non-fused Winograd implementation, mirroring the role cuBLAS-style
 // batched GEMM plays in the paper (Section 2.3: "batched GEMM is a
 // subproblem of Winograd convolution").
@@ -9,8 +9,8 @@ package gemm
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // Naive computes C = A*B with A (m x k), B (k x n), C (m x n), all
@@ -43,14 +43,8 @@ func Blocked(a, b, c []float32, m, k, n int) {
 	for i := range c[:m*n] {
 		c[i] = 0
 	}
-	blockedRange(a, b, c, m, k, n, 0, m)
-}
-
-// blockedRange processes rows [i0, i1) of C with the blocked kernel.
-// Callers must have zeroed the destination rows.
-func blockedRange(a, b, c []float32, m, k, n, i0, i1 int) {
-	for ii := i0; ii < i1; ii += blockM {
-		iMax := min(ii+blockM, i1)
+	for ii := 0; ii < m; ii += blockM {
+		iMax := min(ii+blockM, m)
 		for pp := 0; pp < k; pp += blockK {
 			pMax := min(pp+blockK, k)
 			for jj := 0; jj < n; jj += blockN {
@@ -74,71 +68,19 @@ func blockedRange(a, b, c []float32, m, k, n, i0, i1 int) {
 	}
 }
 
-// Parallel computes C = A*B splitting row panels across workers
-// goroutines; workers <= 0 selects GOMAXPROCS.
-func Parallel(a, b, c []float32, m, k, n, workers int) {
-	checkDims(a, b, c, m, k, n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 {
-		Blocked(a, b, c, m, k, n)
-		return
-	}
-	for i := range c[:m*n] {
-		c[i] = 0
-	}
-	var wg sync.WaitGroup
-	rowsPer := (m + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		i0 := w * rowsPer
-		i1 := min(i0+rowsPer, m)
-		if i0 >= i1 {
-			break
-		}
-		wg.Add(1)
-		go func(i0, i1 int) {
-			defer wg.Done()
-			blockedRange(a, b, c, m, k, n, i0, i1)
-		}(i0, i1)
-	}
-	wg.Wait()
-}
-
 // Batched computes batch independent products C[i] = A[i]*B[i], where the
 // slices hold the matrices contiguously (stride m*k, k*n, m*n). Batches
-// are distributed across goroutines. This is the EWMM step of non-fused
-// Winograd: 16 batched GEMMs, one per tile element.
+// run through par.For on at most workers goroutines (GOMAXPROCS when
+// workers <= 0); each is a serial Blocked product, so the worker count
+// cannot change the bits. This is the EWMM step of non-fused Winograd:
+// 16 batched GEMMs, one per tile element.
 func Batched(a, b, c []float32, batch, m, k, n, workers int) {
 	if len(a) < batch*m*k || len(b) < batch*k*n || len(c) < batch*m*n {
 		panic(fmt.Sprintf("gemm: batched buffers too small for batch=%d m=%d k=%d n=%d", batch, m, k, n))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > batch {
-		workers = batch
-	}
-	var wg sync.WaitGroup
-	per := (batch + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		b0 := w * per
-		b1 := min(b0+per, batch)
-		if b0 >= b1 {
-			break
-		}
-		wg.Add(1)
-		go func(b0, b1 int) {
-			defer wg.Done()
-			for i := b0; i < b1; i++ {
-				Blocked(a[i*m*k:(i+1)*m*k], b[i*k*n:(i+1)*k*n], c[i*m*n:(i+1)*m*n], m, k, n)
-			}
-		}(b0, b1)
-	}
-	wg.Wait()
+	par.For(batch, workers, func(i int) {
+		Blocked(a[i*m*k:(i+1)*m*k], b[i*k*n:(i+1)*k*n], c[i*m*n:(i+1)*m*n], m, k, n)
+	})
 }
 
 func checkDims(a, b, c []float32, m, k, n int) {
@@ -146,11 +88,4 @@ func checkDims(a, b, c []float32, m, k, n int) {
 		panic(fmt.Sprintf("gemm: buffers too small for m=%d k=%d n=%d (a=%d b=%d c=%d)",
 			m, k, n, len(a), len(b), len(c)))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

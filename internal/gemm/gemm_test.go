@@ -78,36 +78,31 @@ func TestBlockedOverwritesOutput(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesNaive(t *testing.T) {
-	r := tensor.NewRNG(2)
-	for _, dims := range [][3]int{{1, 8, 8}, {100, 40, 70}, {257, 33, 65}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := randMat(r, m*k)
-		b := randMat(r, k*n)
-		want := make([]float32, m*n)
-		got := make([]float32, m*n)
-		Naive(a, b, want, m, k, n)
-		for _, workers := range []int{0, 1, 3, 16} {
-			Parallel(a, b, got, m, k, n, workers)
-			if d := maxDiff(want, got); d > 1e-4 {
-				t.Fatalf("Parallel(%dx%dx%d, w=%d) differs by %v", m, k, n, workers, d)
-			}
-		}
-	}
-}
-
+// TestBatchedMatchesPerBatchNaive checks Batched against Naive per batch
+// and pins that the worker count cannot change the bits: every batch must
+// equal a serial Blocked product of that batch exactly.
 func TestBatchedMatchesPerBatchNaive(t *testing.T) {
 	r := tensor.NewRNG(3)
 	batch, m, k, n := 16, 12, 10, 14
 	a := randMat(r, batch*m*k)
 	b := randMat(r, batch*k*n)
-	got := make([]float32, batch*m*n)
-	Batched(a, b, got, batch, m, k, n, 4)
-	for i := 0; i < batch; i++ {
-		want := make([]float32, m*n)
-		Naive(a[i*m*k:(i+1)*m*k], b[i*k*n:(i+1)*k*n], want, m, k, n)
-		if d := maxDiff(want, got[i*m*n:(i+1)*m*n]); d > 1e-4 {
-			t.Fatalf("batch %d differs by %v", i, d)
+	for _, workers := range []int{0, 1, 3, 16} {
+		got := make([]float32, batch*m*n)
+		Batched(a, b, got, batch, m, k, n, workers)
+		for i := 0; i < batch; i++ {
+			ai, bi, gi := a[i*m*k:(i+1)*m*k], b[i*k*n:(i+1)*k*n], got[i*m*n:(i+1)*m*n]
+			want := make([]float32, m*n)
+			Naive(ai, bi, want, m, k, n)
+			if d := maxDiff(want, gi); d > 1e-4 {
+				t.Fatalf("workers=%d: batch %d differs from Naive by %v", workers, i, d)
+			}
+			Blocked(ai, bi, want, m, k, n)
+			for j := range want {
+				if math.Float32bits(want[j]) != math.Float32bits(gi[j]) {
+					t.Fatalf("workers=%d: batch %d element %d = %v, serial Blocked gives %v",
+						workers, i, j, gi[j], want[j])
+				}
+			}
 		}
 	}
 }
@@ -121,8 +116,8 @@ func TestCheckDimsPanics(t *testing.T) {
 	Naive(make([]float32, 3), make([]float32, 4), make([]float32, 4), 2, 2, 2)
 }
 
-// Property: for random sizes and data, the blocked and parallel kernels
-// agree with the naive kernel.
+// Property: for random sizes and data, the blocked kernel agrees with the
+// naive kernel.
 func TestGEMMProperty(t *testing.T) {
 	f := func(seed uint64, mRaw, kRaw, nRaw uint8) bool {
 		m := int(mRaw%20) + 1
@@ -132,12 +127,10 @@ func TestGEMMProperty(t *testing.T) {
 		a := randMat(r, m*k)
 		b := randMat(r, k*n)
 		want := make([]float32, m*n)
-		g1 := make([]float32, m*n)
-		g2 := make([]float32, m*n)
+		got := make([]float32, m*n)
 		Naive(a, b, want, m, k, n)
-		Blocked(a, b, g1, m, k, n)
-		Parallel(a, b, g2, m, k, n, 4)
-		return maxDiff(want, g1) <= 1e-4 && maxDiff(want, g2) <= 1e-4
+		Blocked(a, b, got, m, k, n)
+		return maxDiff(want, got) <= 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -154,18 +147,5 @@ func BenchmarkBlocked256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Blocked(a, bb, c, n, n, n)
-	}
-}
-
-func BenchmarkParallel256(b *testing.B) {
-	r := tensor.NewRNG(1)
-	const n = 256
-	a := randMat(r, n*n)
-	bb := randMat(r, n*n)
-	c := make([]float32, n*n)
-	b.SetBytes(int64(2 * n * n * n * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Parallel(a, bb, c, n, n, n, 0)
 	}
 }

@@ -149,6 +149,8 @@ func (s *Sim) launchSharded(total *Metrics, kernel string, plan [][]int) error {
 	if workers < 1 {
 		workers = 1
 	}
+	// Not par.For: these reused workers and their prebuilt run closures keep
+	// a warm launch allocation-free (TestShardedSteadyStateAllocs).
 	for len(st.workers) < workers {
 		wk := &shardWorker{}
 		wk.run = func() {

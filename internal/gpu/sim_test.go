@@ -450,24 +450,6 @@ func TestSmemServiceConflictModel(t *testing.T) {
 	}
 }
 
-func TestGlobalSectors(t *testing.T) {
-	var req memRequest
-	req.width = 4
-	for l := 0; l < 32; l++ {
-		req.addrs[l] = uint32(l * 4)
-		req.active[l] = true
-	}
-	if s := globalSectors(&req); s != 4 {
-		t.Fatalf("coalesced sectors = %d, want 4", s)
-	}
-	for l := 0; l < 32; l++ {
-		req.addrs[l] = uint32(l * 128)
-	}
-	if s := globalSectors(&req); s != 32 {
-		t.Fatalf("strided sectors = %d, want 32", s)
-	}
-}
-
 func TestLDGSpacingBackPressure(t *testing.T) {
 	// A kernel with LDGs packed back-to-back must see more MIO stalls
 	// than the same loads spread out with FFMAs between them.

@@ -191,33 +191,3 @@ func (sm *smSim) growStamp(w int) {
 	copy(ns, sm.smemStamp)
 	sm.smemStamp = ns
 }
-
-// globalSectors returns the number of distinct 32-byte sectors a global
-// warp access touches — the coalescing metric. A fully coalesced 32-lane
-// 4-byte access touches 4 sectors (128 bytes); a strided access can touch
-// up to 32.
-func globalSectors(req *memRequest) int {
-	var sectors []uint32
-	for l := 0; l < warpSize; l++ {
-		if !req.active[l] {
-			continue
-		}
-		for b := 0; b < int(req.width); b += 4 {
-			s := (req.addrs[l] + uint32(b)) / 32
-			dup := false
-			for _, e := range sectors {
-				if e == s {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				sectors = append(sectors, s)
-			}
-		}
-	}
-	if len(sectors) == 0 {
-		return 1
-	}
-	return len(sectors)
-}

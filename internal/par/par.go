@@ -1,6 +1,9 @@
-// Package par holds the tiny data-parallel loop helpers shared by the CPU
-// compute kernels, the benchmark job runner, and the inference server in
-// this repository.
+// Package par holds the tiny data-parallel loop helpers that are the one
+// CPU fan-out in this repository. For runs the CPU kernels (conv's direct,
+// im2col and FFT baselines, gemm.Batched, the Winograd transforms and fused
+// blocks), cudart.Launch's thread blocks and winograd-bench calibrate's
+// devices; ForErr runs the benchmark job runner, the tuner's store-key
+// derivation and the inference load generator's sampled executions.
 package par
 
 import (

@@ -68,15 +68,16 @@ func (t *TuneSelector) Warm(e tune.Entry) {
 // experiment store into the selection cache, returning how many entries
 // warmed and a warning per entry that failed its round-trip checks
 // (warnings are skips, not failures — a bad entry degrades to a cold
-// shape). verify forces the full key round-trip on every entry.
-func (t *TuneSelector) WarmFromStore(st *store.Store, verify bool) (int, []string) {
+// shape). Every entry gets the full key round-trip, so one whose kernel
+// or device hash no longer matches the current sources is never served.
+func (t *TuneSelector) WarmFromStore(st *store.Store) (int, []string) {
 	n := 0
 	var warns []string
 	for _, se := range st.Entries() {
 		if !strings.HasPrefix(se.Key.Mode, "tune/") {
 			continue
 		}
-		e, err := tune.EntryFromStore(se, 0, verify)
+		e, err := tune.EntryFromStore(se, 0, true)
 		if err != nil {
 			warns = append(warns, err.Error())
 			continue

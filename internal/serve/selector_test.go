@@ -112,7 +112,7 @@ func TestTuneSelectorWarmFromStore(t *testing.T) {
 		t.Error("warm shape should not re-measure")
 		return tune.Entry{}, nil
 	}
-	n, warns := sel.WarmFromStore(st, true)
+	n, warns := sel.WarmFromStore(st)
 	if n != 1 || len(warns) != 0 {
 		t.Fatalf("WarmFromStore = (%d, %v), want (1, none)", n, warns)
 	}
@@ -125,6 +125,39 @@ func TestTuneSelectorWarmFromStore(t *testing.T) {
 	}
 }
 
+// TestTuneSelectorSkipsStaleEntries: an entry whose key carries a
+// kernel hash and a device hash the current sources no longer produce is
+// stale, so warming skips it with a warning and the choice stays on the
+// model instead of serving the stored time.
+func TestTuneSelectorSkipsStaleEntries(t *testing.T) {
+	dev := gpu.RTX2070()
+	p := kernels.Problem{C: 8, K: 64, N: 32, H: 6, W: 6}
+	e := fusedEntry(dev, p, 4, 2e-9)
+	key, err := tune.StoreKey(dev, p, 4, e.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key.KernelHash = "000000000000000000000000"
+	key.DeviceHash = "ffffffffffffffffffffffff"
+	st := store.New()
+	if err := st.Put(key, e); err != nil {
+		t.Fatal(err)
+	}
+
+	sel := NewTuneSelector(4)
+	n, warns := sel.WarmFromStore(st)
+	if n != 0 || len(warns) != 1 {
+		t.Fatalf("WarmFromStore = (%d, %v), want (0, one warning)", n, warns)
+	}
+	ch, err := sel.Choose(dev, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.Source != "model" {
+		t.Fatalf("stale entry was served: Source = %q, fused %g", ch.Source, ch.FusedSeconds)
+	}
+}
+
 // TestTuneSelectorWavesMismatchStaysCold: store entries at a different
 // sampling depth are invisible to the selection (the waves key is part
 // of the measurement protocol), so the choice degrades to the model.
@@ -134,7 +167,7 @@ func TestTuneSelectorWavesMismatchStaysCold(t *testing.T) {
 	st := store.New()
 	storeEntry(t, st, dev, fusedEntry(dev, p, 2, 2e-9))
 	sel := NewTuneSelector(4) // depth 4 != stored depth 2
-	if n, _ := sel.WarmFromStore(st, false); n != 1 {
+	if n, _ := sel.WarmFromStore(st); n != 1 {
 		t.Fatalf("warmed %d entries, want 1", n)
 	}
 	ch, err := sel.Choose(dev, p)

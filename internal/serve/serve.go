@@ -278,6 +278,8 @@ func NewServer(cfg Config) (*Server, error) {
 		}
 		s.devices = append(s.devices, d)
 	}
+	// Not par.For: each dispatcher is a long-lived loop that runs until
+	// Close, not one index of a fan-out.
 	for _, d := range s.devices {
 		s.wg.Add(1)
 		go s.dispatch(d)

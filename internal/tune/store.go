@@ -44,8 +44,9 @@ func StoreKey(dev gpu.Device, p kernels.Problem, waves int, cfg kernels.Config) 
 // problem, mode); the expensive key round-trip — config and shape
 // canonicalization, kernel-source and device-spec rehashing — runs only
 // when verify is set, because store.Load has already certified the
-// payload bytes against their content hash (the -storeverify flag and
-// `store verify` force the full check).
+// payload bytes against their content hash (the -storeverify flag,
+// `store verify` and the serving selector's WarmFromStore force the full
+// check).
 func EntryFromStore(se store.Entry, waves int, verify bool) (Entry, error) {
 	var e Entry
 	if err := json.Unmarshal(se.Payload, &e); err != nil {
