@@ -33,7 +33,7 @@
 //
 // The `serve` subcommand is the batched inference service's harness: by
 // default it runs the deterministic load generator (virtual-time
-// simulation of the batching policy with sampled real cudart.Forward
+// simulation of the batching policy with sampled real batch
 // executions) and prints per-shape latency percentiles, batch-size
 // occupancy, and execution checksums — byte-identical for a fixed -seed
 // whatever -jobs is. With -listen it serves POST /v1/infer for real.

@@ -22,7 +22,7 @@ const serveGoldenPath = "testdata/serve_quick.golden"
 // byte for byte, and checks it is independent of the worker count — the
 // serving twin of the experiment-table determinism contract: the report
 // is a pure function of (seed, config) even though every sampled batch
-// really executes through cudart.Forward.
+// really executes through the model's prepared weights.
 //
 // Regenerate after an intentional change with:
 //

@@ -9,61 +9,110 @@ import (
 	"repro/internal/winograd"
 )
 
+// The transforms the two Winograd algorithms read: F(2x2,3x3) laid out
+// for the fused path, F(4x4,3x3) for the non-fused one.
+var (
+	fusedOpt    = winograd.Options{Variant: winograd.F2x2}
+	nonFusedOpt = winograd.Options{Variant: winograd.F4x4, NonFused: true}
+)
+
+// Weights is a filter prepared for inference, where the weights do not
+// change between batches: a private copy of the filter plus both of its
+// Winograd transforms (the paper's separate FX kernel), computed once by
+// Prepare. No caller holds the tensor the transforms were computed from,
+// so they cannot go stale. A Weights is immutable and safe for
+// concurrent use.
+type Weights struct {
+	flt             *tensor.Tensor
+	fused, nonFused winograd.Filter
+}
+
+// Prepare copies flt (KCRS or CRSK, 3x3) and computes its transforms.
+func Prepare(flt *tensor.Tensor) (*Weights, error) {
+	w := &Weights{flt: clone(flt)}
+	var err error
+	if w.fused, err = winograd.TransformFilter(w.flt, fusedOpt); err != nil {
+		return nil, err
+	}
+	if w.nonFused, err = winograd.TransformFilter(w.flt, nonFusedOpt); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Filter returns a copy of the weights w was prepared from.
+func (w *Weights) Filter() *tensor.Tensor { return clone(w.flt) }
+
+func clone(t *tensor.Tensor) *tensor.Tensor {
+	return &tensor.Tensor{Layout: t.Layout, Dims: t.Dims, Data: append([]float32(nil), t.Data...)}
+}
+
 // Forward is the runtime's algorithm-dispatch shim — the consumer of the
 // tuner's per-layer verdicts, shaped like cuDNN's
 // cudnnConvolutionForward after cudnnFindConvolutionForwardAlgorithm:
 // the caller obtains a tune.Choice for its (device, problem) and Forward
-// runs that algorithm on this runtime's implementations.
-//
-//   - FUSED_WINOGRAD runs internal/winograd's blocked CPU Algorithm 1
-//     (bk=64/bn=32/bc=8, F(2x2,3x3)) under the SASS kernel's shape
-//     contract. Its outputs are bit-identical to WinogradConv, the
-//     thread-for-thread model kept as the test oracle. The tuned
-//     kernels.Config travels with the Choice for the SASS path; the
-//     functional model here is config-independent, so every tuned
-//     config computes the same bits.
-//   - IMPLICIT_PRECOMP_GEMM runs the GEMM-style lowering (conv.Im2col).
-//   - WINOGRAD_NONFUSED runs the non-fused F(4x4,3x3) implementation
-//     with its global-workspace round-trip (winograd.ConvTransformed).
-//
-// Both Winograd algorithms take flt's transform (winograd.TransformFilter,
-// the paper's FX kernel) from a memo shared by all callers, so a served
-// layer's weights are transformed once, not on every batch. The memo is
-// keyed by flt's layout, dims and exact bits, and every hit is confirmed
-// bit for bit against a stored copy of the weights: a filter mutated in
-// place, or differing only in a ±0 or a NaN payload, is transformed
-// afresh. It keeps no reference to flt and holds at most
-// filterMemoFloats floats, evicting its oldest entries first.
-// WinogradConv still transforms on every call.
+// runs that algorithm on this runtime's implementations. It is one-shot:
+// it prepares flt, then runs Weights.Forward on the whole batch, so it
+// pays the filter transform on every call. It transforms only for ch's
+// algorithm and keeps no copy of flt, since the weights do not outlive
+// the call.
 //
 // in may be NCHW or CHWN, flt KCRS or CRSK; the output is always KHWN
 // (the kernel's native layout), whatever algorithm ran, with pad fixed
 // at 1 like the rest of the reproduction.
 func Forward(in, flt *tensor.Tensor, ch tune.Choice) (*tensor.Tensor, error) {
+	w := &Weights{flt: flt}
+	var err error
 	switch ch.Algo {
 	case tune.AlgoFused:
-		if err := checkFusedShape(in.ImageShape(), flt.FilterShapeOf()); err != nil {
+		w.fused, err = winograd.TransformFilter(flt, fusedOpt)
+	case tune.AlgoNonfused:
+		w.nonFused, err = winograd.TransformFilter(flt, nonFusedOpt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return w.Forward(in, in.ImageShape().N, ch)
+}
+
+// Forward runs ch's algorithm on in, the live images of a batch that the
+// kernel runs at batchN images. The slots past in's N would hold zero
+// padding whose outputs nobody reads, so they are neither allocated nor
+// computed: the KHWN output has in's N images. Every image is convolved
+// independently, so each output is bit-identical to its slot of the
+// padded batch's.
+//
+//   - FUSED_WINOGRAD runs internal/winograd's blocked CPU Algorithm 1
+//     (bk=64/bn=32/bc=8, F(2x2,3x3)) under the SASS kernel's shape
+//     contract, checked against batchN. Its outputs are bit-identical
+//     to WinogradConv, the thread-for-thread model kept as the test
+//     oracle. The tuned kernels.Config travels with the Choice for the
+//     SASS path; the functional model here is config-independent, so
+//     every tuned config computes the same bits.
+//   - IMPLICIT_PRECOMP_GEMM runs the GEMM-style lowering (conv.Im2col).
+//   - WINOGRAD_NONFUSED runs the non-fused F(4x4,3x3) implementation
+//     with its global-workspace round-trip (winograd.ConvTransformed).
+func (w *Weights) Forward(in *tensor.Tensor, batchN int, ch tune.Choice) (*tensor.Tensor, error) {
+	is := in.ImageShape()
+	if is.N > batchN {
+		return nil, fmt.Errorf("cudart: %d live images do not fit a batch of %d", is.N, batchN)
+	}
+	switch ch.Algo {
+	case tune.AlgoFused:
+		is.N = batchN
+		if err := checkFusedShape(is, w.flt.FilterShapeOf()); err != nil {
 			return nil, err
 		}
-		return forwardWinograd(in, flt, winograd.Options{Variant: winograd.F2x2})
+		return winograd.ConvTransformed(in, &w.fused, 1, fusedOpt)
 	case tune.AlgoGEMM:
-		out, err := conv.Im2col(in, flt, conv.Params{Pad: 1})
+		out, err := conv.Im2col(in, w.flt, conv.Params{Pad: 1})
 		if err != nil {
 			return nil, err
 		}
 		return out.ToLayout(tensor.KHWN), nil
 	case tune.AlgoNonfused:
-		return forwardWinograd(in, flt, winograd.Options{Variant: winograd.F4x4, NonFused: true})
+		return winograd.ConvTransformed(in, &w.nonFused, 1, nonFusedOpt)
 	default:
 		return nil, fmt.Errorf("cudart: unknown algorithm %q", ch.Algo)
 	}
-}
-
-// forwardWinograd convolves in with flt's memoized transform.
-func forwardWinograd(in, flt *tensor.Tensor, opt winograd.Options) (*tensor.Tensor, error) {
-	f, err := filterTransforms.transform(flt, opt)
-	if err != nil {
-		return nil, err
-	}
-	return winograd.ConvTransformed(in, f, 1, opt)
 }

@@ -184,55 +184,105 @@ func TestForwardFusedNonFiniteMatchesOracle(t *testing.T) {
 }
 
 // TestForwardFusedShapeContract: the fused path still rejects every shape
-// the SASS kernel cannot run, with the kernel generator's error text.
+// the SASS kernel cannot run, with the kernel generator's error text,
+// whether the batch is whole or only its live image is computed: the
+// prepared path checks the kernel's batch N, not the live count. A live
+// count above the batch is an error on every algorithm.
 func TestForwardFusedShapeContract(t *testing.T) {
+	fused := tune.Choice{Algo: tune.AlgoFused}
 	for _, fc := range []fusedCase{
 		{name: "n31", C: 8, K: 64, N: 31, H: 4, W: 4},
 		{name: "k32", C: 8, K: 32, N: 32, H: 4, W: 4},
 		{name: "c4", C: 4, K: 64, N: 32, H: 4, W: 4},
 	} {
-		in, flt := fc.problem(tensor.CHWN, tensor.CRSK)
-		_, err := Forward(in, flt, tune.Choice{Algo: tune.AlgoFused})
 		want := fmt.Sprintf("cudart: needs N%%32==0, K%%64==0, C%%8==0 (got N=%d K=%d C=%d)", fc.N, fc.K, fc.C)
-		if err == nil || !strings.Contains(err.Error(), want) {
+		in, flt := fc.problem(tensor.CHWN, tensor.CRSK)
+		if _, err := Forward(in, flt, fused); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err = %v, want %q", fc.name, err, want)
+		}
+		lone, w, err := fc.lone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Forward(lone, fc.N, fused); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s, one live image: err = %v, want %q", fc.name, err, want)
+		}
+	}
+	in, w, err := convA.lone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []tune.Algorithm{tune.AlgoFused, tune.AlgoGEMM, tune.AlgoNonfused} {
+		if _, err := w.Forward(in, 0, tune.Choice{Algo: algo}); err == nil || !strings.Contains(err.Error(), "do not fit a batch of 0") {
+			t.Errorf("%s: one live image in a batch of 0: err = %v", algo, err)
 		}
 	}
 }
 
-// TestForwardFusedAllocsPinned: a warm fused Forward takes its
-// transformed filter from the memo, so a lone request padded to N=32
-// allocates the output, the live-image list and the par.For workers: 4
-// allocs/op, against 10 when every call transformed the filter.
+// lone returns fc as one served request: a single random image, the
+// live part of a batch the kernel runs at fc.N, and prepared weights.
+func (fc fusedCase) lone() (*tensor.Tensor, *Weights, error) {
+	fc.N = 1
+	in, flt := fc.problem(tensor.CHWN, tensor.CRSK)
+	w, err := Prepare(flt)
+	return in, w, err
+}
+
+// TestForwardFusedAllocsPinned: a lone request through prepared weights
+// allocates only its one-image output, the live-image list and the
+// par.For workers: 4 allocs/op.
 func TestForwardFusedAllocsPinned(t *testing.T) {
-	for _, fc := range []fusedCase{convA.filled(1), convB.filled(1)} {
-		in, flt := fc.problem(tensor.CHWN, tensor.CRSK)
+	for _, fc := range []fusedCase{convA, convB} {
+		in, w, err := fc.lone()
+		if err != nil {
+			t.Fatal(err)
+		}
 		forward := func() {
-			if _, err := Forward(in, flt, tune.Choice{Algo: tune.AlgoFused}); err != nil {
+			if _, err := w.Forward(in, fc.N, tune.Choice{Algo: tune.AlgoFused}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		forward()
-		if n := testing.AllocsPerRun(20, forward); n > 6 {
-			t.Errorf("%s: warm Forward: %v allocs/op, want <= 6", fc.name, n)
+		if n := testing.AllocsPerRun(20, forward); n > 4 {
+			t.Errorf("%s: prepared lone-request Forward: %v allocs/op, want <= 4", fc.name, n)
 		}
 	}
 }
 
-// BenchmarkForward times every algorithm Forward dispatches on the host,
-// per shape: the serving demo's two layers, full and as a lone request
-// zero-padded to N=32 (filled1), and a ResNet-like C=K=64 layer.
+// BenchmarkForward times every algorithm on the host, per shape: the
+// serving demo's two layers, full and as a lone request zero-padded to
+// N=32 (filled1), and a ResNet-like C=K=64 layer, all through the
+// one-shot Forward, which transforms the filter on every call; then
+// the lone request as the server runs it (live1): prepared weights, the
+// one live image of an N=32 batch.
 func BenchmarkForward(b *testing.B) {
+	algos := []struct {
+		name string
+		algo tune.Algorithm
+	}{{"fused", tune.AlgoFused}, {"gemm", tune.AlgoGEMM}, {"nonfused", tune.AlgoNonfused}}
 	for _, fc := range []fusedCase{convA, convA.filled(1), convB, convB.filled(1), resnet64} {
 		in, flt := fc.problem(tensor.CHWN, tensor.CRSK)
-		for _, algo := range []struct {
-			name string
-			algo tune.Algorithm
-		}{{"fused", tune.AlgoFused}, {"gemm", tune.AlgoGEMM}, {"nonfused", tune.AlgoNonfused}} {
+		for _, algo := range algos {
 			b.Run(fc.name+"/"+algo.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := Forward(in, flt, tune.Choice{Algo: algo.algo}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	for _, fc := range []fusedCase{convA, convB} {
+		in, w, err := fc.lone()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, algo := range algos {
+			b.Run(fc.name+"_live1/"+algo.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := w.Forward(in, fc.N, tune.Choice{Algo: algo.algo}); err != nil {
 						b.Fatal(err)
 					}
 				}

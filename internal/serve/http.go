@@ -19,9 +19,8 @@ const (
 // maxBody is the largest /v1/infer body the handler reads.
 func (s *Server) maxBody() int64 {
 	longest := 0
-	for _, name := range s.cfg.Model.LayerNames() {
-		spec, _, _ := s.cfg.Model.Layer(name)
-		longest = max(longest, spec.InLen())
+	for _, l := range s.cfg.Model.layers {
+		longest = max(longest, l.spec.InLen())
 	}
 	return int64(longest)*bytesPerFloat + bodySlack
 }
@@ -30,9 +29,10 @@ func (s *Server) maxBody() int64 {
 // body {device, layer, image} blocks until the request's batch has run
 // and returns the output image. A body over maxBody gets 413 and a
 // malformed one 400. Admission rejections map to 429, shutdown to 503 —
-// the status codes a load balancer retries on — a panicked batch to
-// 500, and an output holding a value JSON cannot carry (±Inf or NaN) to
-// 422. Bodies are read and replies written by the codec in wire.go.
+// the status codes a load balancer retries on — a panicked batch, or
+// one whose executor output does not fit it, to 500, and an output
+// holding a value JSON cannot carry (±Inf or NaN) to 422. Bodies are
+// read and replies written by the codec in wire.go.
 func (s *Server) Handler() http.Handler {
 	limit := s.maxBody()
 	mux := http.NewServeMux()
@@ -64,7 +64,7 @@ func (s *Server) Handler() http.Handler {
 				code = http.StatusTooManyRequests
 			case errors.Is(err, ErrClosed):
 				code = http.StatusServiceUnavailable
-			case errors.Is(err, ErrPanicked):
+			case errors.Is(err, ErrPanicked), errors.Is(err, ErrBadOutput):
 				code = http.StatusInternalServerError
 			}
 			wb.reply(w, code, &inferResponse{Error: err.Error()})

@@ -196,8 +196,9 @@ type benchBody struct{ bytes.Reader }
 func (*benchBody) Close() error { return nil }
 
 // BenchmarkHandler times warm lone requests through Handler().ServeHTTP
-// with the default ForwardExecutor: decode, admission, a padded N=32
-// fused forward, and the reply.
+// with the default executor: decode, admission, a fused forward of the
+// one live image of an N=32 batch from the model's prepared weights, and
+// the reply.
 func BenchmarkHandler(b *testing.B) {
 	model := DemoModel(31)
 	s, err := NewServer(Config{Model: model, Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused})})
@@ -225,7 +226,7 @@ func BenchmarkHandler(b *testing.B) {
 					b.Fatalf("status %d, %d reply bytes", w.code, w.n)
 				}
 			}
-			serve() // warm: the filter memo and the selector
+			serve() // warm: the selector
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -41,7 +41,7 @@ type LoadConfig struct {
 	Model    *Model       // default DemoModel(Seed)
 	Policy   Policy
 	Selector Selector // default cold NewTuneSelector(4)
-	Exec     Executor // runs the sampled batches; default ForwardExecutor
+	Exec     Executor // runs the sampled batches; default Model.Executor()
 	// ExecEvery really executes every k-th dispatched batch (default 23;
 	// < 0 disables sampling).
 	ExecEvery int
@@ -64,7 +64,7 @@ func (c LoadConfig) withDefaults() LoadConfig {
 		c.Selector = NewTuneSelector(4)
 	}
 	if c.Exec == nil {
-		c.Exec = ForwardExecutor{}
+		c.Exec = c.Model.Executor()
 	}
 	if c.ExecEvery == 0 {
 		c.ExecEvery = 23

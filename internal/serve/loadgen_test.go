@@ -109,9 +109,9 @@ func TestGenerateRejectsUnderSmallCap(t *testing.T) {
 	}
 }
 
-// TestGenerateRealExecution: the sampled batches run through the real
-// ForwardExecutor (cudart.Forward) and their checksums land in the
-// report — twice, identically.
+// TestGenerateRealExecution: the sampled batches run through the
+// default executor (the model's prepared weights) and their checksums
+// land in the report — twice, identically.
 func TestGenerateRealExecution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real batch execution is not short")

@@ -1,8 +1,9 @@
 // Package serve is a batched multi-tenant inference service on top of
-// cudart.Forward: requests for one (device, layer) shape wait in a
-// bounded queue until their device is free, then leave as one batch
-// padded up to a sweet spot (N ∈ {32, 64, 96, 128}) that runs the
-// algorithm a warm tune.Select chose for that shape. Every batch cut is
+// cudart's prepared weights (cudart.Weights): requests for one (device,
+// layer) shape wait in a bounded queue until their device is free, then
+// leave as one batch padded up to a sweet spot (N ∈ {32, 64, 96, 128})
+// that runs the algorithm a warm tune.Select chose for that shape; only
+// its live images are computed. Every batch cut is
 // decided by one clock-free state machine (the coalescer in policy.go),
 // which one dispatcher goroutine per device drives here and the
 // deterministic load generator (loadgen.go) drives in virtual time.
@@ -34,6 +35,9 @@ var (
 	// Executor or output slicing panicked; the dispatcher goes on to the
 	// next batch.
 	ErrPanicked = errors.New("serve: batch panicked")
+	// ErrBadOutput fails every request of a batch whose Executor returned
+	// a tensor that does not hold the batch's output images.
+	ErrBadOutput = errors.New("serve: executor output does not fit the batch")
 )
 
 // LayerSpec names one convolution layer a model serves: a 3x3
@@ -56,6 +60,8 @@ func (s LayerSpec) OutLen() int { return s.K * s.H * s.W }
 
 // Model is a named set of layers with their filter weights — what a
 // tenant deploys. Filters are CRSK (the fused kernel's native layout).
+// The model owns its weights: each is copied and prepared for serving
+// (cudart.Prepare) when its layer is added.
 type Model struct {
 	layers map[string]modelLayer
 	names  []string
@@ -63,16 +69,17 @@ type Model struct {
 
 type modelLayer struct {
 	spec LayerSpec
-	flt  *tensor.Tensor
+	w    *cudart.Weights
 }
 
 // NewModel returns an empty model.
 func NewModel() *Model { return &Model{layers: map[string]modelLayer{}} }
 
-// AddLayer registers a layer and its filter. The spec must satisfy the
-// kernel generator's constraints (C%8==0, K%64==0 — batch N is padded by
-// the server, so only the channel constraints bind here) and the filter
-// must be a CRSK tensor of the spec's shape.
+// AddLayer registers a layer and prepares a copy of its filter, so
+// changing flt afterwards does not change what the model serves. The
+// spec must satisfy the kernel generator's constraints (C%8==0, K%64==0
+// — batch N is padded by the server, so only the channel constraints
+// bind here) and the filter must be a CRSK tensor of the spec's shape.
 func (m *Model) AddLayer(spec LayerSpec, flt *tensor.Tensor) error {
 	if spec.Name == "" {
 		return errors.New("serve: layer needs a name")
@@ -93,16 +100,23 @@ func (m *Model) AddLayer(spec LayerSpec, flt *tensor.Tensor) error {
 	if fs.C != spec.C || fs.K != spec.K || fs.R != 3 || fs.S != 3 {
 		return fmt.Errorf("serve: layer %q filter shape (K=%d C=%d %dx%d) does not match spec", spec.Name, fs.K, fs.C, fs.R, fs.S)
 	}
-	m.layers[spec.Name] = modelLayer{spec: spec, flt: flt}
+	w, err := cudart.Prepare(flt)
+	if err != nil {
+		return fmt.Errorf("serve: layer %q: %w", spec.Name, err)
+	}
+	m.layers[spec.Name] = modelLayer{spec: spec, w: w}
 	m.names = append(m.names, spec.Name)
 	sort.Strings(m.names)
 	return nil
 }
 
-// Layer looks a layer up by name.
+// Layer looks a layer up by name. The filter is a copy of the model's.
 func (m *Model) Layer(name string) (LayerSpec, *tensor.Tensor, bool) {
 	l, ok := m.layers[name]
-	return l.spec, l.flt, ok
+	if !ok {
+		return LayerSpec{}, nil, false
+	}
+	return l.spec, l.w.Filter(), true
 }
 
 // LayerNames returns the registered layer names, sorted.
@@ -146,22 +160,30 @@ type Response struct {
 	Err    error
 }
 
-// Executor runs one coalesced batch. images fills slots 0..len(images)-1
-// of a batchN-image batch; the remaining slots are zero-padded. The
-// returned tensor is KHWN with N == batchN.
+// Executor runs one coalesced batch. The kernel runs batchN images:
+// images fill slots 0..len(images)-1 and the remaining slots are zero
+// padding, whose outputs nobody reads. The returned tensor is KHWN, one
+// K×H×W output image per slot, with N ≥ len(images): an executor may
+// return the whole padded batch or, like the default, only the live
+// images.
 type Executor interface {
 	Run(spec LayerSpec, flt *tensor.Tensor, choice tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error)
 }
 
-// ForwardExecutor is the real executor: batch assembly into the CHWN
-// layout the fused kernel wants, then cudart.Forward with the chosen
-// algorithm.
-type ForwardExecutor struct{}
+// Executor returns the default executor: it runs the batch's layer from
+// the model's prepared weights (cudart.Weights.Forward) on the live
+// images alone, assembled into the CHWN layout the fused kernel wants.
+// Its Run does not read flt, since the model holds its own copy of it.
+func (m *Model) Executor() Executor { return modelExecutor{m} }
 
-// Run implements Executor on cudart.Forward.
-func (ForwardExecutor) Run(spec LayerSpec, flt *tensor.Tensor, choice tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error) {
-	in := AssembleBatch(spec, images, batchN)
-	return cudart.Forward(in, flt, choice)
+type modelExecutor struct{ m *Model }
+
+func (e modelExecutor) Run(spec LayerSpec, _ *tensor.Tensor, choice tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error) {
+	l, ok := e.m.layers[spec.Name]
+	if !ok || l.spec != spec {
+		return nil, fmt.Errorf("serve: model has no layer %+v", spec)
+	}
+	return l.w.Forward(AssembleBatch(spec, images, len(images)), batchN, choice)
 }
 
 // AssembleBatch packs per-request images into one CHWN batch tensor of
@@ -200,7 +222,7 @@ type Config struct {
 	Policy   Policy
 	Model    *Model
 	Selector Selector     // default: cold NewTuneSelector(4) (analytic-model fallback)
-	Exec     Executor     // default: ForwardExecutor
+	Exec     Executor     // default: Model.Executor()
 	Devices  []gpu.Device // default: RTX2070
 }
 
@@ -212,7 +234,7 @@ func (c Config) withDefaults() Config {
 		c.Selector = NewTuneSelector(4)
 	}
 	if c.Exec == nil {
-		c.Exec = ForwardExecutor{}
+		c.Exec = c.Model.Executor()
 	}
 	if len(c.Devices) == 0 {
 		c.Devices = []gpu.Device{gpu.RTX2070()}
@@ -396,6 +418,10 @@ func (s *Server) execBatch(q *queue, reqs []*Request, batchN int) (resps []Respo
 	out, err := s.cfg.Exec.Run(q.spec, q.flt, choice, images, batchN)
 	if err != nil {
 		return fail(err)
+	}
+	if got := out.ImageShape(); got.C != q.spec.K || got.H != q.spec.H || got.W != q.spec.W || got.N < len(reqs) {
+		return fail(fmt.Errorf("%w: %s N=%d holds %d requests, got K=%d H=%d W=%d N=%d, want K=%d H=%d W=%d N>=%d",
+			ErrBadOutput, q.spec.Name, batchN, len(reqs), got.C, got.H, got.W, got.N, q.spec.K, q.spec.H, q.spec.W, len(reqs)))
 	}
 	for i := range resps {
 		resps[i] = Response{

@@ -256,33 +256,53 @@ func (f *faultSelector) Choose(dev gpu.Device, p kernels.Problem) (tune.Choice, 
 	return f.FixedSelector.Choose(dev, p)
 }
 
+// A faultExec with a nil out panics on its second call; otherwise that
+// call returns out's tensor, the wrong output for the batch.
 type faultExec struct {
 	*stubExec
+	out   func(spec LayerSpec, filled int) *tensor.Tensor
 	calls atomic.Int32
 }
 
 func (e *faultExec) Run(spec LayerSpec, flt *tensor.Tensor, ch tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error) {
 	if e.calls.Add(1) == 2 {
-		panic("injected executor fault")
+		if e.out == nil {
+			panic("injected executor fault")
+		}
+		return e.out(spec, len(images)), nil
 	}
 	return e.stubExec.Run(spec, flt, ch, images, batchN)
 }
 
 // TestPanicContainedToBatch: a Selector or Executor that panics fails
-// every request of its own batch with ErrPanicked naming the panic, and
-// the server goes on serving the next batch.
+// every request of its own batch with ErrPanicked naming the panic, an
+// Executor whose output holds fewer images than the batch has requests,
+// or images of the wrong size, fails it with ErrBadOutput naming the
+// shapes, and either way the server goes on serving the next batch.
 func TestPanicContainedToBatch(t *testing.T) {
 	fused := FixedSelector{Algo: tune.AlgoFused}
+	badOutput := func(out func(spec LayerSpec, filled int) *tensor.Tensor) func(*stubExec) Executor {
+		return func(e *stubExec) Executor { return &faultExec{stubExec: e, out: out} }
+	}
 	for _, tc := range []struct {
-		name string
-		sel  func() Selector
-		exec func(*stubExec) Executor
-		want string
+		name    string
+		sel     func() Selector
+		exec    func(*stubExec) Executor
+		wantErr error
+		want    string
 	}{
 		{"selector", func() Selector { return &faultSelector{FixedSelector: fused} },
-			func(e *stubExec) Executor { return e }, "injected selector fault"},
+			func(e *stubExec) Executor { return e }, ErrPanicked, "injected selector fault"},
 		{"executor", func() Selector { return fused },
-			func(e *stubExec) Executor { return &faultExec{stubExec: e} }, "injected executor fault"},
+			func(e *stubExec) Executor { return &faultExec{stubExec: e} }, ErrPanicked, "injected executor fault"},
+		{"short output", func() Selector { return fused },
+			badOutput(func(spec LayerSpec, filled int) *tensor.Tensor {
+				return tensor.New(tensor.KHWN, spec.K, spec.H, spec.W, filled-1)
+			}), ErrBadOutput, "got K=64 H=6 W=6 N=2, want K=64 H=6 W=6 N>=3"},
+		{"wrong image size", func() Selector { return fused },
+			badOutput(func(spec LayerSpec, _ int) *tensor.Tensor {
+				return tensor.New(tensor.KHWN, spec.K, spec.H, spec.W+1, 32)
+			}), ErrBadOutput, "got K=64 H=6 W=7 N=32, want K=64 H=6 W=6 N>=3"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			model := DemoModel(8)
@@ -305,8 +325,8 @@ func TestPanicContainedToBatch(t *testing.T) {
 			checkOccupier(t, busy)
 			for i, ch := range chans {
 				resp := <-ch
-				if !errors.Is(resp.Err, ErrPanicked) || !strings.Contains(resp.Err.Error(), tc.want) {
-					t.Fatalf("request %d: err = %v, want ErrPanicked naming %q", i, resp.Err, tc.want)
+				if !errors.Is(resp.Err, tc.wantErr) || !strings.Contains(resp.Err.Error(), tc.want) {
+					t.Fatalf("request %d: err = %v, want %v naming %q", i, resp.Err, tc.wantErr, tc.want)
 				}
 			}
 			resp, err := s.Infer(demoRequest(model, "conv_a", 9))

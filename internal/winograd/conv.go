@@ -132,23 +132,26 @@ func ConvTransformed(in *tensor.Tensor, f *Filter, pad int, opt Options) (*tenso
 // filter tile. The result is stored element-major: index
 // e*(C*K) + c*K + k, matching the per-element (C x K) matrices the EWMM
 // step consumes; along k the data is contiguous, the property the paper's
-// CR'S'K layout provides for coalescing.
+// CR'S'K layout provides for coalescing. The work fans out over input
+// channels: one channel's K tiles are one loop index, so each worker
+// writes whole contiguous k runs.
 func FilterTransformAll(flt *tensor.Tensor, v Variant) []float32 {
 	fs := flt.FilterShapeOf()
 	area := v.TileArea()
 	out := make([]float32, area*fs.C*fs.K)
-	par.For(fs.C*fs.K, 0, func(j int) {
-		c, k := j/fs.K, j%fs.K
+	par.For(fs.C, 0, func(c int) {
 		var f FilterTile3
-		for r := 0; r < 3; r++ {
-			for s := 0; s < 3; s++ {
-				f[r*3+s] = flt.FilterAt(k, c, r, s)
-			}
-		}
 		var hat [maxArea]float32
-		TransformFilterTile(v, &f, hat[:area])
-		for e := 0; e < area; e++ {
-			out[e*fs.C*fs.K+c*fs.K+k] = hat[e]
+		for k := 0; k < fs.K; k++ {
+			for r := 0; r < 3; r++ {
+				for s := 0; s < 3; s++ {
+					f[r*3+s] = flt.FilterAt(k, c, r, s)
+				}
+			}
+			TransformFilterTile(v, &f, hat[:area])
+			for e := 0; e < area; e++ {
+				out[e*fs.C*fs.K+c*fs.K+k] = hat[e]
+			}
 		}
 	})
 	return out
