@@ -1,8 +1,9 @@
 package kernels
 
 import (
-	"fmt"
 	"strconv"
+	"strings"
+	"unsafe"
 )
 
 // ctrl renders a control-code prefix for the assembler.
@@ -72,7 +73,8 @@ type auxInst struct {
 }
 
 type channelState struct {
-	items []auxInst
+	items []auxInst // items[head:] are queued; the backing array is reused once drained
+	head  int
 	since int
 }
 
@@ -82,9 +84,10 @@ type channelState struct {
 // instructions (LDGn / STSn), and the yield-flag strategy applied to the
 // float stream (Natural / every-7 / every-8).
 //
-// Instruction text is formatted straight into one growing buffer, and
-// queued auxiliary text into a second one, so a kernel costs a handful
-// of buffer growths instead of several allocations per instruction.
+// Instruction text is formatted by appendf straight into one buffer,
+// sized once per kernel from the generator's estimate, and queued
+// auxiliary text into a second one, so a kernel costs a handful of
+// allocations in all rather than some per instruction.
 type emitter struct {
 	b          []byte
 	aux        []byte // queued instruction text; reset when every channel is empty
@@ -93,25 +96,28 @@ type emitter struct {
 	ch         [numChannels]channelState
 }
 
-func newEmitter(yieldEvery int) *emitter {
-	e := &emitter{yieldEvery: yieldEvery}
+// newEmitter returns an emitter whose text buffer holds size bytes
+// before it first grows.
+func newEmitter(yieldEvery, size int) *emitter {
+	e := &emitter{b: make([]byte, 0, size), aux: make([]byte, 0, 4<<10), yieldEvery: yieldEvery}
+	const depth = 64 // deeper than any generator queues
+	items := make([]auxInst, numChannels*depth)
 	for i := range e.ch {
+		e.ch[i].items = items[i*depth : i*depth : (i+1)*depth]
 		e.ch[i].since = 1 << 20 // first item inserts immediately
 	}
 	return e
 }
 
-// raw emits a directive or label verbatim.
-func (e *emitter) raw(s string) {
-	e.b = append(e.b, s...)
-	e.b = append(e.b, '\n')
+// raw emits a directive or label, formatted as by appendf.
+func (e *emitter) raw(format string, args ...any) {
+	e.b = append(appendf(e.b, format, args), '\n')
 }
 
 // ins emits one instruction with its control code, bypassing the weaver.
 func (e *emitter) ins(c ctrl, format string, args ...any) {
 	e.b = append(c.appendTo(e.b), "  "...)
-	e.b = fmt.Appendf(e.b, format, args...)
-	e.b = append(e.b, '\n')
+	e.b = append(appendf(e.b, format, args), '\n')
 }
 
 // insAux emits a queued instruction.
@@ -143,7 +149,7 @@ func (e *emitter) queue(channel int, gap int, c ctrl, format string, args ...any
 		e.aux = e.aux[:0]
 	}
 	start := len(e.aux)
-	e.aux = fmt.Appendf(e.aux, format, args...)
+	e.aux = appendf(e.aux, format, args)
 	e.ch[channel].items = append(e.ch[channel].items,
 		auxInst{c: c, start: start, end: len(e.aux), gap: gap})
 }
@@ -151,13 +157,16 @@ func (e *emitter) queue(channel int, gap int, c ctrl, format string, args ...any
 func (e *emitter) drain() {
 	for i := range e.ch {
 		ch := &e.ch[i]
-		for len(ch.items) > 0 && ch.since >= ch.items[0].gap {
-			a := ch.items[0]
-			ch.items = ch.items[1:]
+		for ch.head < len(ch.items) && ch.since >= ch.items[ch.head].gap {
+			a := ch.items[ch.head]
+			ch.head++
 			e.insAux(a)
 			if a.gap > 0 {
 				ch.since = 0
 			}
+		}
+		if ch.head == len(ch.items) {
+			ch.items, ch.head = ch.items[:0], 0
 		}
 	}
 }
@@ -165,10 +174,10 @@ func (e *emitter) drain() {
 // flush emits everything still queued on a channel, back to back.
 func (e *emitter) flush(channel int) {
 	ch := &e.ch[channel]
-	for _, a := range ch.items {
+	for _, a := range ch.items[ch.head:] {
 		e.insAux(a)
 	}
-	ch.items = ch.items[:0]
+	ch.items, ch.head = ch.items[:0], 0
 	ch.since = 1 << 20
 }
 
@@ -182,4 +191,65 @@ func (e *emitter) pendingAux() bool {
 	return false
 }
 
-func (e *emitter) source() string { return string(e.b) }
+// source returns the text without copying it, as strings.Builder does,
+// and drops the buffer, so no later write can reach the returned string.
+func (e *emitter) source() string {
+	s := unsafe.String(unsafe.SliceData(e.b), len(e.b))
+	e.b = nil
+	return s
+}
+
+// appendf appends format to b with each %d, %x and %s verb replaced by
+// the next argument, spelled as fmt spells it: an int or uint32 in
+// decimal or lowercase hex, or a string. Those are all the generators
+// pass. Anything else — another verb, a flag or width, an argument of
+// another type, too few or too many arguments — panics, since every
+// format is a literal the tests run. args does not escape, so callers
+// box their operands on the stack.
+func appendf(b []byte, format string, args []any) []byte {
+	rest, n := format, 0
+	for {
+		i := strings.IndexByte(rest, '%')
+		if i < 0 {
+			break
+		}
+		b = append(b, rest[:i]...)
+		if i+1 == len(rest) || n == len(args) {
+			panic(badFormat(format))
+		}
+		verb, arg := rest[i+1], args[n]
+		rest = rest[i+2:]
+		n++
+		base := 10
+		switch verb {
+		case 's':
+			s, ok := arg.(string)
+			if !ok {
+				panic(badFormat(format))
+			}
+			b = append(b, s...)
+			continue
+		case 'x':
+			base = 16
+		case 'd':
+		default:
+			panic(badFormat(format))
+		}
+		switch v := arg.(type) {
+		case int:
+			b = strconv.AppendInt(b, int64(v), base)
+		case uint32:
+			b = strconv.AppendUint(b, uint64(v), base)
+		default:
+			panic(badFormat(format))
+		}
+	}
+	if n != len(args) {
+		panic(badFormat(format))
+	}
+	return append(b, rest...)
+}
+
+func badFormat(format string) string {
+	return "kernels: emitter cannot format " + strconv.Quote(format)
+}

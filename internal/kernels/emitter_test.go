@@ -44,6 +44,23 @@ func TestSourceTextPinned(t *testing.T) {
 	}
 }
 
+// TestSourceAllocsPinned pins kernels.Source on the perf suite's
+// problem (BENCH_sim.json's kernels/source row) at 8 allocs/op: the
+// text, queued-text and queue-item buffers, each sized once, and the
+// layout's five register tables. The returned string is the text
+// buffer itself. The budget may only tighten.
+func TestSourceAllocsPinned(t *testing.T) {
+	p := Problem{C: 64, K: 64, N: 32, H: 8, W: 8}
+	source := func() {
+		if _, err := Source(Ours(), p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, source); n > 8 {
+		t.Errorf("Source: %v allocs/op, want <= 8", n)
+	}
+}
+
 // TestCtrlAppend pins the control-code renderer against the Sprintf
 // spelling the assembler grammar documents: two-digit hex wait mask or
 // "--", barrier index or "-", Y or "-", decimal stall, appended after

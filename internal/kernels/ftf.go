@@ -32,7 +32,7 @@ func generateFTF(k int) (*cubin.Kernel, error) {
 		return nil, fmt.Errorf("kernels: FTF needs K to be a positive multiple of 32, got %d", k)
 	}
 	block := FTFBlock(k)
-	e := newEmitter(0)
+	e := newEmitter(0, 4<<10)
 	e.raw(".kernel ftf")
 	e.raw(".params 12")
 

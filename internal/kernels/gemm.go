@@ -60,7 +60,7 @@ func GenerateBatchedGEMM(cfg Config, p GemmProblem) (*cubin.Kernel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &gemmGen{cfg: cfg, p: p, e: newEmitter(cfg.YieldEvery)}
+	g := &gemmGen{cfg: cfg, p: p, e: newEmitter(cfg.YieldEvery, 64<<10)}
 	src := g.generate()
 	k, err := turingas.AssembleKernel(src)
 	if err != nil {
@@ -107,7 +107,7 @@ func (g *gemmGen) generate() string {
 
 	e.raw(".kernel batched_gemm")
 	e.raw(".regs 250")
-	e.raw(fmt.Sprintf(".smem %d", 48*1024))
+	e.raw(".smem %d", 48*1024)
 	e.raw(".params 12")
 
 	// --- prologue ---

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cubin"
 	"repro/internal/sched"
@@ -33,7 +34,17 @@ var genCache sched.Flight[*cubin.Kernel]
 // mainLoopOnly) key; the returned kernel is shared and must be treated
 // as read-only. Generate is safe for concurrent use.
 func Generate(cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
-	key := fmt.Sprintf("main|%s|%s|loop%t", cfg.Key(), p.Key(), mainLoopOnly)
+	return generateKeyed(mainKey(cfg, p, mainLoopOnly), cfg, p, mainLoopOnly)
+}
+
+// mainKey is the generation key of a fused main kernel, shared by the
+// kernel cache and SourceHash's hash cache.
+func mainKey(cfg Config, p Problem, mainLoopOnly bool) string {
+	return "main|" + cfg.Key() + "|" + p.Key() + "|loop" + strconv.FormatBool(mainLoopOnly)
+}
+
+// generateKeyed is Generate for a caller that already holds the key.
+func generateKeyed(key string, cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
 	return genCache.Do(key, func() (*cubin.Kernel, error) { return generate(cfg, p, mainLoopOnly) })
 }
 

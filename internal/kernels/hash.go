@@ -41,11 +41,11 @@ var srcHashCache sync.Map // generation key -> hash string
 // lookups cost an emit+assemble at most once per distinct kernel and a
 // map hit afterwards.
 func SourceHash(cfg Config, p Problem, mainLoopOnly bool) (string, error) {
-	key := fmt.Sprintf("main|%s|%s|loop%t", cfg.Key(), p.Key(), mainLoopOnly)
+	key := mainKey(cfg, p, mainLoopOnly)
 	if v, ok := srcHashCache.Load(key); ok {
 		return v.(string), nil
 	}
-	k, err := Generate(cfg, p, mainLoopOnly)
+	k, err := generateKeyed(key, cfg, p, mainLoopOnly)
 	if err != nil {
 		return "", err
 	}

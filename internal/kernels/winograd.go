@@ -40,6 +40,8 @@ type layout struct {
 	rT0, rT1, rT2                                 int
 
 	regs int // declared register count
+
+	srcBytes int // text buffer size: the largest variants measured fit without growing
 }
 
 func layoutFor(bk int) layout {
@@ -53,7 +55,7 @@ func layoutFor(bk int) layout {
 			smemIn: 0, smemFilt: 0x4000, smemActual: 48 * 1024,
 			rIn: 240, rFlt: 241, rIsw: 242, rFsw: 243, rIr: 244, rFr: 245,
 			rIter: 246, rMask: 247, rT0: 248, rT1: 249, rT2: 250,
-			regs: 253,
+			regs: 253, srcBytes: 96 << 10,
 		}
 	}
 	return layout{
@@ -65,7 +67,8 @@ func layoutFor(bk int) layout {
 		smemIn: 0, smemFilt: 0x4000, smemActual: 32 * 1024,
 		rIn: 128, rFlt: 129, rIsw: 130, rFsw: 131, rIr: 132, rFr: 133,
 		rIter: 134, rMask: 135, rT0: 136, rT1: 137, rT2: 138,
-		regs: 126, // cuDNN's published count governs occupancy (Table 7)
+		regs:     126, // cuDNN's published count governs occupancy (Table 7)
+		srcBytes: 64 << 10,
 	}
 }
 
@@ -95,17 +98,10 @@ func GridFor(cfg Config, p Problem) (x, y, z int) {
 // generate emits and assembles the fused Winograd kernel; Generate (the
 // cached front door in gencache.go) is the entry point callers use.
 func generate(cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	src, err := Source(cfg, p, mainLoopOnly)
+	if err != nil {
 		return nil, err
 	}
-	if err := p.Validate(cfg.BK); err != nil {
-		return nil, err
-	}
-	lay := layoutFor(cfg.BK)
-	st := newStrides(p)
-	g := &gen{cfg: cfg, p: p, lay: lay, st: st, e: newEmitter(cfg.YieldEvery)}
-	src := g.generate(mainLoopOnly)
 	k, err := turingas.AssembleKernel(src)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: generated source failed to assemble: %w", err)
@@ -113,8 +109,8 @@ func generate(cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
 	return k, nil
 }
 
-// Source returns the generated assembly text (for inspection and the
-// turingas example).
+// Source returns the generated assembly text: the only form in which a
+// kernel reaches the assembler, and what the turingas example prints.
 func Source(cfg Config, p Problem, mainLoopOnly bool) (string, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -123,7 +119,8 @@ func Source(cfg Config, p Problem, mainLoopOnly bool) (string, error) {
 	if err := p.Validate(cfg.BK); err != nil {
 		return "", err
 	}
-	g := &gen{cfg: cfg, p: p, lay: layoutFor(cfg.BK), st: newStrides(p), e: newEmitter(cfg.YieldEvery)}
+	lay := layoutFor(cfg.BK)
+	g := &gen{cfg: cfg, p: p, lay: lay, st: newStrides(p), e: newEmitter(cfg.YieldEvery, lay.srcBytes)}
 	return g.generate(mainLoopOnly), nil
 }
 
@@ -141,9 +138,9 @@ func (g *gen) generate(mainLoopOnly bool) string {
 	if g.cfg.DeclaredSmem > smem {
 		smem = g.cfg.DeclaredSmem
 	}
-	e.raw(fmt.Sprintf(".kernel winograd_bk%d", lay.bk))
-	e.raw(fmt.Sprintf(".regs %d", lay.regs))
-	e.raw(fmt.Sprintf(".smem %d", smem))
+	e.raw(".kernel winograd_bk%d", lay.bk)
+	e.raw(".regs %d", lay.regs)
+	e.raw(".smem %d", smem)
 	e.raw(".params 12")
 
 	g.prologue()
@@ -369,7 +366,7 @@ func (g *gen) queueGlobalLoads(gap int) {
 
 func sass32Pred(s int, p2r bool) string {
 	if p2r {
-		return fmt.Sprintf("@P%d ", s)
+		return [...]string{"@P0 ", "@P1 ", "@P2 ", "@P3 "}[s]
 	}
 	return "@P0 "
 }

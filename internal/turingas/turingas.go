@@ -37,19 +37,28 @@ import (
 
 // Assemble parses and encodes a full module.
 func Assemble(src string) (*cubin.Module, error) {
-	a := &asm{
-		aliases: map[string]string{},
-		consts:  map[string]int64{},
-	}
+	a := &asm{}
 	mod := &cubin.Module{}
-	// One instruction list serves every kernel in the module, sized once
-	// by the source's line count: memory stays linear in the source, and
-	// the list never grows.
-	a.insts = make([]pending, 0, strings.Count(src, "\n")+1)
+	// One code buffer serves every kernel in the module, sized once by
+	// the source's line count: memory stays linear in the source, the
+	// buffer never grows, and each kernel's code is a slice of it.
+	a.code = make([]sass.Word, 0, strings.Count(src, "\n")+1)
+	// Generated kernels carry no comments, which one scan of the source
+	// shows, and then no line needs stripping.
+	comments := strings.IndexByte(src, '#') >= 0 || strings.Contains(src, "//")
 	for num, rest, more := 1, src, true; more; num++ {
-		var raw string
-		raw, rest, more = strings.Cut(rest, "\n")
-		line := stripComment(raw)
+		raw := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			raw, rest = rest[:i], rest[i+1:]
+		} else {
+			more = false
+		}
+		var line string
+		if comments {
+			line = stripComment(raw)
+		} else {
+			line = trimSpace(raw)
+		}
 		if line == "" {
 			continue
 		}
@@ -127,10 +136,11 @@ func Disassemble(k *cubin.Kernel) (string, error) {
 	return b.String(), nil
 }
 
-// pending is an instruction awaiting label resolution.
-type pending struct {
+// branch is an encoded instruction awaiting its target label.
+type branch struct {
+	pc    int
 	inst  sass.Inst
-	label string // branch target, empty if none
+	label string
 }
 
 type kernelState struct {
@@ -144,25 +154,56 @@ type kernelState struct {
 }
 
 type asm struct {
-	cur     *kernelState
+	cur *kernelState
+	// .alias and .equ definitions; nil until the module defines one,
+	// which generated kernels never do.
 	aliases map[string]string
 	consts  map[string]int64
 	// Scratch for one line's modifiers and operands: every instruction
 	// reuses them, so parsing a line allocates nothing.
 	mods, ops [8]string
-	// insts is the open kernel's instruction list, reused across the
-	// module's kernels: finish encodes it into a fresh slice.
-	insts []pending
+	// The last control prefix parsed: generated kernels use a handful,
+	// and most lines repeat the one before.
+	lastCtrlTok string
+	lastCtrl    sass.Ctrl
+	// code is the open kernel's encoded instructions, at the end of the
+	// module's code buffer; branches are its label references.
+	code     []sass.Word
+	branches []branch
 }
 
+// stripComment cuts s at its first '#' or "//" and trims the rest.
 func stripComment(s string) string {
-	if i := strings.Index(s, "#"); i >= 0 {
+	if i := strings.IndexByte(s, '#'); i >= 0 {
 		s = s[:i]
 	}
 	if i := strings.Index(s, "//"); i >= 0 {
 		s = s[:i]
 	}
+	return trimSpace(s)
+}
+
+// trimSpace is strings.TrimSpace with a fast path for the common case:
+// leading spaces, if any, then bytes from '!' to 0x7f, which are never
+// space, at both ends.
+func trimSpace(s string) string {
+	for s != "" && s[0] == ' ' {
+		s = s[1:]
+	}
+	if s == "" || s[0]-'!' < 0x5f && s[len(s)-1]-'!' < 0x5f {
+		return s
+	}
 	return strings.TrimSpace(s)
+}
+
+// alias resolves a name defined by .alias.
+func (a *asm) alias(tok string) string {
+	if len(a.aliases) != 0 {
+		if r, ok := a.aliases[tok]; ok {
+			return r
+		}
+	}
+	return tok
 }
 
 func (a *asm) line(mod *cubin.Module, line string) error {
@@ -177,7 +218,7 @@ func (a *asm) line(mod *cubin.Module, line string) error {
 		if _, dup := a.cur.labels[name]; dup {
 			return fmt.Errorf("duplicate label %q", name)
 		}
-		a.cur.labels[name] = len(a.insts)
+		a.cur.labels[name] = len(a.code)
 		return nil
 	default:
 		if a.cur == nil {
@@ -200,7 +241,7 @@ func (a *asm) directive(mod *cubin.Module, line string) error {
 			return fmt.Errorf(".kernel needs a name")
 		}
 		a.cur = &kernelState{name: rest, labels: map[string]int{}, maxReg: -1}
-		a.insts = a.insts[:0]
+		a.code, a.branches = a.code[:0], a.branches[:0]
 		return nil
 	case ".endkernel":
 		if a.cur == nil {
@@ -210,7 +251,7 @@ func (a *asm) directive(mod *cubin.Module, line string) error {
 		if err != nil {
 			return err
 		}
-		mod.Kernels = append(mod.Kernels, *k)
+		mod.Kernels = append(mod.Kernels, k)
 		a.cur = nil
 		return nil
 	case ".regs", ".smem", ".params":
@@ -235,6 +276,9 @@ func (a *asm) directive(mod *cubin.Module, line string) error {
 		if len(parts) != 2 {
 			return fmt.Errorf(".alias wants `name, Rn`")
 		}
+		if a.aliases == nil {
+			a.aliases = map[string]string{}
+		}
 		a.aliases[parts[0]] = parts[1]
 		return nil
 	case ".equ":
@@ -246,6 +290,9 @@ func (a *asm) directive(mod *cubin.Module, line string) error {
 		if err != nil {
 			return fmt.Errorf(".equ %s: %w", parts[0], err)
 		}
+		if a.consts == nil {
+			a.consts = map[string]int64{}
+		}
 		a.consts[parts[0]] = v
 		return nil
 	default:
@@ -254,19 +301,17 @@ func (a *asm) directive(mod *cubin.Module, line string) error {
 }
 
 // finish resolves labels and packages the kernel.
-func (a *asm) finish() (*cubin.Kernel, error) {
+func (a *asm) finish() (cubin.Kernel, error) {
 	ks := a.cur
-	code := make([]sass.Word, len(a.insts))
-	for pc, p := range a.insts {
-		inst := p.inst
-		if p.label != "" {
-			target, ok := ks.labels[p.label]
-			if !ok {
-				return nil, fmt.Errorf("undefined label %q", p.label)
-			}
-			inst.Imm = uint32(int32(target - (pc + 1)))
+	code := a.code[:len(a.code):len(a.code)]
+	a.code = a.code[len(a.code):]
+	for _, b := range a.branches {
+		target, ok := ks.labels[b.label]
+		if !ok {
+			return cubin.Kernel{}, fmt.Errorf("undefined label %q", b.label)
 		}
-		code[pc] = inst.Encode()
+		b.inst.Imm = uint32(int32(target - (b.pc + 1)))
+		code[b.pc] = b.inst.Encode()
 	}
 	regs := ks.regs
 	if regs == 0 {
@@ -276,7 +321,7 @@ func (a *asm) finish() (*cubin.Kernel, error) {
 	if ks.hasBar {
 		bars = 1
 	}
-	return &cubin.Kernel{
+	return cubin.Kernel{
 		Name:       ks.name,
 		NumRegs:    regs,
 		SmemBytes:  ks.smem,
@@ -286,51 +331,84 @@ func (a *asm) finish() (*cubin.Kernel, error) {
 	}, nil
 }
 
-// instruction parses one instruction line: [ctrl] [@[!]P] MNEMONIC[.F]* operands... ;
+// instruction parses one instruction line,
+//
+//	[ctrl] [@[!]P] MNEMONIC[.MOD]* [operand {, operand}] ;
+//
+// in one left-to-right scan. The control prefix and the guard each end
+// at the first space after them, as does the mnemonic; the control
+// prefix is recognized by its four colons.
 func (a *asm) instruction(line string) error {
 	if !strings.HasSuffix(line, ";") {
 		return fmt.Errorf("missing trailing ';'")
 	}
-	line = strings.TrimSpace(strings.TrimSuffix(line, ";"))
+	rest := trimSpace(line[:len(line)-1])
 
-	inst := sass.Inst{Pred: sass.PT, Ctrl: sass.DefaultCtrl()}
-	// Control prefix?
-	if tok, rest, found := strings.Cut(line, " "); found && strings.Count(tok, ":") == 4 {
-		c, err := parseCtrl(tok)
-		if err != nil {
-			return err
+	var inst sass.Inst
+	inst.Pred, inst.Ctrl = sass.PT, sass.DefaultCtrl()
+	// A first token with four colons is a control prefix. It is never
+	// empty (sp > 0), so it cannot match an unset lastCtrlTok.
+	if sp := strings.IndexByte(rest, ' '); sp > 0 {
+		if tok := rest[:sp]; tok == a.lastCtrlTok || strings.Count(tok, ":") == 4 {
+			if tok != a.lastCtrlTok {
+				c, err := parseCtrl(tok)
+				if err != nil {
+					return err
+				}
+				a.lastCtrlTok, a.lastCtrl = tok, c
+			}
+			inst.Ctrl = a.lastCtrl
+			rest = trimSpace(rest[sp+1:])
 		}
-		inst.Ctrl = c
-		line = strings.TrimSpace(rest)
 	}
-	// Guard predicate?
-	if strings.HasPrefix(line, "@") {
-		tok, rest, _ := strings.Cut(line[1:], " ")
-		neg := strings.HasPrefix(tok, "!")
-		tok = strings.TrimPrefix(tok, "!")
+	if rest != "" && rest[0] == '@' {
+		tok, after := rest[1:], ""
+		if sp := strings.IndexByte(tok, ' '); sp >= 0 {
+			tok, after = tok[:sp], tok[sp+1:]
+		}
+		neg := tok != "" && tok[0] == '!'
+		if neg {
+			tok = tok[1:]
+		}
 		p, err := a.parsePred(tok)
 		if err != nil {
 			return fmt.Errorf("guard: %w", err)
 		}
 		inst.Pred, inst.PredNeg = p, neg
-		line = strings.TrimSpace(rest)
+		rest = trimSpace(after)
 	}
-	mnTok, rest, _ := strings.Cut(line, " ")
-	mn, modText, hasMods := strings.Cut(mnTok, ".")
-	mods := a.mods[:0]
-	for hasMods {
-		var m string
-		m, modText, hasMods = strings.Cut(modText, ".")
-		mods = append(mods, m)
+	// The mnemonic and its dot-separated modifiers run to the first
+	// space; start is the current modifier's offset, -1 in the mnemonic.
+	mn, mods, i := "", a.mods[:0], 0
+	for start := -1; ; i++ {
+		end := i == len(rest) || rest[i] == ' '
+		if !end && rest[i] != '.' {
+			continue
+		}
+		if start < 0 {
+			mn = rest[:i]
+		} else {
+			mods = append(mods, rest[start:i])
+		}
+		if end {
+			break
+		}
+		start = i + 1
 	}
-	ops := splitOperands(a.ops[:0], strings.TrimSpace(rest))
+	if i < len(rest) {
+		i++
+	}
+	ops := splitOperands(a.ops[:0], trimSpace(rest[i:]))
 
 	label, err := a.encodeOp(&inst, mn, mods, ops)
 	if err != nil {
 		return err
 	}
 	a.track(&inst)
-	a.insts = append(a.insts, pending{inst: inst, label: label})
+	if label != "" {
+		a.branches = append(a.branches, branch{pc: len(a.code), inst: inst, label: label})
+	}
+	a.code = append(a.code, inst.Encode())
 	return nil
 }
 
@@ -681,8 +759,8 @@ func parseCtrl(tok string) (sass.Ctrl, error) {
 		if s == "-" {
 			return sass.NoBar, nil
 		}
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 || v > 5 {
+		v, ok := decimal(s, 5)
+		if !ok {
 			return 0, fmt.Errorf("bad %s barrier %q", name, s)
 		}
 		return int8(v), nil
@@ -701,26 +779,50 @@ func parseCtrl(tok string) (sass.Ctrl, error) {
 	default:
 		return c, fmt.Errorf("bad yield flag %q", parts[3])
 	}
-	stall, err := strconv.Atoi(parts[4])
-	if err != nil || stall < 0 || stall > 15 {
+	stall, ok := decimal(parts[4], 15)
+	if !ok {
 		return c, fmt.Errorf("bad stall count %q", parts[4])
 	}
 	c.Stall = uint8(stall)
 	return c, nil
 }
 
+// decimal reads s as strconv.Atoi reads it (an optional sign, then
+// decimal digits) and reports whether it holds a value in [0, max].
+func decimal(s string, max int) (int, bool) {
+	neg := false
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if s == "" {
+		return 0, false
+	}
+	v := 0
+	for i := 0; i < len(s); i++ {
+		d := int(s[i]) - '0'
+		if d < 0 || d > 9 {
+			return 0, false
+		}
+		if v = v*10 + d; v > max {
+			return 0, false
+		}
+	}
+	return v, !neg || v == 0
+}
+
 // parseReg parses a register operand; slot >= 0 records .reuse flags for
 // that source slot.
 func (a *asm) parseReg(tok string, inst *sass.Inst, slot int) (sass.Reg, error) {
-	if strings.HasSuffix(tok, ".reuse") {
-		tok = strings.TrimSuffix(tok, ".reuse")
+	if base, reuse := strings.CutSuffix(tok, ".reuse"); reuse {
+		tok = base
 		if slot < 0 {
 			// Destinations and memory operands never read through the
 			// operand collectors; a .reuse there latches nothing and
 			// marks a scheduling bug in the emitting template.
 			return 0, fmt.Errorf(".reuse on %q, which is not a reusable source slot", tok)
 		}
-		if resolved := tok; resolved == "RZ" || a.aliases[resolved] == "RZ" {
+		if tok == "RZ" || a.alias(tok) == "RZ" {
 			// RZ is hardwired zero and never occupies a collector; the
 			// flag would silently latch garbage for the slot.
 			return 0, fmt.Errorf(".reuse on RZ")
@@ -740,34 +842,30 @@ func (a *asm) parseReg(tok string, inst *sass.Inst, slot int) (sass.Reg, error) 
 // reg resolves an alias and parses RZ or Rn (no .reuse suffix). It
 // returns the resolved name; ok is false when that names no register.
 func (a *asm) reg(tok string) (r sass.Reg, name string, ok bool) {
-	if alias, ok := a.aliases[tok]; ok {
-		tok = alias
-	}
+	tok = a.alias(tok)
 	if tok == "RZ" {
 		return sass.RZ, tok, true
 	}
 	if !strings.HasPrefix(tok, "R") {
 		return 0, tok, false
 	}
-	n, err := strconv.Atoi(tok[1:])
-	if err != nil || n < 0 || n > int(sass.MaxReg) {
+	n, ok := decimal(tok[1:], int(sass.MaxReg))
+	if !ok {
 		return 0, tok, false
 	}
 	return sass.Reg(n), tok, true
 }
 
 func (a *asm) parsePred(tok string) (sass.Pred, error) {
-	if alias, ok := a.aliases[tok]; ok {
-		tok = alias
-	}
+	tok = a.alias(tok)
 	if tok == "PT" {
 		return sass.PT, nil
 	}
 	if !strings.HasPrefix(tok, "P") {
 		return 0, fmt.Errorf("expected predicate, got %q", tok)
 	}
-	n, err := strconv.Atoi(tok[1:])
-	if err != nil || n < 0 || n >= sass.NumPred {
+	n, ok := decimal(tok[1:], sass.NumPred-1)
+	if !ok {
 		return 0, fmt.Errorf("bad predicate %q", tok)
 	}
 	return sass.Pred(n), nil
@@ -796,10 +894,12 @@ func (a *asm) parseB(tok string, inst *sass.Inst, allowFloat bool) error {
 		inst.ConstBank, inst.ConstOfs = bank, ofs
 		return nil
 	}
-	if v, ok := a.consts[strings.TrimSuffix(tok, ".reuse")]; ok {
-		inst.SrcMode = sass.SrcImm
-		inst.Imm = uint32(v)
-		return nil
+	if len(a.consts) != 0 {
+		if v, ok := a.consts[strings.TrimSuffix(tok, ".reuse")]; ok {
+			inst.SrcMode = sass.SrcImm
+			inst.Imm = uint32(v)
+			return nil
+		}
 	}
 	if strings.HasSuffix(tok, ".reuse") {
 		if r, err := a.parseReg(tok, inst, 1); err == nil {
@@ -864,8 +964,10 @@ func (a *asm) parseAddr(tok string) (sass.Reg, uint32, error) {
 }
 
 func (a *asm) parseImm(tok string) (int64, error) {
-	if v, ok := a.consts[tok]; ok {
-		return v, nil
+	if len(a.consts) != 0 {
+		if v, ok := a.consts[tok]; ok {
+			return v, nil
+		}
 	}
 	return parseInt(tok)
 }
@@ -936,29 +1038,33 @@ func parseSpecialReg(tok string) (int, error) {
 	}
 }
 
+// operandDelim marks the bytes splitOperands acts on.
+var operandDelim = [256]bool{',': true, '[': true, ']': true}
+
 // splitOperands appends the comma-separated operands of s (commas
-// inside brackets do not split) to out.
+// inside brackets do not split), each trimmed, to out.
 func splitOperands(out []string, s string) []string {
 	if s == "" {
 		return out
 	}
-	depth := 0
-	start := 0
+	depth, start := 0, 0
 	for i := 0; i < len(s); i++ {
+		if !operandDelim[s[i]] {
+			continue
+		}
 		switch s[i] {
+		case ',':
+			if depth == 0 {
+				out = append(out, trimSpace(s[start:i]))
+				start = i + 1
+			}
 		case '[':
 			depth++
 		case ']':
 			depth--
-		case ',':
-			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return append(out, trimSpace(s[start:]))
 }
 
 func f32bits(f float32) uint32 {
