@@ -1,6 +1,10 @@
 package gpu
 
-import "repro/internal/sass"
+import (
+	"sort"
+
+	"repro/internal/sass"
+)
 
 // This file is the simulator's profiling layer: an opt-in recorder hooked
 // into the issue loop that attributes every resident warp-cycle to a
@@ -228,17 +232,9 @@ func (lp *LaunchProfile) LDGOccupancy() (mean float64, peak int) {
 		deltas = append(deltas, delta{s.Start, s.SM, 1}, delta{s.End, s.SM, -1})
 		area += s.End - s.Start
 	}
-	// Insertion sort by time keeps this dependency-free; span lists are
-	// bounded by MaxSpans.
-	for i := 1; i < len(deltas); i++ {
-		v := deltas[i]
-		j := i - 1
-		for j >= 0 && deltas[j].at > v.at {
-			deltas[j+1] = deltas[j]
-			j--
-		}
-		deltas[j+1] = v
-	}
+	// Stable, so equal-time deltas keep their order and the peak is the
+	// one the span order gives.
+	sort.SliceStable(deltas, func(i, j int) bool { return deltas[i].at < deltas[j].at })
 	cur := map[int]int{}
 	for _, d := range deltas {
 		cur[d.sm] += d.d

@@ -3,7 +3,11 @@ package kernels
 import (
 	"strconv"
 	"strings"
+	"sync"
 	"unsafe"
+
+	"repro/internal/cubin"
+	"repro/internal/turingas"
 )
 
 // ctrl renders a control-code prefix for the assembler.
@@ -107,6 +111,37 @@ func newEmitter(yieldEvery, size int) *emitter {
 		e.ch[i].since = 1 << 20 // first item inserts immediately
 	}
 	return e
+}
+
+// reset returns e to the state newEmitter leaves it in, keeping its
+// buffers.
+func (e *emitter) reset(yieldEvery int) {
+	e.b, e.aux, e.floatCount, e.yieldEvery = e.b[:0], e.aux[:0], 0, yieldEvery
+	for i := range e.ch {
+		e.ch[i] = channelState{items: e.ch[i].items[:0], since: 1 << 20}
+	}
+}
+
+// emitters recycles the emitters of kernels that are assembled as soon
+// as they are emitted; their text buffers start at the largest kernel's
+// size.
+var emitters = sync.Pool{New: func() any { return newEmitter(0, 96<<10) }}
+
+// pooledEmitter returns a recycled emitter, empty, for a kernel that
+// assemble finishes.
+func pooledEmitter(yieldEvery int) *emitter {
+	e := emitters.Get().(*emitter)
+	e.reset(yieldEvery)
+	return e
+}
+
+// assemble assembles the text and returns e to the pool. The text is
+// dead once AssembleKernel returns, since the kernel keeps no reference
+// to its source; e must not be used afterwards.
+func (e *emitter) assemble() (*cubin.Kernel, error) {
+	k, err := turingas.AssembleKernel(unsafe.String(unsafe.SliceData(e.b), len(e.b)))
+	emitters.Put(e)
+	return k, err
 }
 
 // raw emits a directive or label, formatted as by appendf.

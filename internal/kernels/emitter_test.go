@@ -3,7 +3,10 @@ package kernels
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"repro/internal/turingas"
 )
 
 // sourceTextPin is the sha256 over the sourceTextMatrix sources, recorded
@@ -41,6 +44,34 @@ func TestSourceTextPinned(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != sourceTextPin {
 		t.Fatalf("generated source text drifted: sha256 %s, pinned %s", got, sourceTextPin)
+	}
+}
+
+// TestGenerateMatchesSource runs the pinned matrix through generate,
+// which emits each kernel into a recycled emitter in turn: every kernel
+// must equal the one assembled from Source's text, so the previous
+// kernel leaves nothing behind in the emitter it hands back.
+func TestGenerateMatchesSource(t *testing.T) {
+	for _, cfg := range []Config{Ours(), {BK: 32, YieldEvery: 7, LDGGap: 2, STSGap: 2}} {
+		for _, p := range []Problem{{C: 64, K: 64, N: 32, H: 56, W: 56}, {C: 8, K: 64, N: 32, H: 6, W: 6}} {
+			for _, loop := range []bool{true, false} {
+				src, err := Source(cfg, p, loop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := turingas.AssembleKernel(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := generate(cfg, p, loop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s loop=%t: generate differs from assembling Source", cfg.Key(), p.Key(), loop)
+				}
+			}
+		}
 	}
 }
 

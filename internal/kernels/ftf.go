@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cubin"
-	"repro/internal/turingas"
 )
 
 // FTFBlock picks the thread-block size for the filter-transform kernel.
@@ -32,7 +31,7 @@ func generateFTF(k int) (*cubin.Kernel, error) {
 		return nil, fmt.Errorf("kernels: FTF needs K to be a positive multiple of 32, got %d", k)
 	}
 	block := FTFBlock(k)
-	e := newEmitter(0, 4<<10)
+	e := pooledEmitter(0)
 	e.raw(".kernel ftf")
 	e.raw(".params 12")
 
@@ -97,5 +96,5 @@ func generateFTF(k int) (*cubin.Kernel, error) {
 	}
 	e.ins(c0().w(0x8).st(5), "EXIT;")
 	e.raw(".endkernel")
-	return turingas.AssembleKernel(e.source())
+	return e.assemble()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cubin"
-	"repro/internal/turingas"
 )
 
 // GemmProblem is a 16-batched C_b = A_b^T x B_b product — exactly the
@@ -60,9 +59,9 @@ func GenerateBatchedGEMM(cfg Config, p GemmProblem) (*cubin.Kernel, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &gemmGen{cfg: cfg, p: p, e: newEmitter(cfg.YieldEvery, 64<<10)}
-	src := g.generate()
-	k, err := turingas.AssembleKernel(src)
+	g := &gemmGen{cfg: cfg, p: p, e: pooledEmitter(cfg.YieldEvery)}
+	g.generate()
+	k, err := g.e.assemble()
 	if err != nil {
 		return nil, fmt.Errorf("kernels: generated GEMM failed to assemble: %w", err)
 	}
@@ -97,7 +96,7 @@ const (
 	gSmemA = 0x4000 // (16, 8, 64) floats
 )
 
-func (g *gemmGen) generate() string {
+func (g *gemmGen) generate() {
 	e, p := g.e, g.p
 	mk4 := p.M * 4 // A row stride in bytes
 	nk4 := p.N * 4
@@ -241,7 +240,6 @@ func (g *gemmGen) generate() string {
 	}
 	e.ins(c0().w(0x4).st(5), "EXIT;")
 	e.raw(".endkernel")
-	return e.source()
 }
 
 // queueLoads enqueues one iteration's A/B staging loads.

@@ -22,6 +22,9 @@ import (
 // Launch decodes the code into a fresh instruction slice per launch).
 // Entries are never evicted — the key space is bounded by the sweep's
 // distinct (config, problem) pairs, a few hundred small kernels at most.
+// An entry holds the encoded kernel alone: its source text is emitted
+// into a recycled buffer (pooledEmitter) and is dead once assembled,
+// since turingas copies the kernel name out of it.
 var genCache sched.Flight[*cubin.Kernel]
 
 // Generate returns the fused Winograd kernel for one problem shape (the

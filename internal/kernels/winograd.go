@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cubin"
-	"repro/internal/turingas"
 )
 
 // layout holds the variant-specific register and shared-memory map.
@@ -41,7 +40,7 @@ type layout struct {
 
 	regs int // declared register count
 
-	srcBytes int // text buffer size: the largest variants measured fit without growing
+	srcBytes int // Source's text buffer size: the largest variants measured fit without growing
 }
 
 func layoutFor(bk int) layout {
@@ -96,13 +95,17 @@ func GridFor(cfg Config, p Problem) (x, y, z int) {
 }
 
 // generate emits and assembles the fused Winograd kernel; Generate (the
-// cached front door in gencache.go) is the entry point callers use.
+// cached front door in gencache.go) is the entry point callers use. The
+// text goes straight to the assembler, so it is emitted into a recycled
+// buffer.
 func generate(cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
-	src, err := Source(cfg, p, mainLoopOnly)
+	g, err := newGen(cfg, p)
 	if err != nil {
 		return nil, err
 	}
-	k, err := turingas.AssembleKernel(src)
+	g.e = pooledEmitter(g.cfg.YieldEvery)
+	g.generate(mainLoopOnly)
+	k, err := g.e.assemble()
 	if err != nil {
 		return nil, fmt.Errorf("kernels: generated source failed to assemble: %w", err)
 	}
@@ -112,16 +115,26 @@ func generate(cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
 // Source returns the generated assembly text: the only form in which a
 // kernel reaches the assembler, and what the turingas example prints.
 func Source(cfg Config, p Problem, mainLoopOnly bool) (string, error) {
+	g, err := newGen(cfg, p)
+	if err != nil {
+		return "", err
+	}
+	g.e = newEmitter(g.cfg.YieldEvery, g.lay.srcBytes)
+	g.generate(mainLoopOnly)
+	return g.e.source(), nil
+}
+
+// newGen validates the configuration and problem and lays out their
+// kernel; the caller supplies the emitter.
+func newGen(cfg Config, p Problem) (gen, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return "", err
+		return gen{}, err
 	}
 	if err := p.Validate(cfg.BK); err != nil {
-		return "", err
+		return gen{}, err
 	}
-	lay := layoutFor(cfg.BK)
-	g := &gen{cfg: cfg, p: p, lay: lay, st: newStrides(p), e: newEmitter(cfg.YieldEvery, lay.srcBytes)}
-	return g.generate(mainLoopOnly), nil
+	return gen{cfg: cfg, p: p, lay: layoutFor(cfg.BK), st: newStrides(p)}, nil
 }
 
 type gen struct {
@@ -132,7 +145,7 @@ type gen struct {
 	e   *emitter
 }
 
-func (g *gen) generate(mainLoopOnly bool) string {
+func (g *gen) generate(mainLoopOnly bool) {
 	e, lay := g.e, g.lay
 	smem := lay.smemActual
 	if g.cfg.DeclaredSmem > smem {
@@ -175,7 +188,6 @@ func (g *gen) generate(mainLoopOnly bool) string {
 		g.epilogue()
 	}
 	e.raw(".endkernel")
-	return e.source()
 }
 
 // --- prologue -------------------------------------------------------

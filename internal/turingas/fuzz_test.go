@@ -1,6 +1,7 @@
 package turingas_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/kernels"
@@ -68,15 +69,25 @@ loop:
 // FuzzAssembleRoundTrip asserts the assembler's core contract: on any
 // input it either returns an error or produces a module whose every
 // kernel decodes cleanly and re-encodes to the identical bits — and it
-// never panics, no matter how the source is mutated.
+// never panics, no matter how the source is mutated. Each input is
+// assembled twice, the second time with its lines in the memo, and both
+// must give the same module or the same error.
 func FuzzAssembleRoundTrip(f *testing.F) {
 	for _, s := range seedSources(f) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		mod, err := turingas.Assemble(src)
+		state := turingas.NewState()
+		mod, err := state.Assemble(src)
+		again, errAgain := state.Assemble(src)
+		if (err == nil) != (errAgain == nil) || err != nil && err.Error() != errAgain.Error() {
+			t.Fatalf("assembling twice: %v, then %v", err, errAgain)
+		}
 		if err != nil {
 			return // rejected input; the only requirement is no panic
+		}
+		if !reflect.DeepEqual(mod.Kernels, again.Kernels) {
+			t.Fatalf("assembling twice gave different modules")
 		}
 		for i := range mod.Kernels {
 			k := &mod.Kernels[i]

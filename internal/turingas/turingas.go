@@ -7,6 +7,15 @@
 // provided by the Go kernel generators in internal/kernels, which emit
 // source for this assembler.
 //
+// Assembling keeps a line memo per worker. An instruction line that
+// assembles without error and names no label, in a module that has
+// defined no .alias or .equ so far, encodes the same way wherever it
+// appears, so each such distinct line is parsed and encoded once and
+// later copies only append the stored word. Kernel variants differ in a
+// few knob-driven lines: a tune sweep's sources are over 90% repeats.
+// The memo lives in pooled assembler state, so concurrent callers never
+// share one, and a GC may drop it.
+//
 // Source grammar (line oriented; '#' and '//' start comments):
 //
 //	.kernel ftf            begin a kernel
@@ -30,14 +39,80 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode"
 
 	"repro/internal/cubin"
 	"repro/internal/sass"
 )
 
-// Assemble parses and encodes a full module.
+// Assemble parses and encodes a full module. The module keeps no
+// reference to src.
 func Assemble(src string) (*cubin.Module, error) {
-	a := &asm{}
+	a := asmPool.Get().(*asm)
+	defer a.release()
+	return a.assemble(src)
+}
+
+// asmPool holds assembler states between modules, each with its line
+// memo.
+var asmPool = sync.Pool{New: func() any { return newAsm() }}
+
+func newAsm() *asm { return &asm{memo: &memo{lines: map[string]memoLine{}}} }
+
+// release resets a and returns it to asmPool.
+func (a *asm) release() {
+	a.reset()
+	asmPool.Put(a)
+}
+
+// reset drops everything of the last module, all of which points into
+// its source, and keeps the memo and the branch list's capacity.
+func (a *asm) reset() {
+	clear(a.branches[:cap(a.branches)])
+	*a = asm{memo: a.memo, branches: a.branches[:0]}
+}
+
+// memo maps instruction lines to their encodings. Its keys are copied
+// into chunks of one arena, so no key pins a source and filling the memo
+// costs an allocation per chunk, not per line.
+type memo struct {
+	lines map[string]memoLine
+	keys  strings.Builder // the current chunk
+}
+
+// memoLine is an instruction line's encoding, kept for track.
+type memoLine struct {
+	inst sass.Inst
+	word sass.Word
+}
+
+const (
+	// memoLines bounds a memo: a full tune sweep has about 3.2k
+	// distinct lines, and a memo that fills up starts over.
+	memoLines = 1 << 13
+	memoChunk = 64 << 10 // key arena chunk bytes
+)
+
+func (m *memo) add(line string, l memoLine) {
+	if len(m.lines) >= memoLines {
+		m.reset()
+	}
+	if m.keys.Cap()-m.keys.Len() < len(line) {
+		m.keys.Reset()
+		m.keys.Grow(max(memoChunk, len(line)))
+	}
+	n := m.keys.Len()
+	m.keys.WriteString(line)
+	m.lines[m.keys.String()[n:]] = l
+}
+
+func (m *memo) reset() {
+	clear(m.lines)
+	m.keys.Reset()
+}
+
+func (a *asm) assemble(src string) (*cubin.Module, error) {
 	mod := &cubin.Module{}
 	// One code buffer serves every kernel in the module, sized once by
 	// the source's line count: memory stays linear in the source, the
@@ -154,7 +229,10 @@ type kernelState struct {
 }
 
 type asm struct {
-	cur *kernelState
+	// memo outlives the module; it holds only lines whose encoding is
+	// the same in any module (see instruction).
+	memo *memo
+	cur  *kernelState
 	// .alias and .equ definitions; nil until the module defines one,
 	// which generated kernels never do.
 	aliases map[string]string
@@ -229,9 +307,11 @@ func (a *asm) line(mod *cubin.Module, line string) error {
 }
 
 func (a *asm) directive(mod *cubin.Module, line string) error {
-	fields := strings.Fields(line)
-	dir := fields[0]
-	rest := strings.TrimSpace(strings.TrimPrefix(line, dir))
+	// The directive is the line's first field, as strings.Fields splits.
+	dir, rest := line, ""
+	if i := strings.IndexFunc(line, unicode.IsSpace); i >= 0 {
+		dir, rest = line[:i], strings.TrimSpace(line[i:])
+	}
 	switch dir {
 	case ".kernel":
 		if a.cur != nil {
@@ -240,7 +320,8 @@ func (a *asm) directive(mod *cubin.Module, line string) error {
 		if rest == "" {
 			return fmt.Errorf(".kernel needs a name")
 		}
-		a.cur = &kernelState{name: rest, labels: map[string]int{}, maxReg: -1}
+		// The name is copied: a kernel outlives its source text.
+		a.cur = &kernelState{name: strings.Clone(rest), labels: map[string]int{}, maxReg: -1}
 		a.code, a.branches = a.code[:0], a.branches[:0]
 		return nil
 	case ".endkernel":
@@ -338,7 +419,19 @@ func (a *asm) finish() (cubin.Kernel, error) {
 // in one left-to-right scan. The control prefix and the guard each end
 // at the first space after them, as does the mnemonic; the control
 // prefix is recognized by its four colons.
+//
+// A line's encoding depends on nothing but its text while the module
+// has defined no .alias or .equ, unless it names a label, so such a line
+// that assembled once is served from the memo.
 func (a *asm) instruction(line string) error {
+	memoize := a.aliases == nil && a.consts == nil
+	if memoize {
+		if m, ok := a.memo.lines[line]; ok {
+			a.track(&m.inst)
+			a.code = append(a.code, m.word)
+			return nil
+		}
+	}
 	if !strings.HasSuffix(line, ";") {
 		return fmt.Errorf("missing trailing ';'")
 	}
@@ -405,10 +498,14 @@ func (a *asm) instruction(line string) error {
 		return err
 	}
 	a.track(&inst)
-	if label != "" {
+	word := inst.Encode()
+	switch {
+	case label != "":
 		a.branches = append(a.branches, branch{pc: len(a.code), inst: inst, label: label})
+	case memoize:
+		a.memo.add(line, memoLine{inst, word})
 	}
-	a.code = append(a.code, inst.Encode())
+	a.code = append(a.code, word)
 	return nil
 }
 
