@@ -31,7 +31,8 @@ func main() {
 	}
 	directTime := time.Since(t0)
 
-	// Winograd F(2x2,3x3), the paper's fused algorithm, on the CPU.
+	// Winograd F(2x2,3x3), the paper's fused algorithm, on the CPU; its
+	// output is NCHW like its input, so it compares with want directly.
 	t0 = time.Now()
 	got, err := winograd.Conv2D(input, filter, 1, winograd.Options{})
 	if err != nil {
@@ -39,7 +40,7 @@ func main() {
 	}
 	winoTime := time.Since(t0)
 
-	diff := tensor.MaxRelDiff(want, got.ToLayout(tensor.NCHW))
+	diff := tensor.MaxRelDiff(want, got)
 	fmt.Printf("problem: N=%d C=%d K=%d %dx%d (pad 1)\n", shape.N, shape.C, filters, shape.H, shape.W)
 	fmt.Printf("direct convolution:   %v\n", directTime)
 	fmt.Printf("winograd F(2x2,3x3):  %v\n", winoTime)
@@ -53,5 +54,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("F(4x4,3x3) non-fused error: %.2e (4x multiply reduction)\n",
-		tensor.MaxRelDiff(want, got44.ToLayout(tensor.NCHW)))
+		tensor.MaxRelDiff(want, got44))
 }

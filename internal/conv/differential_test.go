@@ -10,13 +10,14 @@ import (
 )
 
 // winogradDiff compares a Direct result (NCHW) against a winograd.Conv2D
-// result (KHWN) element-wise and returns the max relative difference.
+// result of NCHW input (NCHW too) element-wise and returns the max
+// relative difference.
 func winogradDiff(t *testing.T, direct, wino *tensor.Tensor) float64 {
 	t.Helper()
 	n, k := direct.Dims[0], direct.Dims[1]
 	oh, ow := direct.Dims[2], direct.Dims[3]
-	if wino.Dims != [4]int{k, oh, ow, n} {
-		t.Fatalf("winograd output dims %v, want KHWN %v", wino.Dims, [4]int{k, oh, ow, n})
+	if wino.Layout != tensor.NCHW || wino.Dims != direct.Dims {
+		t.Fatalf("winograd output %v%v, want NCHW%v", wino.Layout, wino.Dims, direct.Dims)
 	}
 	var maxDiff float64
 	for ni := 0; ni < n; ni++ {
@@ -24,7 +25,7 @@ func winogradDiff(t *testing.T, direct, wino *tensor.Tensor) float64 {
 			for y := 0; y < oh; y++ {
 				for x := 0; x < ow; x++ {
 					want := float64(direct.At(ni, ki, y, x))
-					got := float64(wino.At(ki, y, x, ni))
+					got := float64(wino.At(ni, ki, y, x))
 					d := math.Abs(got - want)
 					if mag := math.Abs(want); mag > 1 {
 						d /= mag

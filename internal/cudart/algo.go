@@ -57,9 +57,9 @@ func clone(t *tensor.Tensor) *tensor.Tensor {
 // algorithm and keeps no copy of flt, since the weights do not outlive
 // the call.
 //
-// in may be NCHW or CHWN, flt KCRS or CRSK; the output is always KHWN
-// (the kernel's native layout), whatever algorithm ran, with pad fixed
-// at 1 like the rest of the reproduction.
+// in may be NCHW or CHWN, flt KCRS or CRSK, with pad fixed at 1 like
+// the rest of the reproduction. On every algorithm the output layout
+// follows the input's: NCHW for NCHW, the kernel's native KHWN for CHWN.
 func Forward(in, flt *tensor.Tensor, ch tune.Choice) (*tensor.Tensor, error) {
 	w := &Weights{flt: flt}
 	var err error
@@ -78,9 +78,9 @@ func Forward(in, flt *tensor.Tensor, ch tune.Choice) (*tensor.Tensor, error) {
 // Forward runs ch's algorithm on in, the live images of a batch that the
 // kernel runs at batchN images. The slots past in's N would hold zero
 // padding whose outputs nobody reads, so they are neither allocated nor
-// computed: the KHWN output has in's N images. Every image is convolved
-// independently, so each output is bit-identical to its slot of the
-// padded batch's.
+// computed: the output, laid out as Forward's, has in's N images. Every
+// image is convolved independently, so each output is bit-identical to
+// its slot of the padded batch's.
 //
 //   - FUSED_WINOGRAD runs internal/winograd's blocked CPU Algorithm 1
 //     (bk=64/bn=32/bc=8, F(2x2,3x3)) under the SASS kernel's shape
@@ -106,8 +106,8 @@ func (w *Weights) Forward(in *tensor.Tensor, batchN int, ch tune.Choice) (*tenso
 		return winograd.ConvTransformed(in, &w.fused, 1, fusedOpt)
 	case tune.AlgoGEMM:
 		out, err := conv.Im2col(in, w.flt, conv.Params{Pad: 1})
-		if err != nil {
-			return nil, err
+		if err != nil || in.Layout == tensor.NCHW {
+			return out, err
 		}
 		return out.ToLayout(tensor.KHWN), nil
 	case tune.AlgoNonfused:

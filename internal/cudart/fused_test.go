@@ -92,8 +92,8 @@ func requireSameBits(t *testing.T, got, want *tensor.Tensor) {
 // contract with its oracle: Forward's blocked CPU Algorithm 1 and the
 // thread-for-thread WinogradConv sum the same products in the same order,
 // so every output bit agrees — on the demo layers at every served batch
-// size, on a partial-tile 7x7 layer, and on NCHW/KCRS inputs. The
-// zero-padded batches check the all-zero image skip: a skipped image's
+// size, on a partial-tile 7x7 layer, and on NCHW/KCRS inputs, whose
+// output is NCHW and is compared image by image. The zero-padded batches check the all-zero image skip: a skipped image's
 // +0 output, padded slots included, must be the oracle's, a -0 image
 // between live ones is skipped too, and a +Inf weight turns the skip off
 // so the padded slots carry the oracle's Inf*0 NaNs.
@@ -141,7 +141,68 @@ func TestForwardFusedMatchesWinogradConvBitwise(t *testing.T) {
 						t.Fatalf("oracle gave %v in a padded slot, want NaN: the probe does not disable the skip", v)
 					}
 				}
-				requireSameBits(t, got, want)
+				if got.Layout != outLayout(in.Layout) {
+					t.Fatalf("%v input gave %v output, want %v", in.Layout, got.Layout, outLayout(in.Layout))
+				}
+				requireSameBits(t, got.ToLayout(tensor.KHWN), want)
+			})
+		}
+	}
+}
+
+// outLayout is the output layout Forward gives input of layout in.
+func outLayout(in tensor.Layout) tensor.Layout {
+	if in == tensor.NCHW {
+		return tensor.NCHW
+	}
+	return tensor.KHWN
+}
+
+// TestForwardLayoutsMatchBitwise: on every algorithm, prepared weights
+// give NCHW output for NCHW input and KHWN for CHWN, with every image's
+// output bits the same in both, since the host reads either layout
+// through strides in the same summation order. The batch holds +0
+// images (the fused path skips them), a -0 image between live ones,
+// and, in its second case, a +Inf weight whose Inf*0 NaNs turn the skip
+// off.
+func TestForwardLayoutsMatchBitwise(t *testing.T) {
+	negZero := convA.filled(17)
+	edit := negZero.edit
+	negZero.edit = func(in, flt *tensor.Tensor) {
+		edit(in, flt)
+		fillImage(in, 3, float32(math.Copysign(0, -1)))
+	}
+	infWeight := negZero
+	infWeight.name += "_infweight"
+	infWeight.edit = func(in, flt *tensor.Tensor) {
+		negZero.edit(in, flt)
+		flt.FilterSet(5, 3, 1, 1, float32(math.Inf(1)))
+	}
+	for _, fc := range []fusedCase{negZero, infWeight} {
+		chwn, flt := fc.problem(tensor.CHWN, tensor.CRSK)
+		nchw := chwn.ToLayout(tensor.NCHW)
+		w, err := Prepare(flt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []tune.Algorithm{tune.AlgoFused, tune.AlgoGEMM, tune.AlgoNonfused} {
+			t.Run(fc.name+"/"+string(algo), func(t *testing.T) {
+				ch := tune.Choice{Algo: algo}
+				byImage, err := w.Forward(chwn, fc.N, ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byBatch, err := w.Forward(nchw, fc.N, ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if byImage.Layout != tensor.KHWN || byBatch.Layout != tensor.NCHW {
+					t.Fatalf("CHWN gave %v and NCHW gave %v, want KHWN and NCHW", byImage.Layout, byBatch.Layout)
+				}
+				if v := byImage.ImageAt(fc.N-1, 5, 2, 2); (fc.name == infWeight.name) != (v != v) {
+					t.Fatalf("zero image %d holds %v at channel 5: the +Inf weight probe misfired", fc.N-1, v)
+				}
+				requireSameBits(t, byBatch.ToLayout(tensor.KHWN), byImage)
 			})
 		}
 	}

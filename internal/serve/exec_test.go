@@ -3,7 +3,9 @@ package serve
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cudart"
 	"repro/internal/tensor"
@@ -48,8 +50,8 @@ func checkLive(t *testing.T, exec Executor, spec LayerSpec, flt *tensor.Tensor, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := [4]int{spec.K, spec.H, spec.W, len(images)}; out.Layout != tensor.KHWN || out.Dims != want {
-		t.Fatalf("output %v%v, want KHWN%v: the live images only", out.Layout, out.Dims, want)
+	if want := [4]int{len(images), spec.K, spec.H, spec.W}; out.Layout != tensor.NCHW || out.Dims != want {
+		t.Fatalf("output %v%v, want NCHW%v: the live images only", out.Layout, out.Dims, want)
 	}
 	replies := make([][]float32, len(images))
 	for i := range replies {
@@ -111,7 +113,7 @@ func TestLiveExecutorMatchesPaddedForward(t *testing.T) {
 		}
 		ch := tune.Choice{Algo: tune.AlgoFused}
 		got := checkLive(t, inf.Executor(), spec, flt, ch, zero, 32)
-		out, err := cudart.WinogradConv(AssembleBatch(spec, zero, 32), flt)
+		out, err := cudart.WinogradConv(AssembleBatch(spec, zero, 32).ToLayout(tensor.CHWN), flt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +170,7 @@ func TestServedWeightsImmuneToMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cudart.WinogradConv(AssembleBatch(spec, [][]float32{req.Image}, 32), origFlt)
+		want, err := cudart.WinogradConv(AssembleBatch(spec, [][]float32{req.Image}, 32).ToLayout(tensor.CHWN), origFlt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,4 +178,171 @@ func TestServedWeightsImmuneToMutation(t *testing.T) {
 	}
 	_, again, _ := model.Layer("conv_a")
 	requireSameBits(t, "Layer's filter", again.Data, orig)
+}
+
+// batchRig returns a server for model that runs exec (nil: the model's
+// default executor) under the fused algorithm, and the queue of layer
+// on its device, so a test can call execBatch on it directly.
+func batchRig(tb testing.TB, model *Model, exec Executor, layer string) (*Server, *queue) {
+	tb.Helper()
+	s, err := NewServer(Config{Model: model, Selector: FixedSelector{Algo: tune.AlgoFused}, Exec: exec})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	return s, s.queues[queueKey(s.devices[0].gpu.Name, layer)]
+}
+
+// khwnExec is a custom executor whose output images are not contiguous:
+// it returns the default executor's output converted to KHWN.
+type khwnExec struct{ Executor }
+
+func (e khwnExec) Run(spec LayerSpec, flt *tensor.Tensor, ch tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error) {
+	out, err := e.Executor.Run(spec, flt, ch, images, batchN)
+	if err != nil {
+		return nil, err
+	}
+	return out.ToLayout(tensor.KHWN), nil
+}
+
+// floatSpan is the address range a slice's elements occupy.
+func floatSpan(s []float32) (lo, hi uintptr) {
+	lo = uintptr(unsafe.Pointer(unsafe.SliceData(s)))
+	return lo, lo + uintptr(len(s))*unsafe.Sizeof(float32(0))
+}
+
+// TestRepliesOwnTheirOutputs: the replies of one batch are runs of the
+// executor's output when its images are contiguous (the default, NCHW)
+// and strided copies otherwise (a custom KHWN executor). Either way no
+// two replies overlap, each has its length as its capacity, and an
+// append to one leaves its neighbour as it was; both carry the same
+// bits.
+func TestRepliesOwnTheirOutputs(t *testing.T) {
+	model := DemoModel(21)
+	images := demoImages(model, "conv_a", 5)
+	var first []Response // the NCHW run's replies
+	for _, tc := range []struct {
+		name string
+		exec Executor
+	}{{"nchw", model.Executor()}, {"khwn", khwnExec{model.Executor()}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, q := batchRig(t, model, tc.exec, "conv_a")
+			reqs := make([]*Request, len(images))
+			for i, img := range images {
+				reqs[i] = &Request{Image: img}
+			}
+			resps := s.execBatch(q, reqs, 32)
+			for i, r := range resps {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				if len(r.Output) != q.spec.OutLen() || cap(r.Output) != len(r.Output) {
+					t.Fatalf("reply %d: len %d cap %d, want both %d", i, len(r.Output), cap(r.Output), q.spec.OutLen())
+				}
+				lo, hi := floatSpan(r.Output)
+				for j, o := range resps[:i] {
+					if olo, ohi := floatSpan(o.Output); lo < ohi && olo < hi {
+						t.Fatalf("replies %d and %d overlap", j, i)
+					}
+				}
+				if i > 0 && tc.name == "nchw" {
+					if _, prev := floatSpan(resps[i-1].Output); lo != prev {
+						t.Fatalf("reply %d does not follow reply %d in the batch output: it was copied", i, i-1)
+					}
+				}
+			}
+			neighbour := append([]float32(nil), resps[1].Output...)
+			_ = append(resps[0].Output, 42)
+			requireSameBits(t, "reply 1 after an append to reply 0", resps[1].Output, neighbour)
+			if first == nil {
+				first = resps
+				return
+			}
+			for i := range resps {
+				requireSameBits(t, fmt.Sprintf("reply %d", i), resps[i].Output, first[i].Output)
+			}
+		})
+	}
+}
+
+// warmUp runs the benchmark rig's warm-up on s: for each sweet spot and
+// layer, one batch of all-zero images, every request submitted at once
+// so the coalescer cuts it whole.
+func warmUp(tb testing.TB, s *Server, m *Model) {
+	for _, n := range SweetSpots() {
+		for _, name := range m.LayerNames() {
+			spec, _, _ := m.Layer(name)
+			img := make([]float32, spec.InLen())
+			chans := make([]<-chan Response, n)
+			for i := range chans {
+				var err error
+				if chans[i], err = s.Submit(&Request{Device: s.devices[0].gpu.Name, Layer: name, Image: img}); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			for _, ch := range chans {
+				if resp := <-ch; resp.Err != nil {
+					tb.Fatal(resp.Err)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkWarmup times a server's set-up as the benchmark rig runs it:
+// a new server with the default selector and executor, then warmUp. No
+// image is live, so it measures assembly, allocation and replies alone.
+func BenchmarkWarmup(b *testing.B) {
+	model := DemoModel(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := NewServer(Config{Model: model})
+		if err != nil {
+			b.Fatal(err)
+		}
+		warmUp(b, s, model)
+		s.Close()
+	}
+}
+
+// TestWarmupBatchAllocsPinned: the N=128 conv_a warm-up batch, 128 zero
+// images through the default executor, allocates its input tensor, its
+// output tensor and a small constant. Its replies are runs of the
+// output: a copy per reply would add a whole second output.
+func TestWarmupBatchAllocsPinned(t *testing.T) {
+	const batchN = 128
+	model := DemoModel(1)
+	s, q := batchRig(t, model, nil, "conv_a")
+	img := make([]float32, q.spec.InLen())
+	reqs := make([]*Request, batchN)
+	for i := range reqs {
+		reqs[i] = &Request{Image: img}
+	}
+	run := func() {
+		for _, r := range s.execBatch(q, reqs, batchN) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	run()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	const slack = 16 << 10
+	tensors := batchN * (q.spec.InLen() + q.spec.OutLen()) * int(unsafe.Sizeof(float32(0)))
+	b := int(after.TotalAlloc-before.TotalAlloc) / runs
+	if b > tensors+slack {
+		t.Errorf("N=%d batch: %d B/op, budget %d (input and output tensors %d + %d)", batchN, b, tensors+slack, tensors, slack)
+	}
+	const budget = 8
+	n := testing.AllocsPerRun(runs, run)
+	if n > budget {
+		t.Errorf("N=%d batch: %v allocs/op, budget %d", batchN, n, budget)
+	}
+	t.Logf("N=%d batch: %d B/op (tensors %d), %v allocs/op", batchN, b, tensors, n)
 }

@@ -153,7 +153,7 @@ type Request struct {
 
 // Response answers one Request once its batch has run.
 type Response struct {
-	Output []float32 // length LayerSpec.OutLen(), (k, h, w) row-major
+	Output []float32 // length and capacity LayerSpec.OutLen(), (k, h, w) row-major
 	BatchN int       // the padded batch size the request rode in
 	Filled int       // how many of the BatchN slots held real requests
 	Algo   tune.Algorithm
@@ -162,18 +162,19 @@ type Response struct {
 
 // Executor runs one coalesced batch. The kernel runs batchN images:
 // images fill slots 0..len(images)-1 and the remaining slots are zero
-// padding, whose outputs nobody reads. The returned tensor is KHWN, one
-// K×H×W output image per slot, with N ≥ len(images): an executor may
-// return the whole padded batch or, like the default, only the live
-// images.
+// padding, whose outputs nobody reads. The returned image tensor holds
+// one K×H×W output image per slot, with N ≥ len(images): an executor
+// may return the whole padded batch or, like the default, only the
+// live images. The server owns it: replies alias an NCHW output, so an
+// executor must not keep, reuse or change it after Run returns.
 type Executor interface {
 	Run(spec LayerSpec, flt *tensor.Tensor, choice tune.Choice, images [][]float32, batchN int) (*tensor.Tensor, error)
 }
 
 // Executor returns the default executor: it runs the batch's layer from
 // the model's prepared weights (cudart.Weights.Forward) on the live
-// images alone, assembled into the CHWN layout the fused kernel wants.
-// Its Run does not read flt, since the model holds its own copy of it.
+// images alone, assembled batch-major (NCHW), so replies slice its NCHW
+// output. Its Run does not read flt, since the model holds its own copy.
 func (m *Model) Executor() Executor { return modelExecutor{m} }
 
 type modelExecutor struct{ m *Model }
@@ -186,30 +187,25 @@ func (e modelExecutor) Run(spec LayerSpec, _ *tensor.Tensor, choice tune.Choice,
 	return l.w.Forward(AssembleBatch(spec, images, len(images)), batchN, choice)
 }
 
-// AssembleBatch packs per-request images into one CHWN batch tensor of
-// batchN images, zero-padding the slots past len(images) (a cut runs
-// at the next sweet spot up, so fewer than 32 requests still run as
-// N=32).
+// AssembleBatch copies per-request images into one NCHW batch tensor of
+// batchN images, zero-padding the slots past len(images) (a cut runs at
+// the next sweet spot up, so fewer than 32 requests still run as N=32).
 func AssembleBatch(spec LayerSpec, images [][]float32, batchN int) *tensor.Tensor {
-	in := tensor.New(tensor.CHWN, spec.C, spec.H, spec.W, batchN)
+	in := tensor.New(tensor.NCHW, batchN, spec.C, spec.H, spec.W)
 	for n, img := range images {
-		i := 0
-		for c := 0; c < spec.C; c++ {
-			for h := 0; h < spec.H; h++ {
-				for w := 0; w < spec.W; w++ {
-					in.ImageSet(n, c, h, w, img[i])
-					i++
-				}
-			}
-		}
+		copy(in.Data[n*spec.InLen():(n+1)*spec.InLen()], img)
 	}
 	return in
 }
 
-// sliceOutput extracts request slot n of a batch output: its (k, h, w)
-// elements are contiguous in every image layout, one w-stride apart.
+// sliceOutput returns request slot n of a batch output, whose (k, h, w)
+// elements are one w-stride apart in any layout: with a unit stride
+// (NCHW, or N=1) their capacity-capped run of out.Data, else a copy.
 func sliceOutput(spec LayerSpec, out *tensor.Tensor, n int) []float32 {
 	sn, _, _, sw := out.ImageStrides()
+	if a, b := n*sn, n*sn+spec.OutLen(); sw == 1 {
+		return out.Data[a:b:b]
+	}
 	res := make([]float32, spec.OutLen())
 	for i, j := 0, n*sn; i < len(res); i, j = i+1, j+sw {
 		res[i] = out.Data[j]

@@ -95,15 +95,15 @@ type Shape4 struct {
 }
 
 // NewImage allocates an image tensor of logical shape (N,C,H,W) in the
-// given layout (NCHW or CHWN).
+// given layout (NCHW, CHWN, or KHWN with K in the role of C).
 func NewImage(layout Layout, s Shape4) *Tensor {
 	switch layout {
 	case NCHW:
 		return New(NCHW, s.N, s.C, s.H, s.W)
-	case CHWN:
-		return New(CHWN, s.C, s.H, s.W, s.N)
+	case CHWN, KHWN:
+		return New(layout, s.C, s.H, s.W, s.N)
 	default:
-		panic("tensor: NewImage wants NCHW or CHWN, got " + layout.String())
+		panic("tensor: NewImage wants NCHW, CHWN or KHWN, got " + layout.String())
 	}
 }
 
@@ -164,17 +164,7 @@ func (t *Tensor) ImageStrides() (sn, sc, sh, sw int) {
 // KHWN is treated as CHWN with K playing the role of C.
 func (t *Tensor) ToLayout(layout Layout) *Tensor {
 	s := t.ImageShape()
-	var out *Tensor
-	switch layout {
-	case NCHW:
-		out = New(NCHW, s.N, s.C, s.H, s.W)
-	case CHWN:
-		out = New(CHWN, s.C, s.H, s.W, s.N)
-	case KHWN:
-		out = New(KHWN, s.C, s.H, s.W, s.N)
-	default:
-		panic("tensor: ToLayout wants an image layout, got " + layout.String())
-	}
+	out := NewImage(layout, s)
 	for n := 0; n < s.N; n++ {
 		for c := 0; c < s.C; c++ {
 			for h := 0; h < s.H; h++ {

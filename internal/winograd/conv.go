@@ -42,9 +42,9 @@ func (o Options) blocks() (bk, bn, bc int) {
 
 // Conv2D computes a batched stride-1 3x3 convolution with the Winograd
 // algorithm: TransformFilter, then ConvTransformed. The input may be in
-// NCHW or CHWN layout; the filter in KCRS or CRSK. The output is produced
-// in the paper's KHWN layout. pad is the symmetric zero padding (ResNet
-// 3x3 layers use pad=1).
+// NCHW or CHWN layout; the filter in KCRS or CRSK. The output layout
+// follows the input's: NCHW for NCHW, the paper's KHWN for CHWN. pad
+// is the symmetric zero padding (ResNet 3x3 layers use pad=1).
 func Conv2D(in, flt *tensor.Tensor, pad int, opt Options) (*tensor.Tensor, error) {
 	f, err := TransformFilter(flt, opt)
 	if err != nil {
@@ -204,6 +204,15 @@ func imageOf(t *tensor.Tensor) image {
 	return im
 }
 
+// newOutput allocates the output of in's n images, k channels of oh x
+// ow, in the layout that follows in's: NCHW for NCHW, KHWN for CHWN.
+func newOutput(in *tensor.Tensor, k, oh, ow, n int) *tensor.Tensor {
+	if in.Layout == tensor.NCHW {
+		return tensor.New(tensor.NCHW, n, k, oh, ow)
+	}
+	return tensor.New(tensor.KHWN, k, oh, ow, n)
+}
+
 // zero reports whether every input of image n is ±0, reading up to its
 // first non-zero value.
 func (im image) zero(n int) bool {
@@ -272,8 +281,8 @@ func gatherInputTile(in image, g tileGrid, batch, c, th, tw int, dst []float32) 
 	}
 }
 
-// scatterOutputTile writes an m x m output tile to output channel k of a
-// KHWN image, with bounds checks for the partial tiles at the right and
+// scatterOutputTile writes an m x m output tile to output channel k of
+// image batch, with bounds checks for the partial tiles at the right and
 // bottom edges.
 func scatterOutputTile(out image, g tileGrid, k, batch, th, tw int, tile []float32) {
 	base := k*out.sc + batch*out.sn
@@ -325,7 +334,7 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tens
 	totalTiles := g.tiles(len(live))
 	blocksN := (totalTiles + bn - 1) / bn
 	blocksK := (filters + bk - 1) / bk
-	out := tensor.New(tensor.KHWN, filters, oh, ow, is.N)
+	out := newOutput(in, filters, oh, ow, is.N)
 	dst := imageOf(out)
 
 	par.For(blocksN*blocksK, opt.Workers, func(blk int) {
@@ -461,7 +470,7 @@ func convNonFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *t
 	gemm.Batched(f.hat, inHat, outHat, area, filters, is.C, totalTiles, opt.Workers)
 
 	// Gather: output transform.
-	out := tensor.New(tensor.KHWN, filters, oh, ow, is.N)
+	out := newOutput(in, filters, oh, ow, is.N)
 	dst := imageOf(out)
 	par.For(filters, opt.Workers, func(k int) {
 		var pre [maxArea]float32
