@@ -15,6 +15,7 @@ package kernels
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 )
 
 // Config selects the kernel variant and its SASS-level scheduling knobs.
@@ -63,9 +64,20 @@ func CuDNNLike() Config {
 // LDGGap, STSGap, UseP2R, DeclaredSmem — appears as its own
 // unambiguously delimited field.
 func (c Config) Key() string {
+	var buf [64]byte
+	return string(c.appendKey(buf[:0]))
+}
+
+// appendKey appends Key's spelling,
+// "bk%d,yield%d,ldg%d,sts%d,p2r%t,smem%d", to b.
+func (c Config) appendKey(b []byte) []byte {
 	c = c.withDefaults()
-	return fmt.Sprintf("bk%d,yield%d,ldg%d,sts%d,p2r%t,smem%d",
-		c.BK, c.YieldEvery, c.LDGGap, c.STSGap, c.UseP2R, c.DeclaredSmem)
+	b = strconv.AppendInt(append(b, "bk"...), int64(c.BK), 10)
+	b = strconv.AppendInt(append(b, ",yield"...), int64(c.YieldEvery), 10)
+	b = strconv.AppendInt(append(b, ",ldg"...), int64(c.LDGGap), 10)
+	b = strconv.AppendInt(append(b, ",sts"...), int64(c.STSGap), 10)
+	b = strconv.AppendBool(append(b, ",p2r"...), c.UseP2R)
+	return strconv.AppendInt(append(b, ",smem"...), int64(c.DeclaredSmem), 10)
 }
 
 // Canonical returns the configuration with defaults applied and
@@ -196,7 +208,17 @@ func (p Problem) Validate(bk int) error {
 
 // Key renders the problem shape as a canonical cache key.
 func (p Problem) Key() string {
-	return fmt.Sprintf("c%d,k%d,n%d,h%d,w%d", p.C, p.K, p.N, p.H, p.W)
+	var buf [64]byte
+	return string(p.appendKey(buf[:0]))
+}
+
+// appendKey appends Key's spelling, "c%d,k%d,n%d,h%d,w%d", to b.
+func (p Problem) appendKey(b []byte) []byte {
+	b = strconv.AppendInt(append(b, 'c'), int64(p.C), 10)
+	b = strconv.AppendInt(append(b, ",k"...), int64(p.K), 10)
+	b = strconv.AppendInt(append(b, ",n"...), int64(p.N), 10)
+	b = strconv.AppendInt(append(b, ",h"...), int64(p.H), 10)
+	return strconv.AppendInt(append(b, ",w"...), int64(p.W), 10)
 }
 
 // TilesH and TilesW are the output-tile grid dimensions (ceiling: the

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,30 +35,27 @@ func (c ctrl) noYield() ctrl { c.yield = false; return c }
 
 // appendTo renders the control code as the assembler's
 // wait:read:write:yield:stall prefix ("--" / "-" for an empty wait mask or
-// barrier slot) onto b.
+// barrier slot) onto b, spelling each field by lookup.
 func (c ctrl) appendTo(b []byte) []byte {
-	if c.wait == 0 {
-		b = append(b, "--"...)
-	} else {
-		if c.wait < 0x10 {
-			b = append(b, '0')
-		}
-		b = strconv.AppendUint(b, uint64(c.wait), 16)
+	w0, w1 := byte('-'), byte('-')
+	if c.wait != 0 {
+		w0, w1 = hexDigits[c.wait>>4], hexDigits[c.wait&0xf]
 	}
-	for _, bar := range [2]int8{c.rd, c.wr} {
-		b = append(b, ':')
-		if bar >= 0 {
-			b = strconv.AppendInt(b, int64(bar), 10)
-		} else {
-			b = append(b, '-')
-		}
-	}
+	y := byte('-')
 	if c.yield {
-		b = append(b, ":Y:"...)
-	} else {
-		b = append(b, ":-:"...)
+		y = 'Y'
 	}
-	return strconv.AppendInt(b, int64(c.stall), 10)
+	b = append(b, w0, w1, ':', barDigit(c.rd), ':', barDigit(c.wr), ':', y, ':')
+	return append(b, decimals[c.stall]...)
+}
+
+// barDigit spells a barrier slot: one of the six barriers, or '-' for
+// none.
+func barDigit(bar int8) byte {
+	if bar < 0 {
+		return '-'
+	}
+	return "012345"[bar]
 }
 
 // Weave channels. The LDS channel carries the per-step fragment prefetch;
@@ -155,6 +153,57 @@ func (e *emitter) ins(c ctrl, format string, args ...any) {
 	e.b = append(appendf(e.b, format, args), '\n')
 }
 
+// Typed writers for the epilogue's and prologue's most frequent
+// instructions. Each spells its line as ins does with the format in its
+// comment, without scanning one.
+
+// fadd emits "FADD Rd, Ra, Rb;".
+func (e *emitter) fadd(c ctrl, d, a, b int) { e.fadd3(c, d, a, ", ", b) }
+
+// fsub emits "FADD Rd, Ra, -Rb;".
+func (e *emitter) fsub(c ctrl, d, a, b int) { e.fadd3(c, d, a, ", -", b) }
+
+func (e *emitter) fadd3(c ctrl, d, a int, sep string, b int) {
+	t := appendReg(append(c.appendTo(e.b), "  FADD "...), d)
+	t = appendReg(append(t, ", "...), a)
+	e.b = appendReg(append(t, sep...), b)
+	e.end()
+}
+
+// zero emits "MOV Rd, RZ;".
+func (e *emitter) zero(c ctrl, d int) {
+	e.b = append(appendReg(append(c.appendTo(e.b), "  MOV "...), d), ", RZ"...)
+	e.end()
+}
+
+// lds emits "LDS Rd, [Rbase+0xoff];".
+func (e *emitter) lds(c ctrl, d, base int, off uint32) {
+	t := appendReg(append(c.appendTo(e.b), "  LDS "...), d)
+	e.b = appendAddr(append(t, ", "...), base, off)
+	e.end()
+}
+
+// store emits "guard op [Rbase+0xoff], Rs;", guard being "" or a
+// predicate with its trailing space.
+func (e *emitter) store(c ctrl, guard, op string, base int, off uint32, s int) {
+	t := append(append(append(c.appendTo(e.b), ' ', ' '), guard...), op...)
+	t = appendAddr(append(t, ' '), base, off)
+	e.b = appendReg(append(t, ", "...), s)
+	e.end()
+}
+
+// end closes an instruction line.
+func (e *emitter) end() { e.b = append(e.b, ';', '\n') }
+
+// appendReg appends register r's name.
+func appendReg(b []byte, r int) []byte { return append(append(b, 'R'), decimals[r]...) }
+
+// appendAddr appends the memory operand [Rbase+0xoff].
+func appendAddr(b []byte, base int, off uint32) []byte {
+	b = appendReg(append(b, '['), base)
+	return append(appendUint32(append(b, "+0x"...), off, true), ']')
+}
+
 // insAux emits a queued instruction.
 func (e *emitter) insAux(a auxInst) {
 	e.b = append(a.c.appendTo(e.b), "  "...)
@@ -165,11 +214,37 @@ func (e *emitter) insAux(a auxInst) {
 // flt emits a float-pipe instruction: it ticks the weave channels and
 // applies the yield strategy.
 func (e *emitter) flt(c ctrl, format string, args ...any) {
+	e.ins(e.yield(c), format, args...)
+	e.weave()
+}
+
+// ffma emits the float-pipe instruction "FFMA Rd, Ra, Rb[.reuse], Rd;"
+// as flt would: the main loop is 1,024 of them per kernel.
+func (e *emitter) ffma(c ctrl, d, a, b int, reuse bool) {
+	t := appendReg(append(e.yield(c).appendTo(e.b), "  FFMA "...), d)
+	t = appendReg(append(t, ", "...), a)
+	t = appendReg(append(t, ", "...), b)
+	if reuse {
+		t = append(t, ".reuse"...)
+	}
+	e.b = appendReg(append(t, ", "...), d)
+	e.end()
+	e.weave()
+}
+
+// yield counts a float instruction and clears its yield flag where the
+// strategy says to.
+func (e *emitter) yield(c ctrl) ctrl {
 	e.floatCount++
 	if e.yieldEvery > 0 && e.floatCount%e.yieldEvery == 0 {
 		c = c.noYield()
 	}
-	e.ins(c, format, args...)
+	return c
+}
+
+// weave ticks the weave channels after a float instruction and emits
+// what is due.
+func (e *emitter) weave() {
 	for i := range e.ch {
 		e.ch[i].since++
 	}
@@ -255,7 +330,7 @@ func appendf(b []byte, format string, args []any) []byte {
 		verb, arg := rest[i+1], args[n]
 		rest = rest[i+2:]
 		n++
-		base := 10
+		hex := false
 		switch verb {
 		case 's':
 			s, ok := arg.(string)
@@ -265,16 +340,16 @@ func appendf(b []byte, format string, args []any) []byte {
 			b = append(b, s...)
 			continue
 		case 'x':
-			base = 16
+			hex = true
 		case 'd':
 		default:
 			panic(badFormat(format))
 		}
 		switch v := arg.(type) {
 		case int:
-			b = strconv.AppendInt(b, int64(v), base)
+			b = appendInt(b, v, hex)
 		case uint32:
-			b = strconv.AppendUint(b, uint64(v), base)
+			b = appendUint32(b, v, hex)
 		default:
 			panic(badFormat(format))
 		}
@@ -287,4 +362,65 @@ func appendf(b []byte, format string, args []any) []byte {
 
 func badFormat(format string) string {
 	return "kernels: emitter cannot format " + strconv.Quote(format)
+}
+
+// Operand spelling. Registers run from 0 to 255 and most immediates are
+// small, so the spellings of 0..255 are looked up in tables built once,
+// in one buffer each. appendHex spells larger hex values and strconv
+// the rest.
+var decimals, hexes = spellings(10), spellings(16)
+
+const hexDigits = "0123456789abcdef"
+
+// spellings returns strconv's spelling of each of 0..255 in base.
+func spellings(base int) *[256]string {
+	var t [256]string
+	buf := make([]byte, 0, 3*len(t))
+	for i := range t {
+		n := len(buf)
+		buf = strconv.AppendUint(buf, uint64(i), base)
+		t[i] = unsafe.String(&buf[n], len(buf)-n) // buf never grows
+	}
+	return &t
+}
+
+// appendInt appends v in decimal, or in hex when hex is set, as %d and
+// %x spell it.
+func appendInt(b []byte, v int, hex bool) []byte {
+	if v >= 0 && v <= math.MaxUint32 {
+		return appendUint32(b, uint32(v), hex)
+	}
+	if hex {
+		return strconv.AppendInt(b, int64(v), 16)
+	}
+	return strconv.AppendInt(b, int64(v), 10)
+}
+
+// appendUint32 is appendInt for a uint32.
+func appendUint32(b []byte, v uint32, hex bool) []byte {
+	switch {
+	case v < 256 && hex:
+		return append(b, hexes[v]...)
+	case v < 256:
+		return append(b, decimals[v]...)
+	case hex:
+		return appendHex(b, v)
+	}
+	return strconv.AppendUint(b, uint64(v), 10)
+}
+
+// appendHex appends v in lowercase hex without leading zeros: the
+// generators' larger immediates and offsets.
+func appendHex(b []byte, v uint32) []byte {
+	var buf [8]byte
+	i := len(buf)
+	for {
+		i--
+		buf[i] = hexDigits[v&0xf]
+		v >>= 4
+		if v == 0 {
+			break
+		}
+	}
+	return append(b, buf[i:]...)
 }

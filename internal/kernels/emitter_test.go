@@ -3,6 +3,7 @@ package kernels
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -129,4 +130,105 @@ func TestCtrlAppend(t *testing.T) {
 			t.Errorf("%+v renders %q, want %q", c, got, want)
 		}
 	}
+}
+
+// appendfInts and appendfUint32s are the operand values the table test
+// and the fuzz seeds spell: negatives, the edges of the 0..255 tables,
+// the widths of hex immediates, and the ends of each type's range.
+var (
+	appendfInts = []int{math.MinInt, -4096, -256, -255, -16, -1, 0, 1, 9, 10, 15, 16, 99, 100,
+		255, 256, 4095, 4096, 49152, math.MaxUint32, math.MaxUint32 + 1, math.MaxInt}
+	appendfUint32s = []uint32{0, 1, 9, 10, 15, 16, 255, 256, 0x1000, 0xfffffff, 0x10000000, 0xffffffff}
+)
+
+// checkAppendf fails t unless appendf spells format and args as
+// fmt.Sprintf does, after existing text.
+func checkAppendf(t *testing.T, format string, args ...any) {
+	t.Helper()
+	want := "x" + fmt.Sprintf(format, args...)
+	if got := string(appendf([]byte("x"), format, args)); got != want {
+		t.Errorf("appendf(%q, %v) = %q, want %q", format, args, got, want)
+	}
+}
+
+// TestAppendfMatchesSprintf compares appendf's table and hex spellings
+// of ints and uint32s, and its literal text, with fmt.Sprintf.
+func TestAppendfMatchesSprintf(t *testing.T) {
+	for _, v := range appendfInts {
+		checkAppendf(t, "%d", v)
+		checkAppendf(t, "%x", v)
+	}
+	for _, v := range appendfUint32s {
+		checkAppendf(t, "%d", v)
+		checkAppendf(t, "%x", v)
+	}
+	checkAppendf(t, "")
+	checkAppendf(t, "EXIT;")
+	checkAppendf(t, "%sSTS [R%d+0x%x], R%d;", "@!P0 ", 161, uint32(0x1080), 255)
+	checkAppendf(t, "IMAD R%d, R%d, -0x%x, R%d;", 7, 6, 28, 2)
+}
+
+// checkWriters fails t unless each typed writer emits exactly what ins
+// or flt emits for the format its comment gives, on emitters in the same
+// weave state.
+func checkWriters(t *testing.T, c ctrl, d, a, b int, off uint32, guard string) {
+	t.Helper()
+	for _, w := range []struct {
+		name         string
+		typed, fmted func(e *emitter)
+	}{
+		{"ffma", func(e *emitter) { e.ffma(c, d, a, b, false) },
+			func(e *emitter) { e.flt(c, "FFMA R%d, R%d, R%d, R%d;", d, a, b, d) }},
+		{"ffma.reuse", func(e *emitter) { e.ffma(c, d, a, b, true) },
+			func(e *emitter) { e.flt(c, "FFMA R%d, R%d, R%d.reuse, R%d;", d, a, b, d) }},
+		{"fadd", func(e *emitter) { e.fadd(c, d, a, b) },
+			func(e *emitter) { e.ins(c, "FADD R%d, R%d, R%d;", d, a, b) }},
+		{"fsub", func(e *emitter) { e.fsub(c, d, a, b) },
+			func(e *emitter) { e.ins(c, "FADD R%d, R%d, -R%d;", d, a, b) }},
+		{"zero", func(e *emitter) { e.zero(c, d) },
+			func(e *emitter) { e.ins(c, "MOV R%d, RZ;", d) }},
+		{"lds", func(e *emitter) { e.lds(c, d, a, off) },
+			func(e *emitter) { e.ins(c, "LDS R%d, [R%d+0x%x];", d, a, off) }},
+		{"store", func(e *emitter) { e.store(c, guard, "STG", a, off, b) },
+			func(e *emitter) { e.ins(c, "%sSTG [R%d+0x%x], R%d;", guard, a, off, b) }},
+	} {
+		typed, fmted := newEmitter(7, 0), newEmitter(7, 0)
+		for _, e := range []*emitter{typed, fmted} {
+			e.floatCount = 6 // the next float instruction clears its yield flag
+			e.queue(chLDS, 1, c0(), "NOP;")
+		}
+		w.typed(typed)
+		w.fmted(fmted)
+		if got, want := string(typed.b), string(fmted.b); got != want || typed.floatCount != fmted.floatCount {
+			t.Errorf("%s: typed writer emits %q (float %d), format emits %q (float %d)",
+				w.name, got, typed.floatCount, want, fmted.floatCount)
+		}
+	}
+}
+
+// TestWritersMatchFormats runs checkWriters over every register, on
+// control codes with and without a wait mask, a barrier, two-digit
+// stalls and the yield flag, and offsets on both sides of the hex table.
+func TestWritersMatchFormats(t *testing.T) {
+	ctrls := []ctrl{c0(), c0().st(6), c0().w(0x1).st(1), c0().w(0x3f).writeBar(0).readBar(5).st(15).noYield()}
+	for r := 0; r < 256; r++ {
+		c := ctrls[r%len(ctrls)]
+		checkWriters(t, c, r, 255-r, (r*37)%256, appendfUint32s[r%len(appendfUint32s)], [...]string{"", "@P0 ", "@!P3 "}[r%3])
+	}
+}
+
+// FuzzAppendf compares appendf with fmt.Sprintf on arbitrary ints and
+// uint32s in both bases, and the typed writers with the formats they
+// stand for on arbitrary registers, offsets and control codes.
+func FuzzAppendf(f *testing.F) {
+	for i, v := range appendfInts {
+		u := appendfUint32s[i%len(appendfUint32s)]
+		f.Add(v, u, uint8(i), uint8(255-i), uint8(i*37), uint8(i), uint8(i%16))
+	}
+	f.Fuzz(func(t *testing.T, v int, u uint32, d, a, b, wait, stall uint8) {
+		checkAppendf(t, "R%d, 0x%x, %d;", v, v, u)
+		checkAppendf(t, "%x%d", u, v)
+		c := ctrl{wait: wait, rd: int8(a%7) - 1, wr: int8(b%7) - 1, yield: d%2 == 0, stall: int(stall % 16)}
+		checkWriters(t, c, int(d), int(a), int(b), u, "@P1 ")
+	})
 }

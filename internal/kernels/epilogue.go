@@ -163,7 +163,7 @@ func (g *gen) epilogue() {
 						}
 						acc := lay.accBase[ePos] + (colOff+j)*8 + jj
 						imm := ePos*eStride + j*132 + nnoff
-						e.ins(c0().st(1), "%sSTS [R%d+0x%x], R%d;", pred, rOtw, uint32(imm), acc)
+						e.store(c0().st(1), pred, "STS", rOtw, uint32(imm), acc)
 					}
 				}
 			}
@@ -172,7 +172,7 @@ func (g *gen) epilogue() {
 				for jj := 0; jj < 8; jj++ {
 					acc := j*8 + jj
 					imm := j*132 + jj*4
-					e.ins(c0().st(1), "%sSTS [R%d+0x%x], R%d;", pred, rOtw, uint32(imm), acc)
+					e.store(c0().st(1), pred, "STS", rOtw, uint32(imm), acc)
 				}
 			}
 		}
@@ -180,41 +180,40 @@ func (g *gen) epilogue() {
 
 		for t := 0; t < tilesPerThread; t++ {
 			for el := 0; el < 16; el++ {
-				e.ins(c0().st(1).writeBar(0), "LDS R%d, [R%d+0x%x];",
-					lds+el, rOtr, uint32(el*eStride+t*8*132))
+				e.lds(c0().st(1).writeBar(0), lds+el, rOtr, uint32(el*eStride+t*8*132))
 			}
 			// OTF pass 1 (A^T m): two output rows per column, emitted in
 			// parity sweeps so dependent FADDs sit >= 4 issues apart.
 			first := c0().st(1).w(0x1)
 			for s := 0; s < 4; s++ {
-				e.ins(first, "FADD R%d, R%d, R%d;", tmp+s, lds+s, lds+4+s)
+				e.fadd(first, tmp+s, lds+s, lds+4+s)
 				first = c0().st(1)
 			}
 			for s := 0; s < 4; s++ {
-				e.ins(c0().st(1), "FADD R%d, R%d, -R%d;", tmp+4+s, lds+4+s, lds+8+s)
+				e.fsub(c0().st(1), tmp+4+s, lds+4+s, lds+8+s)
 			}
 			for s := 0; s < 4; s++ {
-				e.ins(c0().st(1), "FADD R%d, R%d, R%d;", tmp+s, tmp+s, lds+8+s)
+				e.fadd(c0().st(1), tmp+s, tmp+s, lds+8+s)
 			}
 			for s := 0; s < 4; s++ {
-				e.ins(c0().st(1), "FADD R%d, R%d, -R%d;", tmp+4+s, tmp+4+s, lds+12+s)
+				e.fsub(c0().st(1), tmp+4+s, tmp+4+s, lds+12+s)
 			}
 			// Pass 2 ((.)A): 2x2 outputs.
-			e.ins(c0().st(1), "FADD R%d, R%d, R%d;", out+0, tmp+0, tmp+1)
-			e.ins(c0().st(1), "FADD R%d, R%d, -R%d;", out+1, tmp+1, tmp+2)
-			e.ins(c0().st(1), "FADD R%d, R%d, R%d;", out+2, tmp+4, tmp+5)
-			e.ins(c0().st(1), "FADD R%d, R%d, -R%d;", out+3, tmp+5, tmp+6)
-			e.ins(c0().st(2), "FADD R%d, R%d, R%d;", out+0, out+0, tmp+2)
-			e.ins(c0().st(2), "FADD R%d, R%d, -R%d;", out+1, out+1, tmp+3)
-			e.ins(c0().st(2), "FADD R%d, R%d, R%d;", out+2, out+2, tmp+6)
-			e.ins(c0().st(2), "FADD R%d, R%d, -R%d;", out+3, out+3, tmp+7)
+			e.fadd(c0().st(1), out+0, tmp+0, tmp+1)
+			e.fsub(c0().st(1), out+1, tmp+1, tmp+2)
+			e.fadd(c0().st(1), out+2, tmp+4, tmp+5)
+			e.fsub(c0().st(1), out+3, tmp+5, tmp+6)
+			e.fadd(c0().st(2), out+0, out+0, tmp+2)
+			e.fsub(c0().st(2), out+1, out+1, tmp+3)
+			e.fadd(c0().st(2), out+2, out+2, tmp+6)
+			e.fsub(c0().st(2), out+3, out+3, tmp+7)
 			// Store the 2x2 tile; kglob = k0 + r*roundK + kk(+8t for the
 			// second tile), all folded into the immediate.
 			kimm := (r*roundK + t*8) * st.hwn4
 			for dy := 0; dy < 2; dy++ {
 				for dx := 0; dx < 2; dx++ {
 					imm := kimm + dy*st.wn4 + dx*st.n4
-					e.ins(c0().st(1), "%sSTG [R%d+0x%x], R%d;", stgGuard(dy, dx), rStg, uint32(imm), out+dy*2+dx)
+					e.store(c0().st(1), stgGuard(dy, dx), "STG", rStg, uint32(imm), out+dy*2+dx)
 				}
 			}
 		}

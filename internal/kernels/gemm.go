@@ -196,7 +196,7 @@ func (g *gemmGen) generate() {
 	e.ins(c0().st(6), "MOV R%d, 0x%x;", gRIter, p.K/8)
 	for _, base := range []int{0, 96} {
 		for i := 0; i < 64; i++ {
-			e.ins(c0().st(1), "MOV R%d, RZ;", base+i)
+			e.zero(c0().st(1), base+i)
 		}
 	}
 

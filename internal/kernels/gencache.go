@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/cubin"
@@ -43,7 +42,10 @@ func Generate(cfg Config, p Problem, mainLoopOnly bool) (*cubin.Kernel, error) {
 // mainKey is the generation key of a fused main kernel, shared by the
 // kernel cache and SourceHash's hash cache.
 func mainKey(cfg Config, p Problem, mainLoopOnly bool) string {
-	return "main|" + cfg.Key() + "|" + p.Key() + "|loop" + strconv.FormatBool(mainLoopOnly)
+	var buf [128]byte
+	b := cfg.appendKey(append(buf[:0], "main|"...))
+	b = p.appendKey(append(b, '|'))
+	return string(strconv.AppendBool(append(b, "|loop"...), mainLoopOnly))
 }
 
 // generateKeyed is Generate for a caller that already holds the key.
@@ -56,12 +58,5 @@ func generateKeyed(key string, cfg Config, p Problem, mainLoopOnly bool) (*cubin
 // the returned kernel is shared and must be treated as read-only.
 // GenerateFTF is safe for concurrent use.
 func GenerateFTF(k int) (*cubin.Kernel, error) {
-	return genCache.Do(fmt.Sprintf("ftf|k%d", k), func() (*cubin.Kernel, error) { return generateFTF(k) })
-}
-
-// GeneratedKernels reports how many distinct kernels have been generated
-// (or are being generated) process-wide — the denominator for
-// cache-effectiveness checks in tests and the runner's stats output.
-func GeneratedKernels() int64 {
-	return int64(genCache.Len())
+	return genCache.Do("ftf|k"+strconv.Itoa(k), func() (*cubin.Kernel, error) { return generateFTF(k) })
 }

@@ -3,7 +3,8 @@ package kernels
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
+	"strconv"
 	"sync"
 
 	"repro/internal/cubin"
@@ -17,17 +18,31 @@ import (
 // resource claims and the encoded instruction stream, control codes
 // included.
 
-// HashKernel returns a short content hash of an assembled kernel.
+// HashKernel returns a short content hash of an assembled kernel: the
+// first 12 bytes, in hex, of the sha256 of
+// "name|regs|smem|params|bars|" (decimal fields) and then every code
+// word, low and high half, little-endian.
 func HashKernel(k *cubin.Kernel) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%d|%d|%d|%d|", k.Name, k.NumRegs, k.SmemBytes, k.ParamBytes, k.BarCount)
-	var buf [16]byte
-	for _, w := range k.Code {
-		binary.LittleEndian.PutUint64(buf[:8], w.Lo)
-		binary.LittleEndian.PutUint64(buf[8:], w.Hi)
-		h.Write(buf[:])
+	var buf [4 << 10]byte // the header, then 256 code words per Write
+	b := append(buf[:0], k.Name...)
+	for _, v := range [...]int{k.NumRegs, k.SmemBytes, k.ParamBytes, k.BarCount} {
+		b = strconv.AppendInt(append(b, '|'), int64(v), 10)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+	h.Write(append(b, '|'))
+	for code := k.Code; len(code) > 0; {
+		n := min(len(code), len(buf)/16)
+		for i, w := range code[:n] {
+			binary.LittleEndian.PutUint64(buf[16*i:], w.Lo)
+			binary.LittleEndian.PutUint64(buf[16*i+8:], w.Hi)
+		}
+		h.Write(buf[:16*n])
+		code = code[n:]
+	}
+	var sum [sha256.Size]byte
+	var out [24]byte
+	hex.Encode(out[:], h.Sum(sum[:0])[:12])
+	return string(out[:])
 }
 
 // srcHashCache memoizes SourceHash per generation key; the underlying

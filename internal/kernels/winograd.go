@@ -235,7 +235,7 @@ func (g *gen) prologue() {
 
 	// Zero-padding mask (paper Section 3.5): bit r*4+s set when input
 	// element (y0+r, x0+s) is in bounds. P4/P5 are prologue scratch.
-	e.ins(c0().st(6), "MOV R%d, RZ;", lay.rMask)
+	e.zero(c0().st(6), lay.rMask)
 	for r := 0; r < 4; r++ {
 		e.ins(c0().st(6), "IADD3 R%d, R%d, 0x%x, RZ;", rC, rA, r) // yr
 		for s := 0; s < 4; s++ {
@@ -325,11 +325,11 @@ func (g *gen) prologue() {
 	// elements rely on the staging registers staying zero).
 	for _, base := range lay.accBase {
 		for i := 0; i < 64; i++ {
-			e.ins(c0().st(1), "MOV R%d, RZ;", base+i)
+			e.zero(c0().st(1), base+i)
 		}
 	}
 	for i := 0; i < 16; i++ {
-		e.ins(c0().st(1), "MOV R%d, RZ;", lay.ldgIn+i)
+		e.zero(c0().st(1), lay.ldgIn+i)
 	}
 }
 
@@ -439,12 +439,7 @@ func (g *gen) emitStep(step int) {
 					c = c.w(uint8(1 << uint(bank)))
 					firstOfStep = false
 				}
-				reuse := ""
-				if idx < 7 {
-					reuse = ".reuse"
-				}
-				e.flt(c, "FFMA R%d, R%d, R%d%s, R%d;",
-					acc+col*8+row, in+row, flt+col, reuse, acc+col*8+row)
+				e.ffma(c, acc+col*8+row, in+row, flt+col, idx < 7)
 			}
 		}
 	}

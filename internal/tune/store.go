@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"repro/internal/gpu"
 	"repro/internal/kernels"
@@ -20,19 +21,25 @@ import (
 // Mode names the tune measurement protocol at one sampling depth. The
 // simulation backend and worker count are deliberately absent: they are
 // bit-identical by contract, so results are shared across them.
-func Mode(waves int) string { return fmt.Sprintf("tune/waves=%d", waves) }
+func Mode(waves int) string { return "tune/waves=" + strconv.Itoa(waves) }
 
 // StoreKey derives the content-addressed key for one measurement. It
 // generates the kernel (memoized process-wide) to hash its source, so a
 // key always names the kernel the current generator would produce.
 func StoreKey(dev gpu.Device, p kernels.Problem, waves int, cfg kernels.Config) (store.Key, error) {
+	return storeKey(dev.Name, dev.SpecHash(), p, waves, cfg)
+}
+
+// storeKey is StoreKey for a caller that already holds the device's
+// spec hash.
+func storeKey(dev, devHash string, p kernels.Problem, waves int, cfg kernels.Config) (store.Key, error) {
 	kh, err := kernels.SourceHash(cfg, p, false)
 	if err != nil {
 		return store.Key{}, fmt.Errorf("tune: hashing kernel for %s on %s: %w", cfg.Key(), p.Key(), err)
 	}
 	return store.Key{
-		Device:     dev.Name,
-		DeviceHash: dev.SpecHash(),
+		Device:     dev,
+		DeviceHash: devHash,
 		KernelHash: kh,
 		Problem:    p.Key(),
 		Mode:       Mode(waves),

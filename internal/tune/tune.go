@@ -149,9 +149,10 @@ func (t *Tuner) Tune(st *store.Store, cases []Case) ([]Result, *bench.RunStats, 
 			kept = append(kept, cand{ci: i, cfg: cfg})
 		}
 	}
+	devHash := t.Dev.SpecHash()
 	if err := par.ForErr(len(kept), t.Workers, func(j int) error {
 		cs := cases[kept[j].ci]
-		key, err := StoreKey(t.Dev, cs.P, t.waves(), kept[j].cfg)
+		key, err := storeKey(t.Dev.Name, devHash, cs.P, t.waves(), kept[j].cfg)
 		if err != nil {
 			return fmt.Errorf("tune: %s: %w", cs.Tag, err)
 		}

@@ -58,7 +58,9 @@ func Assemble(src string) (*cubin.Module, error) {
 // memo.
 var asmPool = sync.Pool{New: func() any { return newAsm() }}
 
-func newAsm() *asm { return &asm{memo: &memo{lines: map[string]memoLine{}}} }
+func newAsm() *asm {
+	return &asm{memo: &memo{index: make(map[string]int32, memoLines), lines: make([]memoLine, 0, memoLines)}}
+}
 
 // release resets a and returns it to asmPool.
 func (a *asm) release() {
@@ -73,18 +75,22 @@ func (a *asm) reset() {
 	*a = asm{memo: a.memo, branches: a.branches[:0]}
 }
 
-// memo maps instruction lines to their encodings. Its keys are copied
-// into chunks of one arena, so no key pins a source and filling the memo
-// costs an allocation per chunk, not per line.
+// memo maps instruction lines to their encodings: the map holds an
+// index into lines, so its slots stay small. Both are sized for a full
+// memo when the memo is made, so filling it never grows them. Its keys
+// are copied into chunks of one arena, so no key pins a source and
+// filling the memo costs an allocation per chunk, not per line.
 type memo struct {
-	lines map[string]memoLine
+	index map[string]int32 // line -> position in lines
+	lines []memoLine
 	keys  strings.Builder // the current chunk
 }
 
-// memoLine is an instruction line's encoding, kept for track.
+// memoLine is what a memo hit needs of an instruction line: its word
+// and its footprint for track.
 type memoLine struct {
-	inst sass.Inst
 	word sass.Word
+	fp   footprint
 }
 
 const (
@@ -93,6 +99,14 @@ const (
 	memoLines = 1 << 13
 	memoChunk = 64 << 10 // key arena chunk bytes
 )
+
+func (m *memo) get(line string) (memoLine, bool) {
+	i, ok := m.index[line]
+	if !ok {
+		return memoLine{}, false
+	}
+	return m.lines[i], true
+}
 
 func (m *memo) add(line string, l memoLine) {
 	if len(m.lines) >= memoLines {
@@ -104,11 +118,13 @@ func (m *memo) add(line string, l memoLine) {
 	}
 	n := m.keys.Len()
 	m.keys.WriteString(line)
-	m.lines[m.keys.String()[n:]] = l
+	m.index[m.keys.String()[n:]] = int32(len(m.lines))
+	m.lines = append(m.lines, l)
 }
 
 func (m *memo) reset() {
-	clear(m.lines)
+	clear(m.index)
+	m.lines = m.lines[:0]
 	m.keys.Reset()
 }
 
@@ -426,8 +442,8 @@ func (a *asm) finish() (cubin.Kernel, error) {
 func (a *asm) instruction(line string) error {
 	memoize := a.aliases == nil && a.consts == nil
 	if memoize {
-		if m, ok := a.memo.lines[line]; ok {
-			a.track(&m.inst)
+		if m, ok := a.memo.get(line); ok {
+			a.track(m.fp)
 			a.code = append(a.code, m.word)
 			return nil
 		}
@@ -497,27 +513,35 @@ func (a *asm) instruction(line string) error {
 	if err != nil {
 		return err
 	}
-	a.track(&inst)
+	fp := footprintOf(&inst)
+	a.track(fp)
 	word := inst.Encode()
 	switch {
 	case label != "":
 		a.branches = append(a.branches, branch{pc: len(a.code), inst: inst, label: label})
 	case memoize:
-		a.memo.add(line, memoLine{inst, word})
+		a.memo.add(line, memoLine{word, fp})
 	}
 	a.code = append(a.code, word)
 	return nil
 }
 
-// track records register high-water mark and barrier usage.
-func (a *asm) track(inst *sass.Inst) {
+// footprint is what an instruction adds to its kernel's resource
+// claims: the highest register it touches (-1 for none) and whether it
+// is a barrier.
+type footprint struct {
+	maxReg int16
+	bar    bool
+}
+
+func footprintOf(inst *sass.Inst) footprint {
+	f := footprint{maxReg: -1}
 	upd := func(r sass.Reg, width int) {
 		if r == sass.RZ {
 			return
 		}
-		hi := int(r) + width - 1
-		if hi > a.cur.maxReg {
-			a.cur.maxReg = hi
+		if hi := int16(r) + int16(width) - 1; hi > f.maxReg {
+			f.maxReg = hi
 		}
 	}
 	w := 1
@@ -532,7 +556,7 @@ func (a *asm) track(inst *sass.Inst) {
 		upd(inst.Rs0, 1)
 		upd(inst.Rs2, w)
 	case sass.OpBAR:
-		a.cur.hasBar = true
+		f.bar = true
 	default:
 		upd(inst.Rd, 1)
 		upd(inst.Rs0, 1)
@@ -540,6 +564,17 @@ func (a *asm) track(inst *sass.Inst) {
 			upd(inst.Rs1, 1)
 		}
 		upd(inst.Rs2, 1)
+	}
+	return f
+}
+
+// track records register high-water mark and barrier usage.
+func (a *asm) track(f footprint) {
+	if int(f.maxReg) > a.cur.maxReg {
+		a.cur.maxReg = int(f.maxReg)
+	}
+	if f.bar {
+		a.cur.hasBar = true
 	}
 }
 
