@@ -5,7 +5,6 @@
 //	winograd-bench [-waves N] [-quick] [-markdown] [-jobs N] [-timings] [-prof] [experiment ...]
 //	winograd-bench [-waves N] [-quick] [-jobs N] [-budget N] [-store PATH] [-shard i/N] [-storeverify] [-device D] tune
 //	winograd-bench [-jobs N] [-markdown] [-backend B] [-device D] calibrate
-//	winograd-bench [-requests N] [-seed S] [-jobs N] [-waves N] [-device D] [-store PATH] [-serveexec K] [-listen ADDR] serve
 //	winograd-bench store merge -o OUT IN...
 //	winograd-bench store ls PATH...
 //	winograd-bench store verify PATH...
@@ -31,18 +30,14 @@
 // exits non-zero on any quarantined, conflicting, or (for tune-mode
 // entries) round-trip-failing entry.
 //
-// The `serve` subcommand is the batched inference service's harness: by
-// default it runs the deterministic load generator (virtual-time
-// simulation of the batching policy with sampled real batch
-// executions) and prints per-shape latency percentiles, batch-size
-// occupancy, and execution checksums — byte-identical for a fixed -seed
-// whatever -jobs is. With -listen it serves POST /v1/infer for real.
-//
 // The `calibrate` subcommand runs the internal/microbench probe suite
 // against every registered device file (or just -device when given) and
 // prints, per device, the probe report plus the per-layer algorithm
 // selection implied by the analytic model — the standing check that the
 // device specs and the simulator still agree.
+//
+// The batched inference service is its own command, winograd-serve, so
+// that no winograd-bench process links or initialises an HTTP stack.
 package main
 
 import (
@@ -79,11 +74,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	storePath := fs.String("store", "", "tune: path of the content-addressed store/v1 experiment store (empty = in-memory only)")
 	storeVerify := fs.Bool("storeverify", false, "tune: force the full key round-trip check on every store hit")
 	shard := fs.String("shard", "", "tune: deterministic lattice partition i/N; requires -store, suppresses tables")
-	device := fs.String("device", "rtx2070", "tune/calibrate/serve: registered device name (see `winograd-bench` listing)")
-	requests := fs.Int("requests", 4000, "serve: load-generator arrivals")
-	seed := fs.Uint64("seed", 42, "serve: load-generator seed (the report is a pure function of seed and config)")
-	serveExec := fs.Int("serveexec", 23, "serve: really execute every K-th dispatched batch (<0 disables)")
-	listen := fs.String("listen", "", "serve: serve POST /v1/infer at this address instead of generating load")
+	device := fs.String("device", "rtx2070", "tune/calibrate: registered device name (see `winograd-bench` listing)")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
@@ -107,7 +98,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintln(stdout, "  all        run everything in paper order")
 		fmt.Fprintln(stdout, "  tune       autotune per-layer configs and algorithm selection")
-		fmt.Fprintln(stdout, "  serve      batched inference service: load generation or -listen HTTP serving")
 		fmt.Fprintln(stdout, "  calibrate  probe every registered device spec against the simulator")
 		fmt.Fprintln(stdout, "  store      merge/ls/verify content-addressed experiment stores")
 		fmt.Fprintf(stdout, "devices: %s\n", strings.Join(gpu.DeviceNames(), ", "))
@@ -120,14 +110,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return runTune(tuneOpts{waves: *waves, quick: *quick, markdown: *markdown,
 			jobs: *jobs, budget: *budget, storePath: *storePath,
 			storeVerify: *storeVerify, shard: *shard, device: *device}, stdout, stderr)
-	}
-
-	// `serve` is the inference-service harness: load generation by
-	// default, a live HTTP server with -listen.
-	if len(args) == 1 && args[0] == "serve" {
-		return runServe(serveOpts{requests: *requests, seed: *seed, jobs: *jobs,
-			markdown: *markdown, waves: *waves, device: *device,
-			storePath: *storePath, execEvery: *serveExec, listen: *listen}, stdout, stderr)
 	}
 
 	// `store` operates on store/v1 files: merge, ls, verify.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -242,8 +243,11 @@ func firstDiff(want, got string) string {
 // error path without running any simulation.
 func TestListAndUnknown(t *testing.T) {
 	out, _, code := runCapture(t)
-	if code != 0 || !strings.Contains(out, "experiments:") || !strings.Contains(out, "all        run everything") {
+	if code != 0 || !strings.HasPrefix(out, "experiments:") || !strings.Contains(out, "all        run everything") {
 		t.Fatalf("listing: code=%d out=%q", code, out)
+	}
+	if strings.Contains(out, "\n  serve ") {
+		t.Fatalf("listing names serving, which is winograd-serve's: %q", out)
 	}
 	out, errOut, code := runCapture(t, "nope", "table1", "nope", "alsobad")
 	if code != 2 {
@@ -259,5 +263,28 @@ func TestListAndUnknown(t *testing.T) {
 	}
 	if strings.Count(errOut, `"nope"`) != 1 {
 		t.Fatalf("duplicate unknown id reported twice: %q", errOut)
+	}
+}
+
+// TestNoServingImports keeps the HTTP stack out of this binary. Every
+// winograd-bench process initialises all it links, and net/http with
+// crypto/tls costs as much start-up as everything else together; the
+// server lives in cmd/winograd-serve.
+func TestNoServingImports(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	deps := map[string]bool{}
+	for _, p := range strings.Fields(string(out)) {
+		deps[p] = true
+	}
+	if !deps["repro/internal/bench"] {
+		t.Fatalf("go list -deps printed no repro/internal/bench:\n%s", out)
+	}
+	for _, p := range []string{"net/http", "crypto/tls", "repro/internal/serve"} {
+		if deps[p] {
+			t.Errorf("winograd-bench depends on %s", p)
+		}
 	}
 }

@@ -409,6 +409,8 @@ func (r *Report) find(name string) *Result {
 //     calibration ratio of the two reports.
 //   - Allocations: allocs/op may exceed the baseline by at most allocTol
 //     plus an absolute slack of 2 (runtime-internal noise on tiny counts).
+//     Below half the baseline less the same slack, the row is stale: it
+//     would let allocations grow back unnoticed, so it must be re-recorded.
 //   - A benchmark present in the baseline but missing from cur is a
 //     failure; benchmarks new in cur are NOT failures — Unbaselined
 //     reports them as warnings, and they gate once committed to the
@@ -440,6 +442,10 @@ func Compare(base, cur *Report, timeTol, allocTol float64) []string {
 		if float64(c.AllocsPerOp) > allocLimit {
 			msgs = append(msgs, fmt.Sprintf("%s: %d allocs/op exceeds baseline %d by more than %.0f%%+2",
 				b.Name, c.AllocsPerOp, b.AllocsPerOp, allocTol*100))
+		}
+		if float64(c.AllocsPerOp) < float64(b.AllocsPerOp)/2-2 {
+			msgs = append(msgs, fmt.Sprintf("%s: %d allocs/op is below half of baseline %d less 2: stale baseline, re-record",
+				b.Name, c.AllocsPerOp, b.AllocsPerOp))
 		}
 	}
 	return msgs

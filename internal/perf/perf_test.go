@@ -80,7 +80,8 @@ func TestPerfDiff(t *testing.T) {
 
 // TestCompare pins the gate's semantics with synthetic reports: the
 // calibration ratio rescales timing limits, allocation regressions are
-// caught unscaled, and disappeared benchmarks fail.
+// caught unscaled, stale allocation baselines are caught, and
+// disappeared benchmarks fail.
 func TestCompare(t *testing.T) {
 	base := &Report{Schema: "bench_sim/v1", Results: []Result{
 		{Name: CalibrationName, NsPerOp: 1000},
@@ -109,6 +110,21 @@ func TestCompare(t *testing.T) {
 	cur.Results[1].NsPerOp = 1200
 	if msgs := Compare(base, cur, 0.10, 0.10); len(msgs) != 1 {
 		t.Fatalf("want 1 timing regression, got %v", msgs)
+	}
+	cur.Results[1].NsPerOp = 1000
+
+	// A row measuring under half its baseline less 2 is stale; at the
+	// limit it still passes.
+	for allocs, stale := range map[int64]bool{48: false, 47: true, 0: true} {
+		cur.Results[1].AllocsPerOp = allocs
+		msgs := Compare(base, cur, 0.10, 0.10)
+		want := 0
+		if stale {
+			want = 1
+		}
+		if len(msgs) != want || stale && !strings.Contains(msgs[0], "stale baseline, re-record") {
+			t.Errorf("%d allocs/op against baseline 100: %v", allocs, msgs)
+		}
 	}
 }
 

@@ -7,10 +7,7 @@ package serve
 // 'f' or 'e', -1, 32) finds, without its generic decimal plumbing.
 // TestWireEncodeMatchesJSON compares it with encoding/json.
 
-import (
-	"math"
-	"math/big"
-)
+import "math"
 
 const (
 	ryuInvBits = 59 // bits of a ryuPow5Inv entry
@@ -20,25 +17,31 @@ const (
 // ryuPow5Inv[q] is floor(2^(pow5bits(q)-1+ryuInvBits) / 5^q) + 1 and
 // ryuPow5[i] is floor(5^i / 2^(pow5bits(i)-ryuBits)): 5^-q and 5^i
 // scaled to 64-bit fixed point, for every q and i a float32 needs.
-var ryuPow5Inv, ryuPow5 = ryuTables()
+// TestRyuTables derives both with math/big.
+var ryuPow5Inv = [31]uint64{
+	0x0800000000000001, 0x0666666666666667, 0x051eb851eb851eb9, 0x04189374bc6a7efa,
+	0x068db8bac710cb2a, 0x053e2d6238da3c22, 0x0431bde82d7b634e, 0x06b5fca6af2bd216,
+	0x055e63b88c230e78, 0x044b82fa09b5a52d, 0x06df37f675ef6eae, 0x057f5ff85e592558,
+	0x0465e6604b7a8447, 0x0709709a125da071, 0x05a126e1a84ae6c1, 0x0480ebe7b9d58567,
+	0x0734aca5f6226f0b, 0x05c3bd5191b525a3, 0x049c97747490eae9, 0x0760f253edb4ab0e,
+	0x05e72843249088d8, 0x04b8ed0283a6d3e0, 0x078e480405d7b966, 0x060b6cd004ac9452,
+	0x04d5f0a66a23a9db, 0x07bcb43d769f762b, 0x063090312bb2c4ef, 0x04f3a68dbc8f03f3,
+	0x07ec3daf94180651, 0x065697bfa9acd1da, 0x051212ffbaf0a7e2,
+}
 
-func ryuTables() (inv [31]uint64, pow [48]uint64) {
-	five := big.NewInt(5)
-	for q := range inv {
-		v := new(big.Int).Lsh(big.NewInt(1), uint(pow5bits(q)-1+ryuInvBits))
-		v.Quo(v, new(big.Int).Exp(five, big.NewInt(int64(q)), nil))
-		inv[q] = v.Uint64() + 1
-	}
-	for i := range pow {
-		v := new(big.Int).Exp(five, big.NewInt(int64(i)), nil)
-		if s := pow5bits(i) - ryuBits; s > 0 {
-			v.Rsh(v, uint(s))
-		} else {
-			v.Lsh(v, uint(-s))
-		}
-		pow[i] = v.Uint64()
-	}
-	return inv, pow
+var ryuPow5 = [48]uint64{
+	0x1000000000000000, 0x1400000000000000, 0x1900000000000000, 0x1f40000000000000,
+	0x1388000000000000, 0x186a000000000000, 0x1e84800000000000, 0x1312d00000000000,
+	0x17d7840000000000, 0x1dcd650000000000, 0x12a05f2000000000, 0x174876e800000000,
+	0x1d1a94a200000000, 0x12309ce540000000, 0x16bcc41e90000000, 0x1c6bf52634000000,
+	0x11c37937e0800000, 0x16345785d8a00000, 0x1bc16d674ec80000, 0x1158e460913d0000,
+	0x15af1d78b58c4000, 0x1b1ae4d6e2ef5000, 0x10f0cf064dd59200, 0x152d02c7e14af680,
+	0x1a784379d99db420, 0x108b2a2c28029094, 0x14adf4b7320334b9, 0x19d971e4fe8401e7,
+	0x1027e72f1f128130, 0x1431e0fae6d7217c, 0x193e5939a08ce9db, 0x1f8def8808b02452,
+	0x13b8b5b5056e16b3, 0x18a6e32246c99c60, 0x1ed09bead87c0378, 0x13426172c74d822b,
+	0x1812f9cf7920e2b6, 0x1e17b84357691b64, 0x12ced32a16a1b11e, 0x178287f49c4a1d66,
+	0x1d6329f1c35ca4bf, 0x125dfa371a19e6f7, 0x16f578c4e0a060b5, 0x1cb2d6f618c878e3,
+	0x11efc659cf7d4b8d, 0x166bb7f0435c9e71, 0x1c06a5ec5433c60d, 0x118427b3b4a05bc8,
 }
 
 // pow5bits is the bit length of 5^e (1 for e = 0); log10Pow2 and

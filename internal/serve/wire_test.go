@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -167,6 +168,30 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRyuTables derives appendFloat32's fixed-point powers of five with
+// math/big and requires the committed literals to equal them.
+func TestRyuTables(t *testing.T) {
+	five := big.NewInt(5)
+	for q, got := range ryuPow5Inv {
+		v := new(big.Int).Lsh(big.NewInt(1), uint(pow5bits(q)-1+ryuInvBits))
+		v.Quo(v, new(big.Int).Exp(five, big.NewInt(int64(q)), nil))
+		if want := v.Uint64() + 1; got != want {
+			t.Errorf("ryuPow5Inv[%d] = %#x, want %#x", q, got, want)
+		}
+	}
+	for i, got := range ryuPow5 {
+		v := new(big.Int).Exp(five, big.NewInt(int64(i)), nil)
+		if s := pow5bits(i) - ryuBits; s > 0 {
+			v.Rsh(v, uint(s))
+		} else {
+			v.Lsh(v, uint(-s))
+		}
+		if want := v.Uint64(); got != want {
+			t.Errorf("ryuPow5[%d] = %#x, want %#x", i, got, want)
+		}
+	}
 }
 
 // TestWireAllocsPinned: a warm decode of a conv_a body allocates only

@@ -27,6 +27,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -91,16 +92,16 @@ type Entry struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// HashPayload returns the content hash of a JSON payload in its compact
-// canonical form, so indentation differences between files cannot change
-// an entry's address.
-func HashPayload(payload []byte) (string, error) {
+// canonical returns a JSON payload's compact canonical form and that
+// form's content hash, so indentation differences between files cannot
+// change an entry's bytes or address.
+func canonical(payload []byte) (json.RawMessage, string, error) {
 	var buf bytes.Buffer
 	if err := json.Compact(&buf, payload); err != nil {
-		return "", fmt.Errorf("store: payload is not valid JSON: %v", err)
+		return nil, "", fmt.Errorf("store: payload is not valid JSON: %v", err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
-	return fmt.Sprintf("%x", sum[:12]), nil
+	return buf.Bytes(), hex.EncodeToString(sum[:12]), nil
 }
 
 // Store is an in-memory set of entries indexed by key.
@@ -126,7 +127,7 @@ func (s *Store) Put(k Key, payload any) error {
 	if err != nil {
 		return fmt.Errorf("store: marshaling payload for %s: %v", k, err)
 	}
-	hash, err := HashPayload(data)
+	data, hash, err := canonical(data)
 	if err != nil {
 		return err
 	}
@@ -227,7 +228,7 @@ func Load(path string) (*Store, *LoadReport) {
 			rep.quarantine(path, e, err.Error())
 			continue
 		}
-		hash, err := HashPayload(e.Payload)
+		payload, hash, err := canonical(e.Payload)
 		if err != nil {
 			rep.quarantine(path, e, err.Error())
 			continue
@@ -240,11 +241,7 @@ func Load(path string) (*Store, *LoadReport) {
 			rep.quarantine(path, e, "duplicate key")
 			continue
 		}
-		// Store the compact canonical payload so hashes and saved bytes
-		// never depend on the source file's indentation.
-		var buf bytes.Buffer
-		_ = json.Compact(&buf, e.Payload) // validated by HashPayload above
-		e.Payload = json.RawMessage(buf.Bytes())
+		e.Payload = payload
 		s.entries[e.Key.String()] = e
 	}
 	return s, rep

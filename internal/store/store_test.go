@@ -115,7 +115,7 @@ func TestPutReplacesAndRehashes(t *testing.T) {
 	if e1.Hash == e2.Hash {
 		t.Fatal("different payloads share a content hash")
 	}
-	want, err := HashPayload(e2.Payload)
+	_, want, err := canonical(e2.Payload)
 	if err != nil || want != e2.Hash {
 		t.Fatalf("stored hash %s, recomputed %s (err=%v)", e2.Hash, want, err)
 	}
