@@ -44,15 +44,6 @@ func BenchmarkCPUIm2colGEMM(b *testing.B) {
 	}
 }
 
-func BenchmarkCPUFFT(b *testing.B) {
-	in, flt := cpuProblem()
-	for i := 0; i < b.N; i++ {
-		if _, err := conv.FFT(in, flt, conv.Params{Pad: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkCPUWinogradFusedF2(b *testing.B) {
 	in, flt := cpuProblem()
 	for i := 0; i < b.N; i++ {

@@ -53,7 +53,6 @@ func main() {
 	profFlag := flag.Bool("prof", false, "print stall-attribution reports with annotated SASS listings")
 	trace := flag.String("trace", "", "write the main kernel's warp timeline as a Chrome trace to this file (implies -prof)")
 	backendFlag := flag.String("backend", "threaded", "simulator execution backend (threaded or switch; bit-identical results)")
-	simWorkers := flag.Int("simworkers", 0, "worker goroutines per sharded full-grid simulation (0 = GOMAXPROCS)")
 	calibrate := flag.Bool("calibrate", false, "run the microbenchmark probe suite on -dev and exit")
 	flag.Parse()
 
@@ -61,7 +60,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	simOpts := kernels.SimOpts{Backend: be, Workers: *simWorkers}
 
 	dev, err := gpu.DeviceByName(*devName)
 	if err != nil {
@@ -102,7 +100,7 @@ func main() {
 	}
 
 	if *verify {
-		p := kernels.Problem{C: 16, K: *bk, N: 32, H: l.HW%8*0 + 8, W: 8}
+		p := kernels.Problem{C: 16, K: *bk, N: 32, H: 8, W: 8}
 		if l.HW == 7 {
 			p.H, p.W = 7, 7
 		}
@@ -111,7 +109,7 @@ func main() {
 		flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: p.K, C: p.C, R: 3, S: 3})
 		flt.FillRandom(2)
 		res, err := kernels.RunConvWith(dev, cfg, p, kernels.ConvOpts{
-			In: in, Flt: flt, HazardCheck: true, Sim: simOpts,
+			In: in, Flt: flt, HazardCheck: true, Sim: kernels.SimOpts{Backend: be},
 		})
 		if err != nil {
 			fatal(err)

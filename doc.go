@@ -6,7 +6,7 @@
 //
 //   - a Winograd convolution library (internal/winograd) with fused
 //     F(2x2,3x3) and non-fused F(4x4,3x3) variants, validated against
-//     direct, im2col+GEMM and FFT convolution baselines (internal/conv);
+//     direct and im2col+GEMM convolution baselines (internal/conv);
 //   - TuringAs, the paper's SASS assembler, re-implemented over a
 //     documented 128-bit Volta/Turing-style encoding (internal/sass,
 //     internal/turingas, internal/cubin);

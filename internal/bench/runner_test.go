@@ -31,7 +31,7 @@ func renderAll(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.SimulatedSamples(); got != stats.Unique {
+	if got := len(ctx.flight.ComputeCounts()); got != stats.Unique {
 		t.Fatalf("render phase simulated %d extra samples beyond the %d prefetched: "+
 			"an experiment's Jobs declaration is incomplete", got-stats.Unique, stats.Unique)
 	}
@@ -96,7 +96,11 @@ func TestRunnerProfiledDeterminism(t *testing.T) {
 	// Every cached sample of the profiled run carries both launches,
 	// and the attribution reconciles with the sample's metrics.
 	n := 0
-	for _, s := range ctx.CachedSamples() {
+	for key := range ctx.flight.ComputeCounts() {
+		s, err := ctx.flight.Do(key, func() (*Sample, error) { return nil, fmt.Errorf("%s not cached", key) })
+		if err != nil {
+			t.Fatal(err)
+		}
 		if s.Prof == nil || s.FTFProf == nil {
 			t.Fatal("profiled sample missing a launch profile")
 		}
@@ -153,10 +157,11 @@ func TestRunnerCrossExperimentDedup(t *testing.T) {
 	if stats.Requested <= stats.Unique {
 		t.Fatalf("requested %d jobs, %d unique: expected cross-experiment overlap", stats.Requested, stats.Unique)
 	}
-	if want := stats.Unique; ctx.SimulatedSamples() != want {
-		t.Fatalf("simulated %d samples, want %d (one per unique job)", ctx.SimulatedSamples(), want)
+	counts := ctx.flight.ComputeCounts()
+	if want := stats.Unique; len(counts) != want {
+		t.Fatalf("simulated %d samples, want %d (one per unique job)", len(counts), want)
 	}
-	for key, n := range ctx.ComputeCounts() {
+	for key, n := range counts {
 		if n != 1 {
 			t.Fatalf("job %s simulated %d times, want exactly 1", key, n)
 		}

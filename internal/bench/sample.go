@@ -138,19 +138,6 @@ func (c *Ctx) simulate(j Job) (*Sample, error) {
 	return s, nil
 }
 
-// SimulatedSamples reports how many distinct samples this Ctx has
-// actually simulated (cache misses; hits are free).
-func (c *Ctx) SimulatedSamples() int { return c.flight.Len() }
-
-// ComputeCounts returns a copy of the per-key simulation counts. Under
-// correct deduplication every count is exactly 1 however many
-// experiments or workers requested the key.
-func (c *Ctx) ComputeCounts() map[string]int { return c.flight.ComputeCounts() }
-
-// CachedSamples returns the successfully simulated samples by job key —
-// a read-only snapshot of the warm cache for tests and diagnostics.
-func (c *Ctx) CachedSamples() map[string]*Sample { return c.flight.Values() }
-
 // Seconds extrapolates a sample to full-device runtime via wave
 // quantization: ceil(blocks / (SMs * blocksPerSM)) waves of the sampled
 // per-wave cycle count.

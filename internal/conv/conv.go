@@ -1,9 +1,9 @@
 // Package conv implements batched 2-D convolution baselines: a direct
-// (reference) convolution, an im2col+GEMM convolution, and an FFT-based
-// convolution. These are the functional counterparts of the cuDNN
-// algorithms the paper compares against (IMPLICIT_GEMM / GEMM / FFT /
-// FFT_TILING), and the direct implementation is the ground-truth oracle
-// for every Winograd correctness test in this repository.
+// (reference) convolution and an im2col+GEMM convolution. These are the
+// functional counterparts of the cuDNN algorithms the paper compares
+// against (IMPLICIT_GEMM / GEMM), and the direct implementation is the
+// ground-truth oracle for every Winograd correctness test in this
+// repository.
 //
 // Following the convention of CNN frameworks (and the paper's Equation 4),
 // "convolution" here means cross-correlation:
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/fft"
 	"repro/internal/gemm"
 	"repro/internal/par"
 	"repro/internal/tensor"
@@ -166,75 +165,6 @@ func Im2col(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
 				}
 			}
 			gemm.Blocked(fm, cols, out.Data[n*plane:(n+1)*plane], fs.K, kdim, oh*ow)
-		}
-	})
-	return out, nil
-}
-
-// FFT computes the convolution in the frequency domain: each input channel
-// and each filter is transformed once, products are accumulated over
-// channels per (n, k) in the spectrum, and one inverse transform per
-// (n, k) recovers the output. Output is NCHW. Requires stride 1.
-func FFT(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
-	is := in.ImageShape()
-	fs := flt.FilterShapeOf()
-	if err := checkShapes(is, fs, p); err != nil {
-		return nil, err
-	}
-	if p.stride() != 1 {
-		return nil, fmt.Errorf("conv: FFT convolution requires stride 1, got %d", p.stride())
-	}
-	_, _, oh, ow := OutputShape(is, fs, p)
-	ph := fft.NextPow2(is.H + 2*p.Pad)
-	pw := fft.NextPow2(is.W + 2*p.Pad)
-	plane := ph * pw
-
-	// Transform all filters: spectra[k][c] as one slab.
-	fltSpec := make([]complex128, fs.K*fs.C*plane)
-	par.For(fs.K*fs.C, 0, func(j int) {
-		k, c := j/fs.C, j%fs.C
-		buf := fltSpec[(k*fs.C+c)*plane : (k*fs.C+c+1)*plane]
-		for r := 0; r < fs.R; r++ {
-			for s := 0; s < fs.S; s++ {
-				buf[r*pw+s] = complex(float64(flt.FilterAt(k, c, r, s)), 0)
-			}
-		}
-		fft.Forward2D(buf, ph, pw)
-	})
-
-	out := tensor.New(tensor.NCHW, is.N, fs.K, oh, ow)
-	par.For(is.N, 0, func(n int) {
-		// Transform each channel of image n once.
-		imgSpec := make([]complex128, is.C*plane)
-		for c := 0; c < is.C; c++ {
-			buf := imgSpec[c*plane : (c+1)*plane]
-			for y := 0; y < is.H; y++ {
-				for x := 0; x < is.W; x++ {
-					buf[(y+p.Pad)*pw+(x+p.Pad)] = complex(float64(in.ImageAt(n, c, y, x)), 0)
-				}
-			}
-			fft.Forward2D(buf, ph, pw)
-		}
-		acc := make([]complex128, plane)
-		for k := 0; k < fs.K; k++ {
-			for i := range acc {
-				acc[i] = 0
-			}
-			for c := 0; c < is.C; c++ {
-				ib := imgSpec[c*plane : (c+1)*plane]
-				fb := fltSpec[(k*fs.C+c)*plane : (k*fs.C+c+1)*plane]
-				for i := range acc {
-					// Conjugate filter spectrum: correlation, not convolution.
-					acc[i] += ib[i] * complex(real(fb[i]), -imag(fb[i]))
-				}
-			}
-			fft.Inverse2D(acc, ph, pw)
-			base := (n*fs.K + k) * oh * ow
-			for y := 0; y < oh; y++ {
-				for x := 0; x < ow; x++ {
-					out.Data[base+y*ow+x] = float32(real(acc[y*pw+x]))
-				}
-			}
 		}
 	})
 	return out, nil

@@ -43,7 +43,9 @@ func TestDirectIsCrossCorrelation(t *testing.T) {
 	// filter with a single 1 at (r=0, s=0), pad=0 must shift toward the
 	// top-left sample, i.e. out[y][x] = in[y][x].
 	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 1, H: 4, W: 4})
-	in.FillSequential()
+	for i := range in.Data {
+		in.Data[i] = float32(i%17) * 0.125 // a readable ramp
+	}
 	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 1, R: 3, S: 3})
 	flt.Set(0, 0, 0, 0, 1)
 	out, err := Direct(in, flt, Params{})
@@ -114,7 +116,7 @@ func TestDirectLayoutAgnostic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.MaxAbsDiff(a, b); d != 0 {
+	if d := tensor.MaxRelDiff(a, b); d != 0 {
 		t.Fatalf("layout changed result by %v", d)
 	}
 }
@@ -130,7 +132,7 @@ func TestDirectParallelMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tensor.MaxAbsDiff(a, b); d != 0 {
+	if d := tensor.MaxRelDiff(a, b); d != 0 {
 		t.Fatalf("parallel differs by %v", d)
 	}
 }
@@ -160,39 +162,7 @@ func TestIm2colMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestFFTMatchesDirect(t *testing.T) {
-	for _, tc := range []struct {
-		s tensor.Shape4
-		k int
-		p Params
-	}{
-		{tensor.Shape4{N: 2, C: 3, H: 8, W: 8}, 4, Params{Pad: 1}},
-		{tensor.Shape4{N: 1, C: 2, H: 7, W: 7}, 2, Params{}},
-	} {
-		in, flt := randomProblem(14, tc.s, tc.k, tensor.NCHW)
-		want, err := Direct(in, flt, tc.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FFT(in, flt, tc.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := tensor.MaxRelDiff(want, got); d > 1e-4 {
-			t.Fatalf("%+v: FFT conv differs by %v", tc, d)
-		}
-	}
-}
-
-func TestFFTRejectsStride(t *testing.T) {
-	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 1, H: 8, W: 8})
-	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 1, R: 3, S: 3})
-	if _, err := FFT(in, flt, Params{Pad: 1, Stride: 2}); err == nil {
-		t.Fatal("expected stride error")
-	}
-}
-
-// Property: all three algorithms agree with the direct reference on random
+// Property: both algorithms agree with the direct reference on random
 // small problems.
 func TestAlgorithmsAgreeProperty(t *testing.T) {
 	f := func(seed uint64, nRaw, cRaw, kRaw, hRaw uint8, padRaw uint8) bool {
@@ -211,11 +181,7 @@ func TestAlgorithmsAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g2, err := FFT(in, flt, p)
-		if err != nil {
-			return false
-		}
-		return tensor.MaxRelDiff(want, g1) <= 1e-4 && tensor.MaxRelDiff(want, g2) <= 1e-4
+		return tensor.MaxRelDiff(want, g1) <= 1e-4
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,6 @@ const winogradTol = 1e-4
 // in the repository on randomized shapes, strides, and pads:
 //
 //	Direct (oracle) vs Im2col          — all strides/pads
-//	Direct vs FFT                      — stride 1 (FFT rejects stride > 1)
 //	Direct vs winograd.Conv2D          — stride-1 3x3, fused and non-fused,
 //	                                     F(2x2) and F(4x4), including block
 //	                                     remainders and N=1
@@ -105,16 +104,6 @@ func TestDifferentialAlgorithms(t *testing.T) {
 		}
 		if d := tensor.MaxRelDiff(want, got); d > 1e-4 {
 			t.Fatalf("round %d %+v k=%d p=%+v: im2col differs by %v", round, s, k, p, d)
-		}
-
-		if p.stride() == 1 {
-			got, err := FFT(in, flt, p)
-			if err != nil {
-				t.Fatalf("round %d %+v k=%d p=%+v: fft: %v", round, s, k, p, err)
-			}
-			if d := tensor.MaxRelDiff(want, got); d > 1e-4 {
-				t.Fatalf("round %d %+v k=%d p=%+v: fft differs by %v", round, s, k, p, d)
-			}
 		}
 
 		if p.stride() != 1 || fr != 3 || fs != 3 {

@@ -43,20 +43,6 @@ type Module struct {
 	Kernels []Kernel
 }
 
-// Kernel returns the named kernel or an error listing what is available.
-func (m *Module) Kernel(name string) (*Kernel, error) {
-	for i := range m.Kernels {
-		if m.Kernels[i].Name == name {
-			return &m.Kernels[i], nil
-		}
-	}
-	names := make([]string, len(m.Kernels))
-	for i := range m.Kernels {
-		names[i] = m.Kernels[i].Name
-	}
-	return nil, fmt.Errorf("cubin: kernel %q not found (module has %v)", name, names)
-}
-
 const (
 	magic   = 0x43554247 // "CUBG"
 	version = 1

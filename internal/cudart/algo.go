@@ -1,3 +1,12 @@
+// Package cudart is the runtime's algorithm-dispatch shim: Prepare,
+// Weights and Forward run a tune.Choice's convolution algorithm on this
+// reproduction's CPU implementations, the way cuDNN's
+// cudnnConvolutionForward runs the algorithm its finder picked. The
+// package's tests hold the thread-level oracle: the paper's Algorithm 1
+// expressed thread-for-thread at the CUDA-C level on a goroutine-per-
+// thread execution model (the role the paper's CUDA prototype played
+// before the TuringAs rewrite), against which the fused path is checked
+// bit for bit.
 package cudart
 
 import (
@@ -85,8 +94,8 @@ func Forward(in, flt *tensor.Tensor, ch tune.Choice) (*tensor.Tensor, error) {
 //   - FUSED_WINOGRAD runs internal/winograd's blocked CPU Algorithm 1
 //     (bk=64/bn=32/bc=8, F(2x2,3x3)) under the SASS kernel's shape
 //     contract, checked against batchN. Its outputs are bit-identical
-//     to WinogradConv, the thread-for-thread model kept as the test
-//     oracle. The tuned kernels.Config travels with the Choice for the
+//     to WinogradConv, the thread-for-thread model in this package's
+//     tests. The tuned kernels.Config travels with the Choice for the
 //     SASS path; the functional model here is config-independent, so
 //     every tuned config computes the same bits.
 //   - IMPLICIT_PRECOMP_GEMM runs the GEMM-style lowering (conv.Im2col).
@@ -115,4 +124,14 @@ func (w *Weights) Forward(in *tensor.Tensor, batchN int, ch tune.Choice) (*tenso
 	default:
 		return nil, fmt.Errorf("cudart: unknown algorithm %q", ch.Algo)
 	}
+}
+
+// checkFusedShape enforces the fused SASS kernel's shape contract, which
+// the kernel generator imposes: whole 32-image and 64-filter blocks, and
+// whole 8-channel steps.
+func checkFusedShape(is tensor.Shape4, fs tensor.FilterShape) error {
+	if is.N%32 != 0 || fs.K%64 != 0 || is.C%8 != 0 {
+		return fmt.Errorf("cudart: needs N%%32==0, K%%64==0, C%%8==0 (got N=%d K=%d C=%d)", is.N, fs.K, is.C)
+	}
+	return nil
 }

@@ -1,7 +1,7 @@
 // Package gemm implements single-precision general matrix multiplication:
-// a straightforward reference kernel, a cache-blocked serial kernel, and a
-// batched variant that fans the blocked kernel out over batch indices
-// through par.For. It is the substrate for im2col convolution and for the
+// a cache-blocked serial kernel and a batched variant that fans the
+// blocked kernel out over batch indices through par.For (its tests hold
+// the straightforward reference kernel both are checked against). It is the substrate for im2col convolution and for the
 // non-fused Winograd implementation, mirroring the role cuBLAS-style
 // batched GEMM plays in the paper (Section 2.3: "batched GEMM is a
 // subproblem of Winograd convolution").
@@ -12,21 +12,6 @@ import (
 
 	"repro/internal/par"
 )
-
-// Naive computes C = A*B with A (m x k), B (k x n), C (m x n), all
-// row-major. It is the correctness oracle for the optimized kernels.
-func Naive(a, b, c []float32, m, k, n int) {
-	checkDims(a, b, c, m, k, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc float32
-			for p := 0; p < k; p++ {
-				acc += a[i*k+p] * b[p*n+j]
-			}
-			c[i*n+j] = acc
-		}
-	}
-}
 
 // block sizes for the serial blocked kernel; chosen to keep an A panel and
 // a B panel resident in L1/L2 for typical sizes.

@@ -149,3 +149,18 @@ func BenchmarkBlocked256(b *testing.B) {
 		Blocked(a, bb, c, n, n, n)
 	}
 }
+
+// Naive computes C = A*B with A (m x k), B (k x n), C (m x n), all
+// row-major. It is the correctness oracle for the optimized kernels.
+func Naive(a, b, c []float32, m, k, n int) {
+	checkDims(a, b, c, m, k, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var acc float32
+			for p := 0; p < k; p++ {
+				acc += a[i*k+p] * b[p*n+j]
+			}
+			c[i*n+j] = acc
+		}
+	}
+}

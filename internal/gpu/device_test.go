@@ -189,14 +189,18 @@ func TestDeviceRegistry(t *testing.T) {
 			t.Errorf("unknown-device error %q does not list %q", err, name)
 		}
 	}
-	dup := V100()
-	if err := RegisterDevice(dup); err == nil {
+	register := func(d Device) error {
+		registry.mu.Lock()
+		defer registry.mu.Unlock()
+		return registerLocked(d)
+	}
+	if err := register(V100()); err == nil {
 		t.Error("duplicate registration accepted")
 	}
 	bad := V100()
 	bad.Name = "broken"
 	bad.SMs = 0
-	if err := RegisterDevice(bad); err == nil {
+	if err := register(bad); err == nil {
 		t.Error("invalid registration accepted")
 	}
 }

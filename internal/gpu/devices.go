@@ -65,16 +65,6 @@ func registerLocked(d Device) error {
 	return nil
 }
 
-// RegisterDevice adds a device to the registry (validated, rejected on a
-// duplicate name). The embedded device files register themselves; this is
-// the hook for external specs.
-func RegisterDevice(d Device) error {
-	loadRegistry()
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	return registerLocked(d)
-}
-
 // DeviceByName looks a registered device up, case-insensitively. An
 // unknown name's error lists every registered name, so CLI -device flags
 // surface the valid choices instead of a bare failure.

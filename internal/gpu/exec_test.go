@@ -292,10 +292,10 @@ func TestCubinRoundtripThroughLaunch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		k, err = back.Kernel("saxpy")
-		if err != nil {
-			t.Fatal(err)
+		if len(back.Kernels) != 1 || back.Kernels[0].Name != "saxpy" {
+			t.Fatalf("reloaded module holds %d kernels", len(back.Kernels))
 		}
+		k = &back.Kernels[0]
 	}
 	s := NewSim(RTX2070())
 	x := s.Alloc(4 * 32)

@@ -59,14 +59,6 @@ func (f OracleFinding) String() string {
 	return fmt.Sprintf("pc %d: %s: %s", f.PC, f.Kind, f.Msg)
 }
 
-// Reset clears the log between launches.
-func (o *SmemOracle) Reset() {
-	o.mu.Lock()
-	o.records = o.records[:0]
-	o.findings = o.findings[:0]
-	o.mu.Unlock()
-}
-
 // Records returns a copy of the access log in (block, phase, pc, warp,
 // lane) order; repeated executions of one lane at one pc within a phase
 // keep their execution order.

@@ -203,3 +203,11 @@ func TestOracleBothBackends(t *testing.T) {
 		}
 	}
 }
+
+// Reset clears the log between launches.
+func (o *SmemOracle) Reset() {
+	o.mu.Lock()
+	o.records = o.records[:0]
+	o.findings = o.findings[:0]
+	o.mu.Unlock()
+}

@@ -263,14 +263,6 @@ type Profiler struct {
 // NewProfiler returns a profiler with default buffer bounds.
 func NewProfiler() *Profiler { return &Profiler{} }
 
-// Last returns the most recent launch profile (nil before any launch).
-func (p *Profiler) Last() *LaunchProfile {
-	if len(p.Launches) == 0 {
-		return nil
-	}
-	return p.Launches[len(p.Launches)-1]
-}
-
 func (p *Profiler) maxEvents() int {
 	if p.MaxEvents > 0 {
 		return p.MaxEvents

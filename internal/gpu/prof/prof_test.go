@@ -61,7 +61,7 @@ func profileTiny(t *testing.T) *gpu.LaunchProfile {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return p.Last()
+	return p.Launches[0]
 }
 
 // TestTextReport checks the report renders every section and annotates

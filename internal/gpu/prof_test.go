@@ -55,7 +55,7 @@ func launchProfiled(t *testing.T, k *cubin.Kernel, opts LaunchOpts, params []uin
 	if len(prof.Launches) != 1 {
 		t.Fatalf("got %d launch profiles, want 1", len(prof.Launches))
 	}
-	return prof.Last(), m
+	return prof.Launches[0], m
 }
 
 // checkReconciles asserts the profiler's core accounting identity: every
@@ -215,10 +215,10 @@ func TestProfilePerLaunch(t *testing.T) {
 		if lp.Kernel != "saxpy" || len(lp.Warps) != 2 {
 			t.Fatalf("launch %d: kernel %q warps %d", i, lp.Kernel, len(lp.Warps))
 		}
-	}
-	// Timeline off by default: aggregates collected, no events.
-	if len(prof.Last().Events) != 0 {
-		t.Fatalf("events recorded with Timeline off")
+		// Timeline off by default: aggregates collected, no events.
+		if len(lp.Events) != 0 {
+			t.Fatalf("launch %d: events recorded with Timeline off", i)
+		}
 	}
 }
 
@@ -233,7 +233,7 @@ func TestProfileEventCap(t *testing.T) {
 	if _, err := s.Launch(k, LaunchOpts{Grid: 4, Block: 32, Params: []uint32{x.Addr, y.Addr, f32ToBits(1.0), 64}}); err != nil {
 		t.Fatal(err)
 	}
-	lp := prof.Last()
+	lp := prof.Launches[0]
 	if len(lp.Events) > 4 || lp.DroppedEvents == 0 {
 		t.Fatalf("events %d (cap 4), dropped %d", len(lp.Events), lp.DroppedEvents)
 	}
@@ -275,7 +275,7 @@ func TestProfileReconciliationSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return prof.Last(), &m
+		return prof.Launches[0], &m
 	}
 
 	lp1, m1 := run(1)

@@ -256,17 +256,6 @@ func (m *Metrics) FLOPs() float64 {
 	return float64(m.FFMAs)*2*warpSize + float64(m.FPIssued-m.FFMAs)*warpSize
 }
 
-// TFLOPS converts the simulated cycle count into achieved TFLOPS on the
-// launch's device.
-func (m *Metrics) TFLOPS(dev Device) float64 {
-	if m.Cycles == 0 {
-		return 0
-	}
-	seconds := float64(m.Cycles) / (dev.ClockGHz * 1e9)
-	// The per-SM sample accounts for SimSMs of the device's SMs.
-	return m.FLOPs() / seconds / 1e12
-}
-
 const (
 	fpLatency     = 4  // FFMA/FADD/FMUL result latency
 	intLatency    = 5  // ALU result latency

@@ -564,7 +564,8 @@ func TestMetricsTFLOPSAndSOL(t *testing.T) {
 	if sol <= 0.5 || sol > 1.0 {
 		t.Fatalf("pure-FFMA kernel SOL = %v, want near 1", sol)
 	}
-	tf := m.TFLOPS(RTX2070())
+	// Achieved TFLOPS: the launch's FLOPs over its simulated time.
+	tf := m.FLOPs() / (float64(m.Cycles) / (RTX2070().ClockGHz * 1e9)) / 1e12
 	// One SM of RTX2070 peaks at 7.46/36 = 0.207 TFLOPS.
 	perSM := RTX2070().PeakFP32TFLOPS() / 36
 	if tf <= 0 || tf > perSM*1.01 {

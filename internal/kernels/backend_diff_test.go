@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -304,7 +305,7 @@ func TestBackendDifferentialRandomKernels(t *testing.T) {
 			t.Run(corner.name, func(t *testing.T) {
 				type outcome struct {
 					m    gpu.Metrics
-					mem  []uint32
+					mem  []float32
 					prof *gpu.LaunchProfile
 				}
 				var ref outcome
@@ -330,7 +331,7 @@ func TestBackendDifferentialRandomKernels(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s seed %d: %v", v.name, seed, err)
 					}
-					got := outcome{m: *m, mem: s.ReadU32(b.Addr, words), prof: prof.Launches[0]}
+					got := outcome{m: *m, mem: s.ReadF32(b.Addr, words), prof: prof.Launches[0]}
 					if v.name == diffVariants[0].name {
 						ref = got
 						continue
@@ -338,8 +339,8 @@ func TestBackendDifferentialRandomKernels(t *testing.T) {
 					tag := v.name
 					diffMetrics(t, tag, &ref.m, &got.m)
 					for i := range ref.mem {
-						if got.mem[i] != ref.mem[i] {
-							t.Fatalf("%s seed %d: mem[%d] = %#x, want %#x", tag, seed, i, got.mem[i], ref.mem[i])
+						if g, w := math.Float32bits(got.mem[i]), math.Float32bits(ref.mem[i]); g != w {
+							t.Fatalf("%s seed %d: mem[%d] = %#x, want %#x", tag, seed, i, g, w)
 						}
 					}
 					diffProfile(t, tag, ref.prof, got.prof)

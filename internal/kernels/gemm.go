@@ -37,11 +37,6 @@ func (p GemmProblem) Validate() error {
 	return nil
 }
 
-// FLOPs is the multiply-add count x2.
-func (p GemmProblem) FLOPs() float64 {
-	return 2 * float64(p.Batch) * float64(p.M) * float64(p.N) * float64(p.K)
-}
-
 // GemmGrid returns the launch grid: x = N/32, y = M/64, z = Batch/16.
 func GemmGrid(p GemmProblem) (x, y, z int) {
 	return p.N / 32, p.M / 64, p.Batch / 16

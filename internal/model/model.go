@@ -8,8 +8,8 @@ package model
 
 import (
 	"fmt"
+	"math/bits"
 
-	"repro/internal/fft"
 	"repro/internal/gpu"
 )
 
@@ -93,11 +93,20 @@ func Seconds(algo Algo, s Shape, dev gpu.Device) float64 {
 	}
 }
 
+// nextPow2 returns the smallest power of two >= n (and >= 1): the padded
+// transform size of a radix-2 FFT.
+func nextPow2(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
 func fftSeconds(s Shape, dev gpu.Device, th, tw int) float64 {
 	peak := dev.PeakFP32TFLOPS() * 1e12
 	bw := dev.DRAMBandwidthGBs * 1e9
-	ph := float64(fft.NextPow2(th + 2))
-	pw := float64(fft.NextPow2(tw + 2))
+	ph := float64(nextPow2(th + 2))
+	pw := float64(nextPow2(tw + 2))
 	// Pointwise complex multiply-accumulate dominates: N*K*C spectra of
 	// ph x pw/2+1 points, 8 real ops per point.
 	points := ph * (pw/2 + 1)
@@ -158,8 +167,8 @@ func WorkspaceBytes(algo Algo, s Shape) int64 {
 		tiles := int64(s.N) * int64((s.H+3)/4) * int64((s.W+3)/4)
 		return 36 * 4 * (int64(s.C)*tiles + int64(s.K)*tiles + int64(s.C)*int64(s.K))
 	case AlgoFFT:
-		ph := int64(fft.NextPow2(s.H + 2))
-		pw := int64(fft.NextPow2(s.W + 2))
+		ph := int64(nextPow2(s.H + 2))
+		pw := int64(nextPow2(s.W + 2))
 		full := ph * pw * 8
 		half := ph * (pw/2 + 1) * 8
 		return int64(s.N)*int64(s.C)*full + int64(s.N)*int64(s.K)*full +

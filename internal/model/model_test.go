@@ -57,6 +57,15 @@ func TestWorkspaceImplicitIsZero(t *testing.T) {
 	}
 }
 
+func TestNextPow2(t *testing.T) {
+	cases := map[int]int{0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 63: 64, 64: 64, 65: 128}
+	for in, want := range cases {
+		if got := nextPow2(in); got != want {
+			t.Errorf("nextPow2(%d) = %d, want %d", in, got, want)
+		}
+	}
+}
+
 func TestWorkspaceFFTShape(t *testing.T) {
 	// The FFT variants' exact cuDNN numbers are internal; check shape:
 	// FFT grows with N and is largest for Conv5 relative to its FLOPs;

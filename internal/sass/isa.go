@@ -112,16 +112,6 @@ func (o Opcode) IsMemory() bool {
 	return false
 }
 
-// IsVariableLatency reports whether the instruction completes through a
-// dependency barrier rather than a fixed stall count (Section 5.1.4).
-func (o Opcode) IsVariableLatency() bool {
-	switch o {
-	case OpLDG, OpSTG, OpLDS, OpSTS, OpS2R, OpBAR:
-		return true
-	}
-	return false
-}
-
 // SrcMode distinguishes the second-source operand kind.
 type SrcMode uint8
 

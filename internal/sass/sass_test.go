@@ -30,16 +30,10 @@ func TestOpcodeClassification(t *testing.T) {
 		if !op.IsMemory() {
 			t.Fatalf("%s should be a memory op", op)
 		}
-		if !op.IsVariableLatency() {
-			t.Fatalf("%s should be variable latency", op)
-		}
 	}
 	for _, op := range []Opcode{OpFFMA, OpIADD3, OpMOV, OpBRA} {
 		if op.IsMemory() {
 			t.Fatalf("%s should not be a memory op", op)
-		}
-		if op.IsVariableLatency() {
-			t.Fatalf("%s should be fixed latency", op)
 		}
 	}
 }

@@ -2,6 +2,11 @@ package sasscheck
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -407,6 +412,9 @@ func TestCheckSmem(t *testing.T) {
 	}
 }
 
+// TestRulesCatalogue: every catalogue entry is complete and unique, and
+// the catalogue's IDs are exactly the rule IDs the passes can emit, read
+// from the Rule: "..." literals of this package's non-test files.
 func TestRulesCatalogue(t *testing.T) {
 	seen := map[string]bool{}
 	for _, r := range Rules() {
@@ -418,17 +426,61 @@ func TestRulesCatalogue(t *testing.T) {
 		}
 		seen[r.ID] = true
 	}
-	// Every rule the passes can emit must be in the catalogue; keep the
-	// two in sync by hand, verified here against the emitted IDs.
-	for _, id := range []string{"bad-opcode", "ctrl-range", "pred-range", "reg-ceiling",
-		"bad-branch", "no-exit", "vec-align", "mem-align", "load-no-writebar",
-		"bar-unreleased", "bar-self", "wait-never-set", "stall-raw", "stall-waw",
-		"bar-raw", "bar-waw", "bar-war", "reuse-flags", "reuse-stale",
-		"ffma-bank"} {
+	emitted := emittedRules(t)
+	for id := range emitted {
 		if !seen[id] {
-			t.Errorf("rule %s not in catalogue", id)
+			t.Errorf("rule %s is emitted but not in the catalogue", id)
 		}
 	}
+	for id := range seen {
+		if !emitted[id] {
+			t.Errorf("catalogue rule %s is never emitted", id)
+		}
+	}
+}
+
+// emittedRules parses this package's non-test files and returns the
+// value of every Rule: "..." field they set. A Rule field set from
+// anything but a string literal fails the test, since it would hide an
+// emitted ID from the catalogue check.
+func emittedRules(t *testing.T) map[string]bool {
+	t.Helper()
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	ids := map[string]bool{}
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			kv, ok := n.(*ast.KeyValueExpr)
+			if !ok {
+				return true
+			}
+			if key, ok := kv.Key.(*ast.Ident); !ok || key.Name != "Rule" {
+				return true
+			}
+			lit, ok := kv.Value.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Errorf("%s: Rule set from a non-literal", fset.Position(kv.Pos()))
+				return true
+			}
+			id, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids[id] = true
+			return true
+		})
+	}
+	return ids
 }
 
 func TestDiagString(t *testing.T) {

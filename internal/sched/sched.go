@@ -65,37 +65,6 @@ func (f *Flight[V]) Do(key string, fn func() (V, error)) (V, error) {
 	return e.v, e.err
 }
 
-// Len reports how many distinct keys this Flight has computed or is
-// computing.
-func (f *Flight[V]) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.m)
-}
-
-// Values returns the successfully computed entries keyed by key. Entries
-// still being computed and entries that errored are skipped, so the
-// result is a consistent read-only snapshot of the warm cache.
-func (f *Flight[V]) Values() map[string]V {
-	f.mu.Lock()
-	entries := make(map[string]*flightEntry[V], len(f.m))
-	for k, e := range f.m {
-		entries[k] = e
-	}
-	f.mu.Unlock()
-	out := make(map[string]V, len(entries))
-	for k, e := range entries {
-		select {
-		case <-e.done:
-			if e.err == nil {
-				out[k] = e.v
-			}
-		default:
-		}
-	}
-	return out
-}
-
 // ComputeCounts returns a copy of the per-key computation counts. Under
 // correct deduplication every count is exactly 1 however many goroutines
 // requested the key.

@@ -67,8 +67,10 @@ var algos = []tune.Algorithm{tune.AlgoFused, tune.AlgoGEMM, tune.AlgoNonfused}
 // bit-identical to its request's slot of the whole zero-padded batch,
 // for every algorithm, fill and kernel batch size on both demo layers.
 // An all-zero request image is live too. A +Inf weight makes that
-// image's outputs NaN (Inf*0), which must reach its reply exactly as the
-// fused kernel's oracle, cudart.WinogradConv, computes them.
+// image's outputs NaN (Inf*0), which must reach its reply exactly as
+// cudart.Forward's fused path computes them on the padded batch (that
+// path is pinned bit for bit to the thread-level Algorithm 1 oracle in
+// cudart's tests, non-finite weights included).
 func TestLiveExecutorMatchesPaddedForward(t *testing.T) {
 	model := DemoModel(12)
 	exec := model.Executor()
@@ -113,7 +115,7 @@ func TestLiveExecutorMatchesPaddedForward(t *testing.T) {
 		}
 		ch := tune.Choice{Algo: tune.AlgoFused}
 		got := checkLive(t, inf.Executor(), spec, flt, ch, zero, 32)
-		out, err := cudart.WinogradConv(AssembleBatch(spec, zero, 32).ToLayout(tensor.CHWN), flt)
+		out, err := cudart.Forward(AssembleBatch(spec, zero, 32).ToLayout(tensor.CHWN), flt, ch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +140,8 @@ func demoImages(m *Model, layer string, n int) [][]float32 {
 // TestServedWeightsImmuneToMutation: a model serves the weights it was
 // given when the layer was added. Rewriting, after NewServer, both the
 // tensor passed to AddLayer and the copy Layer returns changes no reply:
-// each stays bit-identical to cudart.WinogradConv on the original
-// weights, and Layer still returns them.
+// each stays bit-identical to cudart.Forward's fused path on the
+// original weights, and Layer still returns them.
 func TestServedWeightsImmuneToMutation(t *testing.T) {
 	spec := LayerSpec{Name: "conv_a", C: 8, K: 64, H: 6, W: 6}
 	flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: spec.K, C: spec.C, R: 3, S: 3})
@@ -170,7 +172,7 @@ func TestServedWeightsImmuneToMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cudart.WinogradConv(AssembleBatch(spec, [][]float32{req.Image}, 32).ToLayout(tensor.CHWN), origFlt)
+		want, err := cudart.Forward(AssembleBatch(spec, [][]float32{req.Image}, 32).ToLayout(tensor.CHWN), origFlt, tune.Choice{Algo: tune.AlgoFused})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,14 +18,6 @@ type Selector interface {
 	Choose(dev gpu.Device, p kernels.Problem) (tune.Choice, error)
 }
 
-// FixedSelector always returns one Choice — the test stub.
-type FixedSelector tune.Choice
-
-// Choose implements Selector.
-func (f FixedSelector) Choose(gpu.Device, kernels.Problem) (tune.Choice, error) {
-	return tune.Choice(f), nil
-}
-
 // TuneSelector is the warm algorithm chooser: tune.Select over a
 // tune.Cache seeded from the content-addressed experiment store. A
 // shape whose fused time is not cached is a cold miss — when a Measure
@@ -86,13 +78,6 @@ func (t *TuneSelector) WarmFromStore(st *store.Store) (int, []string) {
 		n++
 	}
 	return n, warns
-}
-
-// Cached reports how many fused measurements the selection cache holds.
-func (t *TuneSelector) Cached() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.cache.Entries)
 }
 
 // ChooseCounts returns, per shape key, how often the underlying choice

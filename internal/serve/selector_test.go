@@ -11,6 +11,15 @@ import (
 	"repro/internal/tune"
 )
 
+// FixedSelector always returns one Choice: the stub Selector of the
+// server's tests.
+type FixedSelector tune.Choice
+
+// Choose implements Selector.
+func (f FixedSelector) Choose(gpu.Device, kernels.Problem) (tune.Choice, error) {
+	return tune.Choice(f), nil
+}
+
 func fusedEntry(dev gpu.Device, p kernels.Problem, waves int, seconds float64) tune.Entry {
 	cfg := kernels.Ours().Canonical()
 	return tune.Entry{

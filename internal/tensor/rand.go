@@ -33,26 +33,10 @@ func (r *RNG) Float32() float32 {
 	return float32(u)/float32(1<<24)*2 - 1
 }
 
-// Intn returns a pseudo-random int in [0, n).
-func (r *RNG) Intn(n int) int {
-	if n <= 0 {
-		panic("tensor: Intn with non-positive n")
-	}
-	return int(r.Uint64() % uint64(n))
-}
-
 // FillRandom fills t with uniform values in [-1, 1) from the given seed.
 func (t *Tensor) FillRandom(seed uint64) {
 	r := NewRNG(seed)
 	for i := range t.Data {
 		t.Data[i] = r.Float32()
-	}
-}
-
-// FillSequential fills t with a small deterministic ramp (i mod 17 scaled),
-// handy for debugging layout transposes where random data is hard to read.
-func (t *Tensor) FillSequential() {
-	for i := range t.Data {
-		t.Data[i] = float32(i%17) * 0.125
 	}
 }

@@ -247,22 +247,6 @@ func (t *Tensor) ToFilterLayout(layout Layout) *Tensor {
 	return out
 }
 
-// MaxAbsDiff returns the largest absolute element-wise difference between
-// two tensors of equal length (layouts must already agree).
-func MaxAbsDiff(a, b *Tensor) float64 {
-	if len(a.Data) != len(b.Data) {
-		panic(fmt.Sprintf("tensor: length mismatch %d vs %d", len(a.Data), len(b.Data)))
-	}
-	var m float64
-	for i := range a.Data {
-		d := math.Abs(float64(a.Data[i]) - float64(b.Data[i]))
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // MaxRelDiff returns max(|a-b| / max(1, |a|, |b|)), a scale-aware error
 // metric robust near zero.
 func MaxRelDiff(a, b *Tensor) float64 {
@@ -279,10 +263,4 @@ func MaxRelDiff(a, b *Tensor) float64 {
 		}
 	}
 	return m
-}
-
-// AlmostEqual reports whether every element of a and b agrees within the
-// relative tolerance tol.
-func AlmostEqual(a, b *Tensor, tol float64) bool {
-	return MaxRelDiff(a, b) <= tol
 }

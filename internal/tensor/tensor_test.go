@@ -63,7 +63,7 @@ func TestImageLayoutConversionPreservesLogicalValues(t *testing.T) {
 			}
 		}
 	}
-	if MaxAbsDiff(a, c) != 0 {
+	if MaxRelDiff(a, c) != 0 {
 		t.Fatal("NCHW->CHWN->NCHW roundtrip changed data")
 	}
 }
@@ -85,7 +85,7 @@ func TestFilterLayoutConversionPreservesLogicalValues(t *testing.T) {
 		}
 	}
 	c2 := b.ToFilterLayout(KCRS)
-	if MaxAbsDiff(a, c2) != 0 {
+	if MaxRelDiff(a, c2) != 0 {
 		t.Fatal("KCRS->CRSK->KCRS roundtrip changed data")
 	}
 }
@@ -139,12 +139,6 @@ func TestMaxRelDiff(t *testing.T) {
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("MaxRelDiff = %v, want %v", got, want)
 	}
-	if !AlmostEqual(a, b, 0.02) {
-		t.Fatal("AlmostEqual(0.02) should hold")
-	}
-	if AlmostEqual(a, b, 1e-4) {
-		t.Fatal("AlmostEqual(1e-4) should fail")
-	}
 }
 
 func TestMaxDiffPanicsOnLengthMismatch(t *testing.T) {
@@ -153,7 +147,7 @@ func TestMaxDiffPanicsOnLengthMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MaxAbsDiff(New(NCHW, 1, 1, 1, 2), New(NCHW, 1, 1, 1, 3))
+	MaxRelDiff(New(NCHW, 1, 1, 1, 2), New(NCHW, 1, 1, 1, 3))
 }
 
 func TestRNGDeterministic(t *testing.T) {
@@ -161,11 +155,11 @@ func TestRNGDeterministic(t *testing.T) {
 	b := New(NCHW, 1, 1, 4, 4)
 	a.FillRandom(42)
 	b.FillRandom(42)
-	if MaxAbsDiff(a, b) != 0 {
+	if MaxRelDiff(a, b) != 0 {
 		t.Fatal("same seed must give same data")
 	}
 	b.FillRandom(43)
-	if MaxAbsDiff(a, b) == 0 {
+	if MaxRelDiff(a, b) == 0 {
 		t.Fatal("different seeds should differ")
 	}
 }
@@ -187,16 +181,6 @@ func TestRNGZeroSeedIsRemapped(t *testing.T) {
 	}
 }
 
-func TestRNGIntnBounds(t *testing.T) {
-	r := NewRNG(5)
-	for i := 0; i < 1000; i++ {
-		v := r.Intn(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Intn(7) = %d", v)
-		}
-	}
-}
-
 // Property: conversion between image layouts never changes any logical
 // element, for arbitrary shapes.
 func TestLayoutConversionProperty(t *testing.T) {
@@ -208,7 +192,7 @@ func TestLayoutConversionProperty(t *testing.T) {
 		a := NewImage(NCHW, s)
 		a.FillRandom(seed)
 		b := a.ToLayout(CHWN).ToLayout(NCHW)
-		return MaxAbsDiff(a, b) == 0
+		return MaxRelDiff(a, b) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -342,12 +342,6 @@ done:
 			t.Errorf("kernel %d in module = %+v, alone = %+v", i, got, *want)
 		}
 	}
-	if _, err := mod.Kernel("b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mod.Kernel("zzz"); err == nil {
-		t.Fatal("expected missing-kernel error")
-	}
 }
 
 func TestErrorsCarryLineNumbers(t *testing.T) {
@@ -454,11 +448,13 @@ func TestCubinSerializationRoundtrip(t *testing.T) {
 	if len(back.Kernels) != 2 {
 		t.Fatalf("kernels = %d", len(back.Kernels))
 	}
-	k1, _ := back.Kernel("one")
+	k1, k2, orig := back.Kernels[0], back.Kernels[1], mod.Kernels[0]
+	if k1.Name != "one" || k2.Name != "two" {
+		t.Fatalf("kernel names lost: %q, %q", k1.Name, k2.Name)
+	}
 	if k1.NumRegs != 24 || k1.SmemBytes != 512 || k1.ParamBytes != 24 {
 		t.Fatalf("meta lost: %+v", k1)
 	}
-	orig, _ := mod.Kernel("one")
 	if len(k1.Code) != len(orig.Code) {
 		t.Fatal("code length changed")
 	}
@@ -467,7 +463,6 @@ func TestCubinSerializationRoundtrip(t *testing.T) {
 			t.Fatalf("code word %d changed", i)
 		}
 	}
-	k2, _ := back.Kernel("two")
 	if k2.BarCount != 1 {
 		t.Fatalf("BarCount lost: %d", k2.BarCount)
 	}

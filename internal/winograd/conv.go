@@ -234,7 +234,7 @@ func (im image) zero(n int) bool {
 // each of its products is then ±0, so every accumulator stays at its +0
 // start, and the output transform maps all +0 to +0, the value
 // tensor.New already holds. A non-finite filter keeps every image, so
-// Inf*0 = NaN propagates exactly as in cudart.WinogradConv.
+// Inf*0 = NaN propagates exactly as in cudart's test oracle, WinogradConv.
 func liveImages(in image, finite bool) []int {
 	live := make([]int, 0, in.s.N)
 	for n := 0; n < in.s.N; n++ {
@@ -319,10 +319,11 @@ var fusedBlocks = sync.Pool{New: func() any { return new(fusedBlock) }}
 // channels in steps of bc with block-local transformed-tile buffers.
 //
 // Every output element sums its products over c in ascending order,
-// starting from +0, exactly as cudart.WinogradConv's threads do, so the
-// two agree bit for bit whatever the blocking or worker count. The tile
-// grid covers only the live images (liveImages); a skipped all-zero
-// image's output is the +0 the oracle computes for it.
+// starting from +0, exactly as the threads of cudart's test oracle
+// (WinogradConv) do, so the two agree bit for bit whatever the blocking
+// or worker count. The tile grid covers only the live images
+// (liveImages); a skipped all-zero image's output is the +0 the oracle
+// computes for it.
 func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tensor.Tensor {
 	src := imageOf(in)
 	is := src.s

@@ -111,40 +111,6 @@ func NewGeneralTransformWithPoints(m, r int, pts []float64) (*GeneralTransform, 
 	return &GeneralTransform{M: m, R: r, N: n, At: at, G: g, Bt: bt, Points: pts}, nil
 }
 
-// Conv1D computes the m outputs of a length-(m+r-1) signal correlated
-// with a length-r filter through the transform (float64, used by tests
-// and the numerics study).
-func (t *GeneralTransform) Conv1D(d, g []float64) []float64 {
-	if len(d) != t.N || len(g) != t.R {
-		panic("winograd: Conv1D size mismatch")
-	}
-	gh := matVec(t.G, g)
-	dh := matVec(t.Bt, d)
-	prod := make([]float64, t.N)
-	for i := range prod {
-		prod[i] = gh[i] * dh[i]
-	}
-	return matVec(t.At, prod)
-}
-
-// Conv2D computes an m x m output tile from an n x n input tile and an
-// r x r filter via the nested (2-D) transform.
-func (t *GeneralTransform) Conv2D(d []float64, g []float64) []float64 {
-	n, r, m := t.N, t.R, t.M
-	if len(d) != n*n || len(g) != r*r {
-		panic("winograd: Conv2D size mismatch")
-	}
-	// G g G^T.
-	gh := nestedTransform(t.G, g, r, n)
-	// B^T d B.
-	dh := nestedTransform(t.Bt, d, n, n)
-	for i := range dh {
-		dh[i] *= gh[i]
-	}
-	// A^T (.) A.
-	return nestedTransform(t.At, dh, n, m)
-}
-
 // MulCount reports the element-wise multiplications of the 2-D algorithm
 // and the direct method, and their ratio (the paper's 2.25x for
 // F(2x2,3x3), 4x for F(4x4,3x3)).
@@ -217,18 +183,6 @@ func removeIndex(xs []float64, idx int) []float64 {
 		if i != idx {
 			out = append(out, x)
 		}
-	}
-	return out
-}
-
-func matVec(m [][]float64, v []float64) []float64 {
-	out := make([]float64, len(m))
-	for i, row := range m {
-		var acc float64
-		for j, c := range row {
-			acc += c * v[j]
-		}
-		out[i] = acc
 	}
 	return out
 }

@@ -164,3 +164,48 @@ func TestNumericalErrorGrowsWithTileSize(t *testing.T) {
 		t.Fatalf("F(6x6) error %g should dwarf F(2x2) error %g", e6, e2)
 	}
 }
+
+// Conv1D computes the m outputs of a length-(m+r-1) signal correlated
+// with a length-r filter through the transform, in float64.
+func (t *GeneralTransform) Conv1D(d, g []float64) []float64 {
+	if len(d) != t.N || len(g) != t.R {
+		panic("winograd: Conv1D size mismatch")
+	}
+	gh := matVec(t.G, g)
+	dh := matVec(t.Bt, d)
+	prod := make([]float64, t.N)
+	for i := range prod {
+		prod[i] = gh[i] * dh[i]
+	}
+	return matVec(t.At, prod)
+}
+
+// Conv2D computes an m x m output tile from an n x n input tile and an
+// r x r filter via the nested (2-D) transform.
+func (t *GeneralTransform) Conv2D(d []float64, g []float64) []float64 {
+	n, r, m := t.N, t.R, t.M
+	if len(d) != n*n || len(g) != r*r {
+		panic("winograd: Conv2D size mismatch")
+	}
+	// G g G^T.
+	gh := nestedTransform(t.G, g, r, n)
+	// B^T d B.
+	dh := nestedTransform(t.Bt, d, n, n)
+	for i := range dh {
+		dh[i] *= gh[i]
+	}
+	// A^T (.) A.
+	return nestedTransform(t.At, dh, n, m)
+}
+
+func matVec(m [][]float64, v []float64) []float64 {
+	out := make([]float64, len(m))
+	for i, row := range m {
+		var acc float64
+		for j, c := range row {
+			acc += c * v[j]
+		}
+		out[i] = acc
+	}
+	return out
+}

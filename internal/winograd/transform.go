@@ -56,30 +56,10 @@ func (v Variant) MulReduction() float64 {
 }
 
 // Transform matrices from Lavin & Gray, "Fast Algorithms for Convolutional
-// Neural Networks" (the paper's reference [11]); the paper reproduces the
-// F(2x2,3x3) set in its Equations 2-3.
-
-// BT2 is the 4x4 input-transform matrix B^T for F(2x2,3x3).
-var BT2 = [4][4]float32{
-	{1, 0, -1, 0},
-	{0, 1, 1, 0},
-	{0, -1, 1, 0},
-	{0, 1, 0, -1},
-}
-
-// G2 is the 4x3 filter-transform matrix G for F(2x2,3x3).
-var G2 = [4][3]float32{
-	{1, 0, 0},
-	{0.5, 0.5, 0.5},
-	{0.5, -0.5, 0.5},
-	{0, 0, 1},
-}
-
-// AT2 is the 2x4 output-transform matrix A^T for F(2x2,3x3).
-var AT2 = [2][4]float32{
-	{1, 1, 1, 0},
-	{0, 1, -1, -1},
-}
+// Neural Networks" (the paper's reference [11]). The F(2x2,3x3) set, which
+// the paper reproduces in its Equations 2-3, is hand-scheduled below
+// (transformFilter2, transformInput2, transformOutput2); the tests hold
+// its B^T and A^T and check the input and output schedules against them.
 
 // BT4 is the 6x6 input-transform matrix B^T for F(4x4,3x3).
 var BT4 = [6][6]float32{

@@ -443,3 +443,17 @@ func TestFilterTransformAllLayout(t *testing.T) {
 		}
 	}
 }
+
+// BT2 is the 4x4 input-transform matrix B^T for F(2x2,3x3).
+var BT2 = [4][4]float32{
+	{1, 0, -1, 0},
+	{0, 1, 1, 0},
+	{0, -1, 1, 0},
+	{0, 1, 0, -1},
+}
+
+// AT2 is the 2x4 output-transform matrix A^T for F(2x2,3x3).
+var AT2 = [2][4]float32{
+	{1, 1, 1, 0},
+	{0, 1, -1, -1},
+}
