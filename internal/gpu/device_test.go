@@ -190,9 +190,7 @@ func TestDeviceRegistry(t *testing.T) {
 		}
 	}
 	register := func(d Device) error {
-		registry.mu.Lock()
-		defer registry.mu.Unlock()
-		return registerLocked(d)
+		return addDevice(map[string]Device{"v100": V100()}, d)
 	}
 	if err := register(V100()); err == nil {
 		t.Error("duplicate registration accepted")

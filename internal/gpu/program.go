@@ -109,14 +109,6 @@ type progEntry struct {
 // kernels a process generates, the same policy as kernels' gencache.
 var progCache sync.Map
 
-// decodedPrograms reports how many distinct kernels have been decoded and
-// analyzed process-wide — the observable the decode-cache tests assert on.
-func decodedPrograms() int {
-	n := 0
-	progCache.Range(func(_, _ any) bool { n++; return true })
-	return n
-}
-
 // decodeProgram returns the cached decoded program for k, building it at
 // most once per kernel. The Load fast path keeps cache hits — every
 // steady-state Launch — allocation-free; only a kernel's first Launch

@@ -6,6 +6,14 @@ import (
 	"testing"
 )
 
+// decodedPrograms reports how many distinct kernels have been decoded and
+// analyzed process-wide.
+func decodedPrograms() int {
+	n := 0
+	progCache.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
 // TestDecodeCacheSingleflight: many concurrent Sims launching the same
 // kernel must add exactly one entry to the process-wide decoded-program
 // cache, and all launches must agree on the timing result.

@@ -247,12 +247,3 @@ func magic(d uint32) (m uint32, s uint32) {
 	m = uint32(((uint64(1) << 32) + uint64(d) - 1) / uint64(d))
 	return m, 0
 }
-
-// divMagic applies the magic constants on the host (mirror of the SASS
-// sequence; used for tests).
-func divMagic(n, m, s uint32) uint32 {
-	if m == 0 {
-		return n >> s
-	}
-	return uint32((uint64(n) * uint64(m)) >> 32 >> s)
-}

@@ -8,6 +8,15 @@ import (
 	"repro/internal/winograd"
 )
 
+// divMagic applies the magic constants on the host, mirroring the SASS
+// sequence.
+func divMagic(n, m, s uint32) uint32 {
+	if m == 0 {
+		return n >> s
+	}
+	return uint32((uint64(n) * uint64(m)) >> 32 >> s)
+}
+
 func TestMagicDivision(t *testing.T) {
 	for _, d := range []uint32{1, 2, 3, 4, 5, 6, 7, 12, 14, 28, 56, 100, 112} {
 		m, s := magic(d)

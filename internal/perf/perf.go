@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/microbench"
+	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/tune"
 	"repro/internal/turingas"
@@ -68,6 +70,7 @@ func Benchmarks() []Benchmark {
 		{"kernels/source", benchKernelSource},
 		{"winograd/conv2d", benchWinogradConv2D},
 		{"tune/staticprune", benchTuneStaticPrune},
+		{"store/roundtrip", benchStoreRoundTrip},
 		{"microbench/calibrate", benchMicrobenchCalibrate},
 	}
 }
@@ -105,6 +108,33 @@ func benchTuneStaticPrune(b *testing.B) {
 		kept := tune.StaticPrune(dev, perfProblem, space.Enumerate(), 12, &stats)
 		if len(kept) == 0 {
 			b.Fatal("static prune kept nothing")
+		}
+	}
+}
+
+// quickStore is the committed quick-tune store, relative to this
+// package's directory, where the suite runs.
+const quickStore = "../../cmd/winograd-bench/testdata/store_quick.golden"
+
+// benchStoreRoundTrip measures the store work of a warm tune outside
+// key derivation: Load of the committed quick store, each of its
+// entries decoded as a tune payload, and Save.
+func benchStoreRoundTrip(b *testing.B) {
+	out := filepath.Join(b.TempDir(), "store.json")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, rep := store.Load(quickStore)
+		if len(rep.Warnings) != 0 || st.Len() == 0 {
+			b.Fatalf("loading %s: %d entries, %v", quickStore, st.Len(), rep.Warnings)
+		}
+		for _, e := range st.Entries() {
+			if _, err := tune.EntryFromStore(e, 0, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := st.Save(out); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -5,18 +5,18 @@ package serve
 //
 // decodeRequest accepts exactly the bodies json.Unmarshal accepts into
 // an inferRequest and yields the same Device, Layer and image bits. It
-// checks the whole body in one pass: JSON syntax everywhere, unknown
-// keys skipped with full validation (nesting capped at 10000 levels as
-// in encoding/json), keys matched exactly or else ASCII case-folded
-// (encoding/json also folds the Kelvin sign and long s, which none of
-// the three keys contain), null leaving a string field unchanged and
-// an image element as it was, a repeated key decoding over the earlier
-// value, invalid UTF-8 and lone surrogates in strings read as U+FFFD,
-// and each image element parsed by strconv.ParseFloat(tok, 32), an
-// out-of-range one rejecting the body. A type mismatch (a non-string
-// name, a non-array image, a non-number element, a top-level value
-// other than an object or null) rejects the body, as json.Unmarshal's
-// returned error does. FuzzWireDecode holds the two to this.
+// checks the whole body in one pass with internal/jsonx, which holds
+// the rules it shares with encoding/json: syntax checked everywhere,
+// unknown keys skipped with full validation, keys matched exactly or
+// under bytes.EqualFold, null leaving a field as it was, a repeated key
+// decoding over the earlier value, invalid UTF-8 and lone surrogates in
+// strings read as U+FFFD. Each image element is parsed by
+// strconv.ParseFloat(tok, 32), an out-of-range one rejecting the body,
+// and a null element leaves it as it was. A type mismatch (a
+// non-string name, a non-array image, a non-number element, a
+// top-level value other than an object or null) rejects the body, as
+// json.Unmarshal's returned error does. FuzzWireDecode holds the two to
+// this.
 //
 // Two things differ from the json.Decoder the handler used before, and
 // only for bodies no client of the schema sends: bytes after the object
@@ -36,9 +36,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"unicode"
-	"unicode/utf16"
-	"unicode/utf8"
+
+	"repro/internal/jsonx"
 )
 
 // inferRequest is the POST /v1/infer body.
@@ -101,14 +100,9 @@ func (wb *wireBuf) reply(w http.ResponseWriter, code int, resp *inferResponse) i
 	return -1
 }
 
-// maxDepth is encoding/json's nesting limit, the top-level object
-// included.
-const maxDepth = 10000
-
 // decoder is one pass over a request body.
 type decoder struct {
-	data []byte
-	off  int
+	jsonx.Decoder
 
 	// img backs the image: its length is how many elements this body
 	// has written, so an element past it starts at zero and one before
@@ -123,7 +117,7 @@ type decoder struct {
 // *scratch, which the caller keeps for the next body, and returned in
 // a slice of its own.
 func decodeRequest(body []byte, scratch *[]float32) (inferRequest, error) {
-	d := decoder{data: body, img: (*scratch)[:0]}
+	d := decoder{Decoder: jsonx.NewDecoder(body, "serve: request body"), img: (*scratch)[:0]}
 	in, err := d.request()
 	*scratch = d.img[:0]
 	if err != nil {
@@ -136,127 +130,52 @@ func decodeRequest(body []byte, scratch *[]float32) (inferRequest, error) {
 	return in, nil
 }
 
+// request decodes the body's top-level object; null leaves the request
+// empty, as encoding/json leaves the struct as it was.
 func (d *decoder) request() (in inferRequest, err error) {
-	d.space()
-	switch d.peek() {
-	case '{':
-		err = d.object(&in)
-	case 'n': // encoding/json leaves the struct as it was
-		err = d.literal("null")
-	default:
-		err = d.fail("want an object")
-	}
-	if err != nil {
-		return in, err
-	}
-	if d.space(); d.off < len(d.data) {
-		return in, d.fail("data after the object")
-	}
-	return in, nil
-}
-
-func (d *decoder) object(in *inferRequest) error {
-	d.off++ // '{'
-	if d.space(); d.next('}') {
-		return nil
-	}
-	for {
-		key, plain, err := d.scanString()
-		if err != nil {
-			return err
-		}
-		if !plain {
-			var buf [16]byte
-			key = unquote(buf[:0], key)
-		}
-		if d.space(); !d.next(':') {
-			return d.fail("want ':' after an object key")
-		}
-		d.space()
+	d.Space()
+	err = d.Object(func(key []byte) error {
 		switch {
-		case keyIs(key, "device"):
-			err = d.name(&in.Device)
-		case keyIs(key, "layer"):
-			err = d.name(&in.Layer)
-		case keyIs(key, "image"):
-			err = d.image()
-		default:
-			err = d.skip(2)
+		case jsonx.KeyIs(key, "device"):
+			return d.String(&in.Device)
+		case jsonx.KeyIs(key, "layer"):
+			return d.String(&in.Layer)
+		case jsonx.KeyIs(key, "image"):
+			return d.image()
 		}
-		if err != nil {
-			return err
-		}
-		d.space()
-		switch {
-		case d.next(','):
-			d.space()
-		case d.next('}'):
-			return nil
-		default:
-			return d.fail("want ',' or '}' after an object value")
-		}
+		return d.Skip()
+	})
+	if err == nil {
+		err = d.End()
 	}
-}
-
-// keyIs reports whether key names field, a lower-case ASCII name, as
-// encoding/json matches keys: exactly or with ASCII case folded.
-func keyIs(key []byte, field string) bool {
-	if len(key) != len(field) {
-		return false
-	}
-	for i := range key {
-		if c := key[i]; c != field[i] && c+('a'-'A') != field[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// name decodes a string field; null leaves it as it was.
-func (d *decoder) name(dst *string) error {
-	switch d.peek() {
-	case 'n':
-		return d.literal("null")
-	case '"':
-	default:
-		return d.fail("want a string")
-	}
-	raw, plain, err := d.scanString()
-	if err != nil {
-		return err
-	}
-	if !plain {
-		raw = unquote(nil, raw)
-	}
-	*dst = string(raw)
-	return nil
+	return in, err
 }
 
 // image decodes the image: null makes it nil, an array of numbers and
 // nulls writes its elements over img.
 func (d *decoder) image() error {
-	switch d.peek() {
+	switch d.Peek() {
 	case 'n':
 		d.img, d.imgSet = d.img[:0], false
-		return d.literal("null")
+		return d.Literal("null")
 	case '[':
 	default:
-		return d.fail(`want an array for "image"`)
+		return d.Fail(`want an array for "image"`)
 	}
-	d.off++
+	d.Next('[')
 	n := 0
-	if d.space(); !d.next(']') {
+	if d.Space(); !d.Next(']') {
 		for {
 			if n == len(d.img) {
 				d.img = append(d.img, 0)
 			}
-			switch c := d.peek(); {
+			switch c := d.Peek(); {
 			case c == 'n':
-				if err := d.literal("null"); err != nil {
+				if err := d.Literal("null"); err != nil {
 					return err
 				}
 			case c == '-' || '0' <= c && c <= '9':
-				tok, err := d.number()
+				tok, err := d.Number()
 				if err != nil {
 					return err
 				}
@@ -266,17 +185,17 @@ func (d *decoder) image() error {
 				}
 				d.img[n] = float32(f)
 			default:
-				return d.fail("want a number in the image")
+				return d.Fail("want a number in the image")
 			}
 			n++
-			d.space()
-			if d.next(']') {
+			d.Space()
+			if d.Next(']') {
 				break
 			}
-			if !d.next(',') {
-				return d.fail("want ',' or ']' after an image value")
+			if !d.Next(',') {
+				return d.Fail("want ',' or ']' after an image value")
 			}
-			d.space()
+			d.Space()
 		}
 	}
 	if n == 0 { // encoding/json sets a fresh empty slice
@@ -284,247 +203,6 @@ func (d *decoder) image() error {
 	}
 	d.imgLen, d.imgSet = n, true
 	return nil
-}
-
-// skip checks and passes over one value of an unknown key; a container
-// would sit at nesting level depth.
-func (d *decoder) skip(depth int) error {
-	switch c := d.peek(); c {
-	case '{', '[':
-		if depth > maxDepth {
-			return d.fail("nesting too deep")
-		}
-		end := c + 2 // '}' or ']'
-		d.off++
-		if d.space(); d.next(end) {
-			return nil
-		}
-		for {
-			if c == '{' {
-				if _, _, err := d.scanString(); err != nil {
-					return err
-				}
-				if d.space(); !d.next(':') {
-					return d.fail("want ':' after an object key")
-				}
-				d.space()
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-			d.space()
-			switch {
-			case d.next(','):
-				d.space()
-			case d.next(end):
-				return nil
-			default:
-				return d.fail("want ',' or the container's end")
-			}
-		}
-	case '"':
-		_, _, err := d.scanString()
-		return err
-	case 't':
-		return d.literal("true")
-	case 'f':
-		return d.literal("false")
-	case 'n':
-		return d.literal("null")
-	default:
-		_, err := d.number()
-		return err
-	}
-}
-
-// scanString checks the string at d.off and returns its text between
-// the quotes. plain reports that the text is printable ASCII without
-// escapes, so it is already the string's value; otherwise unquote
-// makes the value.
-func (d *decoder) scanString() (raw []byte, plain bool, err error) {
-	if d.peek() != '"' {
-		return nil, false, d.fail("want a string")
-	}
-	d.off++
-	start, plain := d.off, true
-	for d.off < len(d.data) {
-		switch c := d.data[d.off]; {
-		case c == '"':
-			d.off++
-			return d.data[start : d.off-1], plain, nil
-		case c == '\\':
-			plain = false
-			d.off++
-			switch d.peek() {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				d.off++
-			case 'u':
-				if hex4(d.data[d.off+1:]) < 0 {
-					return nil, false, d.fail(`bad \u escape`)
-				}
-				d.off += 5
-			default:
-				return nil, false, d.fail("bad escape")
-			}
-		case c < ' ':
-			return nil, false, d.fail("control character in a string")
-		default:
-			plain = plain && c < utf8.RuneSelf
-			d.off++
-		}
-	}
-	return nil, false, d.fail("unterminated string")
-}
-
-// unquote appends the value of a string's checked text to dst:
-// escapes resolved, and invalid UTF-8 and unpaired surrogates turned
-// into U+FFFD, as encoding/json does.
-func unquote(dst, raw []byte) []byte {
-	for i := 0; i < len(raw); {
-		c := raw[i]
-		if c >= utf8.RuneSelf {
-			r, size := utf8.DecodeRune(raw[i:])
-			dst = utf8.AppendRune(dst, r)
-			i += size
-			continue
-		}
-		if c != '\\' {
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		switch e := raw[i+1]; e {
-		case 'b':
-			dst = append(dst, '\b')
-		case 'f':
-			dst = append(dst, '\f')
-		case 'n':
-			dst = append(dst, '\n')
-		case 'r':
-			dst = append(dst, '\r')
-		case 't':
-			dst = append(dst, '\t')
-		case 'u':
-			r := hex4(raw[i+2:])
-			i += 6
-			if utf16.IsSurrogate(r) {
-				r2 := rune(-1)
-				if len(raw) >= i+2 && raw[i] == '\\' && raw[i+1] == 'u' {
-					r2 = hex4(raw[i+2:])
-				}
-				if r = utf16.DecodeRune(r, r2); r != unicode.ReplacementChar {
-					i += 6
-				}
-			}
-			dst = utf8.AppendRune(dst, r)
-			continue
-		default: // '"', '\\', '/'
-			dst = append(dst, e)
-		}
-		i += 2
-	}
-	return dst
-}
-
-// hex4 parses the four hex digits that start b, or returns -1.
-func hex4(b []byte) rune {
-	if len(b) < 4 {
-		return -1
-	}
-	var r rune
-	for _, c := range b[:4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
-}
-
-// number checks the JSON number at d.off and returns its text.
-func (d *decoder) number() ([]byte, error) {
-	start := d.off
-	d.next('-')
-	switch c := d.peek(); {
-	case c == '0':
-		d.off++
-	case '1' <= c && c <= '9':
-		d.digits()
-	default:
-		return nil, d.fail("want a value")
-	}
-	if d.next('.') && d.digits() == 0 {
-		return nil, d.fail("want a digit after '.'")
-	}
-	if d.next('e') || d.next('E') {
-		if !d.next('+') {
-			d.next('-')
-		}
-		if d.digits() == 0 {
-			return nil, d.fail("want a digit in the exponent")
-		}
-	}
-	return d.data[start:d.off], nil
-}
-
-// digits passes over a run of decimal digits and returns its length.
-func (d *decoder) digits() int {
-	start := d.off
-	for d.off < len(d.data) && '0' <= d.data[d.off] && d.data[d.off] <= '9' {
-		d.off++
-	}
-	return d.off - start
-}
-
-func (d *decoder) literal(word string) error {
-	if len(d.data)-d.off < len(word) || string(d.data[d.off:d.off+len(word)]) != word {
-		return d.fail("want a value")
-	}
-	d.off += len(word)
-	return nil
-}
-
-// space passes over JSON whitespace.
-func (d *decoder) space() {
-	for d.off < len(d.data) {
-		switch d.data[d.off] {
-		case ' ', '\t', '\n', '\r':
-			d.off++
-		default:
-			return
-		}
-	}
-}
-
-// peek returns the byte at d.off, or 0 at the end of the body.
-func (d *decoder) peek() byte {
-	if d.off < len(d.data) {
-		return d.data[d.off]
-	}
-	return 0
-}
-
-// next passes over c if it is the byte at d.off.
-func (d *decoder) next(c byte) bool {
-	if d.off < len(d.data) && d.data[d.off] == c {
-		d.off++
-		return true
-	}
-	return false
-}
-
-func (d *decoder) fail(what string) error {
-	if d.off >= len(d.data) {
-		return fmt.Errorf("serve: request body: %s, found the end", what)
-	}
-	return fmt.Errorf("serve: request body: %s, found %q at offset %d", what, d.data[d.off], d.off)
 }
 
 // appendResponse appends r and a newline to dst as json.Encoder does,
@@ -554,10 +232,10 @@ func appendResponse(dst []byte, r *inferResponse) ([]byte, int) {
 		dst = strconv.AppendInt(appendKey(dst, start, "filled"), int64(r.Filled), 10)
 	}
 	if r.Algo != "" {
-		dst = appendString(appendKey(dst, start, "algo"), r.Algo)
+		dst = jsonx.AppendString(appendKey(dst, start, "algo"), r.Algo)
 	}
 	if r.Error != "" {
-		dst = appendString(appendKey(dst, start, "error"), r.Error)
+		dst = jsonx.AppendString(appendKey(dst, start, "error"), r.Error)
 	}
 	return append(dst, "}\n"...), -1
 }
@@ -571,58 +249,4 @@ func appendKey(dst []byte, start int, key string) []byte {
 	dst = append(dst, '"')
 	dst = append(dst, key...)
 	return append(dst, `":`...)
-}
-
-// appendString appends s quoted as json.Encoder does by default: HTML
-// characters, control characters, U+2028 and U+2029 escaped, invalid
-// UTF-8 written as \ufffd.
-func appendString(dst []byte, s string) []byte {
-	const hex = "0123456789abcdef"
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case r == '\u2028' || r == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[r&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }

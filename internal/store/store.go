@@ -25,7 +25,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -34,6 +33,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/jsonx"
 )
 
 // Schema versions the store file format. Loaders refuse (with a warning,
@@ -63,7 +64,7 @@ type Key struct {
 
 // String renders the canonical key string — the sort and index key.
 func (k Key) String() string {
-	return fmt.Sprintf("%s|%s|%s|%s|%s", k.Device, k.DeviceHash, k.KernelHash, k.Problem, k.Mode)
+	return k.Device + "|" + k.DeviceHash + "|" + k.KernelHash + "|" + k.Problem + "|" + k.Mode
 }
 
 // Validate rejects keys that would be ambiguous in the canonical string
@@ -96,12 +97,22 @@ type Entry struct {
 // form's content hash, so indentation differences between files cannot
 // change an entry's bytes or address.
 func canonical(payload []byte) (json.RawMessage, string, error) {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, payload); err != nil {
+	d := jsonx.NewDecoder(payload, "")
+	d.Space()
+	data, err := d.Compact(make([]byte, 0, len(payload)))
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil {
 		return nil, "", fmt.Errorf("store: payload is not valid JSON: %v", err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return buf.Bytes(), hex.EncodeToString(sum[:12]), nil
+	return data, contentHash(data), nil
+}
+
+// contentHash is the content address of a compact payload.
+func contentHash(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:12])
 }
 
 // Store is an in-memory set of entries indexed by key.
@@ -147,33 +158,62 @@ func (s *Store) Get(k Key) (Entry, bool) {
 // Entries returns every entry sorted by key — the canonical order Save
 // serializes and `store ls` prints.
 func (s *Store) Entries() []Entry {
-	out := make([]Entry, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e)
+	keys := s.sortedKeys()
+	out := make([]Entry, len(keys))
+	for i, k := range keys {
+		out[i] = s.entries[k]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.String() < out[j].Key.String() })
 	return out
 }
 
-// file is the serialized form.
-type file struct {
-	Schema  string  `json:"schema"`
-	Entries []Entry `json:"entries"`
+// sortedKeys returns the entries' key strings in order.
+func (s *Store) sortedKeys() []string {
+	keys := make([]string, 0, len(s.entries))
+	for k := range s.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // Save writes the store to path, creating parent directories as needed.
-// Entries are sorted by key, payloads re-emitted from their compact
-// canonical bytes, and floats already carry encoding/json's shortest
-// round-trip form — so the bytes are a pure function of the contents:
-// any shard count, worker count, or cold/warm history that holds the
-// same entries writes the identical file.
+// Entries are sorted by key and payloads indented from their compact
+// canonical bytes, which carry encoding/json's shortest round-trip
+// floats — so the bytes are a pure function of the contents: any shard
+// count, worker count, or cold/warm history that holds the same entries
+// writes the identical file. The layout is json.MarshalIndent's with
+// two-space indentation, plus a final newline. Payload strings are
+// written as they were loaded, never re-escaped, so saving what Load
+// accepted keeps every entry's content hash.
 func (s *Store) Save(path string) error {
-	out := file{Schema: Schema, Entries: s.Entries()}
-	data, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		return err
+	data := jsonx.AppendString([]byte("{\n  \"schema\": "), Schema)
+	data = append(data, ",\n  \"entries\": ["...)
+	for i, k := range s.sortedKeys() {
+		e := s.entries[k]
+		if i > 0 {
+			data = append(data, ',')
+		}
+		data = append(data, "\n    {"...)
+		for _, f := range [...]struct{ name, v string }{
+			{"device", e.Device}, {"device_hash", e.DeviceHash}, {"kernel_hash", e.KernelHash},
+			{"problem", e.Problem}, {"mode", e.Mode}, {"hash", e.Hash},
+		} {
+			data = append(data, "\n      \""...)
+			data = append(data, f.name...)
+			data = jsonx.AppendString(append(data, `": `...), f.v)
+			data = append(data, ',')
+		}
+		data = append(data, "\n      \"payload\": "...)
+		if len(e.Payload) == 0 {
+			data = append(data, "null"...)
+		}
+		data = jsonx.AppendIndent(data, e.Payload, "  ", 3)
+		data = append(data, "\n    }"...)
 	}
-	data = append(data, '\n')
+	if len(s.entries) > 0 {
+		data = append(data, "\n  "...)
+	}
+	data = append(data, "]\n}\n"...)
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -204,47 +244,108 @@ type LoadReport struct {
 // re-run domain-level validation of what the payload claims (that is
 // `store verify` / tune's -storeverify, the expensive full check).
 func Load(path string) (*Store, *LoadReport) {
-	s := New()
-	rep := &LoadReport{}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return s, rep
+		rep := &LoadReport{}
+		if !os.IsNotExist(err) {
+			rep.Warnings = append(rep.Warnings, fmt.Sprintf("store: unreadable %s: %v (starting empty)", path, err))
 		}
-		rep.Warnings = append(rep.Warnings, fmt.Sprintf("store: unreadable %s: %v (starting empty)", path, err))
-		return s, rep
+		return New(), rep
 	}
-	var raw file
-	if err := json.Unmarshal(data, &raw); err != nil {
+	return load(path, data)
+}
+
+// load is Load of a file's bytes.
+func load(path string, data []byte) (*Store, *LoadReport) {
+	s := New()
+	rep := &LoadReport{}
+	schema, entries, err := decodeFile(data)
+	if err != nil {
 		rep.Warnings = append(rep.Warnings, fmt.Sprintf("store: corrupt %s: %v (starting empty)", path, err))
 		return s, rep
 	}
-	if raw.Schema != Schema {
-		rep.Warnings = append(rep.Warnings, fmt.Sprintf("store: %s has schema %q, want %q (starting empty)", path, raw.Schema, Schema))
+	if schema != Schema {
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf("store: %s has schema %q, want %q (starting empty)", path, schema, Schema))
 		return s, rep
 	}
-	for _, e := range raw.Entries {
+	for _, e := range entries {
 		if err := e.Key.Validate(); err != nil {
 			rep.quarantine(path, e, err.Error())
 			continue
 		}
-		payload, hash, err := canonical(e.Payload)
-		if err != nil {
-			rep.quarantine(path, e, err.Error())
+		if e.Payload == nil { // no "payload" key: what json.Compact says of no bytes
+			rep.quarantine(path, e, "store: payload is not valid JSON: unexpected end of JSON input")
 			continue
 		}
-		if hash != e.Hash {
+		if hash := contentHash(e.Payload); hash != e.Hash {
 			rep.quarantine(path, e, fmt.Sprintf("content hash %s does not match payload (recomputed %s)", e.Hash, hash))
 			continue
 		}
-		if _, dup := s.entries[e.Key.String()]; dup {
+		k := e.Key.String()
+		if _, dup := s.entries[k]; dup {
 			rep.quarantine(path, e, "duplicate key")
 			continue
 		}
-		e.Payload = payload
-		s.entries[e.Key.String()] = e
+		s.entries[k] = e
 	}
 	return s, rep
+}
+
+// decodeFile reads a store file in one pass, as json.Unmarshal would
+// into {schema, entries []Entry}, except that each payload is kept
+// compacted: a missing one stays nil. As in that slice, an element of
+// a repeated "entries" array decodes over what an earlier array left at
+// its index, and one past every earlier array starts from zero.
+func decodeFile(data []byte) (schema string, entries []Entry, err error) {
+	d := jsonx.NewDecoder(data, "")
+	arena := make([]byte, 0, len(data)) // every payload, compacted
+	n := 0
+	d.Space()
+	err = d.Object(func(key []byte) error {
+		switch {
+		case jsonx.KeyIs(key, "schema"):
+			return d.String(&schema)
+		case jsonx.KeyIs(key, "entries"):
+			m, err := d.Array(func(i int) error {
+				if i == len(entries) {
+					entries = append(entries, Entry{})
+				}
+				e := &entries[i]
+				return d.Object(func(key []byte) error {
+					switch {
+					case jsonx.KeyIs(key, "device"):
+						return d.String(&e.Device)
+					case jsonx.KeyIs(key, "device_hash"):
+						return d.String(&e.DeviceHash)
+					case jsonx.KeyIs(key, "kernel_hash"):
+						return d.String(&e.KernelHash)
+					case jsonx.KeyIs(key, "problem"):
+						return d.String(&e.Problem)
+					case jsonx.KeyIs(key, "mode"):
+						return d.String(&e.Mode)
+					case jsonx.KeyIs(key, "hash"):
+						return d.String(&e.Hash)
+					case jsonx.KeyIs(key, "payload"):
+						start := len(arena)
+						var err error
+						arena, err = d.Compact(arena)
+						e.Payload = arena[start:len(arena):len(arena)]
+						return err
+					}
+					return d.Skip()
+				})
+			})
+			if n = m; m <= 0 { // null or [] leaves a fresh slice
+				entries, n = entries[:0], 0
+			}
+			return err
+		}
+		return d.Skip()
+	})
+	if err == nil {
+		err = d.End()
+	}
+	return schema, entries[:n], err
 }
 
 func (r *LoadReport) quarantine(path string, e Entry, why string) {

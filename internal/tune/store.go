@@ -1,12 +1,12 @@
 package tune
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"strconv"
 
 	"repro/internal/gpu"
+	"repro/internal/jsonx"
 	"repro/internal/kernels"
 	"repro/internal/store"
 )
@@ -56,7 +56,7 @@ func storeKey(dev, devHash string, p kernels.Problem, waves int, cfg kernels.Con
 // check).
 func EntryFromStore(se store.Entry, waves int, verify bool) (Entry, error) {
 	var e Entry
-	if err := json.Unmarshal(se.Payload, &e); err != nil {
+	if err := decodeEntry(se.Payload, &e); err != nil {
 		return Entry{}, fmt.Errorf("tune: store entry %s: undecodable payload: %v", se.Key, err)
 	}
 	if e.Device != se.Key.Device {
@@ -90,6 +90,81 @@ func EntryFromStore(se store.Entry, waves int, verify bool) (Entry, error) {
 		}
 	}
 	return e, nil
+}
+
+// decodeEntry decodes a payload into *e as json.Unmarshal does.
+func decodeEntry(data []byte, e *Entry) error {
+	d := jsonx.NewDecoder(data, "")
+	d.Space()
+	err := d.Object(func(key []byte) error {
+		switch {
+		case jsonx.KeyIs(key, "device"):
+			return d.String(&e.Device)
+		case jsonx.KeyIs(key, "problem"):
+			return d.String(&e.Problem)
+		case jsonx.KeyIs(key, "shape"):
+			p := &e.Shape
+			return d.Object(func(key []byte) error {
+				for _, f := range [...]struct {
+					name string
+					v    *int
+				}{{"C", &p.C}, {"K", &p.K}, {"N", &p.N}, {"H", &p.H}, {"W", &p.W}} {
+					if jsonx.KeyIs(key, f.name) {
+						return d.Int(f.v)
+					}
+				}
+				return d.Skip()
+			})
+		case jsonx.KeyIs(key, "config"):
+			c := &e.Config
+			return d.Object(func(key []byte) error {
+				if jsonx.KeyIs(key, "UseP2R") {
+					return d.Bool(&c.UseP2R)
+				}
+				for _, f := range [...]struct {
+					name string
+					v    *int
+				}{{"BK", &c.BK}, {"YieldEvery", &c.YieldEvery}, {"LDGGap", &c.LDGGap}, {"STSGap", &c.STSGap}, {"DeclaredSmem", &c.DeclaredSmem}} {
+					if jsonx.KeyIs(key, f.name) {
+						return d.Int(f.v)
+					}
+				}
+				return d.Skip()
+			})
+		case jsonx.KeyIs(key, "config_key"):
+			return d.String(&e.ConfigKey)
+		case jsonx.KeyIs(key, "waves"):
+			return d.Int(&e.Waves)
+		case jsonx.KeyIs(key, "seconds"):
+			return d.Float(&e.Seconds)
+		case jsonx.KeyIs(key, "tflops"):
+			return d.Float(&e.TFLOPS)
+		case jsonx.KeyIs(key, "cycles_per_wave"):
+			return d.Float(&e.Cycles)
+		case jsonx.KeyIs(key, "sol"):
+			return d.Float(&e.SOL)
+		case jsonx.KeyIs(key, "stalls"):
+			switch d.Peek() {
+			case 'n':
+				e.Stalls = nil
+			case '{':
+				if e.Stalls == nil {
+					e.Stalls = map[string]float64{}
+				}
+			}
+			return d.Object(func(key []byte) error {
+				var f float64 // a null value stores zero
+				err := d.Float(&f)
+				e.Stalls[string(key)] = f
+				return err
+			})
+		}
+		return d.Skip()
+	})
+	if err == nil {
+		err = d.End()
+	}
+	return err
 }
 
 // VerifyEntry runs the full domain-level check on one store entry — the
