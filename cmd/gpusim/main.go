@@ -6,17 +6,13 @@
 //
 //	gpusim [-dev NAME] [-layer conv2..conv5] [-n 32] [-bk 64]
 //	       [-yield 0] [-ldg 8] [-sts 6] [-mainloop] [-waves 4] [-verify]
-//	       [-prof] [-trace trace.json] [-calibrate]
+//	       [-prof] [-trace trace.json] [-backend threaded|switch]
 //
 // -dev accepts any registered device name (see internal/gpu/devices);
 // an unknown name lists the registered ones.
 //
 // -verify runs a reduced problem end to end (all blocks simulated) and
 // checks the simulated kernel's output against the CPU reference.
-//
-// -calibrate runs the internal/microbench probe suite on the selected
-// device with the selected backend and prints the probe report,
-// exiting non-zero if any probe disagrees with the device file.
 //
 // -prof attaches the profiler and prints stall-attribution reports with
 // annotated SASS listings for both launches (the memory-bound filter
@@ -35,7 +31,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/gpu/prof"
 	"repro/internal/kernels"
-	"repro/internal/microbench"
 	"repro/internal/tensor"
 )
 
@@ -53,7 +48,6 @@ func main() {
 	profFlag := flag.Bool("prof", false, "print stall-attribution reports with annotated SASS listings")
 	trace := flag.String("trace", "", "write the main kernel's warp timeline as a Chrome trace to this file (implies -prof)")
 	backendFlag := flag.String("backend", "threaded", "simulator execution backend (threaded or switch; bit-identical results)")
-	calibrate := flag.Bool("calibrate", false, "run the microbenchmark probe suite on -dev and exit")
 	flag.Parse()
 
 	be, err := gpu.ParseBackend(*backendFlag)
@@ -65,21 +59,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpusim:", err)
 		os.Exit(2)
-	}
-
-	if *calibrate {
-		res, err := microbench.Calibrate(dev, microbench.Options{Backend: be})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("calibrating %s on the %s backend\n", dev.Name, be)
-		fmt.Print(microbench.Report(res))
-		if !microbench.Pass(res) {
-			fatal(fmt.Errorf("calibration failed: %d probe(s) disagree with the device file",
-				len(microbench.Failures(res))))
-		}
-		fmt.Println("calibration PASSED")
-		return
 	}
 
 	var l bench.Layer

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	winograd-bench [-waves N] [-quick] [-markdown] [-jobs N] [-timings] [-prof] [experiment ...]
-//	winograd-bench [-waves N] [-quick] [-jobs N] [-budget N] [-store PATH] [-shard i/N] [-storeverify] [-device D] tune
+//	winograd-bench [-waves N] [-quick] [-jobs N] [-budget N] [-store PATH] [-shard i/N] [-device D] tune
 //	winograd-bench [-jobs N] [-markdown] [-backend B] [-device D] calibrate
 //	winograd-bench store merge -o OUT IN...
 //	winograd-bench store ls PATH...
@@ -72,7 +72,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	backend := fs.String("backend", "threaded", "simulator execution backend (threaded or switch; bit-identical results)")
 	budget := fs.Int("budget", 12, "tune: max simulated candidate configs per layer (paper default always included)")
 	storePath := fs.String("store", "", "tune: path of the content-addressed store/v1 experiment store (empty = in-memory only)")
-	storeVerify := fs.Bool("storeverify", false, "tune: force the full key round-trip check on every store hit")
 	shard := fs.String("shard", "", "tune: deterministic lattice partition i/N; requires -store, suppresses tables")
 	device := fs.String("device", "rtx2070", "tune/calibrate: registered device name (see `winograd-bench` listing)")
 	if err := fs.Parse(argv); err != nil {
@@ -109,7 +108,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if len(args) == 1 && args[0] == "tune" {
 		return runTune(tuneOpts{waves: *waves, quick: *quick, markdown: *markdown,
 			jobs: *jobs, budget: *budget, storePath: *storePath,
-			storeVerify: *storeVerify, shard: *shard, device: *device}, stdout, stderr)
+			shard: *shard, device: *device}, stdout, stderr)
 	}
 
 	// `store` operates on store/v1 files: merge, ls, verify.

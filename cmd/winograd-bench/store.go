@@ -119,7 +119,7 @@ func runStoreVerify(args []string, stdout, stderr io.Writer) int {
 			if !strings.HasPrefix(e.Mode, "tune/") {
 				continue
 			}
-			if err := tune.VerifyEntry(e); err != nil {
+			if _, err := tune.EntryFromStore(e); err != nil {
 				fmt.Fprintf(stderr, "%s: %v\n", path, err)
 				bad++
 			}

@@ -18,8 +18,7 @@ const storeGoldenPath = "testdata/store_quick.golden"
 // writes — the bytes CI's sharded jobs must reproduce. A single-process
 // run's store is the golden; 1-, 2- and 3-way sharded runs merged
 // through the `store merge` CLI must match it byte for byte, a warm
-// rerun over it must simulate nothing, and `store verify` must pass it
-// with -storeverify semantics.
+// rerun over it must simulate nothing, and `store verify` must pass it.
 //
 // Regenerate after an intentional change with:
 //
@@ -61,22 +60,19 @@ func TestTuneStoreGolden(t *testing.T) {
 	}
 
 	// Warm rerun over the store: same tables, zero simulations, bytes
-	// untouched — including under the forced -storeverify round-trip.
-	for _, extra := range [][]string{nil, {"-storeverify"}} {
-		argv := append([]string{"-quick", "-budget", "6", "-jobs", "4", "-store", single}, extra...)
-		warm, warmErr, code := runCapture(t, append(argv, "tune")...)
-		if code != 0 {
-			t.Fatalf("warm tune %v exited %d", extra, code)
-		}
-		if diff := firstDiff(out, warm); diff != "" {
-			t.Errorf("warm tune %v stdout diverges from cold:\n%s", extra, diff)
-		}
-		if !strings.Contains(warmErr, "0 candidates simulated") {
-			t.Errorf("warm run %v was not served from the store: %q", extra, warmErr)
-		}
+	// untouched.
+	warm, warmErr, code := runCapture(t, "-quick", "-budget", "6", "-jobs", "4", "-store", single, "tune")
+	if code != 0 {
+		t.Fatalf("warm tune exited %d", code)
+	}
+	if diff := firstDiff(out, warm); diff != "" {
+		t.Errorf("warm tune stdout diverges from cold:\n%s", diff)
+	}
+	if !strings.Contains(warmErr, "0 candidates simulated") {
+		t.Errorf("warm run was not served from the store: %q", warmErr)
 	}
 	if after, _ := os.ReadFile(single); !bytes.Equal(after, got) {
-		t.Error("warm reruns rewrote the store with different bytes")
+		t.Error("the warm rerun rewrote the store with different bytes")
 	}
 
 	// Sharded runs print no tables and cover the lattice disjointly; the

@@ -12,15 +12,14 @@ import (
 
 // tuneOpts carries the tune-subcommand flags out of run's flag set.
 type tuneOpts struct {
-	waves       int
-	quick       bool
-	markdown    bool
-	jobs        int
-	budget      int
-	storePath   string // content-addressed store/v1 file
-	storeVerify bool
-	shard       string
-	device      string
+	waves     int
+	quick     bool
+	markdown  bool
+	jobs      int
+	budget    int
+	storePath string // content-addressed store/v1 file
+	shard     string
+	device    string
 }
 
 // runTune is the `winograd-bench tune` subcommand: search the scheduling
@@ -62,7 +61,7 @@ func runTune(o tuneOpts, stdout, stderr io.Writer) int {
 	}
 
 	tuner := &tune.Tuner{Dev: dev, Budget: o.budget, Waves: o.waves, Workers: o.jobs,
-		Shard: shard, VerifyStore: o.storeVerify,
+		Shard: shard,
 		Warnf: func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }}
 	start := time.Now()
 	results, stats, err := tuner.Tune(st, tune.SweepCases(o.quick))

@@ -1,27 +1,30 @@
 package repro
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // testOnlyExports names the exported identifiers of internal/ that no
-// non-test file references but that stay exported on purpose, each with
-// its reason. Keys are "pkgpath.Name" or "pkgpath.Type.Method". The list
-// only shrinks: new code that only tests call goes beside those tests,
-// and an entry whose identifier gains a non-test user, or disappears, is
-// reported stale so that it is dropped.
+// binary reaches but that stay exported on purpose, each with its
+// reason; TestNoTestOnlyExports takes them as roots. Keys are
+// "pkgpath.Name" or "pkgpath.Type.Method". The list only shrinks: new
+// code that only tests call goes beside those tests, and an entry whose
+// identifier the other roots reach, or that disappears, is reported
+// stale so that it is dropped.
 var testOnlyExports = map[string]string{
 	// The perf gate's harness runs from internal/perf's tests by design
 	// (go test ./internal/perf -benchjson / -perfdiff).
@@ -39,306 +42,155 @@ var testOnlyExports = map[string]string{
 	"repro/internal/tune.StoreKey":                "derives store keys in the tests of tune and serve; the tuner itself calls storeKey",
 }
 
-// TestNoTestOnlyExports type-checks every non-test file of this module
-// and of the benchmark module (../benchmark, which builds against the
-// serving API) and fails on any exported identifier or method declared
-// in internal/ that none of those files references. A reference from
-// inside the identifier's own declaration (recursion, a method's
-// receiver, a type naming itself) does not count. A call through an
-// instantiated generic type counts for the generic declaration
-// (sched.Flight[V].Do). A method also counts as referenced when its
-// type implements an interface, anywhere in the import graph, that has
-// the method: fmt calls String, net/http calls ServeHTTP, the server
-// calls Executor.Run, none of them by name.
+// TestNoTestOnlyExports fails on every package-level func, method, type,
+// var and const of internal/, exported or not, that no binary reaches.
+// It walks the reference graph of this module and of the benchmark
+// module (../benchmark, which builds against the serving API) from
+// their roots: the main functions of cmd/ and examples/, every non-test
+// declaration of benchmark/, init functions, blank var initializers and
+// the testOnlyExports entries. reach_test.go holds the graph and its
+// rules; this test loads the packages.
 func TestNoTestOnlyExports(t *testing.T) {
-	fset := token.NewFileSet()
-	l := &loader{
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		dirs: map[string]string{},
-		pkgs: map[string]*loaded{},
+	fset, pkgs := loadModule(t)
+	dead, keyErrs := deadCode(fset, pkgs, roots{
+		mains: under("repro/cmd", "repro/examples"),
+		whole: under("repro/benchmark"),
+		keys:  testOnlyExports,
+	}, under("repro/internal"))
+	for _, e := range keyErrs {
+		t.Errorf("testOnlyExports entry %s: drop the entry", e)
 	}
-	var paths []string
-	for _, mod := range []struct{ dir, path string }{{".", "repro"}, {"benchmark", "repro/benchmark"}} {
-		for _, dir := range goDirs(t, mod.dir) {
-			rel, err := filepath.Rel(mod.dir, dir)
-			if err != nil {
-				t.Fatal(err)
+	for _, obj := range dead {
+		t.Errorf("%s: %s %s is reached by no binary: delete it, or move it into the _test.go file of its callers",
+			fset.Position(obj.Pos()), kindOf(obj), objKey(obj))
+	}
+}
+
+// under returns a test for import paths at or below any of dirs.
+func under(dirs ...string) func(path string) bool {
+	return func(path string) bool {
+		for _, d := range dirs {
+			if path == d || strings.HasPrefix(path, d+"/") {
+				return true
 			}
-			path := mod.path
-			if rel != "." {
-				path += "/" + filepath.ToSlash(rel)
+		}
+		return false
+	}
+}
+
+// loadModule type-checks the non-test files of this module and of the
+// benchmark module, each package once so that all of them share one set
+// of objects. Everything else comes from the gc export data that
+// `go list -export` names.
+func loadModule(t *testing.T) (*token.FileSet, []*srcPkg) {
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+	}
+	dirs := []string{".", "benchmark"}
+	outs := make([][]byte, len(dirs))
+	errs := make([]error, len(dirs))
+	var wg sync.WaitGroup
+	for i, dir := range dirs {
+		wg.Add(1)
+		go func(i int, dir string) {
+			defer wg.Done()
+			cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
+			cmd.Dir = dir
+			outs[i], errs[i] = cmd.Output()
+		}(i, dir)
+	}
+	wg.Wait()
+	fset := token.NewFileSet()
+	export := map[string]string{}
+	l := newSrcImporter(fset, importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := export[path]
+		if !ok || f == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(f)
+	}))
+	for i, dir := range dirs {
+		if errs[i] != nil {
+			var stderr []byte
+			if ee, ok := errs[i].(*exec.ExitError); ok {
+				stderr = ee.Stderr
 			}
-			if l.dirs[path], err = filepath.Abs(dir); err != nil {
-				t.Fatal(err)
+			t.Fatalf("go list in %s: %v\n%s", dir, errs[i], stderr)
+		}
+		for dec := json.NewDecoder(bytes.NewReader(outs[i])); dec.More(); {
+			var p listed
+			if err := dec.Decode(&p); err != nil {
+				t.Fatalf("go list in %s: %v", dir, err)
 			}
-			paths = append(paths, path)
+			if p.ImportPath != "repro" && !strings.HasPrefix(p.ImportPath, "repro/") {
+				export[p.ImportPath] = p.Export
+				continue
+			}
+			var names []string
+			for _, name := range p.GoFiles {
+				names = append(names, filepath.Join(p.Dir, name))
+			}
+			l.files[p.ImportPath] = names
 		}
 	}
+	pkgs, err := l.checkAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, pkgs
+}
 
-	defs := map[string]types.Object{} // exported identifiers of internal/
-	used := map[string]bool{}
-	var pkgs []*types.Package
+// srcImporter type-checks the packages it has files for from source,
+// each once, and imports every other package through gc.
+type srcImporter struct {
+	fset  *token.FileSet
+	gc    types.Importer
+	files map[string][]string // import path → non-test Go files
+	done  map[string]*srcPkg
+}
+
+func newSrcImporter(fset *token.FileSet, gc types.Importer) *srcImporter {
+	return &srcImporter{fset: fset, gc: gc, files: map[string][]string{}, done: map[string]*srcPkg{}}
+}
+
+// checkAll type-checks every package l has files for.
+func (l *srcImporter) checkAll() ([]*srcPkg, error) {
+	paths := make([]string, 0, len(l.files))
+	for path := range l.files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	pkgs := make([]*srcPkg, 0, len(paths))
 	for _, path := range paths {
 		if _, err := l.Import(path); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		p := l.pkgs[path]
-		if p == nil {
-			continue // no non-test files
-		}
-		pkgs = append(pkgs, p.pkg)
-		if strings.HasPrefix(path, "repro/internal/") {
-			for _, obj := range p.info.Defs {
-				if k := exportKey(obj); k != "" {
-					defs[k] = obj
-				}
-			}
-		}
-		for _, f := range p.files {
-			recordUses(f, p.info, used)
-		}
+		pkgs = append(pkgs, l.done[path])
 	}
-
-	ifaces := interfaces(pkgs)
-	keys := make([]string, 0, len(defs))
-	for k := range defs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		_, allowed := testOnlyExports[k]
-		switch {
-		case used[k] || implementsSome(defs[k], ifaces):
-			if allowed {
-				t.Errorf("testOnlyExports entry %s has a non-test reference now: drop the entry", k)
-			}
-		case !allowed:
-			t.Errorf("%s: exported %s has no non-test reference: delete it, move it into a _test.go file, or unexport it",
-				fset.Position(defs[k].Pos()), k)
-		}
-	}
-	for k := range testOnlyExports {
-		if defs[k] == nil {
-			t.Errorf("testOnlyExports entry %s names no exported identifier of internal/: drop the entry", k)
-		}
-	}
+	return pkgs, nil
 }
 
-// loader type-checks the packages of this module and of the benchmark
-// module from their non-test files, each once, so that all of them share
-// one set of objects; the standard library comes from the source
-// importer.
-type loader struct {
-	fset *token.FileSet
-	std  types.ImporterFrom
-	dirs map[string]string  // import path → directory, for module packages
-	pkgs map[string]*loaded // nil for a directory with no non-test files
-}
-
-type loaded struct {
-	pkg   *types.Package
-	info  *types.Info
-	files []*ast.File
-}
-
-func (l *loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
-}
-
-func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	abs, ok := l.dirs[path]
+func (l *srcImporter) Import(path string) (*types.Package, error) {
+	names, ok := l.files[path]
 	if !ok {
-		return l.std.ImportFrom(path, dir, mode)
+		return l.gc.Import(path)
 	}
-	if p, ok := l.pkgs[path]; ok {
-		if p == nil {
-			return nil, nil
-		}
+	if p := l.done[path]; p != nil {
 		return p.pkg, nil
 	}
-	bp, err := build.ImportDir(abs, 0)
-	if _, ok := err.(*build.NoGoError); ok {
-		l.pkgs[path] = nil
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	p := &loaded{info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(abs, name), nil, 0)
+	p := &srcPkg{info: newInfo()}
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, name, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		p.files = append(p.files, f)
 	}
-	conf := types.Config{Importer: l}
-	if p.pkg, err = conf.Check(path, l.fset, p.files, p.info); err != nil {
+	var err error
+	if p.pkg, err = (&types.Config{Importer: l}).Check(path, l.fset, p.files, p.info); err != nil {
 		return nil, fmt.Errorf("type-check %s: %v", path, err)
 	}
-	l.pkgs[path] = p
+	l.done[path] = p
 	return p.pkg, nil
-}
-
-// goDirs lists the directories under root that hold Go files, skipping
-// testdata, hidden directories and nested modules.
-func goDirs(t *testing.T, root string) []string {
-	seen := map[string]bool{}
-	var dirs []string
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if p != root {
-				if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
-					return filepath.SkipDir
-				}
-			}
-			return nil
-		}
-		if dir := filepath.Dir(p); strings.HasSuffix(p, ".go") && !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dirs
-}
-
-// exportKey names obj if it is an exported package-level identifier or
-// an exported method of a named type, and returns "" otherwise.
-func exportKey(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil || !obj.Exported() {
-		return ""
-	}
-	if f, ok := obj.(*types.Func); ok {
-		f = f.Origin()
-		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			n, ok := t.(*types.Named)
-			if !ok {
-				return "" // a method of an unnamed interface
-			}
-			return f.Pkg().Path() + "." + n.Origin().Obj().Name() + "." + f.Name()
-		}
-	}
-	if obj.Parent() != obj.Pkg().Scope() {
-		return "" // a field, a parameter or a local
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// recordUses adds to used every identifier f references, except a
-// declaration's references to what it declares itself and a method's
-// references in its receiver.
-func recordUses(f *ast.File, info *types.Info, used map[string]bool) {
-	walk := func(n ast.Node, self map[string]bool) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if k := exportKey(info.Uses[id]); k != "" && !self[k] {
-					used[k] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, d := range f.Decls {
-		switch d := d.(type) {
-		case *ast.FuncDecl:
-			self := map[string]bool{exportKey(info.Defs[d.Name]): true}
-			if d.Type != nil {
-				walk(d.Type, self)
-			}
-			if d.Body != nil {
-				walk(d.Body, self)
-			}
-		case *ast.GenDecl:
-			for _, s := range d.Specs {
-				self := map[string]bool{}
-				switch s := s.(type) {
-				case *ast.TypeSpec:
-					self[exportKey(info.Defs[s.Name])] = true
-				case *ast.ValueSpec:
-					for _, n := range s.Names {
-						self[exportKey(info.Defs[n])] = true
-					}
-				}
-				walk(s, self)
-			}
-		}
-	}
-}
-
-// interfaces collects every package-level interface with methods in the
-// import graph of pkgs, plus error.
-func interfaces(pkgs []*types.Package) []*types.Interface {
-	out := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
-	seen := map[*types.Package]bool{}
-	var visit func(p *types.Package)
-	visit = func(p *types.Package) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, name := range p.Scope().Names() {
-			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
-				continue
-			}
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
-				out = append(out, it)
-			}
-		}
-		for _, q := range p.Imports() {
-			visit(q)
-		}
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-	return out
-}
-
-// implementsSome reports whether obj is a method of a concrete named
-// type that implements, through obj, one of ifaces.
-func implementsSome(obj types.Object, ifaces []*types.Interface) bool {
-	f, ok := obj.(*types.Func)
-	if !ok {
-		return false
-	}
-	recv := f.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if types.IsInterface(t) {
-		return false
-	}
-	for _, it := range ifaces {
-		if m, _, _ := types.LookupFieldOrMethod(it, false, f.Pkg(), f.Name()); m == nil {
-			continue
-		}
-		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
-			return true
-		}
-	}
-	return false
 }

@@ -69,7 +69,7 @@ func (t *TuneSelector) WarmFromStore(st *store.Store) (int, []string) {
 		if !strings.HasPrefix(se.Key.Mode, "tune/") {
 			continue
 		}
-		e, err := tune.EntryFromStore(se, 0, true)
+		e, err := tune.EntryFromStore(se)
 		if err != nil {
 			warns = append(warns, err.Error())
 			continue

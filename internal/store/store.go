@@ -241,8 +241,9 @@ type LoadReport struct {
 // re-simulates the difference.
 //
 // A matching content hash certifies payload integrity only; it does not
-// re-run domain-level validation of what the payload claims (that is
-// `store verify` / tune's -storeverify, the expensive full check).
+// check what the payload claims against its key (the tuner checks each
+// hit against the inputs it derived the key from; `store verify` runs
+// the full round-trip).
 func Load(path string) (*Store, *LoadReport) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -46,15 +46,14 @@ func storeKey(dev, devHash string, p kernels.Problem, waves int, cfg kernels.Con
 	}, nil
 }
 
-// EntryFromStore decodes a store entry back into a tune measurement.
-// The cheap always-on checks tie the payload to its address (device,
-// problem, mode); the expensive key round-trip — config and shape
-// canonicalization, kernel-source and device-spec rehashing — runs only
-// when verify is set, because store.Load has already certified the
-// payload bytes against their content hash (the -storeverify flag,
-// `store verify` and the serving selector's WarmFromStore force the full
-// check).
-func EntryFromStore(se store.Entry, waves int, verify bool) (Entry, error) {
+// EntryFromStore decodes a store entry back into a tune measurement and
+// checks the payload against the whole key: device, problem and mode,
+// then config and shape canonicalization and the kernel-source and
+// device-spec hashes, which regenerates the kernel. It is the check for
+// readers of entries they did not key themselves (`store verify`, the
+// serving selector's WarmFromStore); the tuner checks its own hits with
+// EntryForKey.
+func EntryFromStore(se store.Entry) (Entry, error) {
 	var e Entry
 	if err := decodeEntry(se.Payload, &e); err != nil {
 		return Entry{}, fmt.Errorf("tune: store entry %s: undecodable payload: %v", se.Key, err)
@@ -65,11 +64,8 @@ func EntryFromStore(se store.Entry, waves int, verify bool) (Entry, error) {
 	if e.Problem != se.Key.Problem {
 		return Entry{}, fmt.Errorf("tune: store entry %s: payload problem %q does not match key", se.Key, e.Problem)
 	}
-	if se.Key.Mode != Mode(e.Waves) || (waves > 0 && e.Waves != waves) {
+	if se.Key.Mode != Mode(e.Waves) {
 		return Entry{}, fmt.Errorf("tune: store entry %s: payload waves %d does not match mode", se.Key, e.Waves)
-	}
-	if !verify {
-		return e, nil
 	}
 	if e.Config.Key() != e.ConfigKey {
 		return Entry{}, fmt.Errorf("tune: store entry %s: config does not round-trip its key (%s vs %s)", se.Key, e.Config.Key(), e.ConfigKey)
@@ -88,6 +84,24 @@ func EntryFromStore(se store.Entry, waves int, verify bool) (Entry, error) {
 		if h := dev.SpecHash(); h != se.Key.DeviceHash {
 			return Entry{}, fmt.Errorf("tune: store entry %s: device spec hash drifted (registered %s hashes %s)", se.Key, dev.Name, h)
 		}
+	}
+	return e, nil
+}
+
+// EntryForKey decodes the entry that a lookup of the key derived from
+// (dev, p, waves, cfg) found, and checks that its payload measures
+// exactly those inputs. The key matched, so its kernel-source and
+// device-spec hashes are the current ones for cfg on p; with the payload
+// tied to every input of the key, the check is as complete as
+// EntryFromStore's and regenerates nothing.
+func EntryForKey(se store.Entry, dev string, p kernels.Problem, waves int, cfg kernels.Config) (Entry, error) {
+	var e Entry
+	if err := decodeEntry(se.Payload, &e); err != nil {
+		return Entry{}, fmt.Errorf("tune: store entry %s: undecodable payload: %v", se.Key, err)
+	}
+	if e.Device != dev || e.Shape != p || e.Problem != p.Key() || e.Waves != waves || e.Config != cfg || e.ConfigKey != cfg.Key() {
+		return Entry{}, fmt.Errorf("tune: store entry %s: payload measures %s on %s %s at waves %d, not the %s it is keyed for",
+			se.Key, e.ConfigKey, e.Device, e.Problem, e.Waves, cfg.Key())
 	}
 	return e, nil
 }
@@ -164,16 +178,6 @@ func decodeEntry(data []byte, e *Entry) error {
 	if err == nil {
 		err = d.End()
 	}
-	return err
-}
-
-// VerifyEntry runs the full domain-level check on one store entry — the
-// payload decode, the address consistency checks, and the complete key
-// round-trip including kernel regeneration. `store verify` calls this
-// for every tune-mode entry so the CI merge job doubles as a
-// store-integrity gate.
-func VerifyEntry(se store.Entry) error {
-	_, err := EntryFromStore(se, 0, true)
 	return err
 }
 

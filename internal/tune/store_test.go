@@ -123,10 +123,11 @@ func TestShardedTuneMergesToSingleProcessBytes(t *testing.T) {
 	}
 }
 
-// TestEntryFromStoreValidation pins the two-tier validation policy: the
-// cheap address-consistency checks always run, the expensive round-trip
-// only under verify — and a poisoned entry is quarantined (warned and
-// re-simulated), never trusted and never fatal.
+// TestEntryFromStoreValidation pins the two checks of a stored
+// payload: the tuner's hit check (EntryForKey) ties it to every input
+// its key was derived from, without regenerating the kernel; the full
+// check (EntryFromStore), for entries the reader did not key, also
+// re-derives the kernel-source and device-spec hashes.
 func TestEntryFromStoreValidation(t *testing.T) {
 	dev := gpu.RTX2070()
 	p := tinyCase().P
@@ -143,72 +144,67 @@ func TestEntryFromStoreValidation(t *testing.T) {
 	}
 	se, _ := st.Get(key)
 
-	if _, err := EntryFromStore(se, 4, false); err != nil {
-		t.Fatalf("clean entry rejected without verify: %v", err)
+	if _, err := EntryForKey(se, dev.Name, p, 4, cfg); err != nil {
+		t.Fatalf("hit check rejected a clean entry: %v", err)
 	}
-	if _, err := EntryFromStore(se, 4, true); err != nil {
-		t.Fatalf("clean entry rejected with verify: %v", err)
-	}
-	if err := VerifyEntry(se); err != nil {
-		t.Fatalf("VerifyEntry rejected a clean entry: %v", err)
+	if _, err := EntryFromStore(se); err != nil {
+		t.Fatalf("full check rejected a clean entry: %v", err)
 	}
 
-	// Wrong-device payload fails the always-on cheap check.
-	bad := se
-	wrong := e
-	wrong.Device = "v100"
-	bad.Payload, _ = json.Marshal(wrong)
-	if _, err := EntryFromStore(bad, 4, false); err == nil || !strings.Contains(err.Error(), "device") {
-		t.Fatalf("device mismatch accepted: %v", err)
+	// The hit check rejects a payload that differs from the looked-up
+	// inputs in any one of them.
+	other := cfg
+	other.LDGGap++
+	otherP := p
+	otherP.N *= 2
+	for _, c := range []struct {
+		name   string
+		poison func(*Entry)
+	}{
+		{"device", func(e *Entry) { e.Device = "v100" }},
+		{"shape", func(e *Entry) { e.Shape = otherP }},
+		{"problem", func(e *Entry) { e.Problem = otherP.Key() }},
+		{"waves", func(e *Entry) { e.Waves = 8 }},
+		{"config", func(e *Entry) { e.Config = other }},
+		{"config key", func(e *Entry) { e.ConfigKey = other.Key() }},
+	} {
+		wrong := e
+		c.poison(&wrong)
+		bad := se
+		bad.Payload, _ = json.Marshal(wrong)
+		if _, err := EntryForKey(bad, dev.Name, p, 4, cfg); err == nil || !strings.Contains(err.Error(), "not the "+cfg.Key()) {
+			t.Errorf("hit check accepted a payload with another %s: %v", c.name, err)
+		}
 	}
 
-	// Wrong waves fails the mode check.
-	bad = se
-	wrong = e
-	wrong.Waves = 8
-	bad.Payload, _ = json.Marshal(wrong)
-	if _, err := EntryFromStore(bad, 4, false); err == nil || !strings.Contains(err.Error(), "waves") {
-		t.Fatalf("waves mismatch accepted: %v", err)
-	}
-
-	// A config-key drift passes the cheap tier (content is internally
-	// addressed) but fails the verify tier — the -storeverify contract.
-	bad = se
-	wrong = e
-	wrong.ConfigKey = "drifted"
-	bad.Payload, _ = json.Marshal(wrong)
-	if _, err := EntryFromStore(bad, 4, false); err != nil {
-		t.Fatalf("cheap tier ran the expensive round-trip: %v", err)
-	}
-	if _, err := EntryFromStore(bad, 4, true); err == nil || !strings.Contains(err.Error(), "round-trip") {
-		t.Fatalf("config drift survived verify: %v", err)
-	}
-
-	// A kernel-hash drift in the key likewise only trips verify.
-	badKey := se
-	badKey.Key.KernelHash = "000000000000000000000000"
-	if _, err := EntryFromStore(badKey, 4, false); err != nil {
-		t.Fatalf("cheap tier checked the kernel hash: %v", err)
-	}
-	if _, err := EntryFromStore(badKey, 4, true); err == nil || !strings.Contains(err.Error(), "kernel source hash") {
-		t.Fatalf("kernel hash drift survived verify: %v", err)
-	}
-
-	// A device-spec drift in the key only trips verify too.
-	badKey = se
-	badKey.Key.DeviceHash = "ffffffffffffffffffffffff"
-	if _, err := EntryFromStore(badKey, 4, true); err == nil || !strings.Contains(err.Error(), "device spec hash") {
-		t.Fatalf("device hash drift survived verify: %v", err)
+	// The full check rejects what its key cannot vouch for.
+	for _, c := range []struct {
+		name, want string
+		poison     func(*Entry, *store.Key)
+	}{
+		{"device", "device", func(e *Entry, _ *store.Key) { e.Device = "v100" }},
+		{"waves", "waves", func(e *Entry, _ *store.Key) { e.Waves = 8 }},
+		{"config key", "round-trip", func(e *Entry, _ *store.Key) { e.ConfigKey = "drifted" }},
+		{"kernel hash", "kernel source hash", func(_ *Entry, k *store.Key) { k.KernelHash = "000000000000000000000000" }},
+		{"device hash", "device spec hash", func(_ *Entry, k *store.Key) { k.DeviceHash = "ffffffffffffffffffffffff" }},
+	} {
+		wrong, bad := e, se
+		c.poison(&wrong, &bad.Key)
+		bad.Payload, _ = json.Marshal(wrong)
+		if _, err := EntryFromStore(bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("full check accepted a drifted %s: %v", c.name, err)
+		}
 	}
 }
 
 // TestTuneQuarantinesPoisonedStoreEntry drives the quarantine path end
-// to end: a store entry whose payload disagrees with its address is
-// warned about and re-simulated, and the run still succeeds with the
-// same tables a clean run renders.
+// to end: a store entry whose payload is not the measurement its key was
+// derived from is warned about and re-simulated, and the run still
+// succeeds with the same tables a clean run renders. Both poisonings
+// keep the key and a valid content hash.
 func TestTuneQuarantinesPoisonedStoreEntry(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates the tiny lattice twice")
+		t.Skip("simulates the tiny lattice three times")
 	}
 	dev := gpu.RTX2070()
 	cases := []Case{tinyCase()}
@@ -219,42 +215,51 @@ func TestTuneQuarantinesPoisonedStoreEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := Report(dev, results).Format()
+	entries := clean.Entries()
+	if len(entries) < 2 {
+		t.Fatalf("the clean run stored %d entries, want at least 2", len(entries))
+	}
 
-	// Poison one entry: same key and self-consistent hash, but a payload
-	// claiming different waves than the key's mode.
-	poisoned := store.New()
-	for i, se := range clean.Entries() {
-		if i == 0 {
-			var e Entry
-			if err := json.Unmarshal(se.Payload, &e); err != nil {
-				t.Fatal(err)
-			}
+	for _, c := range []struct {
+		name   string
+		poison func() Entry // the payload to store under entries[0]'s key
+	}{
+		{"a payload claiming other waves than the key's mode", func() Entry {
+			e := mustEntry(t, entries[0])
 			e.Waves = 99
-			if err := poisoned.Put(se.Key, e); err != nil {
+			return e
+		}},
+		{"another candidate's payload", func() Entry { return mustEntry(t, entries[1]) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			poisoned := store.New()
+			for i, se := range entries {
+				e := mustEntry(t, se)
+				if i == 0 {
+					e = c.poison()
+				}
+				if err := poisoned.Put(se.Key, e); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var warnings []string
+			tn := &Tuner{Dev: dev, Budget: 4, Workers: 2,
+				Warnf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }}
+			reResults, _, err := tn.Tune(poisoned, cases)
+			if err != nil {
 				t.Fatal(err)
 			}
-			continue
-		}
-		if err := poisoned.Put(se.Key, mustEntry(t, se)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var warnings []string
-	tn := &Tuner{Dev: dev, Budget: 4, Workers: 2,
-		Warnf: func(format string, args ...any) { warnings = append(warnings, fmt.Sprintf(format, args...)) }}
-	reResults, _, err := tn.Tune(poisoned, cases)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "quarantined") {
-		t.Fatalf("expected one quarantine warning, got %v", warnings)
-	}
-	if reResults[0].Simulated != 1 {
-		t.Fatalf("poisoned entry should re-simulate exactly once, simulated %d", reResults[0].Simulated)
-	}
-	if got := Report(dev, reResults).Format(); got != want {
-		t.Fatal("re-simulated run renders different tables")
+			if len(warnings) != 1 || !strings.Contains(warnings[0], "quarantined") {
+				t.Fatalf("expected one quarantine warning, got %v", warnings)
+			}
+			if reResults[0].Simulated != 1 {
+				t.Fatalf("poisoned entry should re-simulate exactly once, simulated %d", reResults[0].Simulated)
+			}
+			if got := Report(dev, reResults).Format(); got != want {
+				t.Fatal("re-simulated run renders different tables")
+			}
+		})
 	}
 }
 

@@ -58,7 +58,9 @@ type Result struct {
 // cold and warm runs render identically. The
 // persistent layer is the content-addressed experiment store: hits are
 // measurements whose kernel source and device spec still hash to the
-// stored key, so stale results miss instead of being served.
+// stored key, so stale results miss instead of being served, and a hit
+// whose payload measures anything but the candidate looked up is
+// quarantined and re-simulated.
 type Tuner struct {
 	Dev    gpu.Device
 	Space  Space
@@ -73,12 +75,6 @@ type Tuner struct {
 	// results: tables need the whole lattice, which only the merged
 	// store has.
 	Shard Shard
-	// VerifyStore forces the full key round-trip check on every store
-	// hit (config/shape canonicalization, kernel and device-spec
-	// rehashing). Off by default: store.Load has already certified
-	// payload bytes against their content hash, so untouched entries
-	// skip the expensive validation.
-	VerifyStore bool
 	// Warnf, when set, receives quarantine warnings for store entries
 	// that fail validation (the entry is skipped and re-simulated, the
 	// run never fails on corrupt data — tune's cold-cache policy).
@@ -170,7 +166,7 @@ func (t *Tuner) Tune(st *store.Store, cases []Case) ([]Result, *bench.RunStats, 
 		pl.mine = append(pl.mine, k.cfg)
 		pl.keys[k.cfg.Key()] = k.key
 		if se, ok := st.Get(k.key); ok {
-			e, err := EntryFromStore(se, t.waves(), t.VerifyStore)
+			e, err := EntryForKey(se, t.Dev.Name, cases[k.ci].P, t.waves(), k.cfg)
 			if err != nil {
 				t.warnf("%v (quarantined, re-simulating)", err)
 			} else {

@@ -1,0 +1,456 @@
+package repro
+
+import (
+	"go/ast"
+	"go/importer"
+	"go/token"
+	"go/types"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// The reachability core behind TestNoTestOnlyExports: a reference graph
+// over the package-level declarations of type-checked source packages,
+// walked from a set of roots. It knows nothing of how the packages were
+// loaded, so TestReachRules drives it from in-memory fixtures.
+
+// srcPkg is one package type-checked from its non-test source files.
+type srcPkg struct {
+	pkg   *types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// newInfo returns the types.Info the graph reads.
+func newInfo() *types.Info {
+	return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+}
+
+// roots says which declarations of the source packages are roots of the
+// walk. Every init function and every initializer of a blank
+// package-level var is one as well.
+type roots struct {
+	mains func(path string) bool // packages whose main function is a root
+	whole func(path string) bool // packages all of whose declarations are roots
+	keys  map[string]string      // further roots by objKey, with reasons
+}
+
+// deadCode walks the reference graph of pkgs from r and returns the
+// package-level funcs, methods, types, vars and consts of the packages
+// report selects that no root reaches, in source order. It also returns
+// the problems of r.keys: a key that names no declaration, and a key
+// that the other roots reach already.
+func deadCode(fset *token.FileSet, pkgs []*srcPkg, r roots, report func(path string) bool) (dead []types.Object, keyErrs []string) {
+	g := newGraph(pkgs)
+	for _, p := range pkgs {
+		path := p.pkg.Path()
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				g.addDecl(p.info, d, r.whole(path), r.mains(path) && p.pkg.Name() == "main")
+			}
+		}
+	}
+	g.walk()
+
+	byKey := map[string]types.Object{}
+	for _, obj := range g.decls {
+		byKey[objKey(obj)] = obj
+	}
+	keys := make([]string, 0, len(r.keys))
+	for k := range r.keys {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		switch obj := byKey[k]; {
+		case obj == nil:
+			keyErrs = append(keyErrs, k+" names no package-level identifier or method of the module")
+		case g.reached[obj]:
+			keyErrs = append(keyErrs, k+" is reached without its entry")
+		default:
+			g.reach(obj)
+		}
+	}
+	g.walk()
+
+	for _, obj := range g.decls {
+		if !g.reached[obj] && report(obj.Pkg().Path()) {
+			dead = append(dead, obj)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool {
+		a, b := fset.Position(dead[i].Pos()), fset.Position(dead[j].Pos())
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Offset < b.Offset
+	})
+	return dead, keyErrs
+}
+
+// graph is the reference graph: an edge runs from a package-level
+// declaration to every package-level object of the source packages that
+// it names.
+type graph struct {
+	src     map[*types.Package]bool
+	decls   []types.Object // every package-level object of the source packages
+	edges   map[types.Object][]types.Object
+	reached map[types.Object]bool
+	queue   []types.Object
+
+	// The interface rule. ifaces holds, by method name, the interfaces
+	// one of whose methods of that name is reached; every
+	// standard-library interface is there from the start. types holds
+	// the reached concrete named types of the source packages.
+	ifaces map[string][]*types.Interface
+	types  []*types.Named
+}
+
+func newGraph(pkgs []*srcPkg) *graph {
+	g := &graph{
+		src:     map[*types.Package]bool{},
+		edges:   map[types.Object][]types.Object{},
+		reached: map[types.Object]bool{},
+		ifaces:  map[string][]*types.Interface{},
+	}
+	for _, p := range pkgs {
+		g.src[p.pkg] = true
+	}
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		if !g.src[p] {
+			for _, name := range p.Scope().Names() {
+				tn, ok := p.Scope().Lookup(name).(*types.TypeName)
+				if !ok {
+					continue
+				}
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+					if it, ok := n.Underlying().(*types.Interface); ok && it.IsMethodSet() {
+						g.addIface(it)
+					}
+				}
+			}
+		}
+		for _, q := range p.Imports() {
+			visit(q)
+		}
+	}
+	for _, p := range pkgs {
+		visit(p.pkg)
+	}
+	g.addIface(types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	return g
+}
+
+// addIface counts every method of it as reached.
+func (g *graph) addIface(it *types.Interface) {
+	for i := 0; i < it.NumMethods(); i++ {
+		name := it.Method(i).Name()
+		g.ifaces[name] = append(g.ifaces[name], it)
+	}
+}
+
+// addDecl adds the objects d declares and their edges. A declaration of
+// a whole-root package is a root, and so is main when isMain is set.
+func (g *graph) addDecl(info *types.Info, d ast.Decl, whole, isMain bool) {
+	switch d := d.(type) {
+	case *ast.FuncDecl:
+		refs := g.refs(info, d)
+		if d.Recv == nil && d.Name.Name == "init" {
+			g.reach(refs...)
+			return
+		}
+		obj := info.Defs[d.Name]
+		g.declare(obj, refs, whole || isMain && d.Recv == nil && d.Name.Name == "main")
+	case *ast.GenDecl:
+		var group []types.Object // the names of a const group that uses iota
+		if d.Tok == token.CONST && usesIota(info, d) {
+			for _, s := range d.Specs {
+				for _, n := range s.(*ast.ValueSpec).Names {
+					if n.Name != "_" {
+						group = append(group, info.Defs[n])
+					}
+				}
+			}
+		}
+		for _, s := range d.Specs {
+			switch s := s.(type) {
+			case *ast.TypeSpec:
+				obj := info.Defs[s.Name]
+				g.declare(obj, g.refs(info, s), whole)
+				if it, ok := s.Type.(*ast.InterfaceType); ok {
+					for _, m := range it.Methods.List {
+						for _, n := range m.Names {
+							g.declare(info.Defs[n], g.refs(info, m.Type), whole)
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				refs := append(g.refs(info, s), group...)
+				for _, n := range s.Names {
+					switch {
+					case n.Name != "_":
+						g.declare(info.Defs[n], refs, whole)
+					case d.Tok == token.VAR:
+						g.reach(refs...)
+					}
+				}
+			}
+		}
+	}
+}
+
+func (g *graph) declare(obj types.Object, refs []types.Object, root bool) {
+	if obj == nil {
+		return // a blank type or method name
+	}
+	g.decls = append(g.decls, obj)
+	g.edges[obj] = refs
+	if root {
+		g.reach(obj)
+	}
+}
+
+// usesIota reports whether a const declaration names iota.
+func usesIota(info *types.Info, d *ast.GenDecl) bool {
+	iota := types.Universe.Lookup("iota")
+	found := false
+	ast.Inspect(d, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == iota {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// refs returns the package-level objects of the source packages that n
+// names, each once. A use of a generic instantiation counts for its
+// origin.
+func (g *graph) refs(info *types.Info, n ast.Node) []types.Object {
+	var out []types.Object
+	seen := map[types.Object]bool{}
+	ast.Inspect(n, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := info.Uses[id]
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		if obj == nil || !g.src[obj.Pkg()] || seen[obj] {
+			return true
+		}
+		if _, ok := obj.(*types.Func); !ok && obj.Parent() != obj.Pkg().Scope() {
+			return true // a field, a parameter or a local
+		}
+		seen[obj] = true
+		out = append(out, obj)
+		return true
+	})
+	return out
+}
+
+func (g *graph) reach(objs ...types.Object) {
+	for _, obj := range objs {
+		if !g.reached[obj] {
+			g.reached[obj] = true
+			g.queue = append(g.queue, obj)
+		}
+	}
+}
+
+// walk reaches everything the reached objects reach, through edges and
+// through the interface rule, to a fixpoint.
+func (g *graph) walk() {
+	for len(g.queue) > 0 {
+		for len(g.queue) > 0 {
+			obj := g.queue[len(g.queue)-1]
+			g.queue = g.queue[:len(g.queue)-1]
+			g.reach(g.edges[obj]...)
+			switch obj := obj.(type) {
+			case *types.Func:
+				recv := obj.Type().(*types.Signature).Recv()
+				if recv == nil {
+					break
+				}
+				if n, ok := recv.Type().(*types.Named); ok && n.TypeParams().Len() > 0 {
+					break
+				}
+				if it, ok := recv.Type().Underlying().(*types.Interface); ok {
+					g.ifaces[obj.Name()] = append(g.ifaces[obj.Name()], it)
+				}
+			case *types.TypeName:
+				if n, ok := obj.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+					g.types = append(g.types, n)
+				}
+			}
+		}
+		g.implement()
+	}
+}
+
+// implement applies the interface rule: a method is reached when a
+// reached concrete type implements, through it, an interface whose
+// method of that name is reached.
+func (g *graph) implement() {
+	for _, t := range g.types {
+		ptr := types.NewPointer(t)
+		ms := types.NewMethodSet(ptr)
+		for i := 0; i < ms.Len(); i++ {
+			m := ms.At(i).Obj().(*types.Func).Origin()
+			if g.reached[m] || !g.src[m.Pkg()] {
+				continue
+			}
+			for _, it := range g.ifaces[m.Name()] {
+				if types.Implements(t, it) || types.Implements(ptr, it) {
+					g.reach(m)
+					break
+				}
+			}
+		}
+	}
+}
+
+// objKey names a package-level object as "pkgpath.Name" and a method as
+// "pkgpath.Type.Method".
+func objKey(obj types.Object) string {
+	if f, ok := obj.(*types.Func); ok {
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if n, ok := t.(*types.Named); ok {
+				return f.Pkg().Path() + "." + n.Origin().Obj().Name() + "." + f.Name()
+			}
+		}
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// kindOf names obj's kind for a report.
+func kindOf(obj types.Object) string {
+	switch obj := obj.(type) {
+	case *types.Func:
+		if obj.Type().(*types.Signature).Recv() != nil {
+			return "method"
+		}
+		return "func"
+	case *types.TypeName:
+		return "type"
+	case *types.Const:
+		return "const"
+	}
+	return "var"
+}
+
+// TestReachRules pins each rule of the graph on a fixture: a library
+// package fix/internal/a, which is reported, and a command fix/cmd/app,
+// whose main is the root.
+func TestReachRules(t *testing.T) {
+	for _, c := range []struct {
+		name, lib, app string
+		dead           []string // objKeys under fix/internal/a
+	}{{
+		name: "an unused unexported func",
+		lib:  "func Used() {}\nfunc unused() {}",
+		app:  "a.Used()",
+		dead: []string{"unused"},
+	}, {
+		name: "an exported func only an unused func calls",
+		lib:  "func Used() {}\nfunc unused() { Chained() }\nfunc Chained() {}",
+		app:  "a.Used()",
+		dead: []string{"Chained", "unused"},
+	}, {
+		name: "a method only a test calls",
+		lib:  "type T struct{}\nfunc (T) Used() {}\nfunc (T) TestOnly() {}",
+		app:  "a.T{}.Used()",
+		dead: []string{"T.TestOnly"},
+	}, {
+		name: "a generic type's method only a test calls",
+		lib:  "type Flight[V any] struct{ v V }\nfunc (f *Flight[V]) Do() V { return f.v }\nfunc (f *Flight[V]) TestOnly() V { return f.v }",
+		app:  "var f a.Flight[int]\n_ = f.Do()",
+		dead: []string{"Flight.TestOnly"},
+	}, {
+		name: "a method fmt.Stringer keeps",
+		lib:  "type Name int\nfunc (Name) String() string { return \"n\" }",
+		app:  "fmt.Println(a.Name(1))",
+	}, {
+		name: "a method a module interface keeps while its method is called",
+		lib:  "type Runner interface{ Run() }\ntype job struct{}\nfunc (job) Run() {}\nfunc (job) Other() {}\nfunc New() Runner { return job{} }",
+		app:  "a.New().Run()",
+		dead: []string{"job.Other"},
+	}, {
+		name: "a module interface whose method is not called",
+		lib:  "type Runner interface{ Run() }\ntype job struct{}\nfunc (job) Run() {}\nfunc New() Runner { return job{} }",
+		app:  "_ = a.New()",
+		dead: []string{"Runner.Run", "job.Run"},
+	}, {
+		name: "an iota group's unused zero member",
+		lib:  "type Kind uint8\nconst (\n\tkindOther Kind = iota\n\tKindA\n)\nconst (\n\tunset = 1\n\tSet = 2\n)",
+		app:  "_, _ = a.KindA, a.Set",
+		dead: []string{"unset"},
+	}, {
+		name: "a blank var initializer",
+		lib:  "func Used() {}\nvar _ = register()\nfunc register() int { return 1 }",
+		app:  "a.Used()",
+	}} {
+		t.Run(c.name, func(t *testing.T) {
+			dead := reachFixture(t, map[string]string{
+				"fix/internal/a": "package a\n" + c.lib,
+				"fix/cmd/app":    "package main\nimport (\n\t\"fmt\"\n\t\"fix/internal/a\"\n)\nvar _ = fmt.Sprint\nfunc main() {\n" + c.app + "\n}",
+			})
+			var want []string
+			for _, k := range c.dead {
+				want = append(want, "fix/internal/a."+k)
+			}
+			sort.Strings(dead)
+			if !reflect.DeepEqual(dead, want) {
+				t.Errorf("dead = %v, want %v", dead, want)
+			}
+		})
+	}
+}
+
+// reachFixture type-checks the fixture packages (import path → source)
+// from a temporary directory and returns the objKeys deadCode reports
+// under fix/internal.
+func reachFixture(t *testing.T, srcs map[string]string) []string {
+	fset := token.NewFileSet()
+	l := newSrcImporter(fset, importer.ForCompiler(fset, "gc", nil))
+	dir := t.TempDir()
+	for path, src := range srcs {
+		name := filepath.Join(dir, strings.ReplaceAll(path, "/", "_")+".go")
+		if err := os.WriteFile(name, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l.files[path] = []string{name}
+	}
+	pkgs, err := l.checkAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead, keyErrs := deadCode(fset, pkgs, roots{mains: under("fix/cmd"), whole: under("fix/benchmark")}, under("fix/internal"))
+	if len(keyErrs) != 0 {
+		t.Fatal(keyErrs)
+	}
+	var keys []string
+	for _, obj := range dead {
+		keys = append(keys, objKey(obj))
+	}
+	return keys
+}
