@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/store"
 )
@@ -121,6 +122,59 @@ func TestTuneStoreGolden(t *testing.T) {
 	}
 	if want := strings.Count(lsOut, "\n") - 1; want != st.Len() {
 		t.Errorf("ls listed %d entries, store holds %d", want, st.Len())
+	}
+}
+
+// TestWarmTuneLeavesStoreAlone: a warm tune that adds nothing to a store
+// that loaded clean does not write the file, so its bytes and mtime stay
+// as they were; a store that loaded with a quarantined entry is still
+// rewritten, without that entry.
+func TestWarmTuneLeavesStoreAlone(t *testing.T) {
+	golden, err := os.ReadFile(storeGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "store.json")
+	if err := os.WriteFile(path, golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	past := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	tune := func() string {
+		t.Helper()
+		_, errOut, code := runCapture(t, "-quick", "-budget", "6", "-jobs", "2", "-store", path, "tune")
+		if code != 0 || !strings.Contains(errOut, ": 0 candidates simulated") {
+			t.Fatalf("warm tune exited %d: %s", code, errOut)
+		}
+		return errOut
+	}
+	tune()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fi.ModTime().Equal(past) {
+		t.Errorf("warm tune wrote the store: mtime %v, want %v", fi.ModTime(), past)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden) {
+		t.Error("warm tune changed the store's bytes")
+	}
+
+	// The first entry twice: Load quarantines the copy, so the file is
+	// rewritten as the golden.
+	first := bytes.Index(golden, []byte("\n    {"))
+	end := bytes.Index(golden, []byte("\n    }")) + len("\n    }")
+	dup := append(append(append([]byte(nil), golden[:end]...), ','), golden[first:]...)
+	if err := os.WriteFile(path, dup, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if errOut := tune(); !strings.Contains(errOut, "duplicate key") {
+		t.Errorf("no quarantine warning for the repeated entry: %s", errOut)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, golden) {
+		t.Error("warm tune did not rewrite the store without its quarantined entry")
 	}
 }
 

@@ -52,12 +52,14 @@ func runTune(o tuneOpts, stdout, stderr io.Writer) int {
 	}
 
 	st := store.New()
+	loadedClean := false // the store file held entries and loaded without a warning
 	if o.storePath != "" {
 		var rep *store.LoadReport
 		st, rep = store.Load(o.storePath)
 		for _, w := range rep.Warnings {
 			fmt.Fprintln(stderr, w)
 		}
+		loadedClean = st.Len() > 0 && len(rep.Warnings) == 0
 	}
 
 	tuner := &tune.Tuner{Dev: dev, Budget: o.budget, Waves: o.waves, Workers: o.jobs,
@@ -83,16 +85,17 @@ func runTune(o tuneOpts, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if o.storePath != "" {
+	simulated := 0 // also the entries the run put into the store
+	for _, r := range results {
+		simulated += r.Simulated
+	}
+	// A run that added nothing to a store that loaded clean leaves its
+	// file alone: Save would only rewrite the entries it already holds.
+	if o.storePath != "" && (simulated > 0 || !loadedClean) {
 		if err := st.Save(o.storePath); err != nil {
 			fmt.Fprintf(stderr, "winograd-bench tune: saving store: %v\n", err)
 			return 1
 		}
-	}
-
-	simulated := 0
-	for _, r := range results {
-		simulated += r.Simulated
 	}
 	shardNote := ""
 	if sharded {

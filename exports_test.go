@@ -20,11 +20,14 @@ import (
 
 // testOnlyExports names the exported identifiers of internal/ that no
 // binary reaches but that stay exported on purpose, each with its
-// reason; TestNoTestOnlyExports takes them as roots. Keys are
-// "pkgpath.Name" or "pkgpath.Type.Method". The list only shrinks: new
-// code that only tests call goes beside those tests, and an entry whose
-// identifier the other roots reach, or that disappears, is reported
-// stale so that it is dropped.
+// reason; TestNoTestOnlyExports takes them as roots. It also names the
+// test seams: exported fields that binaries read but only tests set.
+// Keys are "pkgpath.Name", "pkgpath.Type.Method" or
+// "pkgpath.Type.Field". The list only shrinks: new code that only tests
+// call goes beside those tests, a value that only tests set is deleted
+// or made a constant, and an entry whose identifier the other roots
+// reach, whose field reached code writes, or that disappears, is
+// reported stale so that it is dropped.
 var testOnlyExports = map[string]string{
 	// The perf gate's harness runs from internal/perf's tests by design
 	// (go test ./internal/perf -benchjson / -perfdiff).
@@ -40,6 +43,16 @@ var testOnlyExports = map[string]string{
 	"repro/internal/sass.EncodeAll":               "encodes instruction lists in the tests of sass, kernels, turingas and sasscheck",
 	"repro/internal/tensor.Tensor.ToFilterLayout": "relayouts filters in the tests of tensor, conv and cudart",
 	"repro/internal/tune.StoreKey":                "derives store keys in the tests of tune and serve; the tuner itself calls storeKey",
+
+	// Test seams: binaries run with the zero value.
+	"repro/internal/gpu.Profiler.MaxEvents":            "TestProfileEventCap caps the timeline's events to check the cap; binaries keep the default",
+	"repro/internal/gpu.Profiler.MaxSpans":             "TestProfileEventCap caps the timeline's spans to check the cap; binaries keep the default",
+	"repro/internal/kernels.ConvOpts.Oracle":           "TestGeneratedKernelsOracleClean attaches the shared-memory oracle to real kernel runs",
+	"repro/internal/microbench.Options.Machine":        "TestPerturbationDetected and TestCalibrateRejectsInvalidSpec calibrate against a perturbed or invalid machine",
+	"repro/internal/winograd.Options.BlockK":           "tail-block tests (TestFusedF2SmallBlocks, TestConv2DRejectsOversizeBlocks, TestDifferentialAlgorithms) and BenchmarkCPUWinogradBlockK*",
+	"repro/internal/winograd.Options.BlockN":           "tail-block tests (TestFusedF2SmallBlocks, TestConv2DRejectsOversizeBlocks, TestDifferentialAlgorithms)",
+	"repro/internal/winograd.Options.BlockC":           "tail-block tests (TestFusedF2SmallBlocks, TestConv2DRejectsOversizeBlocks, TestDifferentialAlgorithms)",
+	"repro/internal/sasscheck.VerifyOpts.NoExemptions": "TestScatterExemptionStillNeeded, TestSmemLayoutsConflictFree, TestGeneratedKernelsOracleClean and TestCheckSmem; goes with the exemption list (ROADMAP item 9)",
 }
 
 // TestNoTestOnlyExports fails on every package-level func, method, type,
@@ -48,11 +61,14 @@ var testOnlyExports = map[string]string{
 // module (../benchmark, which builds against the serving API) from
 // their roots: the main functions of cmd/ and examples/, every non-test
 // declaration of benchmark/, init functions, blank var initializers and
-// the testOnlyExports entries. reach_test.go holds the graph and its
-// rules; this test loads the packages.
+// the testOnlyExports entries. It also fails on every exported field of
+// a package-level named struct type in internal/ that reached code reads
+// but none sets, unless testOnlyExports names it as a test seam: a
+// settable value that no binary sets. reach_test.go holds the graph and
+// its rules; this test loads the packages.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset, pkgs := loadModule(t)
-	dead, keyErrs := deadCode(fset, pkgs, roots{
+	dead, unset, keyErrs := deadCode(fset, pkgs, roots{
 		mains: under("repro/cmd", "repro/examples"),
 		whole: under("repro/benchmark"),
 		keys:  testOnlyExports,
@@ -63,6 +79,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, obj := range dead {
 		t.Errorf("%s: %s %s is reached by no binary: delete it, or move it into the _test.go file of its callers",
 			fset.Position(obj.Pos()), kindOf(obj), objKey(obj))
+	}
+	for _, f := range unset {
+		t.Errorf("%s: field %s is read but no binary sets it, so every binary reads its zero value: delete it or make it a constant",
+			fset.Position(f.v.Pos()), f.key)
 	}
 }
 
@@ -80,8 +100,9 @@ func under(dirs ...string) func(path string) bool {
 
 // loadModule type-checks the non-test files of this module and of the
 // benchmark module, each package once so that all of them share one set
-// of objects. Everything else comes from the gc export data that
-// `go list -export` names.
+// of objects. Everything else comes from gc export data. `go list -deps`
+// names the packages; `go list -export` then runs on the others alone,
+// since export data for a module package would mean compiling it.
 func loadModule(t *testing.T) (*token.FileSet, []*srcPkg) {
 	type listed struct {
 		ImportPath, Dir, Export string
@@ -95,9 +116,7 @@ func loadModule(t *testing.T) (*token.FileSet, []*srcPkg) {
 		wg.Add(1)
 		go func(i int, dir string) {
 			defer wg.Done()
-			cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
-			cmd.Dir = dir
-			outs[i], errs[i] = cmd.Output()
+			outs[i], errs[i] = goList(dir, "-deps", "-json=ImportPath,Dir,GoFiles", "./...")
 		}(i, dir)
 	}
 	wg.Wait()
@@ -110,35 +129,53 @@ func loadModule(t *testing.T) (*token.FileSet, []*srcPkg) {
 		}
 		return os.Open(f)
 	}))
-	for i, dir := range dirs {
-		if errs[i] != nil {
-			var stderr []byte
-			if ee, ok := errs[i].(*exec.ExitError); ok {
-				stderr = ee.Stderr
-			}
-			t.Fatalf("go list in %s: %v\n%s", dir, errs[i], stderr)
-		}
-		for dec := json.NewDecoder(bytes.NewReader(outs[i])); dec.More(); {
+	decode := func(what string, out []byte, each func(p listed)) {
+		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 			var p listed
 			if err := dec.Decode(&p); err != nil {
-				t.Fatalf("go list in %s: %v", dir, err)
+				t.Fatalf("go list %s: %v", what, err)
 			}
+			each(p)
+		}
+	}
+	exportArgs := []string{"-export", "-json=ImportPath,Export"} // then the packages outside the modules
+	for i, dir := range dirs {
+		if errs[i] != nil {
+			t.Fatalf("go list in %s: %v", dir, errs[i])
+		}
+		decode("in "+dir, outs[i], func(p listed) {
 			if p.ImportPath != "repro" && !strings.HasPrefix(p.ImportPath, "repro/") {
-				export[p.ImportPath] = p.Export
-				continue
+				exportArgs = append(exportArgs, p.ImportPath)
+				return
 			}
 			var names []string
 			for _, name := range p.GoFiles {
 				names = append(names, filepath.Join(p.Dir, name))
 			}
 			l.files[p.ImportPath] = names
-		}
+		})
 	}
+	out, err := goList(".", exportArgs...)
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	decode("-export", out, func(p listed) { export[p.ImportPath] = p.Export })
 	pkgs, err := l.checkAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fset, pkgs
+}
+
+// goList runs go list in dir, with its stderr in the error.
+func goList(dir string, args ...string) ([]byte, error) {
+	cmd := exec.Command("go", append([]string{"list"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); ok {
+		err = fmt.Errorf("%v\n%s", err, ee.Stderr)
+	}
+	return out, err
 }
 
 // srcImporter type-checks the packages it has files for from source,

@@ -55,11 +55,6 @@ type Sample struct {
 	Occ           gpu.Occupancy
 	TotalBlocks   int
 	Metrics       *gpu.Metrics
-	// KernelHash is the content hash of the generated kernel this sample
-	// measured (kernels.HashKernel) — the result-provenance field the
-	// experiment store keys on. It names the exact instruction stream, so
-	// a sample can be tied to a store entry without regenerating.
-	KernelHash string
 	// Prof and FTFProf are the main-kernel and filter-transform launch
 	// profiles; nil unless the Ctx has Profile set.
 	Prof    *gpu.LaunchProfile
@@ -124,7 +119,6 @@ func (c *Ctx) simulate(j Job) (*Sample, error) {
 	}
 	gx, gy, gz := kernels.GridFor(j.Cfg, j.P)
 	s := &Sample{
-		KernelHash:    kernels.HashKernel(k),
 		CyclesPerWave: float64(res.Main.Cycles) / float64(c.waves()),
 		FLOPsPerWave:  res.Main.FLOPs() / float64(c.waves()) / float64(res.Main.SimSMs),
 		SOL:           res.Main.SOL(),

@@ -8,7 +8,7 @@
 // Following the convention of CNN frameworks (and the paper's Equation 4),
 // "convolution" here means cross-correlation:
 //
-//	O[k,y,x,n] = sum_{c,r,s} I[c, y*stride+r-pad, x*stride+s-pad, n] * F[c,r,s,k]
+//	O[k,y,x,n] = sum_{c,r,s} I[c, y+r-pad, x+s-pad, n] * F[c,r,s,k]
 package conv
 
 import (
@@ -20,25 +20,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// Params describes the convolution geometry.
+// Params describes the convolution geometry. Every convolution here runs
+// at stride 1.
 type Params struct {
-	Stride int // spatial stride (both dimensions); 0 means 1
-	Pad    int // symmetric zero padding (both dimensions)
-}
-
-func (p Params) stride() int {
-	if p.Stride <= 0 {
-		return 1
-	}
-	return p.Stride
+	Pad int // symmetric zero padding (both dimensions)
 }
 
 // OutputShape returns the logical (N, K, OH, OW) output shape for an input
 // of shape in and filter of shape f under p.
 func OutputShape(in tensor.Shape4, f tensor.FilterShape, p Params) (n, k, oh, ow int) {
-	s := p.stride()
-	oh = (in.H+2*p.Pad-f.R)/s + 1
-	ow = (in.W+2*p.Pad-f.S)/s + 1
+	oh = in.H + 2*p.Pad - f.R + 1
+	ow = in.W + 2*p.Pad - f.S + 1
 	return in.N, f.K, oh, ow
 }
 
@@ -79,7 +71,6 @@ func direct(in, flt *tensor.Tensor, p Params, workers int) (*tensor.Tensor, erro
 		return nil, err
 	}
 	_, _, oh, ow := OutputShape(is, fs, p)
-	st := p.stride()
 	out := tensor.New(tensor.NCHW, is.N, fs.K, oh, ow)
 	par.For(is.N*fs.K, workers, func(j int) {
 		n, k := j/fs.K, j%fs.K
@@ -88,12 +79,12 @@ func direct(in, flt *tensor.Tensor, p Params, workers int) (*tensor.Tensor, erro
 				var acc float32
 				for c := 0; c < is.C; c++ {
 					for r := 0; r < fs.R; r++ {
-						iy := y*st + r - p.Pad
+						iy := y + r - p.Pad
 						if iy < 0 || iy >= is.H {
 							continue
 						}
 						for s := 0; s < fs.S; s++ {
-							ix := x*st + s - p.Pad
+							ix := x + s - p.Pad
 							if ix < 0 || ix >= is.W {
 								continue
 							}
@@ -120,7 +111,6 @@ func Im2col(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	_, _, oh, ow := OutputShape(is, fs, p)
-	st := p.stride()
 	out := tensor.New(tensor.NCHW, is.N, fs.K, oh, ow)
 
 	// Filter as K x (C*R*S), row-major.
@@ -150,9 +140,9 @@ func Im2col(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
 					for s := 0; s < fs.S; s++ {
 						base := row * oh * ow
 						for y := 0; y < oh; y++ {
-							iy := y*st + r - p.Pad
+							iy := y + r - p.Pad
 							for x := 0; x < ow; x++ {
-								ix := x*st + s - p.Pad
+								ix := x + s - p.Pad
 								var v float32
 								if iy >= 0 && iy < is.H && ix >= 0 && ix < is.W {
 									v = in.ImageAt(n, c, iy, ix)

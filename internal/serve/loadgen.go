@@ -33,15 +33,14 @@ import (
 // idle and rides alone in a padded 32; the k behind it arrive while the
 // head runs and leave together as a full k.
 
-// LoadConfig configures one load-generation run.
+// LoadConfig configures one load-generation run, which serves
+// DemoModel(Seed).
 type LoadConfig struct {
 	Seed     uint64
 	Requests int          // total arrivals across all phases (default 4000)
 	Devices  []gpu.Device // default RTX2070
-	Model    *Model       // default DemoModel(Seed)
-	Policy   Policy
-	Selector Selector // default cold NewTuneSelector(4)
-	Exec     Executor // runs the sampled batches; default Model.Executor()
+	Selector Selector     // default cold NewTuneSelector(4)
+	Exec     Executor     // runs the sampled batches; default the model's Executor()
 	// ExecEvery really executes every k-th dispatched batch (default 23;
 	// < 0 disables sampling).
 	ExecEvery int
@@ -50,21 +49,18 @@ type LoadConfig struct {
 	Jobs int
 }
 
-func (c LoadConfig) withDefaults() LoadConfig {
+func (c LoadConfig) withDefaults(m *Model) LoadConfig {
 	if c.Requests <= 0 {
 		c.Requests = 4000
 	}
 	if len(c.Devices) == 0 {
 		c.Devices = []gpu.Device{gpu.RTX2070()}
 	}
-	if c.Model == nil {
-		c.Model = DemoModel(c.Seed)
-	}
 	if c.Selector == nil {
 		c.Selector = NewTuneSelector(4)
 	}
 	if c.Exec == nil {
-		c.Exec = c.Model.Executor()
+		c.Exec = m.Executor()
 	}
 	if c.ExecEvery == 0 {
 		c.ExecEvery = 23
@@ -143,19 +139,17 @@ type simBatch struct {
 
 // Generate runs the load simulation and builds the report.
 func Generate(cfg LoadConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
-	names := cfg.Model.LayerNames()
-	if len(names) == 0 {
-		return nil, fmt.Errorf("serve: load model has no layers")
-	}
+	model := DemoModel(cfg.Seed)
+	cfg = cfg.withDefaults(model)
+	names := model.LayerNames()
 
 	// One simulated queue per (device, layer), in deterministic order.
 	var queues []*simQueue
 	devs := make([]*simDevice, len(cfg.Devices))
 	for d := range devs {
-		devs[d] = &simDevice{co: newCoalescer[int64](cfg.Policy, len(names))}
+		devs[d] = &simDevice{co: newCoalescer[int64](len(names))}
 		for lane, name := range names {
-			spec, flt, _ := cfg.Model.Layer(name)
+			spec, flt, _ := model.Layer(name)
 			devs[d].queues = append(devs[d].queues, len(queues))
 			queues = append(queues, &simQueue{dev: d, lane: lane, spec: spec, flt: flt})
 		}

@@ -91,18 +91,16 @@ func TestGenerateInFlightCriterion(t *testing.T) {
 	}
 }
 
-// TestGenerateRejectsUnderSmallCap: admission control in the simulation —
-// a tiny queue cap under the burst phase must reject, and rejections
+// TestGenerateRejectsOverload: admission control in the simulation — a
+// burst phase that outruns the queue bound must reject, and rejections
 // must show up in the accounting.
-func TestGenerateRejectsUnderSmallCap(t *testing.T) {
-	cfg := quickLoad(42, 1)
-	cfg.Policy = Policy{QueueCap: 16}
-	rep, err := Generate(cfg)
+func TestGenerateRejectsOverload(t *testing.T) {
+	rep, err := Generate(LoadConfig{Seed: 7, Requests: 20000, ExecEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Rejected == 0 {
-		t.Fatal("burst against QueueCap=16 rejected nothing")
+		t.Fatalf("a burst of %d requests against queueCap=%d rejected nothing", rep.Total, queueCap)
 	}
 	if rep.Accepted+rep.Rejected != rep.Total {
 		t.Fatalf("accounting: %d + %d != %d", rep.Accepted, rep.Rejected, rep.Total)

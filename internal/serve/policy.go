@@ -6,23 +6,11 @@ package serve
 // results apply directly.
 func SweetSpots() []int { return []int{32, 64, 96, 128} }
 
-// Policy is the admission policy of a device's request queues, applied
-// by the coalescer below: the one batch-cut state machine both the live
-// server (serve.go) and the load generator (loadgen.go) drive.
-type Policy struct {
-	// QueueCap is the admission bound per (device, layer) queue: a
-	// request arriving while that many wait to be cut is rejected
-	// immediately (ErrOverloaded) rather than queued into unbounded
-	// latency. Default 4096.
-	QueueCap int
-}
-
-func (p Policy) queueCap() int {
-	if p.QueueCap <= 0 {
-		return 4096
-	}
-	return p.QueueCap
-}
+// queueCap is the admission bound per (device, layer) queue, applied by
+// the coalescer below: a request arriving while that many wait to be cut
+// is rejected immediately (ErrOverloaded) rather than queued into
+// unbounded latency.
+const queueCap = 4096
 
 // batchSize is the sweet spot a cut of pending requests runs at: it
 // takes min(pending, 128) of them and pads up to the next sweet spot
@@ -45,14 +33,14 @@ type cut[T any] struct {
 	n     int
 }
 
-// coalescer is the batch-cut state machine of one device: one FIFO lane
-// per (device, layer) queue. It never reads a clock. A cut is asked for
-// only when the device is free — by the server's dispatcher goroutine
-// in wall time, by the load generator's device-free events in virtual
-// time — so a request on an idle device leaves at once, and a backlog
-// that formed behind a running batch leaves as one batch.
+// coalescer is the batch-cut state machine of one device, which both the
+// live server (serve.go) and the load generator (loadgen.go) drive: one
+// FIFO lane per (device, layer) queue. It never reads a clock. A cut is
+// asked for only when the device is free — by the server's dispatcher
+// goroutine in wall time, by the load generator's device-free events in
+// virtual time — so a request on an idle device leaves at once, and a
+// backlog that formed behind a running batch leaves as one batch.
 type coalescer[T any] struct {
-	p     Policy
 	lanes [][]entry[T] // per queue, oldest first
 	seq   uint64       // arrival counter: orders the lanes' heads
 }
@@ -62,12 +50,12 @@ type entry[T any] struct {
 	seq  uint64
 }
 
-func newCoalescer[T any](p Policy, lanes int) *coalescer[T] {
-	return &coalescer[T]{p: p, lanes: make([][]entry[T], lanes)}
+func newCoalescer[T any](lanes int) *coalescer[T] {
+	return &coalescer[T]{lanes: make([][]entry[T], lanes)}
 }
 
 // admits reports whether one more request may queue in lane.
-func (c *coalescer[T]) admits(lane int) bool { return len(c.lanes[lane]) < c.p.queueCap() }
+func (c *coalescer[T]) admits(lane int) bool { return len(c.lanes[lane]) < queueCap }
 
 // push queues item at the tail of lane.
 func (c *coalescer[T]) push(lane int, item T) {

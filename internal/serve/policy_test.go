@@ -18,21 +18,18 @@ func TestPolicyBatchSize(t *testing.T) {
 	}
 }
 
-// TestPolicyDefaults: a zero QueueCap gets the documented default, an
-// explicit one wins.
+// TestPolicyDefaults: a lane admits while it holds fewer than the
+// documented 4096 requests and refuses the next.
 func TestPolicyDefaults(t *testing.T) {
-	if got := (Policy{}).queueCap(); got != 4096 {
-		t.Errorf("default QueueCap = %d, want 4096", got)
-	}
-	c := newCoalescer[int](Policy{QueueCap: 2}, 1)
-	for i := 0; i < 2; i++ {
+	c := newCoalescer[int](1)
+	for i := 0; i < 4096; i++ {
 		if !c.admits(0) {
-			t.Fatalf("lane holding %d of QueueCap 2 refused", i)
+			t.Fatalf("lane holding %d of 4096 refused", i)
 		}
 		c.push(0, i)
 	}
 	if c.admits(0) {
-		t.Error("explicit QueueCap ignored")
+		t.Error("lane holding 4096 admitted one more")
 	}
 }
 
@@ -62,7 +59,7 @@ func TestCoalescer(t *testing.T) {
 			[]want{{0, 32, 6}, {1, 128, 128}, {1, 96, 72}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newCoalescer[int](Policy{}, 2)
+			c := newCoalescer[int](2)
 			var next [2][]int // per lane: request ids still to leave, in order
 			for id, lane := range tc.pushes {
 				c.push(lane, id)

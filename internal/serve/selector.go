@@ -20,18 +20,10 @@ type Selector interface {
 
 // TuneSelector is the warm algorithm chooser: tune.Select over a
 // tune.Cache seeded from the content-addressed experiment store. A
-// shape whose fused time is not cached is a cold miss — when a Measure
-// hook is configured the miss is measured exactly once per shape (the
-// caching singleflight deduplicates concurrent dispatchers asking for
-// the same shape); without a hook, tune.Select's analytic-model
-// fallback stands in, so a cold server still serves.
+// shape whose fused time is not cached is a cold miss, and
+// tune.Select's analytic-model fallback stands in for it, so a cold
+// server still serves.
 type TuneSelector struct {
-	// Measure fills one cold fused measurement (e.g. a simulator run).
-	// The returned entry must carry Device == dev.Name,
-	// Problem == p.Key(), and Waves == the selector's waves to be
-	// visible to the selection. Nil = analytic fallback only.
-	Measure func(dev gpu.Device, p kernels.Problem) (tune.Entry, error)
-
 	waves  int
 	mu     sync.Mutex // guards cache (tune.Cache is not concurrency-safe)
 	cache  *tune.Cache
@@ -81,8 +73,8 @@ func (t *TuneSelector) WarmFromStore(st *store.Store) (int, []string) {
 }
 
 // ChooseCounts returns, per shape key, how often the underlying choice
-// (and so any cold-miss Measure) actually computed — the singleflight
-// observable: every count is 1 however many dispatchers asked.
+// actually computed — the singleflight observable: every count is 1
+// however many dispatchers asked.
 func (t *TuneSelector) ChooseCounts() map[string]int { return t.flight.ComputeCounts() }
 
 // Choose implements Selector: one computation per (device, shape),
@@ -91,16 +83,6 @@ func (t *TuneSelector) ChooseCounts() map[string]int { return t.flight.ComputeCo
 func (t *TuneSelector) Choose(dev gpu.Device, p kernels.Problem) (tune.Choice, error) {
 	key := dev.Name + "|" + p.Key()
 	return t.flight.Do(key, func() (tune.Choice, error) {
-		t.mu.Lock()
-		_, hit := tune.BestFused(t.cache, dev, p, t.waves)
-		t.mu.Unlock()
-		if !hit && t.Measure != nil {
-			e, err := t.Measure(dev, p)
-			if err != nil {
-				return tune.Choice{}, err
-			}
-			t.Warm(e)
-		}
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		return tune.Select(t.cache, dev, p, t.waves), nil

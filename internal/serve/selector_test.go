@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
@@ -42,22 +41,14 @@ func storeEntry(t *testing.T, st *store.Store, dev gpu.Device, e tune.Entry) {
 	}
 }
 
-// TestTuneSelectorColdMissMeasuredOnce: many dispatchers asking for the
-// same cold shape trigger exactly one Measure (the singleflight), and
-// the resulting choice is the simulated fused time, not the model
-// fallback.
-func TestTuneSelectorColdMissMeasuredOnce(t *testing.T) {
+// TestTuneSelectorChoosesOnce: many dispatchers asking for the same
+// warmed shape compute its choice exactly once (the singleflight), and
+// every one of them gets the warmed fused time, not the model fallback.
+func TestTuneSelectorChoosesOnce(t *testing.T) {
 	dev := gpu.RTX2070()
 	p := kernels.Problem{C: 8, K: 64, N: 32, H: 6, W: 6}
-	var mu sync.Mutex
-	calls := 0
 	sel := NewTuneSelector(4)
-	sel.Measure = func(d gpu.Device, mp kernels.Problem) (tune.Entry, error) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		return fusedEntry(d, mp, 4, 1e-9), nil // absurdly fast: fused must win
-	}
+	sel.Warm(fusedEntry(dev, p, 4, 1e-9)) // absurdly fast: fused must win
 
 	const workers = 32
 	choices := make([]tune.Choice, workers)
@@ -75,23 +66,19 @@ func TestTuneSelectorColdMissMeasuredOnce(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if calls != 1 {
-		t.Fatalf("Measure ran %d times for one shape, want exactly 1", calls)
-	}
 	for w, ch := range choices {
 		if ch.Source != "simulated" || ch.Algo != tune.AlgoFused {
 			t.Fatalf("worker %d got (%s, %s), want a simulated fused choice", w, ch.Algo, ch.Source)
 		}
 	}
-	for key, n := range sel.ChooseCounts() {
-		if n != 1 {
-			t.Fatalf("choice for %s computed %d times", key, n)
-		}
+	key := dev.Name + "|" + p.Key()
+	if counts := sel.ChooseCounts(); len(counts) != 1 || counts[key] != 1 {
+		t.Fatalf("ChooseCounts = %v, want %s computed once", counts, key)
 	}
 }
 
-// TestTuneSelectorModelFallback: no cache, no Measure — the analytic
-// model stands in and the server still serves.
+// TestTuneSelectorModelFallback: with nothing cached the analytic model
+// stands in and the server still serves.
 func TestTuneSelectorModelFallback(t *testing.T) {
 	sel := NewTuneSelector(4)
 	ch, err := sel.Choose(gpu.RTX2070(), kernels.Problem{C: 8, K: 64, N: 32, H: 6, W: 6})
@@ -108,8 +95,7 @@ func TestTuneSelectorModelFallback(t *testing.T) {
 
 // TestTuneSelectorWarmFromStore: a measurement persisted in the
 // content-addressed experiment store warms the selection — the looked-up
-// choice carries the stored fused time with Source "simulated" and no
-// Measure hook ever fires.
+// choice carries the stored fused time with Source "simulated".
 func TestTuneSelectorWarmFromStore(t *testing.T) {
 	dev := gpu.RTX2070()
 	p := kernels.Problem{C: 8, K: 64, N: 32, H: 6, W: 6}
@@ -117,10 +103,6 @@ func TestTuneSelectorWarmFromStore(t *testing.T) {
 	storeEntry(t, st, dev, fusedEntry(dev, p, 4, 2e-9))
 
 	sel := NewTuneSelector(4)
-	sel.Measure = func(gpu.Device, kernels.Problem) (tune.Entry, error) {
-		t.Error("warm shape should not re-measure")
-		return tune.Entry{}, nil
-	}
 	n, warns := sel.WarmFromStore(st)
 	if n != 1 || len(warns) != 0 {
 		t.Fatalf("WarmFromStore = (%d, %v), want (1, none)", n, warns)
@@ -187,23 +169,3 @@ func TestTuneSelectorWavesMismatchStaysCold(t *testing.T) {
 		t.Fatalf("depth-mismatched entry was used: Source = %q", ch.Source)
 	}
 }
-
-// TestTuneSelectorMeasureErrorPropagates: a failing measurement fails
-// the choice (and, cached by the singleflight, keeps failing — the
-// server surfaces the error per batch instead of silently flip-flopping).
-func TestTuneSelectorMeasureErrorPropagates(t *testing.T) {
-	sel := NewTuneSelector(4)
-	sel.Measure = func(gpu.Device, kernels.Problem) (tune.Entry, error) {
-		return tune.Entry{}, errTestMeasure
-	}
-	_, err := sel.Choose(gpu.RTX2070(), kernels.Problem{C: 8, K: 64, N: 32, H: 6, W: 6})
-	if err == nil || !strings.Contains(err.Error(), "measure failed") {
-		t.Fatalf("Choose = %v, want the measure error", err)
-	}
-}
-
-var errTestMeasure = &measureErr{}
-
-type measureErr struct{}
-
-func (*measureErr) Error() string { return "measure failed" }

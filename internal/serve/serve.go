@@ -215,7 +215,6 @@ func sliceOutput(spec LayerSpec, out *tensor.Tensor, n int) []float32 {
 
 // Config configures a Server.
 type Config struct {
-	Policy   Policy
 	Model    *Model
 	Selector Selector     // default: cold NewTuneSelector(4) (analytic-model fallback)
 	Exec     Executor     // default: Model.Executor()
@@ -286,7 +285,7 @@ func NewServer(cfg Config) (*Server, error) {
 				return nil, fmt.Errorf("serve: duplicate device %q", dev.Name)
 			}
 		}
-		d := &device{gpu: dev, co: newCoalescer[*Request](cfg.Policy, len(names))}
+		d := &device{gpu: dev, co: newCoalescer[*Request](len(names))}
 		d.wake.L = &d.mu
 		for lane, name := range names {
 			spec, flt, _ := cfg.Model.Layer(name)
@@ -307,7 +306,7 @@ func NewServer(cfg Config) (*Server, error) {
 
 // Submit enqueues a request and returns the channel its Response will
 // arrive on (buffered; the response is never dropped). It fails fast
-// with ErrOverloaded when QueueCap requests of its queue already wait
+// with ErrOverloaded when queueCap requests of its queue already wait
 // to be cut, ErrClosed after Close.
 func (s *Server) Submit(req *Request) (<-chan Response, error) {
 	q, ok := s.queues[queueKey(req.Device, req.Layer)]

@@ -243,14 +243,19 @@ func TestLoneRequestCutOnIdle(t *testing.T) {
 
 // faultSelector and faultExec panic on their second call — the batch
 // after the one holding the device busy — and otherwise defer to the
-// test stubs: a fault injected into one batch.
+// test stubs: a fault injected into one batch. A faultSelector with an
+// err returns it from that call instead.
 type faultSelector struct {
 	FixedSelector
+	err   error
 	calls atomic.Int32
 }
 
 func (f *faultSelector) Choose(dev gpu.Device, p kernels.Problem) (tune.Choice, error) {
 	if f.calls.Add(1) == 2 {
+		if f.err != nil {
+			return tune.Choice{}, f.err
+		}
 		panic("injected selector fault")
 	}
 	return f.FixedSelector.Choose(dev, p)
@@ -275,12 +280,14 @@ func (e *faultExec) Run(spec LayerSpec, flt *tensor.Tensor, ch tune.Choice, imag
 }
 
 // TestPanicContainedToBatch: a Selector or Executor that panics fails
-// every request of its own batch with ErrPanicked naming the panic, an
+// every request of its own batch with ErrPanicked naming the panic, a
+// Selector that returns an error fails them with that error, an
 // Executor whose output holds fewer images than the batch has requests,
 // or images of the wrong size, fails it with ErrBadOutput naming the
 // shapes, and either way the server goes on serving the next batch.
 func TestPanicContainedToBatch(t *testing.T) {
 	fused := FixedSelector{Algo: tune.AlgoFused}
+	errSelect := errors.New("injected selector error")
 	badOutput := func(out func(spec LayerSpec, filled int) *tensor.Tensor) func(*stubExec) Executor {
 		return func(e *stubExec) Executor { return &faultExec{stubExec: e, out: out} }
 	}
@@ -293,6 +300,8 @@ func TestPanicContainedToBatch(t *testing.T) {
 	}{
 		{"selector", func() Selector { return &faultSelector{FixedSelector: fused} },
 			func(e *stubExec) Executor { return e }, ErrPanicked, "injected selector fault"},
+		{"selector error", func() Selector { return &faultSelector{FixedSelector: fused, err: errSelect} },
+			func(e *stubExec) Executor { return e }, errSelect, "injected selector error"},
 		{"executor", func() Selector { return fused },
 			func(e *stubExec) Executor { return &faultExec{stubExec: e} }, ErrPanicked, "injected executor fault"},
 		{"short output", func() Selector { return fused },
@@ -382,14 +391,13 @@ func TestFullBatchImmediate(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl: with the executor gated shut and a tiny queue
-// cap, floods get ErrOverloaded instead of unbounded queueing, and every
+// TestAdmissionControl: with the executor gated shut, floods past the
+// queue bound get ErrOverloaded instead of unbounded queueing, and every
 // accepted request still completes once the gate opens.
 func TestAdmissionControl(t *testing.T) {
 	exec := &stubExec{gate: make(chan struct{})}
 	model := DemoModel(9)
 	s, err := NewServer(Config{
-		Policy:   Policy{QueueCap: 8},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 		Exec:     exec,
@@ -400,7 +408,8 @@ func TestAdmissionControl(t *testing.T) {
 
 	var chans []<-chan Response
 	rejected := 0
-	for i := 0; i < 2000; i++ {
+	const flood = queueCap + 1000
+	for i := 0; i < flood; i++ {
 		ch, err := s.Submit(demoRequest(model, "conv_a", uint64(i)))
 		switch {
 		case err == nil:
@@ -412,7 +421,7 @@ func TestAdmissionControl(t *testing.T) {
 		}
 	}
 	if rejected == 0 {
-		t.Fatal("2000 requests against a gated executor and QueueCap=8 produced no ErrOverloaded")
+		t.Fatalf("%d requests against a gated executor and queueCap=%d produced no ErrOverloaded", flood, queueCap)
 	}
 	close(exec.gate)
 	for i, ch := range chans {
@@ -424,16 +433,15 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestBusyDeviceAdmitsQueueCap pins the admission rule the load
-// generator shares: a queue admits while fewer than QueueCap requests
+// generator shares: a queue admits while fewer than queueCap requests
 // wait to be cut. With the device busy on one request, a flood from
-// several goroutines gets exactly QueueCap more accepted; the rest are
+// several goroutines gets exactly queueCap more accepted; the rest are
 // refused, and every accepted request completes once the device frees.
 func TestBusyDeviceAdmitsQueueCap(t *testing.T) {
-	const queueCap, flooders, each = 8, 4, 25
+	const flooders, each = 4, queueCap/4 + 100
 	exec := gatedExec()
 	model := DemoModel(10)
 	s, err := NewServer(Config{
-		Policy:   Policy{QueueCap: queueCap},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 		Exec:     exec,
@@ -572,7 +580,6 @@ func TestThousandsInFlight(t *testing.T) {
 	exec := &stubExec{gate: make(chan struct{})}
 	model := DemoModel(17)
 	s, err := NewServer(Config{
-		Policy:   Policy{QueueCap: 4096},
 		Model:    model,
 		Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused}),
 		Exec:     exec,

@@ -39,9 +39,9 @@ type Choice struct {
 	Source string
 }
 
-// BestFused returns the fastest cached fused measurement for the
+// bestFused returns the fastest cached fused measurement for the
 // problem, ties broken by config key so the result is deterministic.
-func BestFused(cache *Cache, dev gpu.Device, p kernels.Problem, waves int) (Entry, bool) {
+func bestFused(cache *Cache, dev gpu.Device, p kernels.Problem, waves int) (Entry, bool) {
 	var best Entry
 	found := false
 	for _, e := range cache.Entries {
@@ -69,7 +69,7 @@ func Select(cache *Cache, dev gpu.Device, p kernels.Problem, waves int) Choice {
 		GEMMSeconds:     model.Seconds(model.AlgoImplicitPrecompGEMM, s, dev),
 		NonfusedSeconds: model.Seconds(model.AlgoWinogradNonfused, s, dev),
 	}
-	if e, ok := BestFused(cache, dev, p, waves); ok {
+	if e, ok := bestFused(cache, dev, p, waves); ok {
 		ch.FusedSeconds = e.Seconds
 		ch.Config = e.Config
 		ch.Source = "simulated"

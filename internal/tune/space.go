@@ -18,8 +18,7 @@ import (
 )
 
 // Space is the searched knob lattice. Every combination is expanded,
-// canonicalized, validated, and deduplicated by Enumerate; an empty
-// dimension means "only the paper default for that knob".
+// canonicalized, validated, and deduplicated by Enumerate.
 type Space struct {
 	BK           []int
 	YieldEvery   []int
@@ -44,13 +43,6 @@ func DefaultSpace() Space {
 	}
 }
 
-func orDefault(vals []int, def int) []int {
-	if len(vals) == 0 {
-		return []int{def}
-	}
-	return vals
-}
-
 // Enumerate expands the space into canonical, valid, deduplicated
 // configurations, sorted by cache key — a deterministic candidate list
 // whatever order the dimensions were spelled in. Spellings that
@@ -58,21 +50,13 @@ func orDefault(vals []int, def int) []int {
 // 48 KB) collapse to a single candidate; invalid combinations are
 // dropped here rather than failing deep in generation.
 func (s Space) Enumerate() []kernels.Config {
-	p2rs := s.UseP2R
-	if len(p2rs) == 0 {
-		p2rs = []bool{true}
-	}
-	smems := s.DeclaredSmem
-	if len(smems) == 0 {
-		smems = []int{0}
-	}
 	byKey := map[string]kernels.Config{}
-	for _, bk := range orDefault(s.BK, 64) {
-		for _, yield := range orDefault(s.YieldEvery, 0) {
-			for _, ldg := range orDefault(s.LDGGap, 8) {
-				for _, sts := range orDefault(s.STSGap, 6) {
-					for _, p2r := range p2rs {
-						for _, smem := range smems {
+	for _, bk := range s.BK {
+		for _, yield := range s.YieldEvery {
+			for _, ldg := range s.LDGGap {
+				for _, sts := range s.STSGap {
+					for _, p2r := range s.UseP2R {
+						for _, smem := range s.DeclaredSmem {
 							c := kernels.Config{BK: bk, YieldEvery: yield, LDGGap: ldg,
 								STSGap: sts, UseP2R: p2r, DeclaredSmem: smem}.Canonical()
 							if c.Validate() != nil {

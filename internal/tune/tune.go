@@ -51,19 +51,18 @@ type Result struct {
 	Simulated  int // cache misses simulated for this case in this run
 }
 
-// Tuner drives the search: static pruning per case, store keys for
-// every survivor, then all surviving store misses through one
-// bench.Runner job graph (deduplicated across cases and parallel across
-// Workers), then results read back from the in-memory working set so
-// cold and warm runs render identically. The
-// persistent layer is the content-addressed experiment store: hits are
+// Tuner drives the search of DefaultSpace: static pruning per case,
+// store keys for every survivor, then all surviving store misses
+// through one bench.Runner job graph (deduplicated across cases and
+// parallel across Workers), then results read back from the in-memory
+// working set so cold and warm runs render identically. The persistent
+// layer is the content-addressed experiment store: hits are
 // measurements whose kernel source and device spec still hash to the
 // stored key, so stale results miss instead of being served, and a hit
 // whose payload measures anything but the candidate looked up is
 // quarantined and re-simulated.
 type Tuner struct {
 	Dev    gpu.Device
-	Space  Space
 	Budget int // max simulated candidates per case (default 12, anchor included)
 	Waves  int // sampling depth (default 4, matching bench)
 	// Workers bounds concurrent simulations and store-key derivations
@@ -109,12 +108,7 @@ func (t *Tuner) warnf(format string, args ...any) {
 // Tuner is sharded, Tune measures only its partition of the lattice and
 // returns nil results (the partial store is the product).
 func (t *Tuner) Tune(st *store.Store, cases []Case) ([]Result, *bench.RunStats, error) {
-	space := t.Space
-	if len(space.BK) == 0 && len(space.YieldEvery) == 0 && len(space.LDGGap) == 0 &&
-		len(space.STSGap) == 0 && len(space.UseP2R) == 0 && len(space.DeclaredSmem) == 0 {
-		space = DefaultSpace()
-	}
-	cands := space.Enumerate()
+	cands := DefaultSpace().Enumerate()
 	cache := NewCache() // per-run working set, filled from store hits and fresh samples
 
 	// Static pruning, then the store key of every surviving (case,

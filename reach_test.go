@@ -15,7 +15,8 @@ import (
 
 // The reachability core behind TestNoTestOnlyExports: a reference graph
 // over the package-level declarations of type-checked source packages,
-// walked from a set of roots. It knows nothing of how the packages were
+// walked from a set of roots, and the field reads and writes of the
+// declarations it reaches. It knows nothing of how the packages were
 // loaded, so TestReachRules drives it from in-memory fixtures.
 
 // srcPkg is one package type-checked from its non-test source files.
@@ -27,7 +28,11 @@ type srcPkg struct {
 
 // newInfo returns the types.Info the graph reads.
 func newInfo() *types.Info {
-	return &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	return &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
 }
 
 // roots says which declarations of the source packages are roots of the
@@ -42,9 +47,16 @@ type roots struct {
 // deadCode walks the reference graph of pkgs from r and returns the
 // package-level funcs, methods, types, vars and consts of the packages
 // report selects that no root reaches, in source order. It also returns
-// the problems of r.keys: a key that names no declaration, and a key
-// that the other roots reach already.
-func deadCode(fset *token.FileSet, pkgs []*srcPkg, r roots, report func(path string) bool) (dead []types.Object, keyErrs []string) {
+// their unset fields, in source order: the exported fields of their
+// package-level named struct types that reached code reads but no
+// reached code writes, so that every binary reads the zero value. A
+// write is a keyed or positional composite literal, an assignment or
+// op-assignment to the field or to an element of it, an increment or
+// decrement, or taking its address. Last come the problems of r.keys: a
+// key that names no declaration or field, a key that the other roots
+// reach already, and a field key that reached code writes or never
+// reads.
+func deadCode(fset *token.FileSet, pkgs []*srcPkg, r roots, report func(path string) bool) (dead []types.Object, unset []field, keyErrs []string) {
 	g := newGraph(pkgs)
 	for _, p := range pkgs {
 		path := p.pkg.Path()
@@ -60,15 +72,25 @@ func deadCode(fset *token.FileSet, pkgs []*srcPkg, r roots, report func(path str
 	for _, obj := range g.decls {
 		byKey[objKey(obj)] = obj
 	}
+	var fields []field
+	fieldByKey := map[string]field{}
+	for _, p := range pkgs {
+		for _, f := range namedFields(p.pkg) {
+			fields = append(fields, f)
+			fieldByKey[f.key] = f
+		}
+	}
 	keys := make([]string, 0, len(r.keys))
 	for k := range r.keys {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
+		_, isField := fieldByKey[k]
 		switch obj := byKey[k]; {
+		case isField: // checked once the walk is done
 		case obj == nil:
-			keyErrs = append(keyErrs, k+" names no package-level identifier or method of the module")
+			keyErrs = append(keyErrs, k+" names no package-level identifier, method or struct field of the module")
 		case g.reached[obj]:
 			keyErrs = append(keyErrs, k+" is reached without its entry")
 		default:
@@ -82,14 +104,63 @@ func deadCode(fset *token.FileSet, pkgs []*srcPkg, r roots, report func(path str
 			dead = append(dead, obj)
 		}
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		a, b := fset.Position(dead[i].Pos()), fset.Position(dead[j].Pos())
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+	read, written := g.fieldUses()
+	for _, k := range keys {
+		f, ok := fieldByKey[k]
+		switch {
+		case !ok:
+		case written[f.v]:
+			keyErrs = append(keyErrs, k+" is written by reached code")
+		case !read[f.v]:
+			keyErrs = append(keyErrs, k+" is read by no reached code")
 		}
-		return a.Offset < b.Offset
-	})
-	return dead, keyErrs
+	}
+	for _, f := range fields {
+		if _, seam := r.keys[f.key]; read[f.v] && !written[f.v] && !seam && report(f.v.Pkg().Path()) {
+			unset = append(unset, f)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return before(fset, dead[i].Pos(), dead[j].Pos()) })
+	sort.Slice(unset, func(i, j int) bool { return before(fset, unset[i].v.Pos(), unset[j].v.Pos()) })
+	return dead, unset, keyErrs
+}
+
+// before orders two positions by file name, then offset.
+func before(fset *token.FileSet, p, q token.Pos) bool {
+	a, b := fset.Position(p), fset.Position(q)
+	if a.Filename != b.Filename {
+		return a.Filename < b.Filename
+	}
+	return a.Offset < b.Offset
+}
+
+// field is an exported field of a package-level named struct type, with
+// its key "pkgpath.Type.Field".
+type field struct {
+	key string
+	v   *types.Var
+}
+
+// namedFields returns the exported fields of pkg's package-level named
+// struct types.
+func namedFields(pkg *types.Package) []field {
+	var out []field
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				out = append(out, field{pkg.Path() + "." + name + "." + f.Name(), f})
+			}
+		}
+	}
+	return out
 }
 
 // graph is the reference graph: an edge runs from a package-level
@@ -108,6 +179,12 @@ type graph struct {
 	// the reached concrete named types of the source packages.
 	ifaces map[string][]*types.Interface
 	types  []*types.Named
+
+	// The field rule: the struct fields each declaration reads and
+	// writes, and those of init functions and blank var initializers,
+	// which always run.
+	fields map[types.Object]fieldAccess
+	always []fieldAccess
 }
 
 func newGraph(pkgs []*srcPkg) *graph {
@@ -116,6 +193,7 @@ func newGraph(pkgs []*srcPkg) *graph {
 		edges:   map[types.Object][]types.Object{},
 		reached: map[types.Object]bool{},
 		ifaces:  map[string][]*types.Interface{},
+		fields:  map[types.Object]fieldAccess{},
 	}
 	for _, p := range pkgs {
 		g.src[p.pkg] = true
@@ -164,13 +242,14 @@ func (g *graph) addIface(it *types.Interface) {
 func (g *graph) addDecl(info *types.Info, d ast.Decl, whole, isMain bool) {
 	switch d := d.(type) {
 	case *ast.FuncDecl:
-		refs := g.refs(info, d)
+		refs, fa := g.refs(info, d), fieldAccesses(info, d)
 		if d.Recv == nil && d.Name.Name == "init" {
 			g.reach(refs...)
+			g.always = append(g.always, fa)
 			return
 		}
 		obj := info.Defs[d.Name]
-		g.declare(obj, refs, whole || isMain && d.Recv == nil && d.Name.Name == "main")
+		g.declare(obj, refs, fa, whole || isMain && d.Recv == nil && d.Name.Name == "main")
 	case *ast.GenDecl:
 		var group []types.Object // the names of a const group that uses iota
 		if d.Tok == token.CONST && usesIota(info, d) {
@@ -186,22 +265,23 @@ func (g *graph) addDecl(info *types.Info, d ast.Decl, whole, isMain bool) {
 			switch s := s.(type) {
 			case *ast.TypeSpec:
 				obj := info.Defs[s.Name]
-				g.declare(obj, g.refs(info, s), whole)
+				g.declare(obj, g.refs(info, s), fieldAccesses(info, s), whole)
 				if it, ok := s.Type.(*ast.InterfaceType); ok {
 					for _, m := range it.Methods.List {
 						for _, n := range m.Names {
-							g.declare(info.Defs[n], g.refs(info, m.Type), whole)
+							g.declare(info.Defs[n], g.refs(info, m.Type), fieldAccess{}, whole)
 						}
 					}
 				}
 			case *ast.ValueSpec:
-				refs := append(g.refs(info, s), group...)
+				refs, fa := append(g.refs(info, s), group...), fieldAccesses(info, s)
 				for _, n := range s.Names {
 					switch {
 					case n.Name != "_":
-						g.declare(info.Defs[n], refs, whole)
+						g.declare(info.Defs[n], refs, fa, whole)
 					case d.Tok == token.VAR:
 						g.reach(refs...)
+						g.always = append(g.always, fa)
 					}
 				}
 			}
@@ -209,12 +289,13 @@ func (g *graph) addDecl(info *types.Info, d ast.Decl, whole, isMain bool) {
 	}
 }
 
-func (g *graph) declare(obj types.Object, refs []types.Object, root bool) {
+func (g *graph) declare(obj types.Object, refs []types.Object, fa fieldAccess, root bool) {
 	if obj == nil {
 		return // a blank type or method name
 	}
 	g.decls = append(g.decls, obj)
 	g.edges[obj] = refs
+	g.fields[obj] = fa
 	if root {
 		g.reach(obj)
 	}
@@ -262,6 +343,102 @@ func (g *graph) refs(info *types.Info, n ast.Node) []types.Object {
 		return true
 	})
 	return out
+}
+
+// fieldAccess is what one declaration does with struct fields, each
+// field as its origin.
+type fieldAccess struct{ reads, writes []*types.Var }
+
+// fieldAccesses returns the struct fields n reads and writes. A
+// selector is a write on the left of an assignment, op-assignment,
+// increment or decrement, or under &, and so is every field selector
+// between there and the root of that operand (x.F.G = v and
+// x.F[i] += d both write F); a field a composite literal sets, by key
+// or by position, is a write too. Every other use is a read.
+func fieldAccesses(info *types.Info, n ast.Node) fieldAccess {
+	var fa fieldAccess
+	written := map[*ast.Ident]bool{}
+	operand := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				written[x.Sel] = true
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	// ast.Inspect visits a statement or literal before the identifiers
+	// under it, so they are marked before they are classified.
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, e := range n.Lhs {
+					operand(e)
+				}
+			}
+		case *ast.IncDecStmt:
+			operand(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				operand(n.X)
+			}
+		case *ast.CompositeLit:
+			t := info.Types[n].Type
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem() // an elided &T in a literal of []*T
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					written[kv.Key.(*ast.Ident)] = true
+				} else {
+					fa.writes = append(fa.writes, st.Field(i).Origin())
+				}
+			}
+		case *ast.Ident:
+			if f, ok := info.Uses[n].(*types.Var); ok && f.IsField() {
+				if written[n] {
+					fa.writes = append(fa.writes, f.Origin())
+				} else {
+					fa.reads = append(fa.reads, f.Origin())
+				}
+			}
+		}
+		return true
+	})
+	return fa
+}
+
+// fieldUses returns the fields that reached code reads and writes.
+func (g *graph) fieldUses() (read, written map[*types.Var]bool) {
+	read, written = map[*types.Var]bool{}, map[*types.Var]bool{}
+	add := func(fa fieldAccess) {
+		for _, f := range fa.reads {
+			read[f] = true
+		}
+		for _, f := range fa.writes {
+			written[f] = true
+		}
+	}
+	for _, fa := range g.always {
+		add(fa)
+	}
+	for obj := range g.reached {
+		add(g.fields[obj])
+	}
+	return read, written
 }
 
 func (g *graph) reach(objs ...types.Object) {
@@ -358,13 +535,16 @@ func kindOf(obj types.Object) string {
 	return "var"
 }
 
-// TestReachRules pins each rule of the graph on a fixture: a library
-// package fix/internal/a, which is reported, and a command fix/cmd/app,
-// whose main is the root.
+// TestReachRules pins each rule of the graph and of the field rule on a
+// fixture: a library package fix/internal/a, which is reported, and a
+// command fix/cmd/app, whose main is the root.
 func TestReachRules(t *testing.T) {
+	const opts = "type Opts struct{ N int }\nfunc Use(o Opts) int { return o.N }"
 	for _, c := range []struct {
 		name, lib, app string
-		dead           []string // objKeys under fix/internal/a
+		dead           []string          // objKeys and field keys under fix/internal/a
+		seams          map[string]string // testOnlyExports entries under fix/internal/a
+		stale          []string          // the problems reported of seams
 	}{{
 		name: "an unused unexported func",
 		lib:  "func Used() {}\nfunc unused() {}",
@@ -408,12 +588,61 @@ func TestReachRules(t *testing.T) {
 		name: "a blank var initializer",
 		lib:  "func Used() {}\nvar _ = register()\nfunc register() int { return 1 }",
 		app:  "a.Used()",
+	}, {
+		name: "a field only a test sets",
+		lib:  opts,
+		app:  "_ = a.Use(a.Opts{})",
+		dead: []string{"Opts.N"},
+	}, {
+		name: "a field a keyed literal sets",
+		lib:  opts,
+		app:  "_ = a.Use(a.Opts{N: 2})",
+	}, {
+		name: "a field a positional literal sets",
+		lib:  opts,
+		app:  "_ = a.Use(a.Opts{2})",
+	}, {
+		name: "a field an assignment sets",
+		lib:  opts,
+		app:  "var o a.Opts\no.N = 2\n_ = a.Use(o)",
+	}, {
+		name: "a field an op-assignment to an element sets",
+		lib:  "type Hist struct{ Counts []int }\nfunc Total(h Hist) int { return h.Counts[0] }",
+		app:  "h := a.Hist{}\nh.Counts[0] += 2\n_ = a.Total(h)",
+	}, {
+		name: "a field an increment sets",
+		lib:  opts,
+		app:  "var o a.Opts\no.N++\n_ = a.Use(o)",
+	}, {
+		name: "a field whose address is taken",
+		lib:  opts,
+		app:  "var o a.Opts\np := &o.N\n*p = 2\n_ = a.Use(o)",
+	}, {
+		name: "a field only an unreached func sets",
+		lib:  opts + "\nfunc unused() Opts { return Opts{N: 1} }",
+		app:  "_ = a.Use(a.Opts{})",
+		dead: []string{"Opts.N", "unused"},
+	}, {
+		name: "a field of an unnamed struct",
+		lib:  "var Cfg struct{ N int }\nfunc Use() int { return Cfg.N }",
+		app:  "_ = a.Use()",
+	}, {
+		name:  "a test seam",
+		lib:   opts,
+		app:   "_ = a.Use(a.Opts{})",
+		seams: map[string]string{"fix/internal/a.Opts.N": "a test sets it"},
+	}, {
+		name:  "a test seam that reached code sets",
+		lib:   opts,
+		app:   "_ = a.Use(a.Opts{N: 2})",
+		seams: map[string]string{"fix/internal/a.Opts.N": "a test sets it"},
+		stale: []string{"fix/internal/a.Opts.N is written by reached code"},
 	}} {
 		t.Run(c.name, func(t *testing.T) {
-			dead := reachFixture(t, map[string]string{
+			dead, stale := reachFixture(t, map[string]string{
 				"fix/internal/a": "package a\n" + c.lib,
 				"fix/cmd/app":    "package main\nimport (\n\t\"fmt\"\n\t\"fix/internal/a\"\n)\nvar _ = fmt.Sprint\nfunc main() {\n" + c.app + "\n}",
-			})
+			}, c.seams)
 			var want []string
 			for _, k := range c.dead {
 				want = append(want, "fix/internal/a."+k)
@@ -422,14 +651,17 @@ func TestReachRules(t *testing.T) {
 			if !reflect.DeepEqual(dead, want) {
 				t.Errorf("dead = %v, want %v", dead, want)
 			}
+			if !reflect.DeepEqual(stale, c.stale) {
+				t.Errorf("stale entries = %v, want %v", stale, c.stale)
+			}
 		})
 	}
 }
 
 // reachFixture type-checks the fixture packages (import path → source)
-// from a temporary directory and returns the objKeys deadCode reports
-// under fix/internal.
-func reachFixture(t *testing.T, srcs map[string]string) []string {
+// from a temporary directory and returns the objKeys and field keys
+// deadCode reports under fix/internal, and the problems of keys.
+func reachFixture(t *testing.T, srcs map[string]string, keys map[string]string) (dead, keyErrs []string) {
 	fset := token.NewFileSet()
 	l := newSrcImporter(fset, importer.ForCompiler(fset, "gc", nil))
 	dir := t.TempDir()
@@ -444,13 +676,12 @@ func reachFixture(t *testing.T, srcs map[string]string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead, keyErrs := deadCode(fset, pkgs, roots{mains: under("fix/cmd"), whole: under("fix/benchmark")}, under("fix/internal"))
-	if len(keyErrs) != 0 {
-		t.Fatal(keyErrs)
+	objs, unset, keyErrs := deadCode(fset, pkgs, roots{mains: under("fix/cmd"), whole: under("fix/benchmark"), keys: keys}, under("fix/internal"))
+	for _, obj := range objs {
+		dead = append(dead, objKey(obj))
 	}
-	var keys []string
-	for _, obj := range dead {
-		keys = append(keys, objKey(obj))
+	for _, f := range unset {
+		dead = append(dead, f.key)
 	}
-	return keys
+	return dead, keyErrs
 }
