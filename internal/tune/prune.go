@@ -54,7 +54,7 @@ func StaticPrune(dev gpu.Device, p kernels.Problem, cands []kernels.Config, budg
 		ldgDist, knobDist int
 		key               string
 	}
-	var rs []ranked
+	rs := make([]ranked, 0, len(cands))
 	for _, c := range cands {
 		c = c.Canonical()
 		if c.Validate() != nil || p.Validate(c.BK) != nil {

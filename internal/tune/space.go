@@ -20,12 +20,12 @@ import (
 // Space is the searched knob lattice. Every combination is expanded,
 // canonicalized, validated, and deduplicated by Enumerate.
 type Space struct {
-	BK           []int
-	YieldEvery   []int
-	LDGGap       []int
-	STSGap       []int
-	UseP2R       []bool
-	DeclaredSmem []int
+	bk           []int
+	yieldEvery   []int
+	ldgGap       []int
+	stsGap       []int
+	useP2R       []bool
+	declaredSmem []int
 }
 
 // DefaultSpace covers the paper's Section 6 study points on every knob:
@@ -34,13 +34,19 @@ type Space struct {
 // declaration next to the layout's own.
 func DefaultSpace() Space {
 	return Space{
-		BK:           []int{64, 32},
-		YieldEvery:   []int{0, 7, 8},
-		LDGGap:       []int{2, 4, 8},
-		STSGap:       []int{2, 4, 6},
-		UseP2R:       []bool{true, false},
-		DeclaredSmem: []int{0, 48 * 1024},
+		bk:           []int{64, 32},
+		yieldEvery:   []int{0, 7, 8},
+		ldgGap:       []int{2, 4, 8},
+		stsGap:       []int{2, 4, 6},
+		useP2R:       []bool{true, false},
+		declaredSmem: []int{0, 48 * 1024},
 	}
+}
+
+// points counts the knob combinations, which bounds how many
+// candidates Enumerate returns.
+func (s Space) points() int {
+	return len(s.bk) * len(s.yieldEvery) * len(s.ldgGap) * len(s.stsGap) * len(s.useP2R) * len(s.declaredSmem)
 }
 
 // Enumerate expands the space into canonical, valid, deduplicated
@@ -51,12 +57,12 @@ func DefaultSpace() Space {
 // dropped here rather than failing deep in generation.
 func (s Space) Enumerate() []kernels.Config {
 	byKey := map[string]kernels.Config{}
-	for _, bk := range s.BK {
-		for _, yield := range s.YieldEvery {
-			for _, ldg := range s.LDGGap {
-				for _, sts := range s.STSGap {
-					for _, p2r := range s.UseP2R {
-						for _, smem := range s.DeclaredSmem {
+	for _, bk := range s.bk {
+		for _, yield := range s.yieldEvery {
+			for _, ldg := range s.ldgGap {
+				for _, sts := range s.stsGap {
+					for _, p2r := range s.useP2R {
+						for _, smem := range s.declaredSmem {
 							c := kernels.Config{BK: bk, YieldEvery: yield, LDGGap: ldg,
 								STSGap: sts, UseP2R: p2r, DeclaredSmem: smem}.Canonical()
 							if c.Validate() != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
+	"strings"
 
 	"repro/internal/gpu"
 	"repro/internal/jsonx"
@@ -196,10 +197,15 @@ func ParseShard(s string) (Shard, error) {
 	if s == "" {
 		return Shard{}, nil
 	}
-	var sh Shard
-	if n, err := fmt.Sscanf(s, "%d/%d", &sh.Index, &sh.Count); err != nil || n != 2 {
+	// Exactly i/N: no spaces, trailing bytes or third field. A
+	// missing "/" leaves N empty, which Atoi rejects.
+	is, ns, _ := strings.Cut(s, "/")
+	i, errI := strconv.Atoi(is)
+	n, errN := strconv.Atoi(ns)
+	if errI != nil || errN != nil {
 		return Shard{}, fmt.Errorf("tune: shard %q is not of the form i/N", s)
 	}
+	sh := Shard{Index: i, Count: n}
 	if sh.Count < 1 || sh.Index < 1 || sh.Index > sh.Count {
 		return Shard{}, fmt.Errorf("tune: shard %q out of range (want 1 <= i <= N)", s)
 	}

@@ -28,6 +28,10 @@ func TestParseShard(t *testing.T) {
 		{"x/3", Shard{}, false},
 		{"2", Shard{}, false},
 		{"-1/3", Shard{}, false},
+		{"1/2x", Shard{}, false},
+		{"1/2/3", Shard{}, false},
+		{"1/ 2", Shard{}, false},
+		{" 1/2", Shard{}, false},
 	} {
 		got, err := ParseShard(tc.in)
 		if (err == nil) != tc.ok || got != tc.want {

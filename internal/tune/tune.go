@@ -2,12 +2,13 @@ package tune
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
-	"repro/internal/par"
 	"repro/internal/store"
 )
 
@@ -108,20 +109,18 @@ func (t *Tuner) warnf(format string, args ...any) {
 // Tuner is sharded, Tune measures only its partition of the lattice and
 // returns nil results (the partial store is the product).
 func (t *Tuner) Tune(st *store.Store, cases []Case) ([]Result, *bench.RunStats, error) {
-	cands := DefaultSpace().Enumerate()
 	cache := NewCache() // per-run working set, filled from store hits and fresh samples
 
 	// Static pruning, then the store key of every surviving (case,
 	// candidate) pair. A key hashes the assembled kernel, so deriving
-	// them is the whole cost of a warm run; it fans out across the
-	// workers (the generation cache is concurrency-safe) while the plan
-	// loop below stays serial. The lowest-index error wins, as in a
-	// serial loop.
-	type cand struct {
-		ci  int // index into cases
-		cfg kernels.Config
-		key store.Key
-	}
+	// them is the whole cost of a warm run. A pool of workers derives
+	// them while this goroutine enumerates and prunes (the generation
+	// cache is concurrency-safe). It is fed each case's paper default
+	// first: StaticPrune ranks the default first whenever it survives,
+	// and its kernel, a worker's first, is the costliest to assemble.
+	// Each case's other survivors follow as soon as the case is pruned.
+	// The plan loop below stays serial and reads the keys in case and
+	// rank order, so the lowest-index error wins, as in a serial loop.
 	type plan struct {
 		c      Case
 		mine   []kernels.Config     // shard-owned survivors of static pruning
@@ -129,27 +128,33 @@ func (t *Tuner) Tune(st *store.Store, cases []Case) ([]Result, *bench.RunStats, 
 		keys   map[string]store.Key // store key per config key, for mine
 		stats  PruneStats
 	}
+	space := DefaultSpace()
+	keys := t.startKeys(cases, len(cases)*(1+min(t.budget(), space.points())))
+	def := kernels.Ours().Canonical()
+	defs := make([]*keyJob, len(cases))
+	for i := range cases {
+		defs[i] = keys.derive(i, def)
+	}
+	cands := space.Enumerate()
 	plans := make([]plan, len(cases))
-	var kept []cand
+	var kept []*keyJob
 	for i, cs := range cases {
 		pl := &plans[i]
 		pl.c, pl.keys = cs, map[string]store.Key{}
 		pl.stats.Enumerated = len(cands)
 		for _, cfg := range StaticPrune(t.Dev, cs.P, cands, t.budget(), &pl.stats) {
-			kept = append(kept, cand{ci: i, cfg: cfg})
+			k := defs[i]
+			if cfg != def {
+				k = keys.derive(i, cfg)
+			}
+			kept = append(kept, k)
 		}
 	}
-	devHash := t.Dev.SpecHash()
-	if err := par.ForErr(len(kept), t.Workers, func(j int) error {
-		cs := cases[kept[j].ci]
-		key, err := storeKey(t.Dev.Name, devHash, cs.P, t.waves(), kept[j].cfg)
-		if err != nil {
-			return fmt.Errorf("tune: %s: %w", cs.Tag, err)
+	keys.wait()
+	for _, k := range kept {
+		if k.err != nil {
+			return nil, nil, fmt.Errorf("tune: %s: %w", cases[k.ci].Tag, k.err)
 		}
-		kept[j].key = key
-		return nil
-	}); err != nil {
-		return nil, nil, err
 	}
 
 	for _, k := range kept {
@@ -259,6 +264,56 @@ func (t *Tuner) Tune(st *store.Store, cases []Case) ([]Result, *bench.RunStats, 
 		results = append(results, r)
 	}
 	return results, stats, nil
+}
+
+// keyJob is one store-key derivation: the pool fills in key or err.
+type keyJob struct {
+	ci  int // index into the tuned cases
+	cfg kernels.Config
+	key store.Key
+	err error
+}
+
+// keyPool derives store keys on at most Workers goroutines. Its queue
+// holds every job the feeder can send, so feeding never waits for a
+// derivation.
+type keyPool struct {
+	jobs chan *keyJob
+	wg   sync.WaitGroup
+}
+
+// startKeys starts a pool that derives keys for cases and takes at
+// most maxJobs jobs.
+func (t *Tuner) startKeys(cases []Case, maxJobs int) *keyPool {
+	kp := &keyPool{jobs: make(chan *keyJob, maxJobs)}
+	workers := t.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	devHash := t.Dev.SpecHash()
+	for w := 0; w < min(workers, maxJobs); w++ {
+		kp.wg.Add(1)
+		go func() {
+			defer kp.wg.Done()
+			for k := range kp.jobs {
+				k.key, k.err = storeKey(t.Dev.Name, devHash, cases[k.ci].P, t.waves(), k.cfg)
+			}
+		}()
+	}
+	return kp
+}
+
+// derive queues the key of cfg on case ci; it is readable after wait.
+func (kp *keyPool) derive(ci int, cfg kernels.Config) *keyJob {
+	k := &keyJob{ci: ci, cfg: cfg}
+	kp.jobs <- k
+	return k
+}
+
+// wait stops the pool once every queued key is derived.
+func (kp *keyPool) wait() {
+	close(kp.jobs)
+	kp.wg.Wait()
 }
 
 // entryFrom converts one bench sample into a cache entry.

@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/gpu"
@@ -268,5 +271,54 @@ func TestTuneWorkerCountInvariant(t *testing.T) {
 		}
 		warm, b := run(workers, warmSt)
 		check(fmt.Sprintf("warm, %d workers", workers), warm, b, 0)
+	}
+}
+
+// TestTunePrunedDefault tunes a case whose paper default StaticPrune
+// rejects (K=32 leaves bk=64 invalid) though the key pool is fed the
+// default before pruning. At 1 and 2 workers, a sharded tune returns
+// the same PruneStats and an unsharded one fails with the same error,
+// and neither leaves a key worker running.
+func TestTunePrunedDefault(t *testing.T) {
+	dev := gpu.RTX2070()
+	cases := []Case{{Tag: "Tiny32N32", P: kernels.Problem{C: 8, K: 32, N: 32, H: 4, W: 4}}}
+	base := runtime.NumGoroutine()
+	settled := func(label string) {
+		t.Helper()
+		for end := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(end) {
+				t.Fatalf("%s: %d goroutines after Tune, want %d", label, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var wantStats PruneStats
+	var wantErr string
+	for _, workers := range []int{1, 2} {
+		sharded := &Tuner{Dev: dev, Budget: 2, Waves: 1, Workers: workers, Shard: Shard{Index: 1, Count: 2}}
+		results, _, err := sharded.Tune(store.New(), cases)
+		if err != nil {
+			t.Fatalf("%d workers, sharded: %v", workers, err)
+		}
+		settled(fmt.Sprintf("%d workers, sharded", workers))
+		stats := results[0].Stats
+		if stats.Invalid == 0 {
+			t.Fatalf("%d workers: no candidate pruned as invalid: %+v", workers, stats)
+		}
+		_, _, err = (&Tuner{Dev: dev, Budget: 2, Waves: 1, Workers: workers}).Tune(store.New(), cases)
+		if err == nil || !strings.Contains(err.Error(), "paper default missing") {
+			t.Fatalf("%d workers, unsharded: err = %v, want the missing paper default", workers, err)
+		}
+		settled(fmt.Sprintf("%d workers, unsharded", workers))
+		if workers == 1 {
+			wantStats, wantErr = stats, err.Error()
+			continue
+		}
+		if stats != wantStats {
+			t.Errorf("%d workers: stats %+v, want %+v", workers, stats, wantStats)
+		}
+		if err.Error() != wantErr {
+			t.Errorf("%d workers: error %q, want %q", workers, err, wantErr)
+		}
 	}
 }

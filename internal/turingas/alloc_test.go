@@ -1,6 +1,7 @@
 package turingas_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/kernels"
@@ -38,6 +39,26 @@ func TestAssembleAllocsPinned(t *testing.T) {
 		if n := testing.AllocsPerRun(20, c.assemble); n > c.budget {
 			t.Errorf("%s AssembleKernel: %v allocs/op, want <= %v", c.name, n, c.budget)
 		}
+	}
+}
+
+// TestAssembleBytesPinned pins the bytes a fresh assembler state
+// allocates to assemble the perf suite's kernel: the memo sized for
+// that kernel's lines, not for the memo's bound, plus the kernel's code
+// and the key chunk. A cold tune worker pays this once; reserving the
+// bound cost 723 KiB. The budget may only tighten.
+func TestAssembleBytesPinned(t *testing.T) {
+	src := perfSource(t)
+	mustAssemble(t, turingas.NewState(), src) // warm everything but the state
+	const runs, budget = 8, 300 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		mustAssemble(t, turingas.NewState(), src)
+	}
+	runtime.ReadMemStats(&after)
+	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > budget {
+		t.Errorf("fresh state AssembleKernel: %d bytes/op, want <= %d", n, budget)
 	}
 }
 

