@@ -88,7 +88,7 @@ func main() {
 		flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: p.K, C: p.C, R: 3, S: 3})
 		flt.FillRandom(2)
 		res, err := kernels.RunConvWith(dev, cfg, p, kernels.ConvOpts{
-			In: in, Flt: flt, HazardCheck: true, Sim: kernels.SimOpts{Backend: be},
+			In: in, Flt: flt, HazardCheck: true, Backend: be,
 		})
 		if err != nil {
 			fatal(err)

@@ -29,14 +29,6 @@ import (
 // reach, whose field reached code writes, or that disappears, is
 // reported stale so that it is dropped.
 var testOnlyExports = map[string]string{
-	// The perf gate's harness runs from internal/perf's tests by design
-	// (go test ./internal/perf -benchjson / -perfdiff).
-	"repro/internal/perf.Collect":          "measures the suite for -benchjson and TestPerfDiff",
-	"repro/internal/perf.Compare":          "the gate TestPerfDiff applies",
-	"repro/internal/perf.ReadReport":       "loads the committed BENCH_sim.json for TestPerfDiff",
-	"repro/internal/perf.Report.WriteFile": "writes BENCH_sim.json for -benchjson",
-	"repro/internal/perf.Unbaselined":      "the targets TestPerfDiff warns have no baseline row",
-
 	// Helpers the tests of several packages share.
 	"repro/internal/gpu.SmemOracle.Findings":      "how the tests of gpu, kernels, sasscheck and cmd/sasslint read an attached shared-memory oracle",
 	"repro/internal/gpu.SmemOracle.Records":       "the oracle's access log, read by the tests of gpu and kernels",
@@ -64,8 +56,9 @@ var testOnlyExports = map[string]string{
 // the testOnlyExports entries. It also fails on every exported field of
 // a package-level named struct type in internal/ that reached code reads
 // but none sets, unless testOnlyExports names it as a test seam: a
-// settable value that no binary sets. reach_test.go holds the graph and
-// its rules; this test loads the packages.
+// settable value that no binary sets. Last, it fails on every non-test
+// file of either module that imports testing. reach_test.go holds the
+// graph and its rules; this test loads the packages.
 func TestNoTestOnlyExports(t *testing.T) {
 	fset, pkgs := loadModule(t)
 	dead, unset, keyErrs := deadCode(fset, pkgs, roots{
@@ -83,6 +76,9 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for _, f := range unset {
 		t.Errorf("%s: field %s is read but no binary sets it, so every binary reads its zero value: delete it or make it a constant",
 			fset.Position(f.v.Pos()), f.key)
+	}
+	for _, pos := range testingImports(fset, pkgs) {
+		t.Errorf("%s: a non-test file imports testing: move its code into the _test.go files of its callers", pos)
 	}
 }
 

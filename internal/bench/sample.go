@@ -112,7 +112,7 @@ func (c *Ctx) simulate(j Job) (*Sample, error) {
 	res, err := kernels.RunConvWith(j.Dev, j.Cfg, j.P, kernels.ConvOpts{
 		SampleBlocks: occ.BlocksPerSM * c.waves(),
 		MainLoopOnly: j.MainOnly, Hot: j.Hot, Prof: prof,
-		Sim: kernels.SimOpts{Backend: c.Backend},
+		Backend: c.Backend,
 	})
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package conv
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/tensor"
@@ -110,14 +111,16 @@ func TestDifferentialAlgorithms(t *testing.T) {
 			name string
 			opt  winograd.Options
 		}{
-			{"F2-fused", winograd.Options{Workers: 1}},
-			{"F2-nonfused", winograd.Options{NonFused: true, Workers: 1}},
-			{"F4-fused", winograd.Options{Variant: winograd.F4x4, Workers: 1}},
+			{"F2-fused", winograd.Options{}},
+			{"F2-nonfused", winograd.Options{NonFused: true}},
+			{"F4-fused", winograd.Options{Variant: winograd.F4x4}},
 			// Tiny cache blocks so every shape exercises partial-block
 			// edges in all three dimensions.
-			{"F2-smallblocks", winograd.Options{BlockK: 4, BlockN: 2, BlockC: 3, Workers: 1}},
+			{"F2-smallblocks", winograd.Options{BlockK: 4, BlockN: 2, BlockC: 3}},
 		} {
+			procs := runtime.GOMAXPROCS(1) // one worker per par.For loop
 			wout, err := winograd.Conv2D(in, flt, p.Pad, wopt.opt)
+			runtime.GOMAXPROCS(procs)
 			if err != nil {
 				t.Fatalf("round %d %+v k=%d pad=%d: winograd %s: %v", round, s, k, p.Pad, wopt.name, err)
 			}

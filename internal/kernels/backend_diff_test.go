@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cubin"
@@ -20,15 +21,19 @@ import (
 // randomized control-code mutations of small hand-written kernels.
 
 // diffVariants is the backend x workers matrix every differential case
-// runs; the first entry is the reference everything else must match.
+// runs; the first entry is the reference everything else must match. A
+// sharded launch through RunConvWith runs on GOMAXPROCS workers, so the
+// conv cases set that to the variant's count; a bare gpu.Sim takes it as
+// Sim.Workers.
 var diffVariants = []struct {
-	name string
-	sim  SimOpts
+	name    string
+	backend gpu.Backend
+	workers int
 }{
-	{"switch-w1", SimOpts{Backend: gpu.BackendSwitch, Workers: 1}},
-	{"switch-w4", SimOpts{Backend: gpu.BackendSwitch, Workers: 4}},
-	{"threaded-w1", SimOpts{Backend: gpu.BackendThreaded, Workers: 1}},
-	{"threaded-w4", SimOpts{Backend: gpu.BackendThreaded, Workers: 4}},
+	{"switch-w1", gpu.BackendSwitch, 1},
+	{"switch-w4", gpu.BackendSwitch, 4},
+	{"threaded-w1", gpu.BackendThreaded, 1},
+	{"threaded-w4", gpu.BackendThreaded, 4},
 }
 
 // diffProfile asserts two launch profiles agree exactly, reporting the
@@ -114,9 +119,11 @@ func TestBackendDifferentialSweep(t *testing.T) {
 			var ref outcome
 			for _, v := range diffVariants {
 				prof := gpu.NewProfiler()
+				procs := runtime.GOMAXPROCS(v.workers)
 				res, err := RunConvWith(tc.dev, tc.cfg, tc.p, ConvOpts{
-					In: in, Flt: flt, MainLoopOnly: tc.mainOnly, Prof: prof, Sim: v.sim,
+					In: in, Flt: flt, MainLoopOnly: tc.mainOnly, Prof: prof, Backend: v.backend,
 				})
+				runtime.GOMAXPROCS(procs)
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
@@ -159,7 +166,7 @@ func TestBackendDifferentialSampled(t *testing.T) {
 				prof := gpu.NewProfiler()
 				res, err := RunConvWith(dev, cfg, p, ConvOpts{
 					SampleBlocks: 8, Hot: hot, Prof: prof,
-					Sim: SimOpts{Backend: be},
+					Backend: be,
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", be, err)
@@ -311,8 +318,8 @@ func TestBackendDifferentialRandomKernels(t *testing.T) {
 				var ref outcome
 				for _, v := range diffVariants {
 					s := gpu.NewSim(gpu.RTX2070())
-					s.Backend = v.sim.Backend
-					s.Workers = v.sim.Workers
+					s.Backend = v.backend
+					s.Workers = v.workers
 					prof := gpu.NewProfiler()
 					s.Prof = prof
 					a := s.Alloc(4 * words)

@@ -282,3 +282,24 @@ func TestGenerateFTFCached(t *testing.T) {
 		t.Fatal("different K must not share an FTF cache entry")
 	}
 }
+
+// TestFootprintAllocFree pins Config.Footprint, which static pruning
+// calls for every candidate of every case, at zero allocations: both
+// layouts are package-level values, not rebuilt per call.
+func TestFootprintAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		cfg        Config
+		regs, smem int
+	}{
+		{Config{BK: 64}, 253, 48 << 10},
+		{Config{BK: 32}, 126, 32 << 10},
+		{Config{BK: 32, DeclaredSmem: 64 << 10}, 126, 64 << 10},
+	} {
+		if regs, smem := c.cfg.Footprint(); regs != c.regs || smem != c.smem {
+			t.Errorf("%+v: Footprint = %d regs, %d B smem, want %d, %d", c.cfg, regs, smem, c.regs, c.smem)
+		}
+		if n := testing.AllocsPerRun(20, func() { c.cfg.Footprint() }); n != 0 {
+			t.Errorf("%+v: Footprint makes %v allocs/op, want 0", c.cfg, n)
+		}
+	}
+}

@@ -17,16 +17,6 @@ type ConvResult struct {
 	FTF  *gpu.Metrics
 }
 
-// SimOpts selects the simulator's execution engine for a conv run: the
-// per-instruction backend (threaded by default; switch is the
-// differential oracle) and the worker count for sharded full-grid
-// launches (0 = GOMAXPROCS). Results are identical across backends and
-// worker counts.
-type SimOpts struct {
-	Backend gpu.Backend
-	Workers int
-}
-
 // ConvOpts bundles every option of a simulated convolution run; the zero
 // value is a full functional run on the default engine.
 type ConvOpts struct {
@@ -49,8 +39,10 @@ type ConvOpts struct {
 	// Oracle, when non-nil, logs every shared-memory access of both
 	// launches for race/bounds checking (see gpu.SmemOracle).
 	Oracle *gpu.SmemOracle
-	// Sim selects the execution engine.
-	Sim SimOpts
+	// Backend selects the simulator's per-instruction engine: threaded by
+	// default; switch is the differential oracle. Results are identical
+	// across backends.
+	Backend gpu.Backend
 }
 
 // RunConvWith executes the Winograd convolution (filter-transform kernel
@@ -64,7 +56,7 @@ type ConvOpts struct {
 // read-only (see gencache.go).
 //
 // Full-grid runs (SampleBlocks == 0) launch Sharded: the whole-device
-// simulation is split SM-by-SM across Sim.Workers goroutines with
+// simulation is split SM-by-SM across GOMAXPROCS goroutines with
 // deterministic merging, which is where the simulator's wall-clock
 // speedup on functional runs comes from. Sampled runs keep the
 // sequential chained-L2 launch semantics so sampled timings (and the
@@ -99,8 +91,7 @@ func RunConvWith(dev gpu.Device, cfg Config, p Problem, o ConvOpts) (*ConvResult
 	sim.HazardCheck = hazardCheck
 	sim.Prof = prof
 	sim.Oracle = o.Oracle
-	sim.Backend = o.Sim.Backend
-	sim.Workers = o.Sim.Workers
+	sim.Backend = o.Backend
 	// Only full functional runs shard: sampled launches keep the
 	// sequential chained-L2 semantics their calibrated timings (and the
 	// committed golden sweep outputs) were built on.

@@ -43,21 +43,21 @@ type layout struct {
 	srcBytes int // Source's text buffer size: the largest variants measured fit without growing
 }
 
-func layoutFor(bk int) layout {
-	if bk == 64 {
-		return layout{
-			bk: 64, positions: 2,
-			accBase: []int{0, 96},
-			inBase:  [2][]int{{64, 72}, {160, 168}},
-			fltBase: [2][]int{{80, 88}, {176, 184}},
-			ldgIn:   224, ldgFilt: 192, filtVecs: 8, filtEStep: 2,
-			smemIn: 0, smemFilt: 0x4000, smemActual: 48 * 1024,
-			rIn: 240, rFlt: 241, rIsw: 242, rFsw: 243, rIr: 244, rFr: 245,
-			rIter: 246, rMask: 247, rT0: 248, rT1: 249, rT2: 250,
-			regs: 253, srcBytes: 96 << 10,
-		}
+// The two layouts. Every generator shares their register-base slices,
+// which are read-only.
+var (
+	layout64 = layout{
+		bk: 64, positions: 2,
+		accBase: []int{0, 96},
+		inBase:  [2][]int{{64, 72}, {160, 168}},
+		fltBase: [2][]int{{80, 88}, {176, 184}},
+		ldgIn:   224, ldgFilt: 192, filtVecs: 8, filtEStep: 2,
+		smemIn: 0, smemFilt: 0x4000, smemActual: 48 * 1024,
+		rIn: 240, rFlt: 241, rIsw: 242, rFsw: 243, rIr: 244, rFr: 245,
+		rIter: 246, rMask: 247, rT0: 248, rT1: 249, rT2: 250,
+		regs: 253, srcBytes: 96 << 10,
 	}
-	return layout{
+	layout32 = layout{
 		bk: 32, positions: 1,
 		accBase: []int{0},
 		inBase:  [2][]int{{64}, {80}},
@@ -69,6 +69,13 @@ func layoutFor(bk int) layout {
 		regs:     126, // cuDNN's published count governs occupancy (Table 7)
 		srcBytes: 64 << 10,
 	}
+)
+
+func layoutFor(bk int) layout {
+	if bk == 64 {
+		return layout64
+	}
+	return layout32
 }
 
 // strides bakes the problem's address constants.

@@ -118,6 +118,11 @@ func contentHash(data []byte) string {
 // Store is an in-memory set of entries indexed by key.
 type Store struct {
 	entries map[string]Entry
+	// corruptPath and corrupt are the path and bytes of a file Load found
+	// corrupt, which Save keeps as corruptPath+".corrupt" before it
+	// replaces that file.
+	corruptPath string
+	corrupt     []byte
 }
 
 // New returns an empty store.
@@ -177,7 +182,10 @@ func (s *Store) sortedKeys() []string {
 }
 
 // Save writes the store to path, creating parent directories as needed.
-// Entries are sorted by key and payloads indented from their compact
+// It replaces path atomically: a Save that fails or is killed leaves the
+// old file as it was. When the store was loaded from a corrupt file at
+// path, Save first keeps that file's bytes as path+".corrupt". Entries
+// are sorted by key and payloads indented from their compact
 // canonical bytes, which carry encoding/json's shortest round-trip
 // floats — so the bytes are a pure function of the contents: any shard
 // count, worker count, or cold/warm history that holds the same entries
@@ -219,7 +227,41 @@ func (s *Store) Save(path string) error {
 			return err
 		}
 	}
-	return os.WriteFile(path, data, 0o644)
+	if s.corrupt != nil && filepath.Clean(path) == filepath.Clean(s.corruptPath) {
+		if err := writeFile(path+".corrupt", s.corrupt); err != nil {
+			return err
+		}
+	}
+	return writeFile(path, data)
+}
+
+// writeFile replaces path with data: it writes a temporary file beside
+// path, syncs and closes it, and renames it over path. On any error it
+// removes the temporary file, and path keeps what it held.
+func writeFile(path string, data []byte) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	if _, err = f.Write(data); err != nil {
+		return err
+	}
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // LoadReport describes what Load had to discard. Quarantined counts the
@@ -233,10 +275,11 @@ type LoadReport struct {
 
 // Load reads the store at path. A missing file is a plain cold start; a
 // corrupt file or a schema mismatch yields an empty store plus a
-// warning; an entry whose key is malformed, whose content hash does not
-// match its payload, or whose key repeats an earlier entry is
-// quarantined — skipped with a warning — and every surviving entry is
-// kept. Loading never fails and never trusts bytes it cannot re-derive:
+// warning (saving a store loaded from a corrupt file back to its path
+// keeps the file as path+".corrupt" first); an entry whose key is
+// malformed, whose content hash does not match its payload, or whose
+// key repeats an earlier entry is quarantined — skipped with a warning
+// — and every surviving entry is kept. Loading never fails and never trusts bytes it cannot re-derive:
 // a damaged store degrades to a smaller (or empty) one, and tuning
 // re-simulates the difference.
 //
@@ -262,7 +305,8 @@ func load(path string, data []byte) (*Store, *LoadReport) {
 	rep := &LoadReport{}
 	schema, entries, err := decodeFile(data)
 	if err != nil {
-		rep.Warnings = append(rep.Warnings, fmt.Sprintf("store: corrupt %s: %v (starting empty)", path, err))
+		s.corruptPath, s.corrupt = path, data
+		rep.Warnings = append(rep.Warnings, fmt.Sprintf("store: corrupt %s: %v; saving over it keeps it as %s.corrupt (starting empty)", path, err, path))
 		return s, rep
 	}
 	if schema != Schema {

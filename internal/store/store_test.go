@@ -148,6 +148,67 @@ func TestLoadGracefulDegradation(t *testing.T) {
 	}
 }
 
+// TestSaveFailureLeavesNoTemporaryFile: Save writes a temporary file
+// beside the destination and renames it over; when the rename fails
+// (here the destination is a directory) the temporary file goes too.
+func TestSaveFailureLeavesNoTemporaryFile(t *testing.T) {
+	dir := t.TempDir()
+	s := New()
+	mustPut(t, s, testKey(1), payload{Seconds: 1})
+	if err := os.Mkdir(filepath.Join(dir, "store.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(filepath.Join(dir, "store.json")); err == nil {
+		t.Fatal("Save over a directory succeeded")
+	}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != "store.json" {
+		t.Fatalf("after the failed Save the directory holds %v, want only store.json", names)
+	}
+}
+
+// TestSaveKeepsCorruptFile: a store loaded from a corrupt file starts
+// empty, and saving it over that file first keeps the file's bytes as
+// <path>.corrupt, which the load warning names.
+func TestSaveKeepsCorruptFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.json")
+	truncated := `{"schema": "store/v1", "entries": [{"device": "de`
+	if err := os.WriteFile(path, []byte(truncated), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, rep := Load(path)
+	if s.Len() != 0 || len(rep.Warnings) != 1 || !strings.Contains(rep.Warnings[0], path+".corrupt") {
+		t.Fatalf("corrupt file: %d entries, warnings %q naming %s.corrupt", s.Len(), rep.Warnings, path)
+	}
+	mustPut(t, s, testKey(1), payload{Seconds: 1})
+	if err := s.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(mustRead(t, path+".corrupt")); got != truncated {
+		t.Errorf("%s.corrupt holds %q, want the corrupt file's bytes %q", path, got, truncated)
+	}
+	if again, rep := Load(path); again.Len() != 1 || len(rep.Warnings) != 0 {
+		t.Errorf("reloading the saved store: %d entries, %v", again.Len(), rep.Warnings)
+	}
+	if names := dirNames(t, dir); len(names) != 2 {
+		t.Errorf("the directory holds %v, want store.json and store.json.corrupt", names)
+	}
+}
+
+// dirNames lists the names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 func TestLoadQuarantinesCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	good := New()

@@ -22,8 +22,6 @@ type Options struct {
 	// BlockK, BlockN, BlockC are the fused cache-block sizes; defaults,
 	// and upper bounds, are the paper's bk=64, bn=32, bc=8.
 	BlockK, BlockN, BlockC int
-	// Workers bounds CPU parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 func (o Options) blocks() (bk, bn, bc int) {
@@ -82,16 +80,16 @@ func TransformFilter(flt *tensor.Tensor, opt Options) (Filter, error) {
 	}
 	hat := FilterTransformAll(flt, opt.Variant)
 	if opt.NonFused {
-		hat = transposeElements(hat, opt.Variant.TileArea(), fs.C, fs.K, opt.Workers)
+		hat = transposeElements(hat, opt.Variant.TileArea(), fs.C, fs.K)
 	}
 	return Filter{variant: opt.Variant, nonFused: opt.NonFused, c: fs.C, k: fs.K, hat: hat, finite: allFinite(hat)}, nil
 }
 
 // transposeElements turns area element-major (rows x cols) matrices into
 // their (cols x rows) transposes.
-func transposeElements(m []float32, area, rows, cols, workers int) []float32 {
+func transposeElements(m []float32, area, rows, cols int) []float32 {
 	t := make([]float32, len(m))
-	par.For(area, workers, func(e int) {
+	par.For(area, 0, func(e int) {
 		src := m[e*rows*cols : (e+1)*rows*cols]
 		dst := t[e*rows*cols : (e+1)*rows*cols]
 		for r := 0; r < rows; r++ {
@@ -338,7 +336,7 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tens
 	out := newOutput(in, filters, oh, ow, is.N)
 	dst := imageOf(out)
 
-	par.For(blocksN*blocksK, opt.Workers, func(blk int) {
+	par.For(blocksN*blocksK, 0, func(blk int) {
 		bkIdx, bnIdx := blk/blocksN, blk%blocksN
 		k0 := bkIdx * bk
 		k1 := min(k0+bk, filters)
@@ -454,7 +452,7 @@ func convNonFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *t
 
 	// Scatter: transformed input workspace, element-major (e, c, tile).
 	inHat := make([]float32, area*is.C*totalTiles)
-	par.For(is.C, opt.Workers, func(c int) {
+	par.For(is.C, 0, func(c int) {
 		var raw, hat [maxArea]float32
 		for j := 0; j < totalTiles; j++ {
 			batch, th, tw := g.split(j, is.N)
@@ -468,12 +466,12 @@ func convNonFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *t
 
 	// Batched GEMM: O_hat[e] (K x T) = F_hat[e]^T (K x C) * I_hat[e] (C x T).
 	outHat := make([]float32, area*filters*totalTiles)
-	gemm.Batched(f.hat, inHat, outHat, area, filters, is.C, totalTiles, opt.Workers)
+	gemm.Batched(f.hat, inHat, outHat, area, filters, is.C, totalTiles, 0)
 
 	// Gather: output transform.
 	out := newOutput(in, filters, oh, ow, is.N)
 	dst := imageOf(out)
-	par.For(filters, opt.Workers, func(k int) {
+	par.For(filters, 0, func(k int) {
 		var pre [maxArea]float32
 		var post [16]float32
 		for j := 0; j < totalTiles; j++ {

@@ -502,6 +502,24 @@ func (g *graph) implement() {
 	}
 }
 
+// testingImports returns the position of every import of package
+// testing in the non-test files of pkgs, in package order. What imports
+// it is code that only a test can use, and it belongs in the _test.go
+// files of that test's package, which no binary links.
+func testingImports(fset *token.FileSet, pkgs []*srcPkg) []token.Position {
+	var out []token.Position
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"testing"` {
+					out = append(out, fset.Position(imp.Pos()))
+				}
+			}
+		}
+	}
+	return out
+}
+
 // objKey names a package-level object as "pkgpath.Name" and a method as
 // "pkgpath.Type.Method".
 func objKey(obj types.Object) string {
@@ -535,9 +553,10 @@ func kindOf(obj types.Object) string {
 	return "var"
 }
 
-// TestReachRules pins each rule of the graph and of the field rule on a
-// fixture: a library package fix/internal/a, which is reported, and a
-// command fix/cmd/app, whose main is the root.
+// TestReachRules pins each rule of the graph, of the field rule and of
+// the testing-import rule on a fixture: a library package
+// fix/internal/a, which is reported, and a command fix/cmd/app, whose
+// main is the root.
 func TestReachRules(t *testing.T) {
 	const opts = "type Opts struct{ N int }\nfunc Use(o Opts) int { return o.N }"
 	for _, c := range []struct {
@@ -545,6 +564,7 @@ func TestReachRules(t *testing.T) {
 		dead           []string          // objKeys and field keys under fix/internal/a
 		seams          map[string]string // testOnlyExports entries under fix/internal/a
 		stale          []string          // the problems reported of seams
+		testing        []string          // the fixture packages reported for importing testing
 	}{{
 		name: "an unused unexported func",
 		lib:  "func Used() {}\nfunc unused() {}",
@@ -637,9 +657,14 @@ func TestReachRules(t *testing.T) {
 		app:   "_ = a.Use(a.Opts{N: 2})",
 		seams: map[string]string{"fix/internal/a.Opts.N": "a test sets it"},
 		stale: []string{"fix/internal/a.Opts.N is written by reached code"},
+	}, {
+		name:    "a non-test file that imports testing",
+		lib:     "import \"testing\"\nfunc Bench(b *testing.B) { b.Fatal() }",
+		app:     "a.Bench(nil)",
+		testing: []string{"fix/internal/a"},
 	}} {
 		t.Run(c.name, func(t *testing.T) {
-			dead, stale := reachFixture(t, map[string]string{
+			dead, stale, importers := reachFixture(t, map[string]string{
 				"fix/internal/a": "package a\n" + c.lib,
 				"fix/cmd/app":    "package main\nimport (\n\t\"fmt\"\n\t\"fix/internal/a\"\n)\nvar _ = fmt.Sprint\nfunc main() {\n" + c.app + "\n}",
 			}, c.seams)
@@ -654,23 +679,29 @@ func TestReachRules(t *testing.T) {
 			if !reflect.DeepEqual(stale, c.stale) {
 				t.Errorf("stale entries = %v, want %v", stale, c.stale)
 			}
+			if !reflect.DeepEqual(importers, c.testing) {
+				t.Errorf("packages importing testing = %v, want %v", importers, c.testing)
+			}
 		})
 	}
 }
 
 // reachFixture type-checks the fixture packages (import path → source)
 // from a temporary directory and returns the objKeys and field keys
-// deadCode reports under fix/internal, and the problems of keys.
-func reachFixture(t *testing.T, srcs map[string]string, keys map[string]string) (dead, keyErrs []string) {
+// deadCode reports under fix/internal, the problems of keys, and the
+// packages testingImports reports.
+func reachFixture(t *testing.T, srcs map[string]string, keys map[string]string) (dead, keyErrs, importers []string) {
 	fset := token.NewFileSet()
 	l := newSrcImporter(fset, importer.ForCompiler(fset, "gc", nil))
 	dir := t.TempDir()
+	pathOf := map[string]string{} // file name → import path
 	for path, src := range srcs {
 		name := filepath.Join(dir, strings.ReplaceAll(path, "/", "_")+".go")
 		if err := os.WriteFile(name, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l.files[path] = []string{name}
+		pathOf[name] = path
 	}
 	pkgs, err := l.checkAll()
 	if err != nil {
@@ -683,5 +714,8 @@ func reachFixture(t *testing.T, srcs map[string]string, keys map[string]string) 
 	for _, f := range unset {
 		dead = append(dead, f.key)
 	}
-	return dead, keyErrs
+	for _, pos := range testingImports(fset, pkgs) {
+		importers = append(importers, pathOf[pos.Filename])
+	}
+	return dead, keyErrs, importers
 }
