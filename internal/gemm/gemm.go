@@ -55,15 +55,15 @@ func Blocked(a, b, c []float32, m, k, n int) {
 
 // Batched computes batch independent products C[i] = A[i]*B[i], where the
 // slices hold the matrices contiguously (stride m*k, k*n, m*n). Batches
-// run through par.For on at most workers goroutines (GOMAXPROCS when
-// workers <= 0); each is a serial Blocked product, so the worker count
-// cannot change the bits. This is the EWMM step of non-fused Winograd:
-// 16 batched GEMMs, one per tile element.
-func Batched(a, b, c []float32, batch, m, k, n, workers int) {
+// run through par.For on GOMAXPROCS goroutines; each is a serial
+// Blocked product, so the worker count cannot change the bits. This is
+// the EWMM step of non-fused Winograd: 16 batched GEMMs, one per tile
+// element.
+func Batched(a, b, c []float32, batch, m, k, n int) {
 	if len(a) < batch*m*k || len(b) < batch*k*n || len(c) < batch*m*n {
 		panic(fmt.Sprintf("gemm: batched buffers too small for batch=%d m=%d k=%d n=%d", batch, m, k, n))
 	}
-	par.For(batch, workers, func(i int) {
+	par.For(batch, 0, func(i int) {
 		Blocked(a[i*m*k:(i+1)*m*k], b[i*k*n:(i+1)*k*n], c[i*m*n:(i+1)*m*n], m, k, n)
 	})
 }

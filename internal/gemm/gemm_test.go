@@ -2,6 +2,7 @@ package gemm
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -86,9 +87,11 @@ func TestBatchedMatchesPerBatchNaive(t *testing.T) {
 	batch, m, k, n := 16, 12, 10, 14
 	a := randMat(r, batch*m*k)
 	b := randMat(r, batch*k*n)
-	for _, workers := range []int{0, 1, 3, 16} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, workers := range []int{runtime.GOMAXPROCS(0), 1, 3, 16} {
+		runtime.GOMAXPROCS(workers) // the worker count of Batched's par.For
 		got := make([]float32, batch*m*n)
-		Batched(a, b, got, batch, m, k, n, workers)
+		Batched(a, b, got, batch, m, k, n)
 		for i := 0; i < batch; i++ {
 			ai, bi, gi := a[i*m*k:(i+1)*m*k], b[i*k*n:(i+1)*k*n], got[i*m*n:(i+1)*m*n]
 			want := make([]float32, m*n)

@@ -21,6 +21,7 @@ package jsonx
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -193,6 +194,36 @@ func (d *Decoder) Float(dst *float64) error {
 	return nil
 }
 
+// Float32 decodes a number into *dst as strconv.ParseFloat(text, 32)
+// reads it, rejecting one out of float32 range; null leaves *dst as it
+// was. It gathers the digits while it checks the syntax, converts them
+// itself where that is exact (decimal.float32) and leaves the other
+// numbers to strconv.
+func (d *Decoder) Float32(dst *float32) error {
+	switch c := d.Peek(); {
+	case c == 'n':
+		return d.Literal("null")
+	case c != '-' && (c < '0' || '9' < c):
+		return d.Fail("want a number")
+	}
+	start := d.off
+	x, err := d.scanNumber()
+	if err != nil {
+		return err
+	}
+	if f, ok := x.float32(); ok {
+		*dst = f
+		return nil
+	}
+	tok := d.data[start:d.off]
+	g, err := strconv.ParseFloat(string(tok), 32)
+	if err != nil {
+		return d.errorf("number %s at offset %d is not a float32", tok, start)
+	}
+	*dst = float32(g)
+	return nil
+}
+
 // Bool decodes true or false into *dst; null leaves it as it was.
 func (d *Decoder) Bool(dst *bool) error {
 	switch d.Peek() {
@@ -214,7 +245,7 @@ func (d *Decoder) numberOrNull() ([]byte, error) {
 	case c == 'n':
 		return nil, d.Literal("null")
 	case c == '-' || '0' <= c && c <= '9':
-		return d.Number()
+		return d.number()
 	}
 	return nil, d.Fail("want a number")
 }
@@ -294,7 +325,7 @@ func (d *Decoder) value(dst []byte, keep bool) ([]byte, error) {
 	case 'n':
 		err = d.Literal("null")
 	default:
-		_, err = d.Number()
+		_, err = d.number()
 	}
 	if err == nil && keep {
 		dst = append(dst, d.data[start:d.off]...)
@@ -413,39 +444,126 @@ func hex4(b []byte) rune {
 	return r
 }
 
-// Number checks the JSON number at d.off and returns its text.
-func (d *Decoder) Number() ([]byte, error) {
+// number checks the JSON number at d.off and returns its text.
+func (d *Decoder) number() ([]byte, error) {
 	start := d.off
-	d.Next('-')
-	switch c := d.Peek(); {
-	case c == '0':
-		d.off++
-	case '1' <= c && c <= '9':
-		d.digits()
-	default:
-		return nil, d.Fail("want a value")
-	}
-	if d.Next('.') && d.digits() == 0 {
-		return nil, d.Fail("want a digit after '.'")
-	}
-	if d.Next('e') || d.Next('E') {
-		if !d.Next('+') {
-			d.Next('-')
-		}
-		if d.digits() == 0 {
-			return nil, d.Fail("want a digit in the exponent")
-		}
+	if _, err := d.scanNumber(); err != nil {
+		return nil, err
 	}
 	return d.data[start:d.off], nil
 }
 
-// digits passes over a run of decimal digits and returns its length.
-func (d *Decoder) digits() int {
-	start := d.off
-	for d.off < len(d.data) && '0' <= d.data[d.off] && d.data[d.off] <= '9' {
-		d.off++
+// decimal is a JSON number's value as mant × 10^e10, negated when neg.
+// inexact marks a number with more digits than mant holds, or with an
+// exponent too long to read in full.
+type decimal struct {
+	mant         uint64
+	e10          int
+	neg, inexact bool
+}
+
+// scanNumber checks the JSON number at d.off, passes over it and
+// returns its value. It indexes the data directly, since it runs once
+// per image element.
+func (d *Decoder) scanNumber() (x decimal, err error) {
+	data, i := d.data, d.off
+	// digits passes over a run of digits from i, appending each to
+	// x.mant while it has room and adding scale to x.e10 for each one
+	// kept, and returns the run's length.
+	digits := func(scale int) int {
+		start := i
+		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			if x.mant < 1e18 {
+				x.mant = x.mant*10 + uint64(data[i]-'0')
+				x.e10 += scale
+			} else {
+				x.inexact = true
+			}
+		}
+		return i - start
 	}
-	return d.off - start
+	fail := func(what string) (decimal, error) {
+		d.off = i
+		return x, d.Fail(what)
+	}
+	if x.neg = i < len(data) && data[i] == '-'; x.neg {
+		i++
+	}
+	switch {
+	case i < len(data) && data[i] == '0':
+		i++
+	case i < len(data) && '1' <= data[i] && data[i] <= '9':
+		digits(0)
+	default:
+		return fail("want a value")
+	}
+	if i < len(data) && data[i] == '.' {
+		i++
+		if digits(-1) == 0 {
+			return fail("want a digit after '.'")
+		}
+	}
+	if i < len(data) && data[i]|0x20 == 'e' {
+		i++
+		neg := i < len(data) && data[i] == '-'
+		if i < len(data) && (neg || data[i] == '+') {
+			i++
+		}
+		exp, start := 0, i
+		for ; i < len(data) && '0' <= data[i] && data[i] <= '9'; i++ {
+			if exp < 1e4 { // far past any float
+				exp = exp*10 + int(data[i]-'0')
+			} else { // leading zeros could offset what is dropped; strconv decides
+				x.inexact = true
+			}
+		}
+		if i == start {
+			return fail("want a digit in the exponent")
+		}
+		if neg {
+			exp = -exp
+		}
+		x.e10 += exp
+	}
+	d.off = i
+	return x, nil
+}
+
+// float64Pow10 holds the powers of ten that float64 represents exactly.
+var float64Pow10 = [23]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float32 returns x rounded to the nearest float32, as
+// strconv.ParseFloat(text, 32) rounds it, when one correctly rounded
+// operation computes that: mant < 2^53 and |e10| <= 22 is one float64
+// multiply or divide of exact operands, then a rounding to float32
+// that can differ from rounding x itself only when the float64 lies
+// exactly halfway between two float32s. The result stays in float32
+// range: 2^53 × 10^22 < MaxFloat32, and 10^-22 is normal. Otherwise ok
+// is false.
+func (x decimal) float32() (f float32, ok bool) {
+	switch {
+	case x.inexact:
+		return 0, false
+	case x.mant == 0:
+	case x.mant < 1<<53 && -22 <= x.e10 && x.e10 <= 22:
+		g := float64(x.mant)
+		if x.e10 < 0 {
+			g /= float64Pow10[-x.e10]
+		} else {
+			g *= float64Pow10[x.e10]
+		}
+		if math.Float64bits(g)&(1<<29-1) == 1<<28 { // halfway between two float32s
+			return 0, false
+		}
+		f = float32(g)
+	default:
+		return 0, false
+	}
+	if x.neg {
+		f = -f
+	}
+	return f, true
 }
 
 // Literal passes over word, one of true, false and null.

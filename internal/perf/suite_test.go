@@ -22,10 +22,12 @@
 package perf
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -35,6 +37,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/microbench"
+	"repro/internal/serve"
 	"repro/internal/store"
 	"repro/internal/tensor"
 	"repro/internal/tune"
@@ -71,7 +74,9 @@ func Benchmarks() []Benchmark {
 		{"kernels/source", benchKernelSource},
 		{"winograd/conv2d", benchWinogradConv2D},
 		{"tune/staticprune", benchTuneStaticPrune},
-		{"store/roundtrip", benchStoreRoundTrip},
+		{"store/load", benchStoreLoad},
+		{"serve/handler/conv_a", benchHandler("conv_a")},
+		{"serve/handler/conv_b", benchHandler("conv_b")},
 		{"microbench/calibrate", benchMicrobenchCalibrate},
 	}
 }
@@ -117,12 +122,12 @@ func benchTuneStaticPrune(b *testing.B) {
 // package's directory, where the suite runs.
 const quickStore = "../../cmd/winograd-bench/testdata/store_quick.golden"
 
-// benchStoreRoundTrip measures the store work of a warm tune outside
-// key derivation: Load of the committed quick store, each of its
-// entries checked as the tuner checks a hit, and Save. The inputs each
-// hit is checked against come from one full decode before the timer.
-func benchStoreRoundTrip(b *testing.B) {
-	out := filepath.Join(b.TempDir(), "store.json")
+// benchStoreLoad measures the store work of a warm tune outside key
+// derivation: Load of the committed quick store and each of its entries
+// checked as the tuner checks a hit. A warm tune that loads cleanly
+// never saves, so neither does this. The inputs each hit is checked
+// against come from one full decode before the timer.
+func benchStoreLoad(b *testing.B) {
 	st, _ := store.Load(quickStore) // the timed loop checks the load
 	var want []tune.Entry
 	for _, se := range st.Entries() {
@@ -145,8 +150,74 @@ func benchStoreRoundTrip(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := st.Save(out); err != nil {
+	}
+}
+
+// fusedSelector chooses the fused kernel for every batch.
+type fusedSelector struct{}
+
+func (fusedSelector) Choose(gpu.Device, kernels.Problem) (tune.Choice, error) {
+	return tune.Choice{Algo: tune.AlgoFused}, nil
+}
+
+// handlerWriter is a reusable http.ResponseWriter that keeps only the
+// status and the reply's length, so the handler rows time the handler.
+type handlerWriter struct {
+	header http.Header
+	code   int
+	n      int
+}
+
+func (w *handlerWriter) Header() http.Header         { return w.header }
+func (w *handlerWriter) WriteHeader(code int)        { w.code = code }
+func (w *handlerWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// handlerBody is a request body that rewinds for the next request.
+type handlerBody struct{ bytes.Reader }
+
+func (*handlerBody) Close() error { return nil }
+
+// benchHandler returns the row timing a warm lone request for layer
+// through the server's Handler().ServeHTTP with the default executor,
+// as a lone serve-light request runs: the body's decode, admission, a
+// fused forward of the one live image of an N=32 batch from the
+// model's prepared weights, and the reply's encode.
+func benchHandler(layer string) func(b *testing.B) {
+	return func(b *testing.B) {
+		model := serve.DemoModel(31)
+		s, err := serve.NewServer(serve.Config{Model: model, Selector: fusedSelector{}})
+		if err != nil {
 			b.Fatal(err)
+		}
+		defer s.Close()
+		spec, _, _ := model.Layer(layer)
+		img := make([]float32, spec.InLen())
+		r := tensor.NewRNG(7)
+		for i := range img {
+			img[i] = r.Float32() - 0.5
+		}
+		body, err := json.Marshal(map[string]any{"device": gpu.RTX2070().Name, "layer": layer, "image": img})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := s.Handler()
+		req := httptest.NewRequest(http.MethodPost, "/v1/infer", nil)
+		rb := &handlerBody{}
+		req.Body = rb
+		w := &handlerWriter{header: http.Header{}}
+		serveOne := func() {
+			rb.Reset(body)
+			w.code, w.n = 0, 0
+			h.ServeHTTP(w, req)
+			if w.code != http.StatusOK || w.n == 0 {
+				b.Fatalf("%s: status %d, %d reply bytes", layer, w.code, w.n)
+			}
+		}
+		serveOne() // warm: the pooled buffers and blocks
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveOne()
 		}
 	}
 }

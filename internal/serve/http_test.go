@@ -177,61 +177,3 @@ func TestHTTPNonFiniteOutput(t *testing.T) {
 		t.Fatalf("error %q does not contain %q", out.Error, want)
 	}
 }
-
-// benchWriter is a reusable http.ResponseWriter that keeps only the
-// status, so BenchmarkHandler charges the handler and not a recorder.
-type benchWriter struct {
-	header http.Header
-	code   int
-	n      int
-}
-
-func (w *benchWriter) Header() http.Header         { return w.header }
-func (w *benchWriter) WriteHeader(code int)        { w.code = code }
-func (w *benchWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
-
-// benchBody is a request body that rewinds for the next iteration.
-type benchBody struct{ bytes.Reader }
-
-func (*benchBody) Close() error { return nil }
-
-// BenchmarkHandler times warm lone requests through Handler().ServeHTTP
-// with the default executor: decode, admission, a fused forward of the
-// one live image of an N=32 batch from the model's prepared weights, and
-// the reply.
-func BenchmarkHandler(b *testing.B) {
-	model := DemoModel(31)
-	s, err := NewServer(Config{Model: model, Selector: FixedSelector(tune.Choice{Algo: tune.AlgoFused})})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	h := s.Handler()
-	for _, layer := range []string{"conv_a", "conv_b"} {
-		b.Run(layer, func(b *testing.B) {
-			req := demoRequest(model, layer, 7)
-			body, err := json.Marshal(inferRequest{Device: req.Device, Layer: layer, Image: req.Image})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := httptest.NewRequest(http.MethodPost, "/v1/infer", nil)
-			rb := &benchBody{}
-			r.Body = rb
-			w := &benchWriter{header: http.Header{}}
-			serve := func() {
-				rb.Reset(body)
-				w.code, w.n = 0, 0
-				h.ServeHTTP(w, r)
-				if w.code != http.StatusOK || w.n == 0 {
-					b.Fatalf("status %d, %d reply bytes", w.code, w.n)
-				}
-			}
-			serve() // warm: the selector
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serve()
-			}
-		})
-	}
-}

@@ -10,13 +10,14 @@ package serve
 // unknown keys skipped with full validation, keys matched exactly or
 // under bytes.EqualFold, null leaving a field as it was, a repeated key
 // decoding over the earlier value, invalid UTF-8 and lone surrogates in
-// strings read as U+FFFD. Each image element is parsed by
-// strconv.ParseFloat(tok, 32), an out-of-range one rejecting the body,
-// and a null element leaves it as it was. A type mismatch (a
-// non-string name, a non-array image, a non-number element, a
-// top-level value other than an object or null) rejects the body, as
-// json.Unmarshal's returned error does. FuzzWireDecode holds the two to
-// this.
+// strings read as U+FFFD. Each image element is read to the bits
+// strconv.ParseFloat(tok, 32) gives (jsonx's Float32), an out-of-range
+// one rejecting the body, and a null element leaves it as it was. A
+// type mismatch (a non-string name, a non-array image, a non-number
+// element, a top-level value other than an object or null) rejects the
+// body, as json.Unmarshal's returned error does. FuzzWireDecode holds
+// the two to this, and FuzzFloat32Wire and TestFloat32WireAllBits hold
+// the floats to strconv.
 //
 // Two things differ from the json.Decoder the handler used before, and
 // only for bodies no client of the schema sends: bytes after the object
@@ -30,7 +31,6 @@ package serve
 // reports a non-finite output value instead of failing to encode.
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -169,23 +169,8 @@ func (d *decoder) image() error {
 			if n == len(d.img) {
 				d.img = append(d.img, 0)
 			}
-			switch c := d.Peek(); {
-			case c == 'n':
-				if err := d.Literal("null"); err != nil {
-					return err
-				}
-			case c == '-' || '0' <= c && c <= '9':
-				tok, err := d.Number()
-				if err != nil {
-					return err
-				}
-				f, err := strconv.ParseFloat(string(tok), 32)
-				if err != nil {
-					return fmt.Errorf("serve: request body: image[%d] %s is not a float32", n, tok)
-				}
-				d.img[n] = float32(f)
-			default:
-				return d.Fail("want a number in the image")
+			if err := d.Float32(&d.img[n]); err != nil {
+				return err
 			}
 			n++
 			d.Space()
@@ -215,7 +200,7 @@ func appendResponse(dst []byte, r *inferResponse) ([]byte, int) {
 	if len(r.Output) > 0 {
 		dst = append(dst, `"output":[`...)
 		for i, x := range r.Output {
-			if math.IsInf(float64(x), 0) || math.IsNaN(float64(x)) {
+			if math.Float32bits(x)&0x7f800000 == 0x7f800000 { // ±Inf or NaN
 				return dst[:start], i
 			}
 			if i > 0 {

@@ -5,9 +5,16 @@ package serve
 // "Ryū: fast float-to-string conversion", PLDI 2018) specialised to
 // float32: the same shortest, closest digits strconv.AppendFloat(x,
 // 'f' or 'e', -1, 32) finds, without its generic decimal plumbing.
-// TestWireEncodeMatchesJSON compares it with encoding/json.
+// TestWireEncodeMatchesJSON compares it with encoding/json, and
+// TestFloat32WireAllBits (every float32 under -wire.allbits) and
+// FuzzFloat32Wire compare each float's bytes.
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+	"math/bits"
+	"slices"
+)
 
 const (
 	ryuInvBits = 59 // bits of a ryuPow5Inv entry
@@ -176,63 +183,121 @@ func shortestFloat32(b uint32) (d uint32, e int) {
 	return vr, e10 + removed
 }
 
+// The magnitudes encoding/json writes in 'f' form, as float32 bits:
+// 1e-6 <= |x| < 1e21. Outside them (zero included) it writes 'e' form.
+const (
+	fFormMin = 0x358637bd // math.Float32bits(1e-6)
+	fFormEnd = 0x6258d727 // math.Float32bits(1e21)
+)
+
+// ascii0 is eight '0' bytes, one little-endian store.
+const ascii0 = 0x3030303030303030
+
+// pow10u32[i] is 10^i.
+var pow10u32 = [10]uint32{1, 10, 100, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
+
+// decimalLen is the number of decimal digits of 0 < d < 1e9, from its
+// bit length and one comparison that is arithmetic, not a branch.
+func decimalLen(d uint32) int {
+	t := bits.Len32(d) * 1233 >> 12 // floor(log10 d) or one more
+	return t + 1 - int((uint64(d)-uint64(pow10u32[t]))>>63)
+}
+
+// digits9 writes 1e8 <= v < 1e9 as nine ASCII digits: the first eight
+// as the bytes of lo, little-endian (the leading digit in the low
+// byte), the ninth as last. The eight below the leading one are formed
+// in parallel, as two four-digit lanes split into pairs and then into
+// single digits, with multiply-and-shift quotients exact in range.
+func digits9(v uint32) (lo uint64, last byte) {
+	x := uint64(v/1e4%1e4) | uint64(v%1e4)<<32 // abcd | efgh<<32
+	y := x * 10486 >> 20 & 0x7f0000007f        // x/100 per lane: ab | ef<<32
+	x = y | (x-y*100)<<16                      // ab | cd<<16 | ef<<32 | gh<<48
+	y = x * 103 >> 10 & 0x000f000f000f000f     // the tens digit of each pair
+	x = y | (x-y*10)<<8 | ascii0               // "abcdefgh"
+	return x<<8 | uint64(v/1e8+'0'), byte(x >> 56)
+}
+
+// decimalDigits returns the shortest decimal of the nonzero finite
+// float32 with bits b as 0.D × 10^dp, where D is its n significant
+// digits zero-padded on the right to nine, the integer v.
+func decimalDigits(b uint32) (v uint32, n, dp int) {
+	d, e := shortestFloat32(b)
+	for d%10 == 0 {
+		d /= 10
+		e++
+	}
+	n = decimalLen(d)
+	return d * pow10u32[9-n], n, n + e
+}
+
 // appendFloat32 appends a finite x as encoding/json writes a float32:
 // its shortest decimal, in 'e' form (one-digit negative exponents
 // unpadded) when |x| < 1e-6 or |x| >= 1e21, else in 'f' form.
+//
+// The 'f' form, nearly every value a reply holds, is written without a
+// branch on the value: the digits are one fixed store over a run of
+// '0' bytes, the digits after the decimal point are stored again one
+// byte past it, and the length is computed. Bytes past that length are
+// scratch, overwritten by whatever is appended next.
 func appendFloat32(dst []byte, x float32) []byte {
 	b := math.Float32bits(x)
+	if b&^(1<<31)-fFormMin >= fFormEnd-fFormMin {
+		return appendFloat32E(dst, b)
+	}
+	v, n, dp := decimalDigits(b) // -5 <= dp <= 21 in 'f' form
+	lo, last := digits9(v)
+	if cap(dst)-len(dst) < 48 {
+		dst = slices.Grow(dst, 48)
+	}
+	w := dst[len(dst) : len(dst)+48]
+	sign := int(b >> 31)
+	w[0] = '-'
+	o := w[sign:]
+	z := max(1-dp, 0) // zeros before the digits: "0." and -dp more when dp <= 0
+	h := max(dp, 0)   // digits before the point
+	point := dp + z   // max(dp, 1)
+	binary.LittleEndian.PutUint64(o[8:], ascii0)
+	binary.LittleEndian.PutUint64(o[16:], ascii0)
+	// The digits from o[0] when dp >= 1, else the "0" of "0.".
+	m := uint64(int64(dp-1) >> 63)
+	binary.LittleEndian.PutUint64(o[0:], lo&^m|ascii0&m)
+	o[8] = last&^byte(m) | '0'&byte(m)
+	o[point] = '.'
+	// The digits after the first h, one byte past the point or past the
+	// zeros that follow "0.".
+	tail := z + h + 1
+	binary.LittleEndian.PutUint64(o[tail:], lo>>uint(8*h)|uint64(last)<<uint(64-8*h))
+	o[tail+8] = last
+	frac := max(n-dp, 0) // digits after the point, which is written only before some
+	return dst[:len(dst)+sign+point+frac+int(uint(-frac)>>63)]
+}
+
+// appendFloat32E appends a zero, or a finite float32 with bits b that
+// encoding/json writes in 'e' form.
+func appendFloat32E(dst []byte, b uint32) []byte {
 	if b>>31 != 0 {
 		dst = append(dst, '-')
 	}
 	if b<<1 == 0 {
 		return append(dst, '0')
 	}
-	d, e := shortestFloat32(b)
-	for d%10 == 0 {
-		d /= 10
-		e++
-	}
-	var buf [10]byte
-	n := len(buf)
-	for ; d > 0; d /= 10 {
-		n--
-		buf[n] = byte('0' + d%10)
-	}
-	digits := buf[n:]
-	dp := len(digits) + e // x = 0.digits × 10^dp
-
-	if abs := math.Float32frombits(b &^ (1 << 31)); abs < 1e-6 || abs >= 1e21 {
-		dst = append(dst, digits[0])
-		if len(digits) > 1 {
-			dst = append(dst, '.')
-			dst = append(dst, digits[1:]...)
-		}
-		exp, sign := dp-1, byte('+')
-		if exp < 0 {
-			exp, sign = -exp, '-'
-		}
-		dst = append(dst, 'e', sign)
-		if exp >= 10 { // exp is 7..45 below 1e-6 and 21..38 from 1e21 up
-			dst = append(dst, byte('0'+exp/10))
-		}
-		return append(dst, byte('0'+exp%10))
-	}
-	switch {
-	case dp <= 0:
-		dst = append(dst, '0', '.')
-		for ; dp < 0; dp++ {
-			dst = append(dst, '0')
-		}
-		return append(dst, digits...)
-	case dp >= len(digits):
-		dst = append(dst, digits...)
-		for i := len(digits); i < dp; i++ {
-			dst = append(dst, '0')
-		}
-		return dst
-	default:
-		dst = append(dst, digits[:dp]...)
+	v, n, dp := decimalDigits(b)
+	lo, last := digits9(v)
+	var digits [9]byte
+	binary.LittleEndian.PutUint64(digits[:], lo)
+	digits[8] = last
+	dst = append(dst, digits[0])
+	if n > 1 {
 		dst = append(dst, '.')
-		return append(dst, digits[dp:]...)
+		dst = append(dst, digits[1:n]...)
 	}
+	exp, sign := dp-1, byte('+')
+	if exp < 0 {
+		exp, sign = -exp, '-'
+	}
+	dst = append(dst, 'e', sign)
+	if exp >= 10 { // exp is 7..45 below 1e-6 and 21..38 from 1e21 up
+		dst = append(dst, byte('0'+exp/10))
+	}
+	return append(dst, byte('0'+exp%10))
 }

@@ -3,11 +3,17 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/jsonx"
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -99,6 +105,11 @@ func TestWireEncodeMatchesJSON(t *testing.T) {
 	}
 }
 
+// cancelledExponent is 1e99990000 written so that the fraction's
+// leading zeros offset the first digits of a longer exponent: a reader
+// that drops the exponent's later digits but keeps the offset reads 1.
+var cancelledExponent = "0." + strings.Repeat("0", 9999) + "1e100000000"
+
 // wireSeeds are bodies at the edges of what encoding/json accepts into
 // an inferRequest.
 func wireSeeds() []string {
@@ -134,6 +145,7 @@ func wireSeeds() []string {
 		"{\"device\":\"\xff\xfe\"}", "{\"device\":\"\xc3\"}", "{\"device\":\"\xed\xa0\x80\"}", "{\"device\":\"é☃\"}",
 		"{\"device\":\"\x01\"}", "{\"device\":\"\x1f\"}", "{\"device\":\"\x7f\"}", "{\"\xff\":1}",
 		deep(9998), deep(9999), deep(10000),
+		`{"image":[` + cancelledExponent + `]}`,
 	}
 }
 
@@ -226,4 +238,130 @@ func TestWireAllocsPinned(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, run); allocs > budget {
 		t.Fatalf("decode + encode: %.0f allocs, budget %d", allocs, budget)
 	}
+}
+
+var wireAllBits = flag.Bool("wire.allbits", false,
+	"TestFloat32WireAllBits walks all 2^32 float32 bit patterns instead of a stride")
+
+// jsonFloat32 is the oracle for appendFloat32: encoding/json's float32
+// formatting, strconv's shortest 'f' or 'e' form with its exponent
+// cleanup.
+func jsonFloat32(dst []byte, x float32) []byte {
+	form := byte('f')
+	if abs := math.Abs(float64(x)); abs != 0 && (float32(abs) < 1e-6 || float32(abs) >= 1e21) {
+		form = 'e'
+	}
+	dst = strconv.AppendFloat(dst, float64(x), form, -1, 32)
+	if n := len(dst); form == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// checkFloat32Wire checks one finite float32 both ways: appendFloat32
+// writes encoding/json's bytes, and jsonx's Float32 reads them back to
+// the same bits. got and want are scratch buffers, returned for reuse.
+func checkFloat32Wire(x float32, got, want []byte) ([]byte, []byte, error) {
+	got = appendFloat32(got[:0], x)
+	if want = jsonFloat32(want[:0], x); !bytes.Equal(got, want) {
+		return got, want, fmt.Errorf("bits %#08x: appendFloat32 wrote %q, encoding/json %q", math.Float32bits(x), got, want)
+	}
+	d := jsonx.NewDecoder(got, "")
+	var back float32
+	err := d.Float32(&back)
+	if err == nil {
+		err = d.End()
+	}
+	if err != nil || math.Float32bits(back) != math.Float32bits(x) {
+		return got, want, fmt.Errorf("bits %#08x: %q reads back as %#08x (%v)", math.Float32bits(x), got, math.Float32bits(back), err)
+	}
+	return got, want, nil
+}
+
+// TestFloat32WireAllBits checks every finite float32 pattern on a fixed
+// stride, and those on either side of every power of two (each exponent
+// boundary), with checkFloat32Wire. With -wire.allbits it checks all
+// 2^32 patterns, a few minutes on two cores.
+func TestFloat32WireAllBits(t *testing.T) {
+	stride := uint64(4093) // prime, so the walk meets every low-bit residue
+	if *wireAllBits {
+		stride = 1
+	}
+	var edges []uint32
+	for e := uint32(0); e < 0xff; e++ {
+		for _, b := range []uint32{e << 23, e<<23 + 1, e<<23 + 2, e<<23 | 1<<23 - 2, e<<23 | 1<<23 - 1} {
+			edges = append(edges, b, b|1<<31)
+		}
+	}
+	var failures atomic.Int64
+	report := func(err error) {
+		if failures.Add(1) <= 20 {
+			t.Error(err)
+		}
+	}
+	var got, want []byte
+	var err error
+	for _, b := range edges {
+		if got, want, err = checkFloat32Wire(math.Float32frombits(b), got, want); err != nil {
+			report(err)
+		}
+	}
+	const chunks = 1 << 12 // of 2^20 patterns each
+	par.For(chunks, 0, func(c int) {
+		var got, want []byte
+		var err error
+		lo, hi := uint64(c)<<20, uint64(c+1)<<20
+		for p := (lo + stride - 1) / stride * stride; p < hi; p += stride {
+			b := uint32(p)
+			if b&0x7f800000 == 0x7f800000 {
+				continue
+			}
+			if got, want, err = checkFloat32Wire(math.Float32frombits(b), got, want); err != nil {
+				report(err)
+			}
+		}
+	})
+	if n := failures.Load(); n > 0 {
+		t.Fatalf("%d patterns failed", n)
+	}
+}
+
+// FuzzFloat32Wire: arbitrary bits through appendFloat32 and back, as in
+// TestFloat32WireAllBits, and arbitrary text through jsonx's Float32,
+// which must accept what json.Unmarshal accepts into a float32 and
+// read the same bits from it.
+func FuzzFloat32Wire(f *testing.F) {
+	for _, s := range []string{
+		"0", "-0", "1", "0.1", "-1.5", "123456789", "1e21", "1e-7", "0.000001", "3.4028235e38", "3.4028236e38",
+		"1e39", "1e-50", "1.4e-45", "7e-46", "16777216", "16777217", "9007199254740993", "0.30000001192092896",
+		"1.00000005960464477539062", "33554435", "1e10", "1e-10", "123e-22", "1e22", "1e23",
+		"00", "1.", ".5", "1e", "-", "+1", "1e+", "1E-3", " 1 ", "null", "true", `"1"`, "1 2", "0x1",
+		"100000000000000000000000000000.5", "0.0000000000000000000000000000001", "1" + strings.Repeat("0", 40) + "e-40",
+		cancelledExponent,
+	} {
+		f.Add(uint32(len(s))*0x9e3779b9, []byte(s))
+	}
+	f.Fuzz(func(t *testing.T, bits uint32, text []byte) {
+		if x := math.Float32frombits(bits); bits&0x7f800000 != 0x7f800000 {
+			if _, _, err := checkFloat32Wire(x, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const unset = float32(-12.5)
+		got, want := unset, unset
+		d := jsonx.NewDecoder(text, "")
+		d.Space()
+		err := d.Float32(&got)
+		if err == nil {
+			err = d.End()
+		}
+		wantErr := json.Unmarshal(text, &want)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("text %q: Float32 error %v, json.Unmarshal error %v", text, err, wantErr)
+		}
+		if err == nil && math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("text %q: Float32 read %v (%#08x), json.Unmarshal %v (%#08x)", text, got, math.Float32bits(got), want, math.Float32bits(want))
+		}
+	})
 }

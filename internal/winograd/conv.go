@@ -376,11 +376,25 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tens
 				ewmm(acc[e*nn:], area*nn, fE, filters, b.inHat[e*nn*bc:(e+1)*nn*bc], nk, nn, nc, bc)
 			}
 		}
-		// Output transform (Algorithm 1 lines 17-18).
+		// Output transform (Algorithm 1 lines 17-18). A whole F(2x2,3x3)
+		// tile is transformed and stored in one step; the others go
+		// through a staging tile and the bounds-checked scatter.
+		var whole [maxBN]int // output offset of each whole F(2x2,3x3) tile, else -1
+		for ni, t := range tiles[:nn] {
+			whole[ni] = -1
+			if y0, x0 := t[1]*g.m, t[2]*g.m; opt.Variant == F2x2 && y0+2 <= g.oh && x0+2 <= g.ow {
+				whole[ni] = t[0]*dst.sn + y0*dst.sh + x0*dst.sw
+			}
+		}
 		var post [16]float32
 		for ki := 0; ki < nk; ki++ {
 			accK := acc[ki*area*nn : (ki+1)*area*nn]
+			kBase := (k0 + ki) * dst.sc
 			for ni, t := range tiles[:nn] {
+				if whole[ni] >= 0 {
+					transformOutput2(accK[ni:], nn, dst.data[kBase+whole[ni]:], dst.sh, dst.sw)
+					continue
+				}
 				for e := range hat[:area] {
 					hat[e] = accK[e*nn+ni]
 				}
@@ -395,12 +409,13 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tens
 // ewmm runs one bc-channel step of one tile element's block GEMM:
 // acc[k][n] += sum over c of f[c][k] * x[n][c], for nk filters (acc rows
 // of stride lda, f rows of stride ldf) and nn tiles (x rows of stride
-// bc, nc channels used). Four filter rows go at a time, so each input
-// value loaded feeds four accumulators held in registers; c stays the
-// innermost, ascending reduction loop, which fixes every element's
-// summation order. The product is rounded before the add (the explicit
-// conversion forbids a fused multiply-add), as the thread-for-thread
-// kernel does.
+// bc, nc channels used). The register tile is four filters by two
+// tiles, the CPU analogue of the paper's register-tiled outer product:
+// each loaded input value feeds four accumulators and each loaded
+// filter value two. c stays the innermost, ascending reduction loop,
+// which fixes every element's summation order. The product is rounded
+// before the add (the explicit conversion forbids a fused multiply-add),
+// as the thread-for-thread kernel does.
 func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc, bc int) {
 	ki := 0
 	for ; ki+4 <= nk; ki += 4 {
@@ -413,7 +428,58 @@ func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc,
 		r1 := acc[(ki+1)*lda : (ki+1)*lda+nn]
 		r2 := acc[(ki+2)*lda : (ki+2)*lda+nn]
 		r3 := acc[(ki+3)*lda : (ki+3)*lda+nn]
-		for ni := range r0 {
+		ni := 0
+		for ; ni+2 <= nn; ni += 2 {
+			xs := x[ni*bc : ni*bc+len(fs)]
+			ys := x[(ni+1)*bc : (ni+1)*bc+len(fs)]
+			a0, a1, a2, a3 := r0[ni], r1[ni], r2[ni], r3[ni]
+			b0, b1, b2, b3 := r0[ni+1], r1[ni+1], r2[ni+1], r3[ni+1]
+			if len(fs) == maxBC {
+				// A whole bc step, unrolled: Go does not unroll loops,
+				// and the loop below keeps its counter and an
+				// accumulator on the stack.
+				xs, ys := (*[maxBC]float32)(xs), (*[maxBC]float32)(ys)
+				xv, yv, fc := xs[0], ys[0], &fq[0]
+				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
+				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
+				xv, yv, fc = xs[1], ys[1], &fq[1]
+				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
+				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
+				xv, yv, fc = xs[2], ys[2], &fq[2]
+				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
+				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
+				xv, yv, fc = xs[3], ys[3], &fq[3]
+				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
+				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
+				xv, yv, fc = xs[4], ys[4], &fq[4]
+				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
+				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
+				xv, yv, fc = xs[5], ys[5], &fq[5]
+				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
+				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
+				xv, yv, fc = xs[6], ys[6], &fq[6]
+				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
+				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
+				xv, yv, fc = xs[7], ys[7], &fq[7]
+				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
+				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
+			} else {
+				for ci := range fs {
+					xv, yv, fc := xs[ci], ys[ci], &fs[ci]
+					a0 += float32(fc[0] * xv)
+					a1 += float32(fc[1] * xv)
+					a2 += float32(fc[2] * xv)
+					a3 += float32(fc[3] * xv)
+					b0 += float32(fc[0] * yv)
+					b1 += float32(fc[1] * yv)
+					b2 += float32(fc[2] * yv)
+					b3 += float32(fc[3] * yv)
+				}
+			}
+			r0[ni], r1[ni], r2[ni], r3[ni] = a0, a1, a2, a3
+			r0[ni+1], r1[ni+1], r2[ni+1], r3[ni+1] = b0, b1, b2, b3
+		}
+		if ni < nn {
 			xs := x[ni*bc : ni*bc+len(fs)]
 			a0, a1, a2, a3 := r0[ni], r1[ni], r2[ni], r3[ni]
 			for ci := range fs {
@@ -466,7 +532,7 @@ func convNonFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *t
 
 	// Batched GEMM: O_hat[e] (K x T) = F_hat[e]^T (K x C) * I_hat[e] (C x T).
 	outHat := make([]float32, area*filters*totalTiles)
-	gemm.Batched(f.hat, inHat, outHat, area, filters, is.C, totalTiles, 0)
+	gemm.Batched(f.hat, inHat, outHat, area, filters, is.C, totalTiles)
 
 	// Gather: output transform.
 	out := newOutput(in, filters, oh, ow, is.N)

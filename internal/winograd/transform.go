@@ -227,7 +227,7 @@ func transformInputGeneric(t int, bt [][]float32, d, dst []float32) {
 func TransformOutputTile(v Variant, src, dst []float32) {
 	switch v {
 	case F2x2:
-		transformOutput2(src, dst)
+		transformOutput2(src, 1, dst, 2, 1)
 	case F4x4:
 		transformOutputGeneric(6, 4, at4Rows, src, dst)
 	default:
@@ -236,20 +236,24 @@ func TransformOutputTile(v Variant, src, dst []float32) {
 }
 
 // transformOutput2 is the hand-scheduled F(2x2,3x3) output transform; the
-// paper counts 24 float additions for it.
-func transformOutput2(m, dst []float32) {
-	// tmp = A^T * m: r0 = m0 + m1 + m2, r1 = m1 - m2 - m3.
-	var tmp [8]float32
-	for c := 0; c < 4; c++ {
-		m0, m1, m2, m3 := m[0*4+c], m[1*4+c], m[2*4+c], m[3*4+c]
-		tmp[0*4+c] = m0 + m1 + m2
-		tmp[1*4+c] = m1 - m2 - m3
+// paper counts 24 float additions for it. It reads the 4x4 accumulated
+// tile from m, element e at m[e*stride], and writes the 2x2 result at
+// out[0], out[sw], out[sh] and out[sh+sw], so the fused forward can
+// read a tile out of its accumulators and store it in place.
+func transformOutput2(m []float32, stride int, out []float32, sh, sw int) {
+	m = m[:15*stride+1]
+	// t0, t1 = the rows of A^T * m: m0 + m1 + m2 and m1 - m2 - m3.
+	var t0, t1 [4]float32
+	for c := range t0 {
+		m0, m1, m2, m3 := m[c*stride], m[(4+c)*stride], m[(8+c)*stride], m[(12+c)*stride]
+		t0[c] = m0 + m1 + m2
+		t1[c] = m1 - m2 - m3
 	}
-	for r := 0; r < 2; r++ {
-		t0, t1, t2, t3 := tmp[r*4+0], tmp[r*4+1], tmp[r*4+2], tmp[r*4+3]
-		dst[r*2+0] = t0 + t1 + t2
-		dst[r*2+1] = t1 - t2 - t3
-	}
+	out = out[:sh+sw+1]
+	out[0] = t0[0] + t0[1] + t0[2]
+	out[sw] = t0[1] - t0[2] - t0[3]
+	out[sh] = t1[0] + t1[1] + t1[2]
+	out[sh+sw] = t1[1] - t1[2] - t1[3]
 }
 
 // transformOutputGeneric computes At (m x t) * src (t x t) * At^T, t <= 6.

@@ -160,7 +160,7 @@ func TestOutputTransformMatchesGenericMatrix(t *testing.T) {
 		m[i] = r.Float32()
 	}
 	fast := make([]float32, 4)
-	transformOutput2(m, fast)
+	transformOutput2(m, 1, fast, 2, 1)
 	at := make([][]float32, 2)
 	for i := range at {
 		at[i] = AT2[i][:]
