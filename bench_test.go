@@ -47,7 +47,7 @@ func BenchmarkCPUIm2colGEMM(b *testing.B) {
 func BenchmarkCPUWinogradFusedF2(b *testing.B) {
 	in, flt := cpuProblem()
 	for i := 0; i < b.N; i++ {
-		if _, err := winograd.Conv2D(in, flt, 1, winograd.Options{}); err != nil {
+		if _, err := winograd.Conv2D(in, flt, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,27 +56,11 @@ func BenchmarkCPUWinogradFusedF2(b *testing.B) {
 func BenchmarkCPUWinogradNonfusedF4(b *testing.B) {
 	in, flt := cpuProblem()
 	for i := 0; i < b.N; i++ {
-		if _, err := winograd.Conv2D(in, flt, 1, winograd.Options{Variant: winograd.F4x4, NonFused: true}); err != nil {
+		f, err := winograd.PrepareNonFused(flt)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Ablation: the paper's bk=64 cache blocking versus cuDNN's bk=32 at the
-// algorithm level (input re-reads halve with the larger block).
-func BenchmarkCPUWinogradBlockK64(b *testing.B) {
-	in, flt := cpuProblem()
-	for i := 0; i < b.N; i++ {
-		if _, err := winograd.Conv2D(in, flt, 1, winograd.Options{BlockK: 64}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCPUWinogradBlockK32(b *testing.B) {
-	in, flt := cpuProblem()
-	for i := 0; i < b.N; i++ {
-		if _, err := winograd.Conv2D(in, flt, 1, winograd.Options{BlockK: 32}); err != nil {
+		if _, err := winograd.Conv(in, &f, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

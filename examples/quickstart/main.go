@@ -1,6 +1,7 @@
 // Quickstart: run a 3x3 convolution with the Winograd algorithm on the
 // CPU, compare it against the direct reference, and show the arithmetic
-// saving that motivates the paper.
+// saving that motivates the paper. It exits non-zero when either
+// algorithm's error exceeds its bound.
 package main
 
 import (
@@ -12,6 +13,11 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/winograd"
 )
+
+// Error bounds against the direct reference: F(2x2,3x3)'s transforms
+// are exact in float32, so its error is summation-order noise; 5e-4 is
+// the paper's float32 bound for F(4x4,3x3) (Table 5).
+const fusedTol, nonFusedTol = 2e-4, 5e-4
 
 func main() {
 	// A ResNet-Conv3-like problem at a small batch.
@@ -34,7 +40,7 @@ func main() {
 	// Winograd F(2x2,3x3), the paper's fused algorithm, on the CPU; its
 	// output is NCHW like its input, so it compares with want directly.
 	t0 = time.Now()
-	got, err := winograd.Conv2D(input, filter, 1, winograd.Options{})
+	got, err := winograd.Conv2D(input, filter, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,10 +55,18 @@ func main() {
 		winograd.F2x2.MulReduction())
 
 	// The F(4x4,3x3) variant used by non-fused implementations.
-	got44, err := winograd.Conv2D(input, filter, 1, winograd.Options{Variant: winograd.F4x4, NonFused: true})
+	f44, err := winograd.PrepareNonFused(filter)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("F(4x4,3x3) non-fused error: %.2e (4x multiply reduction)\n",
-		tensor.MaxRelDiff(want, got44))
+	got44, err := winograd.Conv(input, &f44, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	diff44 := tensor.MaxRelDiff(want, got44)
+	fmt.Printf("F(4x4,3x3) non-fused error: %.2e (4x multiply reduction)\n", diff44)
+
+	if diff > fusedTol || diff44 > nonFusedTol {
+		log.Fatalf("FAIL: errors exceed %.0e (fused) or %.0e (non-fused)", fusedTol, nonFusedTol)
+	}
 }

@@ -41,9 +41,6 @@ var testOnlyExports = map[string]string{
 	"repro/internal/gpu.Profiler.MaxSpans":             "TestProfileEventCap caps the timeline's spans to check the cap; binaries keep the default",
 	"repro/internal/kernels.ConvOpts.Oracle":           "TestGeneratedKernelsOracleClean attaches the shared-memory oracle to real kernel runs",
 	"repro/internal/microbench.Options.Machine":        "TestPerturbationDetected and TestCalibrateRejectsInvalidSpec calibrate against a perturbed or invalid machine",
-	"repro/internal/winograd.Options.BlockK":           "tail-block tests (TestFusedF2SmallBlocks, TestConv2DRejectsOversizeBlocks, TestDifferentialAlgorithms) and BenchmarkCPUWinogradBlockK*",
-	"repro/internal/winograd.Options.BlockN":           "tail-block tests (TestFusedF2SmallBlocks, TestConv2DRejectsOversizeBlocks, TestDifferentialAlgorithms)",
-	"repro/internal/winograd.Options.BlockC":           "tail-block tests (TestFusedF2SmallBlocks, TestConv2DRejectsOversizeBlocks, TestDifferentialAlgorithms)",
 	"repro/internal/sasscheck.VerifyOpts.NoExemptions": "TestScatterExemptionStillNeeded, TestSmemLayoutsConflictFree, TestGeneratedKernelsOracleClean and TestCheckSmem; goes with the exemption list (ROADMAP item 9)",
 }
 

@@ -10,9 +10,9 @@ import (
 	"repro/internal/winograd"
 )
 
-// winogradDiff compares a Direct result (NCHW) against a winograd.Conv2D
-// result of NCHW input (NCHW too) element-wise and returns the max
-// relative difference.
+// winogradDiff compares a Direct result (NCHW) against a winograd result
+// of NCHW input (NCHW too) element-wise and returns the max relative
+// difference.
 func winogradDiff(t *testing.T, direct, wino *tensor.Tensor) float64 {
 	t.Helper()
 	n, k := direct.Dims[0], direct.Dims[1]
@@ -52,8 +52,8 @@ const winogradTol = 1e-4
 // in the repository on randomized shapes and pads:
 //
 //	Direct (oracle) vs Im2col          — all shapes/pads
-//	Direct vs winograd.Conv2D          — 3x3, fused and non-fused,
-//	                                     F(2x2) and F(4x4), including block
+//	Direct vs winograd                 — 3x3, fused F(2x2) and non-fused
+//	                                     F(4x4), including block
 //	                                     remainders and N=1
 //
 // Shapes are drawn from a seeded generator so failures reproduce; edge
@@ -107,32 +107,29 @@ func TestDifferentialAlgorithms(t *testing.T) {
 		if fr != 3 || fs != 3 {
 			continue
 		}
-		for _, wopt := range []struct {
-			name string
-			opt  winograd.Options
+		for _, algo := range []struct {
+			name    string
+			prepare func(*tensor.Tensor) (winograd.Filter, error)
+			tol     float64
 		}{
-			{"F2-fused", winograd.Options{}},
-			{"F2-nonfused", winograd.Options{NonFused: true}},
-			{"F4-fused", winograd.Options{Variant: winograd.F4x4}},
-			// Tiny cache blocks so every shape exercises partial-block
-			// edges in all three dimensions.
-			{"F2-smallblocks", winograd.Options{BlockK: 4, BlockN: 2, BlockC: 3}},
+			{"F2-fused", winograd.PrepareFused, winogradTol},
+			// F(4x4) transform matrices contain non-representable
+			// rationals; the paper's own fp32 bound (Table 5).
+			{"F4-nonfused", winograd.PrepareNonFused, 5e-4},
 		} {
+			f, err := algo.prepare(flt)
+			if err != nil {
+				t.Fatalf("round %d %+v k=%d: winograd %s: %v", round, s, k, algo.name, err)
+			}
 			procs := runtime.GOMAXPROCS(1) // one worker per par.For loop
-			wout, err := winograd.Conv2D(in, flt, p.Pad, wopt.opt)
+			wout, err := winograd.Conv(in, &f, p.Pad)
 			runtime.GOMAXPROCS(procs)
 			if err != nil {
-				t.Fatalf("round %d %+v k=%d pad=%d: winograd %s: %v", round, s, k, p.Pad, wopt.name, err)
+				t.Fatalf("round %d %+v k=%d pad=%d: winograd %s: %v", round, s, k, p.Pad, algo.name, err)
 			}
-			tol := winogradTol
-			if wopt.opt.Variant == winograd.F4x4 {
-				// F(4x4) transform matrices contain non-representable
-				// rationals; the paper's own fp32 bound (Table 5).
-				tol = 5e-4
-			}
-			if d := winogradDiff(t, want, wout); d > tol {
+			if d := winogradDiff(t, want, wout); d > algo.tol {
 				t.Fatalf("round %d %+v k=%d pad=%d: winograd %s differs by %v (tol %v)",
-					round, s, k, p.Pad, wopt.name, d, tol)
+					round, s, k, p.Pad, algo.name, d, algo.tol)
 			}
 		}
 	}

@@ -18,13 +18,6 @@ import (
 	"repro/internal/winograd"
 )
 
-// The transforms the two Winograd algorithms read: F(2x2,3x3) laid out
-// for the fused path, F(4x4,3x3) for the non-fused one.
-var (
-	fusedOpt    = winograd.Options{Variant: winograd.F2x2}
-	nonFusedOpt = winograd.Options{Variant: winograd.F4x4, NonFused: true}
-)
-
 // Weights is a filter prepared for inference, where the weights do not
 // change between batches: a private copy of the filter plus both of its
 // Winograd transforms (the paper's separate FX kernel), computed once by
@@ -33,17 +26,17 @@ var (
 // concurrent use.
 type Weights struct {
 	flt             *tensor.Tensor
-	fused, nonFused winograd.Filter
+	fused, nonFused winograd.Filter // F(2x2,3x3) for FUSED, F(4x4,3x3) for NONFUSED
 }
 
 // Prepare copies flt (KCRS or CRSK, 3x3) and computes its transforms.
 func Prepare(flt *tensor.Tensor) (*Weights, error) {
 	w := &Weights{flt: clone(flt)}
 	var err error
-	if w.fused, err = winograd.TransformFilter(w.flt, fusedOpt); err != nil {
+	if w.fused, err = winograd.PrepareFused(w.flt); err != nil {
 		return nil, err
 	}
-	if w.nonFused, err = winograd.TransformFilter(w.flt, nonFusedOpt); err != nil {
+	if w.nonFused, err = winograd.PrepareNonFused(w.flt); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -74,9 +67,9 @@ func Forward(in, flt *tensor.Tensor, ch tune.Choice) (*tensor.Tensor, error) {
 	var err error
 	switch ch.Algo {
 	case tune.AlgoFused:
-		w.fused, err = winograd.TransformFilter(flt, fusedOpt)
+		w.fused, err = winograd.PrepareFused(flt)
 	case tune.AlgoNonfused:
-		w.nonFused, err = winograd.TransformFilter(flt, nonFusedOpt)
+		w.nonFused, err = winograd.PrepareNonFused(flt)
 	}
 	if err != nil {
 		return nil, err
@@ -100,7 +93,8 @@ func Forward(in, flt *tensor.Tensor, ch tune.Choice) (*tensor.Tensor, error) {
 //     every tuned config computes the same bits.
 //   - IMPLICIT_PRECOMP_GEMM runs the GEMM-style lowering (conv.Im2col).
 //   - WINOGRAD_NONFUSED runs the non-fused F(4x4,3x3) implementation
-//     with its global-workspace round-trip (winograd.ConvTransformed).
+//     with its global-workspace round-trip (winograd.Conv on a
+//     winograd.PrepareNonFused filter).
 func (w *Weights) Forward(in *tensor.Tensor, batchN int, ch tune.Choice) (*tensor.Tensor, error) {
 	is := in.ImageShape()
 	if is.N > batchN {
@@ -112,7 +106,7 @@ func (w *Weights) Forward(in *tensor.Tensor, batchN int, ch tune.Choice) (*tenso
 		if err := checkFusedShape(is, w.flt.FilterShapeOf()); err != nil {
 			return nil, err
 		}
-		return winograd.ConvTransformed(in, &w.fused, 1, fusedOpt)
+		return winograd.Conv(in, &w.fused, 1)
 	case tune.AlgoGEMM:
 		out, err := conv.Im2col(in, w.flt, conv.Params{Pad: 1})
 		if err != nil || in.Layout == tensor.NCHW {
@@ -120,7 +114,7 @@ func (w *Weights) Forward(in *tensor.Tensor, batchN int, ch tune.Choice) (*tenso
 		}
 		return out.ToLayout(tensor.KHWN), nil
 	case tune.AlgoNonfused:
-		return winograd.ConvTransformed(in, &w.nonFused, 1, nonFusedOpt)
+		return winograd.Conv(in, &w.nonFused, 1)
 	default:
 		return nil, fmt.Errorf("cudart: unknown algorithm %q", ch.Algo)
 	}

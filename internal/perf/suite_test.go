@@ -399,7 +399,7 @@ func benchWinogradConv2D(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := winograd.Conv2D(in, flt, 1, winograd.Options{}); err != nil {
+		if _, err := winograd.Conv2D(in, flt, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,79 +10,58 @@ import (
 	"repro/internal/tensor"
 )
 
-// Options configures a Winograd convolution.
-type Options struct {
-	// Variant selects F(2x2,3x3) (default) or F(4x4,3x3).
-	Variant Variant
-	// Fused selects the fused implementation (transformed data stays in
-	// block-local buffers, the analogue of shared memory) versus the
-	// non-fused one (transformed data round-trips through a global
-	// workspace and batched GEMM). Default is fused.
-	NonFused bool
-	// BlockK, BlockN, BlockC are the fused cache-block sizes; defaults,
-	// and upper bounds, are the paper's bk=64, bn=32, bc=8.
-	BlockK, BlockN, BlockC int
-}
-
-func (o Options) blocks() (bk, bn, bc int) {
-	bk, bn, bc = o.BlockK, o.BlockN, o.BlockC
-	if bk <= 0 {
-		bk = 64
-	}
-	if bn <= 0 {
-		bn = 32
-	}
-	if bc <= 0 {
-		bc = 8
-	}
-	return
-}
-
-// Conv2D computes a batched stride-1 3x3 convolution with the Winograd
-// algorithm: TransformFilter, then ConvTransformed. The input may be in
+// Conv2D computes a batched stride-1 3x3 convolution with the fused
+// F(2x2,3x3) algorithm: PrepareFused, then Conv. The input may be in
 // NCHW or CHWN layout; the filter in KCRS or CRSK. The output layout
 // follows the input's: NCHW for NCHW, the paper's KHWN for CHWN. pad
 // is the symmetric zero padding (ResNet 3x3 layers use pad=1).
-func Conv2D(in, flt *tensor.Tensor, pad int, opt Options) (*tensor.Tensor, error) {
-	f, err := TransformFilter(flt, opt)
+func Conv2D(in, flt *tensor.Tensor, pad int) (*tensor.Tensor, error) {
+	f, err := PrepareFused(flt)
 	if err != nil {
 		return nil, err
 	}
-	return ConvTransformed(in, &f, pad, opt)
+	return Conv(in, &f, pad)
 }
 
 // Filter is a filter bank after the Winograd filter transform, the
-// output of the paper's separate FX kernel. It depends only on the
-// weights and on opt.Variant and opt.NonFused, so a caller whose weights
+// output of the paper's separate FX kernel, prepared for one of the two
+// algorithms. It depends only on the weights, so a caller whose weights
 // do not change can transform once and convolve many times. A Filter is
 // immutable and safe for concurrent use.
 type Filter struct {
-	variant  Variant
 	nonFused bool
 	c, k     int
-	// hat is element-major. The fused path reads it as area (C x K)
+	// hat is element-major. The fused path reads it as 16 (C x K)
 	// matrices, index e*(C*K) + c*K + k (FilterTransformAll); the
-	// non-fused path as the (K x C) transposes its GEMM consumes, index
-	// e*(K*C) + k*C + c.
+	// non-fused path as the 36 (K x C) transposes its GEMM consumes,
+	// index e*(K*C) + k*C + c.
 	hat []float32
 	// finite records that no hat value is ±Inf or NaN, the condition
 	// under which the fused path may skip all-zero images (liveImages).
 	finite bool
 }
 
-// TransformFilter applies the filter transform for opt.Variant to every
-// (c, k) filter of flt (KCRS or CRSK) and lays the result out for the
-// strategy opt.NonFused selects.
-func TransformFilter(flt *tensor.Tensor, opt Options) (Filter, error) {
+// PrepareFused transforms flt (KCRS or CRSK, 3x3) for the fused
+// F(2x2,3x3) algorithm, the paper's kernel at its fixed blocking.
+func PrepareFused(flt *tensor.Tensor) (Filter, error) { return prepare(flt, F2x2) }
+
+// PrepareNonFused transforms flt (KCRS or CRSK, 3x3) for the non-fused
+// F(4x4,3x3) algorithm, laid out for its batched GEMM.
+func PrepareNonFused(flt *tensor.Tensor) (Filter, error) { return prepare(flt, F4x4) }
+
+// prepare transforms flt for v's one algorithm: fused for F(2x2,3x3),
+// non-fused for F(4x4,3x3).
+func prepare(flt *tensor.Tensor, v Variant) (Filter, error) {
 	fs := flt.FilterShapeOf()
 	if fs.R != 3 || fs.S != 3 {
 		return Filter{}, fmt.Errorf("winograd: needs a 3x3 filter, got %dx%d", fs.R, fs.S)
 	}
-	hat := FilterTransformAll(flt, opt.Variant)
-	if opt.NonFused {
-		hat = transposeElements(hat, opt.Variant.TileArea(), fs.C, fs.K)
+	hat := FilterTransformAll(flt, v)
+	nonFused := v == F4x4
+	if nonFused {
+		hat = transposeElements(hat, v.TileArea(), fs.C, fs.K)
 	}
-	return Filter{variant: opt.Variant, nonFused: opt.NonFused, c: fs.C, k: fs.K, hat: hat, finite: allFinite(hat)}, nil
+	return Filter{nonFused: nonFused, c: fs.C, k: fs.K, hat: hat, finite: allFinite(hat)}, nil
 }
 
 // transposeElements turns area element-major (rows x cols) matrices into
@@ -101,13 +80,8 @@ func transposeElements(m []float32, area, rows, cols int) []float32 {
 	return t
 }
 
-// ConvTransformed convolves in with an already transformed filter; opt's
-// Variant and NonFused must be the ones f was transformed for.
-func ConvTransformed(in *tensor.Tensor, f *Filter, pad int, opt Options) (*tensor.Tensor, error) {
-	if f.variant != opt.Variant || f.nonFused != opt.NonFused {
-		return nil, fmt.Errorf("winograd: filter transformed for %s (non-fused %v), options ask for %s (non-fused %v)",
-			f.variant, f.nonFused, opt.Variant, opt.NonFused)
-	}
+// Conv convolves in with f by the algorithm f was prepared for.
+func Conv(in *tensor.Tensor, f *Filter, pad int) (*tensor.Tensor, error) {
 	is := in.ImageShape()
 	if is.C != f.c {
 		return nil, fmt.Errorf("winograd: channel mismatch: input C=%d filter C=%d", is.C, f.c)
@@ -117,13 +91,10 @@ func ConvTransformed(in *tensor.Tensor, f *Filter, pad int, opt Options) (*tenso
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("winograd: empty output for input %dx%d pad %d", is.H, is.W, pad)
 	}
-	if bk, bn, bc := opt.blocks(); !opt.NonFused && (bk > maxBK || bn > maxBN || bc > maxBC) {
-		return nil, fmt.Errorf("winograd: fused block sizes are capped at bk=%d bn=%d bc=%d, got %d/%d/%d", maxBK, maxBN, maxBC, bk, bn, bc)
+	if f.nonFused {
+		return convNonFused(in, f, pad, oh, ow), nil
 	}
-	if opt.NonFused {
-		return convNonFused(in, f, pad, oh, ow, opt), nil
-	}
-	return convFused(in, f, pad, oh, ow, opt), nil
+	return convFused(in, f, pad, oh, ow), nil
 }
 
 // FilterTransformAll applies the filter transform to every (c, k) 3x3
@@ -294,40 +265,40 @@ func scatterOutputTile(out image, g tileGrid, k, batch, th, tw int, tile []float
 	}
 }
 
-// Caps on the fused block sizes: the block-local buffers are fixed arrays
-// sized for the paper's blocking (bk=64, bn=32, bc=8) and the larger
+// The fused path's blocking is the paper's: a thread block owns bk
+// filters x bn input tiles and loops over channels in steps of bc.
+// area2 and maxArea are the element counts of an F(2x2,3x3) and an
 // F(4x4,3x3) tile.
 const (
-	maxBK, maxBN, maxBC = 64, 32, 8
-	maxArea             = 36
+	bk, bn, bc = 64, 32, 8
+	area2      = 16
+	maxArea    = 36
 )
 
 // fusedBlock holds one thread block's working set: the analogue of the
 // kernel's shared input buffer and its register accumulators. Blocks are
 // recycled through fusedBlocks, so a warm forward pass allocates none.
 type fusedBlock struct {
-	acc   [maxBK * maxArea * maxBN]float32 // (k, e, n): one filter's tiles are contiguous for the output transform
-	inHat [maxArea * maxBN * maxBC]float32 // (e, n, c): c fastest, the EWMM reduction
+	acc   [bk * area2 * bn]float32 // (k, e, n): one filter's tiles are contiguous for the output transform
+	inHat [area2 * bn * bc]float32 // (e, n, c): c fastest, the EWMM reduction
 }
 
 var fusedBlocks = sync.Pool{New: func() any { return new(fusedBlock) }}
 
-// convFused is the CPU mirror of the paper's Algorithm 1: a grid of
-// "thread blocks", each owning bk filters x bn input tiles, looping over
-// channels in steps of bc with block-local transformed-tile buffers.
+// convFused is the CPU mirror of the paper's Algorithm 1 for
+// F(2x2,3x3): a grid of "thread blocks", each owning bk filters x bn
+// input tiles, looping over channels in steps of bc with block-local
+// transformed-tile buffers.
 //
 // Every output element sums its products over c in ascending order,
 // starting from +0, exactly as the threads of cudart's test oracle
-// (WinogradConv) do, so the two agree bit for bit whatever the blocking
-// or worker count. The tile grid covers only the live images
-// (liveImages); a skipped all-zero image's output is the +0 the oracle
-// computes for it.
-func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tensor.Tensor {
+// (WinogradConv) do, so the two agree bit for bit whatever the worker
+// count. The tile grid covers only the live images (liveImages); a
+// skipped all-zero image's output is the +0 the oracle computes for it.
+func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int) *tensor.Tensor {
 	src := imageOf(in)
 	is := src.s
-	g := newTileGrid(opt.Variant, oh, ow, pad)
-	area := opt.Variant.TileArea()
-	bk, bn, bc := opt.blocks()
+	g := newTileGrid(F2x2, oh, ow, pad)
 	fltHat, filters := f.hat, f.k
 	live := liveImages(src, f.finite)
 	totalTiles := g.tiles(len(live))
@@ -346,15 +317,15 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tens
 
 		b := fusedBlocks.Get().(*fusedBlock)
 		defer fusedBlocks.Put(b)
-		acc := b.acc[:nk*area*nn]
+		acc := b.acc[:nk*area2*nn]
 		clear(acc)
-		var tiles [maxBN][3]int // (batch, th, tw) of each of the block's tiles
+		var tiles [bn][3]int // (batch, th, tw) of each of the block's tiles
 		for ni := range tiles[:nn] {
 			t := &tiles[ni]
 			t[0], t[1], t[2] = g.split(j0+ni, len(live))
 			t[0] = live[t[0]]
 		}
-		var raw, hat [maxArea]float32
+		var raw, hat [area2]float32
 
 		for c0 := 0; c0 < is.C; c0 += bc {
 			nc := min(bc, is.C-c0)
@@ -362,44 +333,44 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tens
 			// (Algorithm 1 line 8).
 			for ni, t := range tiles[:nn] {
 				for ci := 0; ci < nc; ci++ {
-					gatherInputTile(src, g, t[0], c0+ci, t[1], t[2], raw[:area])
-					TransformInputTile(opt.Variant, raw[:area], hat[:area])
-					for e, v := range hat[:area] {
+					gatherInputTile(src, g, t[0], c0+ci, t[1], t[2], raw[:])
+					TransformInputTile(F2x2, raw[:], hat[:])
+					for e, v := range hat {
 						b.inHat[(e*nn+ni)*bc+ci] = v
 					}
 				}
 			}
 			// EWMM as batched matrix multiply (Algorithm 1 lines 9-15):
 			// per tile element e, acc[e] += F_hat[e][c0:c0+nc][k0:k1]^T x inHat[e].
-			for e := 0; e < area; e++ {
+			for e := 0; e < area2; e++ {
 				fE := fltHat[(e*is.C+c0)*filters+k0:]
-				ewmm(acc[e*nn:], area*nn, fE, filters, b.inHat[e*nn*bc:(e+1)*nn*bc], nk, nn, nc, bc)
+				ewmm(acc[e*nn:], area2*nn, fE, filters, b.inHat[e*nn*bc:(e+1)*nn*bc], nk, nn, nc)
 			}
 		}
-		// Output transform (Algorithm 1 lines 17-18). A whole F(2x2,3x3)
-		// tile is transformed and stored in one step; the others go
+		// Output transform (Algorithm 1 lines 17-18). A whole tile is
+		// transformed and stored in one step; a partial edge tile goes
 		// through a staging tile and the bounds-checked scatter.
-		var whole [maxBN]int // output offset of each whole F(2x2,3x3) tile, else -1
+		var whole [bn]int // output offset of each whole tile, else -1
 		for ni, t := range tiles[:nn] {
 			whole[ni] = -1
-			if y0, x0 := t[1]*g.m, t[2]*g.m; opt.Variant == F2x2 && y0+2 <= g.oh && x0+2 <= g.ow {
+			if y0, x0 := t[1]*g.m, t[2]*g.m; y0+2 <= g.oh && x0+2 <= g.ow {
 				whole[ni] = t[0]*dst.sn + y0*dst.sh + x0*dst.sw
 			}
 		}
-		var post [16]float32
+		var post [4]float32
 		for ki := 0; ki < nk; ki++ {
-			accK := acc[ki*area*nn : (ki+1)*area*nn]
+			accK := acc[ki*area2*nn : (ki+1)*area2*nn]
 			kBase := (k0 + ki) * dst.sc
 			for ni, t := range tiles[:nn] {
 				if whole[ni] >= 0 {
 					transformOutput2(accK[ni:], nn, dst.data[kBase+whole[ni]:], dst.sh, dst.sw)
 					continue
 				}
-				for e := range hat[:area] {
+				for e := range hat {
 					hat[e] = accK[e*nn+ni]
 				}
-				TransformOutputTile(opt.Variant, hat[:area], post[:g.m*g.m])
-				scatterOutputTile(dst, g, k0+ki, t[0], t[1], t[2], post[:g.m*g.m])
+				TransformOutputTile(F2x2, hat[:], post[:])
+				scatterOutputTile(dst, g, k0+ki, t[0], t[1], t[2], post[:])
 			}
 		}
 	})
@@ -409,17 +380,17 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tens
 // ewmm runs one bc-channel step of one tile element's block GEMM:
 // acc[k][n] += sum over c of f[c][k] * x[n][c], for nk filters (acc rows
 // of stride lda, f rows of stride ldf) and nn tiles (x rows of stride
-// bc, nc channels used). The register tile is four filters by two
+// bc, nc <= bc channels used). The register tile is four filters by two
 // tiles, the CPU analogue of the paper's register-tiled outer product:
 // each loaded input value feeds four accumulators and each loaded
 // filter value two. c stays the innermost, ascending reduction loop,
 // which fixes every element's summation order. The product is rounded
 // before the add (the explicit conversion forbids a fused multiply-add),
 // as the thread-for-thread kernel does.
-func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc, bc int) {
+func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc int) {
 	ki := 0
 	for ; ki+4 <= nk; ki += 4 {
-		var fq [maxBC][4]float32
+		var fq [bc][4]float32
 		for ci := 0; ci < nc; ci++ {
 			copy(fq[ci][:], f[ci*ldf+ki:ci*ldf+ki+4])
 		}
@@ -434,11 +405,11 @@ func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc,
 			ys := x[(ni+1)*bc : (ni+1)*bc+len(fs)]
 			a0, a1, a2, a3 := r0[ni], r1[ni], r2[ni], r3[ni]
 			b0, b1, b2, b3 := r0[ni+1], r1[ni+1], r2[ni+1], r3[ni+1]
-			if len(fs) == maxBC {
+			if len(fs) == bc {
 				// A whole bc step, unrolled: Go does not unroll loops,
 				// and the loop below keeps its counter and an
 				// accumulator on the stack.
-				xs, ys := (*[maxBC]float32)(xs), (*[maxBC]float32)(ys)
+				xs, ys := (*[bc]float32)(xs), (*[bc]float32)(ys)
 				xv, yv, fc := xs[0], ys[0], &fq[0]
 				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
 				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
@@ -505,34 +476,34 @@ func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc,
 	}
 }
 
-// convNonFused implements the non-fused strategy: transformed input and
-// output round-trip through global workspaces, with the EWMM step done as
-// `area` batched GEMMs — the structure of cuDNN's WINOGRAD_NONFUSED.
-func convNonFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *tensor.Tensor {
+// convNonFused implements the non-fused F(4x4,3x3) strategy: transformed
+// input and output round-trip through global workspaces, with the EWMM
+// step done as 36 batched GEMMs — the structure of cuDNN's
+// WINOGRAD_NONFUSED.
+func convNonFused(in *tensor.Tensor, f *Filter, pad, oh, ow int) *tensor.Tensor {
 	src := imageOf(in)
 	filters := f.k
 	is := src.s
-	g := newTileGrid(opt.Variant, oh, ow, pad)
-	area := opt.Variant.TileArea()
+	g := newTileGrid(F4x4, oh, ow, pad)
 	totalTiles := g.tiles(is.N)
 
 	// Scatter: transformed input workspace, element-major (e, c, tile).
-	inHat := make([]float32, area*is.C*totalTiles)
+	inHat := make([]float32, maxArea*is.C*totalTiles)
 	par.For(is.C, 0, func(c int) {
 		var raw, hat [maxArea]float32
 		for j := 0; j < totalTiles; j++ {
 			batch, th, tw := g.split(j, is.N)
-			gatherInputTile(src, g, batch, c, th, tw, raw[:area])
-			TransformInputTile(opt.Variant, raw[:area], hat[:area])
-			for e := 0; e < area; e++ {
-				inHat[(e*is.C+c)*totalTiles+j] = hat[e]
+			gatherInputTile(src, g, batch, c, th, tw, raw[:])
+			TransformInputTile(F4x4, raw[:], hat[:])
+			for e, v := range hat {
+				inHat[(e*is.C+c)*totalTiles+j] = v
 			}
 		}
 	})
 
 	// Batched GEMM: O_hat[e] (K x T) = F_hat[e]^T (K x C) * I_hat[e] (C x T).
-	outHat := make([]float32, area*filters*totalTiles)
-	gemm.Batched(f.hat, inHat, outHat, area, filters, is.C, totalTiles)
+	outHat := make([]float32, maxArea*filters*totalTiles)
+	gemm.Batched(f.hat, inHat, outHat, maxArea, filters, is.C, totalTiles)
 
 	// Gather: output transform.
 	out := newOutput(in, filters, oh, ow, is.N)
@@ -541,12 +512,12 @@ func convNonFused(in *tensor.Tensor, f *Filter, pad, oh, ow int, opt Options) *t
 		var pre [maxArea]float32
 		var post [16]float32
 		for j := 0; j < totalTiles; j++ {
-			for e := range pre[:area] {
+			for e := range pre {
 				pre[e] = outHat[(e*filters+k)*totalTiles+j]
 			}
-			TransformOutputTile(opt.Variant, pre[:area], post[:g.m*g.m])
+			TransformOutputTile(F4x4, pre[:], post[:])
 			batch, th, tw := g.split(j, is.N)
-			scatterOutputTile(dst, g, k, batch, th, tw, post[:g.m*g.m])
+			scatterOutputTile(dst, g, k, batch, th, tw, post[:])
 		}
 	})
 	return out

@@ -3,9 +3,10 @@
 // in the F(2x2,3x3) variant the paper's fused kernel uses and the
 // F(4x4,3x3) variant used by non-fused implementations (cuDNN's
 // WINOGRAD_NONFUSED). It provides the tile transforms (filter, input,
-// output), a fused blocked CPU implementation that mirrors the paper's
-// Algorithm 1 (bk/bn/bc cache blocking over CHWN data), and a non-fused
-// implementation built on batched GEMM.
+// output), a fused blocked CPU implementation of F(2x2,3x3) that mirrors
+// the paper's Algorithm 1 (bk=64/bn=32/bc=8 cache blocking over NCHW or
+// CHWN data), and a non-fused F(4x4,3x3) implementation built on batched
+// GEMM.
 package winograd
 
 import "fmt"

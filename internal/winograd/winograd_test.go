@@ -172,7 +172,7 @@ func TestOutputTransformMatchesGenericMatrix(t *testing.T) {
 	}
 }
 
-func convCase(t *testing.T, s tensor.Shape4, k, pad int, opt Options, layout tensor.Layout, fltLayout tensor.Layout) {
+func convCase(t *testing.T, s tensor.Shape4, k, pad int, prepare func(*tensor.Tensor) (Filter, error), layout tensor.Layout, fltLayout tensor.Layout) {
 	t.Helper()
 	in := tensor.NewImage(layout, s)
 	in.FillRandom(31)
@@ -182,57 +182,54 @@ func convCase(t *testing.T, s tensor.Shape4, k, pad int, opt Options, layout ten
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Conv2D(in, flt, pad, opt)
+	f, err := prepare(flt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Conv(in, &f, pad)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotN := got.ToLayout(tensor.NCHW)
 	if d := tensor.MaxRelDiff(want, gotN); d > 2e-4 {
-		t.Fatalf("winograd %s (nonfused=%v) differs from direct by %v", opt.Variant, opt.NonFused, d)
+		t.Fatalf("winograd (non-fused %v) differs from direct by %v", f.nonFused, d)
 	}
 }
 
 func TestFusedF2MatchesDirect(t *testing.T) {
-	convCase(t, tensor.Shape4{N: 2, C: 5, H: 8, W: 8}, 7, 1, Options{}, tensor.NCHW, tensor.KCRS)
+	convCase(t, tensor.Shape4{N: 2, C: 5, H: 8, W: 8}, 7, 1, PrepareFused, tensor.NCHW, tensor.KCRS)
 }
 
 func TestFusedF2OddSizesPartialTiles(t *testing.T) {
 	// 7x7 output (ResNet Conv5 size): partial tiles at the edge.
-	convCase(t, tensor.Shape4{N: 3, C: 4, H: 7, W: 7}, 5, 1, Options{}, tensor.NCHW, tensor.KCRS)
+	convCase(t, tensor.Shape4{N: 3, C: 4, H: 7, W: 7}, 5, 1, PrepareFused, tensor.NCHW, tensor.KCRS)
 }
 
 func TestFusedF2NoPad(t *testing.T) {
-	convCase(t, tensor.Shape4{N: 1, C: 3, H: 10, W: 6}, 2, 0, Options{}, tensor.NCHW, tensor.KCRS)
+	convCase(t, tensor.Shape4{N: 1, C: 3, H: 10, W: 6}, 2, 0, PrepareFused, tensor.NCHW, tensor.KCRS)
 }
 
 func TestFusedF2CHWNLayout(t *testing.T) {
-	convCase(t, tensor.Shape4{N: 4, C: 3, H: 6, W: 6}, 4, 1, Options{}, tensor.CHWN, tensor.CRSK)
+	convCase(t, tensor.Shape4{N: 4, C: 3, H: 6, W: 6}, 4, 1, PrepareFused, tensor.CHWN, tensor.CRSK)
 }
 
-func TestFusedF2SmallBlocks(t *testing.T) {
-	// Blocking must not change results even when blocks do not divide
-	// the problem.
-	convCase(t, tensor.Shape4{N: 2, C: 5, H: 9, W: 9}, 6, 1,
-		Options{BlockK: 3, BlockN: 5, BlockC: 2}, tensor.NCHW, tensor.KCRS)
-}
-
-func TestFusedF4MatchesDirect(t *testing.T) {
-	convCase(t, tensor.Shape4{N: 2, C: 3, H: 12, W: 12}, 4, 1, Options{Variant: F4x4}, tensor.NCHW, tensor.KCRS)
-}
-
-func TestNonFusedF2MatchesDirect(t *testing.T) {
-	convCase(t, tensor.Shape4{N: 2, C: 4, H: 8, W: 8}, 5, 1, Options{NonFused: true}, tensor.NCHW, tensor.KCRS)
+// TestFusedF2BlockRemainders: a shape whose blocks do not divide it
+// reaches every remainder of ewmm at the fixed blocking. K=70 leaves a
+// 6-filter block: one group of 4 filters and 2 left over. C=13 leaves a
+// 5-channel step. The 75 tiles split 32/32/11, so the last block's tile
+// count is odd.
+func TestFusedF2BlockRemainders(t *testing.T) {
+	convCase(t, tensor.Shape4{N: 3, C: 13, H: 9, W: 9}, 70, 1, PrepareFused, tensor.NCHW, tensor.KCRS)
 }
 
 func TestNonFusedF4MatchesDirect(t *testing.T) {
-	convCase(t, tensor.Shape4{N: 2, C: 3, H: 14, W: 14}, 4, 1,
-		Options{Variant: F4x4, NonFused: true}, tensor.NCHW, tensor.KCRS)
+	convCase(t, tensor.Shape4{N: 2, C: 3, H: 14, W: 14}, 4, 1, PrepareNonFused, tensor.NCHW, tensor.KCRS)
 }
 
 func TestConv2DRejectsNon3x3(t *testing.T) {
 	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 1, H: 8, W: 8})
 	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 1, R: 5, S: 5})
-	if _, err := Conv2D(in, flt, 1, Options{}); err == nil {
+	if _, err := Conv2D(in, flt, 1); err == nil {
 		t.Fatal("expected error for 5x5 filter")
 	}
 }
@@ -240,22 +237,8 @@ func TestConv2DRejectsNon3x3(t *testing.T) {
 func TestConv2DRejectsChannelMismatch(t *testing.T) {
 	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 2, H: 8, W: 8})
 	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 3, R: 3, S: 3})
-	if _, err := Conv2D(in, flt, 1, Options{}); err == nil {
+	if _, err := Conv2D(in, flt, 1); err == nil {
 		t.Fatal("expected channel mismatch error")
-	}
-}
-
-func TestConv2DRejectsOversizeBlocks(t *testing.T) {
-	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 1, H: 8, W: 8})
-	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 1, R: 3, S: 3})
-	for _, opt := range []Options{{BlockK: 128}, {BlockN: 64}, {BlockC: 16}} {
-		if _, err := Conv2D(in, flt, 1, opt); err == nil {
-			t.Fatalf("%+v: expected a block-size error", opt)
-		}
-		opt.NonFused = true // the non-fused path has no block buffers
-		if _, err := Conv2D(in, flt, 1, opt); err != nil {
-			t.Fatalf("%+v: %v", opt, err)
-		}
 	}
 }
 
@@ -272,7 +255,7 @@ func TestFusedBitsIndependentOfWorkers(t *testing.T) {
 	var ref *tensor.Tensor
 	for _, w := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(w) // the worker count of every par.For loop
-		got, err := Conv2D(in, flt, 1, Options{})
+		got, err := Conv2D(in, flt, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +299,7 @@ func TestFusedAllocsPinned(t *testing.T) {
 		in   *tensor.Tensor
 	}{{"full", full}, {"filled1", padded}} {
 		if n := testing.AllocsPerRun(20, func() {
-			if _, err := Conv2D(tc.in, flt, 1, Options{}); err != nil {
+			if _, err := Conv2D(tc.in, flt, 1); err != nil {
 				t.Fatal(err)
 			}
 		}); n > 10 {
@@ -334,68 +317,47 @@ func TestNonFusedAllocsPinned(t *testing.T) {
 	in.FillRandom(1)
 	flt := tensor.NewFilter(tensor.CRSK, tensor.FilterShape{K: 64, C: 8, R: 3, S: 3})
 	flt.FillRandom(2)
-	opt := Options{Variant: F4x4, NonFused: true}
-	f, err := TransformFilter(flt, opt)
+	f, err := PrepareNonFused(flt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := ConvTransformed(in, &f, 1, opt); err != nil {
+		if _, err := Conv(in, &f, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 14 {
-		t.Errorf("non-fused ConvTransformed: %v allocs/op, want <= 14", n)
+		t.Errorf("non-fused Conv: %v allocs/op, want <= 14", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := Conv2D(in, flt, 1, opt); err != nil {
+		f, err := PrepareNonFused(flt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Conv(in, &f, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n > 24 {
-		t.Errorf("non-fused Conv2D: %v allocs/op, want <= 24", n)
-	}
-}
-
-// TestConvTransformedRejectsOtherOptions: a transformed filter is laid
-// out for one variant and strategy, so convolving it under another is an
-// error, not a wrong answer.
-func TestConvTransformedRejectsOtherOptions(t *testing.T) {
-	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 2, H: 8, W: 8})
-	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 3, C: 2, R: 3, S: 3})
-	f, err := TransformFilter(flt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opt := range []Options{{Variant: F4x4}, {NonFused: true}} {
-		if _, err := ConvTransformed(in, &f, 1, opt); err == nil {
-			t.Errorf("%+v: expected a transform mismatch error", opt)
-		}
-	}
-	if _, err := ConvTransformed(in, &f, 1, Options{}); err != nil {
-		t.Fatal(err)
+		t.Errorf("non-fused PrepareNonFused+Conv: %v allocs/op, want <= 24", n)
 	}
 }
 
 func TestConv2DRejectsTinyInput(t *testing.T) {
 	in := tensor.NewImage(tensor.NCHW, tensor.Shape4{N: 1, C: 1, H: 2, W: 2})
 	flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: 1, C: 1, R: 3, S: 3})
-	if _, err := Conv2D(in, flt, 0, Options{}); err == nil {
+	if _, err := Conv2D(in, flt, 0); err == nil {
 		t.Fatal("expected empty-output error")
 	}
 }
 
-// Property: fused and non-fused agree with each other and with direct for
-// random shapes, both variants.
+// Property: fused F(2x2,3x3) and non-fused F(4x4,3x3) agree with direct
+// for random shapes.
 func TestWinogradAgreesWithDirectProperty(t *testing.T) {
-	f := func(seed uint64, nRaw, cRaw, kRaw, hRaw, vRaw uint8) bool {
+	f := func(seed uint64, nRaw, cRaw, kRaw, hRaw uint8) bool {
 		s := tensor.Shape4{
 			N: int(nRaw%3) + 1, C: int(cRaw%4) + 1,
 			H: int(hRaw%9) + 4, W: int(hRaw%9) + 4,
 		}
 		k := int(kRaw%5) + 1
-		v := F2x2
-		if vRaw%2 == 1 {
-			v = F4x4
-		}
 		in := tensor.NewImage(tensor.NCHW, s)
 		in.FillRandom(seed)
 		flt := tensor.NewFilter(tensor.KCRS, tensor.FilterShape{K: k, C: s.C, R: 3, S: 3})
@@ -404,11 +366,15 @@ func TestWinogradAgreesWithDirectProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		fused, err := Conv2D(in, flt, 1, Options{Variant: v})
+		fused, err := Conv2D(in, flt, 1)
 		if err != nil {
 			return false
 		}
-		nonfused, err := Conv2D(in, flt, 1, Options{Variant: v, NonFused: true})
+		nf, err := PrepareNonFused(flt)
+		if err != nil {
+			return false
+		}
+		nonfused, err := Conv(in, &nf, 1)
 		if err != nil {
 			return false
 		}
