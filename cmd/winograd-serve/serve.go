@@ -76,7 +76,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	rep, err := serve.Generate(serve.LoadConfig{
 		Seed:      *seed,
 		Requests:  *requests,
-		Devices:   []gpu.Device{dev},
+		Device:    dev,
 		Selector:  sel,
 		ExecEvery: *execEvery,
 		Jobs:      *jobs,
@@ -131,7 +131,7 @@ func listenAndServe(addr string, dev gpu.Device, sel serve.Selector, seed uint64
 	s, err := serve.NewServer(serve.Config{
 		Model:    model,
 		Selector: sel,
-		Devices:  []gpu.Device{dev},
+		Device:   dev,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "winograd-serve: %v\n", err)

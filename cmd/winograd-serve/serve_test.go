@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -97,6 +98,40 @@ func TestServeUnknownDevice(t *testing.T) {
 	}
 	if errOut == "" {
 		t.Fatal("no error message")
+	}
+}
+
+// TestServeDeviceFlag: -device reaches the load generator, so every row
+// of the report names the chosen device.
+func TestServeDeviceFlag(t *testing.T) {
+	out, errOut, code := runCapture(t, "-device", "v100", "-requests", "600", "-seed", "42")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	var header []string
+	inRows := false
+	tables, rows := 0, 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0 || strings.HasPrefix(line, "note:"):
+			inRows = false
+		case strings.HasPrefix(line, "=="):
+			inRows = false
+			tables++
+		case strings.Trim(line, "-") == "":
+			inRows = true
+		case !inRows:
+			header = f
+		default:
+			rows++
+			if col := slices.Index(header, "device"); col < 0 || f[col] != "V100" {
+				t.Errorf("row %q under header %q does not name V100", line, header)
+			}
+		}
+	}
+	if tables != 3 || rows == 0 {
+		t.Fatalf("%d tables, %d rows in:\n%s", tables, rows, out)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // SmemOracle is the dynamic complement of the static shared-memory
-// verifier (internal/sasscheck.Verify): attached to a Sim it logs every
+// verifier (internal/sasscheck.VerifyKernel): attached to a Sim it logs every
 // shared-memory access one launch performs — (block, warp, lane, pc,
 // barrier phase, byte range) — and flags the concrete hazards the
 // verifier proves absent on all paths: write-write or read-write

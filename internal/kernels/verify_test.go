@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/cubin"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/sass"
@@ -96,17 +97,24 @@ func TestScatterExemptionStillNeeded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := sasscheck.VerifyOpts{Threads: 256, SmemBytes: k.SmemBytes}
+		opts := sasscheck.VerifyOpts{Threads: 256}
 
 		// With the exemption active: completely clean.
-		for _, d := range sasscheck.Verify(insts, opts) {
+		ds, err := sasscheck.VerifyKernel(k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range ds {
 			t.Errorf("bk%d with exemptions: %s", cfg.BK, d)
 		}
 
 		// Stripped: the scatter conflicts must appear, all of them on
 		// instructions the exemption's matcher covers.
 		opts.NoExemptions = true
-		stripped := sasscheck.Verify(insts, opts)
+		stripped, err := sasscheck.VerifyKernel(k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		n := 0
 		for _, d := range stripped {
 			if d.Rule != "smem-conflict" {
@@ -222,19 +230,25 @@ func TestUnpaddedTransposeConflicts(t *testing.T) {
 		_, conflict := gpu.SmemAccessCost(sass.W32, &addrs, &active)
 		return conflict
 	}
-	opts := sasscheck.VerifyOpts{Threads: 32, SmemBytes: 8192}
+	verify := func(insts []sass.Inst) []sasscheck.Diag {
+		ds, err := sasscheck.VerifyKernel(&cubin.Kernel{Name: "column", SmemBytes: 8192, Code: sass.EncodeAll(insts)}, sasscheck.VerifyOpts{Threads: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
 
 	if c := cost(32); c != 31 {
 		t.Errorf("unpadded column read: %d conflict cycles, want 31", c)
 	}
-	ds := sasscheck.Verify(column(32), opts)
+	ds := verify(column(32))
 	if len(ds) != 1 || ds[0].Rule != "smem-conflict" || ds[0].PC != 2 {
 		t.Errorf("unpadded column read not flagged: %v", ds)
 	}
 	if c := cost(33); c != 0 {
 		t.Errorf("padded column read: %d conflict cycles, want 0", c)
 	}
-	if ds := sasscheck.Verify(column(33), opts); len(ds) != 0 {
+	if ds := verify(column(33)); len(ds) != 0 {
 		t.Errorf("padded column read flagged: %v", ds)
 	}
 }

@@ -21,19 +21,16 @@ import (
 // divergent branches stop the path with a diagnostic, matching the
 // simulator's rejection of divergent control flow.
 //
-// The interpreter is sound in the "verified clean" direction: if Verify
-// returns no Error diagnostics, then no execution of the kernel (under
-// the machine model internal/gpu implements) exhibits a shared-memory
-// race, out-of-bounds access, or divergent barrier. Where the analysis
+// The interpreter is sound in the "verified clean" direction: if
+// VerifyKernel returns no Error diagnostics, then no execution of the
+// kernel (under the machine model internal/gpu implements) exhibits a
+// shared-memory race, out-of-bounds access, or divergent barrier. Where the analysis
 // cannot prove that — unresolvable addresses, path explosion, widened
 // loops it cannot bound — it says so with absint-limit rather than
 // staying silent.
 
 // VerifyOpts configures the abstract interpreter.
 type VerifyOpts struct {
-	// SmemBytes is the declared shared-memory size every STS/LDS must
-	// stay inside.
-	SmemBytes int
 	// Threads is the block size the kernel is launched with; 0 means
 	// the generated kernels' default of 256.
 	Threads int
@@ -42,9 +39,15 @@ type VerifyOpts struct {
 	NoExemptions bool
 }
 
-// Verify runs the race/bounds/divergence/bank-conflict verifier over
-// an instruction stream. A nil result means every path is proven clean.
-func Verify(insts []sass.Inst, opts VerifyOpts) []Diag {
+// VerifyKernel runs the race/bounds/divergence/bank-conflict verifier
+// over an assembled kernel: every STS/LDS must stay inside the shared
+// memory its metadata declares. A nil result means every path is proven
+// clean.
+func VerifyKernel(k *cubin.Kernel, opts VerifyOpts) ([]Diag, error) {
+	insts, err := k.Decode()
+	if err != nil {
+		return nil, fmt.Errorf("sasscheck: %s does not decode: %w", k.Name, err)
+	}
 	threads := opts.Threads
 	if threads <= 0 {
 		threads = 256
@@ -56,17 +59,18 @@ func Verify(insts []sass.Inst, opts VerifyOpts) []Diag {
 	// repository's launches.
 	threads = (threads + 31) &^ 31
 	ai := &interp{
-		insts:    insts,
-		opts:     opts,
-		threads:  threads,
-		diags:    nil,
-		seenDiag: map[string]bool{},
-		seenRace: map[[2]int]bool{},
-		maxSteps: 256*len(insts) + 4096,
-		visits:   map[int]int{},
-		widened:  map[int]*absState{},
-		seen:     map[int][]*absState{},
-		targets:  branchTargets(insts),
+		insts:     insts,
+		opts:      opts,
+		smemBytes: k.SmemBytes,
+		threads:   threads,
+		diags:     nil,
+		seenDiag:  map[string]bool{},
+		seenRace:  map[[2]int]bool{},
+		maxSteps:  256*len(insts) + 4096,
+		visits:    map[int]int{},
+		widened:   map[int]*absState{},
+		seen:      map[int][]*absState{},
+		targets:   branchTargets(insts),
 	}
 	ai.run()
 	ds := ai.diags
@@ -76,21 +80,7 @@ func Verify(insts []sass.Inst, opts VerifyOpts) []Diag {
 		}
 		return ds[i].Rule < ds[j].Rule
 	})
-	return ds
-}
-
-// VerifyKernel verifies an assembled kernel, taking the declared
-// shared-memory size from its metadata when the caller leaves
-// opts.SmemBytes zero.
-func VerifyKernel(k *cubin.Kernel, opts VerifyOpts) ([]Diag, error) {
-	insts, err := k.Decode()
-	if err != nil {
-		return nil, fmt.Errorf("sasscheck: %s does not decode: %w", k.Name, err)
-	}
-	if opts.SmemBytes == 0 {
-		opts.SmemBytes = k.SmemBytes
-	}
-	return Verify(insts, opts), nil
+	return ds, nil
 }
 
 // branchTargets returns the set of pcs that some BRA can jump to; every
@@ -184,11 +174,12 @@ const widenAfter = 12
 const maxLivePaths = 256
 
 type interp struct {
-	insts    []sass.Inst
-	opts     VerifyOpts
-	threads  int
-	diags    []Diag
-	seenDiag map[string]bool
+	insts     []sass.Inst
+	opts      VerifyOpts
+	smemBytes int // declared shared memory
+	threads   int
+	diags     []Diag
+	seenDiag  map[string]bool
 	// seenRace dedupes race diagnostics per instruction pair with a
 	// typed key: raceDiag is hit once per overlapping byte-range pair,
 	// which is quadratic in the worst case, so it cannot afford the

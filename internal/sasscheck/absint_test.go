@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cubin"
 	"repro/internal/sass"
 	"repro/internal/sasscheck"
 )
@@ -19,6 +20,17 @@ func mkInst(op sass.Opcode, f func(*sass.Inst)) sass.Inst {
 	return in
 }
 
+// verifyStream verifies a raw instruction stream, encoded into a kernel
+// that declares smemBytes of shared memory.
+func verifyStream(t *testing.T, insts []sass.Inst, smemBytes int, opts sasscheck.VerifyOpts) []sasscheck.Diag {
+	t.Helper()
+	ds, err := sasscheck.VerifyKernel(&cubin.Kernel{Name: "stream", SmemBytes: smemBytes, Code: sass.EncodeAll(insts)}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
 // rulesOf collects the distinct rule IDs of a diagnostic list.
 func rulesOf(ds []sasscheck.Diag) map[string]bool {
 	m := map[string]bool{}
@@ -32,7 +44,7 @@ func rulesOf(ds []sasscheck.Diag) map[string]bool {
 // violate exactly one rule and checks the right diagnostic fires — and
 // that inserting the missing barrier makes the finding go away.
 func TestVerifyNegatives(t *testing.T) {
-	opts := sasscheck.VerifyOpts{Threads: 64, SmemBytes: 4096}
+	opts := sasscheck.VerifyOpts{Threads: 64}
 
 	// Write tid*4, then read (tid^32)*4 — a cross-warp exchange.
 	exchange := func(withBar bool) []sass.Inst {
@@ -156,7 +168,7 @@ func TestVerifyNegatives(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ds := sasscheck.Verify(tc.insts, opts)
+			ds := verifyStream(t, tc.insts, 4096, opts)
 			got := rulesOf(ds)
 			if tc.want == "" {
 				if len(ds) != 0 {
@@ -191,13 +203,13 @@ func TestVerifyBankConflicts(t *testing.T) {
 			mkInst(sass.OpEXIT, nil),
 		}
 	}
-	opts := sasscheck.VerifyOpts{Threads: 64, SmemBytes: 16384}
+	opts := sasscheck.VerifyOpts{Threads: 64}
 
-	ds := sasscheck.Verify(store(128), opts)
+	ds := verifyStream(t, store(128), 16384, opts)
 	if len(ds) != 1 || ds[0].Rule != "smem-conflict" || ds[0].Sev != sasscheck.Warn || ds[0].PC != 2 {
 		t.Fatalf("unpadded stride: want one smem-conflict warning at pc 2, got %v", ds)
 	}
-	if ds := sasscheck.Verify(store(132), opts); len(ds) != 0 {
+	if ds := verifyStream(t, store(132), 16384, opts); len(ds) != 0 {
 		t.Fatalf("padded stride: want clean, got %v", ds)
 	}
 }
@@ -211,7 +223,7 @@ func TestVerifyRaceDedup(t *testing.T) {
 		mkInst(sass.OpSTS, nil),
 		mkInst(sass.OpEXIT, nil),
 	}
-	ds := sasscheck.Verify(insts, sasscheck.VerifyOpts{Threads: 64, SmemBytes: 4096})
+	ds := verifyStream(t, insts, 4096, sasscheck.VerifyOpts{Threads: 64})
 	n := 0
 	for _, d := range ds {
 		if d.Rule == "smem-race" {
@@ -232,7 +244,7 @@ func TestVerifyUnresolvableAddress(t *testing.T) {
 		mkInst(sass.OpSTS, func(in *sass.Inst) { in.Rs0 = 0; in.Rs2 = 0; in.Ctrl.WaitMask = 1 }),
 		mkInst(sass.OpEXIT, nil),
 	}
-	ds := sasscheck.Verify(insts, sasscheck.VerifyOpts{Threads: 64, SmemBytes: 4096})
+	ds := verifyStream(t, insts, 4096, sasscheck.VerifyOpts{Threads: 64})
 	if !rulesOf(ds)["absint-limit"] {
 		t.Fatalf("STS through a loaded value must report absint-limit, got %v", ds)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cubin"
 	"repro/internal/sass"
 	"repro/internal/turingas"
 )
@@ -394,19 +395,26 @@ func TestCheckSmem(t *testing.T) {
 			%s
 			02:-:-:Y:15 EXIT`, shift, sts))
 	}
-	opts := VerifyOpts{Threads: 64, SmemBytes: 4096}
+	verify := func(insts []sass.Inst, opts VerifyOpts) []Diag {
+		ds, err := VerifyKernel(&cubin.Kernel{Name: "store", SmemBytes: 4096, Code: sass.EncodeAll(insts)}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	opts := VerifyOpts{Threads: 64}
 
-	wantClean(t, Verify(store(2, false), opts))
-	ds := Verify(store(3, false), opts)
+	wantClean(t, verify(store(2, false), opts))
+	ds := verify(store(3, false), opts)
 	if len(ds) != 1 || ds[0].Rule != "smem-conflict" || ds[0].Sev != Warn || ds[0].PC != 3 {
 		t.Fatalf("8-byte stride: want one smem-conflict warning at pc 3, got %v", ds)
 	}
 	if !strings.Contains(ds[0].Msg, "1 conflict cycles") {
 		t.Errorf("2-way store should cost one conflict cycle: %s", ds[0].Msg)
 	}
-	wantClean(t, Verify(store(3, true), opts))
+	wantClean(t, verify(store(3, true), opts))
 	opts.NoExemptions = true
-	ds = Verify(store(3, true), opts)
+	ds = verify(store(3, true), opts)
 	if len(ds) != 1 || ds[0].Rule != "smem-conflict" {
 		t.Errorf("predicated 2-way store with exemptions stripped: want one smem-conflict, got %v", ds)
 	}

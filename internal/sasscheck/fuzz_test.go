@@ -112,7 +112,8 @@ func synthProgram(data []byte) ([]sass.Inst, bool) {
 }
 
 // FuzzAbsInt feeds the abstract interpreter arbitrary structurally
-// valid SASS and checks its two contracts. First, Verify never panics,
+// valid SASS and checks its two contracts. First, VerifyKernel never
+// panics on the encoded stream,
 // whatever the control flow or address arithmetic. Second — soundness,
 // on executable (forward-branching) streams: the program is encoded,
 // launched on the simulator with the dynamic shared-memory oracle
@@ -142,20 +143,17 @@ func FuzzAbsInt(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		insts, executable := synthProgram(data)
-		opts := sasscheck.VerifyOpts{Threads: fuzzThreads, SmemBytes: fuzzSmemBytes}
-		ds := sasscheck.Verify(insts, opts) // must not panic
+		// The verifier and the simulator see the identical program: the
+		// stream encoded into one kernel.
+		k := &cubin.Kernel{Name: "fuzz", NumRegs: 32, SmemBytes: fuzzSmemBytes, BarCount: 1, Code: sass.EncodeAll(insts)}
+		ds, err := sasscheck.VerifyKernel(k, sasscheck.VerifyOpts{Threads: fuzzThreads}) // must not panic
+		if err != nil {
+			t.Fatalf("synthesized program does not decode: %v", err)
+		}
 		if !executable {
 			return
 		}
 
-		// Round-trip through the encoder so the verifier and the
-		// simulator see the identical program.
-		code := sass.EncodeAll(insts)
-		decoded, err := sass.DecodeAll(code)
-		if err != nil {
-			t.Fatalf("synthesized program does not decode: %v", err)
-		}
-		ds = sasscheck.Verify(decoded, opts)
 		limited := false
 		staticAt := map[string]map[int]bool{}
 		for _, d := range ds {
@@ -168,7 +166,6 @@ func FuzzAbsInt(f *testing.F) {
 			staticAt[d.Rule][d.PC] = true
 		}
 
-		k := &cubin.Kernel{Name: "fuzz", NumRegs: 32, SmemBytes: fuzzSmemBytes, BarCount: 1, Code: code}
 		sim := gpu.NewSim(gpu.RTX2070())
 		sim.Oracle = &gpu.SmemOracle{}
 		// Launch errors (global OOB, rejected shared access, divergent
@@ -185,6 +182,7 @@ func FuzzAbsInt(f *testing.F) {
 				continue
 			}
 			t.Errorf("dynamic finding with no static report: %s\nprogram:", fd)
+			decoded, _ := k.Decode() // decoded once already, by VerifyKernel
 			for pc, in := range decoded {
 				t.Errorf("  %2d: %s", pc, in)
 			}

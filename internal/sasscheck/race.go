@@ -82,9 +82,9 @@ func (ai *interp) checkBounds(pc int, in *sass.Inst, addr absVal, active []bool,
 				Hint: "fix the address computation; the machine model rejects misaligned shared accesses"})
 			return
 		}
-		if int(a)+width > ai.opts.SmemBytes {
+		if int(a)+width > ai.smemBytes {
 			ai.diag(Diag{Rule: "smem-bounds", PC: pc, Sev: Error,
-				Msg:  fmt.Sprintf("%s writes 0x%x+%dB past the %d bytes of declared shared memory (thread %d)", in.Op, a, width, ai.opts.SmemBytes, t),
+				Msg:  fmt.Sprintf("%s writes 0x%x+%dB past the %d bytes of declared shared memory (thread %d)", in.Op, a, width, ai.smemBytes, t),
 				Hint: "raise DeclaredSmem or fix the address computation"})
 			return
 		}

@@ -106,7 +106,7 @@ func Rules() []Rule {
 // Check runs every instruction-stream rule over insts and returns the
 // diagnostics sorted by instruction index. A nil result means the
 // stream is clean. Shared-memory addresses live in registers, so bank
-// conflicts, races and bounds are proven by Verify, which derives them
+// conflicts, races and bounds are proven by VerifyKernel, which derives them
 // from the instruction stream.
 func Check(insts []sass.Inst) []Diag {
 	var ds []Diag

@@ -184,7 +184,7 @@ func TestServedWeightsImmuneToMutation(t *testing.T) {
 
 // batchRig returns a server for model that runs exec (nil: the model's
 // default executor) under the fused algorithm, and the queue of layer
-// on its device, so a test can call execBatch on it directly.
+// so a test can call execBatch on it directly.
 func batchRig(tb testing.TB, model *Model, exec Executor, layer string) (*Server, *queue) {
 	tb.Helper()
 	s, err := NewServer(Config{Model: model, Selector: FixedSelector{Algo: tune.AlgoFused}, Exec: exec})
@@ -192,7 +192,7 @@ func batchRig(tb testing.TB, model *Model, exec Executor, layer string) (*Server
 		tb.Fatal(err)
 	}
 	tb.Cleanup(s.Close)
-	return s, s.queues[queueKey(s.devices[0].gpu.Name, layer)]
+	return s, s.queues[layer]
 }
 
 // khwnExec is a custom executor whose output images are not contiguous:
@@ -278,7 +278,7 @@ func warmUp(tb testing.TB, s *Server, m *Model) {
 			chans := make([]<-chan Response, n)
 			for i := range chans {
 				var err error
-				if chans[i], err = s.Submit(&Request{Device: s.devices[0].gpu.Name, Layer: name, Image: img}); err != nil {
+				if chans[i], err = s.Submit(&Request{Device: s.cfg.Device.Name, Layer: name, Image: img}); err != nil {
 					tb.Fatal(err)
 				}
 			}

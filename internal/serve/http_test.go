@@ -177,3 +177,43 @@ func TestHTTPNonFiniteOutput(t *testing.T) {
 		t.Fatalf("error %q does not contain %q", out.Error, want)
 	}
 }
+
+// TestServerDevice: a server on a non-default device answers requests
+// for that device and rejects those for another, through Submit and
+// through HTTP (400), and its selector chooses for that device alone.
+func TestServerDevice(t *testing.T) {
+	model := DemoModel(29)
+	sel := NewTuneSelector(4)
+	s, err := NewServer(Config{Model: model, Selector: sel, Device: gpu.V100()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec, _, _ := model.Layer("conv_a")
+	v100, rtx := gpu.V100().Name, gpu.RTX2070().Name
+	img := make([]float32, spec.InLen())
+	if resp, err := s.Infer(&Request{Device: v100, Layer: "conv_a", Image: img}); err != nil || resp.Err != nil {
+		t.Fatalf("%s request through Submit: %v, %v", v100, err, resp.Err)
+	}
+	if _, err := s.Submit(&Request{Device: rtx, Layer: "conv_a", Image: img}); err == nil || !strings.Contains(err.Error(), "no queue for device") {
+		t.Fatalf("%s request through Submit: err %v, want no queue", rtx, err)
+	}
+	if code, out := postInfer(t, ts.URL, inferRequest{Device: v100, Layer: "conv_a", Image: img}); code != http.StatusOK {
+		t.Fatalf("%s request through HTTP: status %d: %s", v100, code, out.Error)
+	}
+	if code, _ := postInfer(t, ts.URL, inferRequest{Device: rtx, Layer: "conv_a", Image: img}); code != http.StatusBadRequest {
+		t.Fatalf("%s request through HTTP: status %d, want 400", rtx, code)
+	}
+	counts := sel.ChooseCounts()
+	if len(counts) == 0 {
+		t.Fatal("the selector chose nothing")
+	}
+	for key := range counts {
+		if !strings.HasPrefix(key, v100+"|") {
+			t.Errorf("the selector chose for %q, want only %s shapes", key, v100)
+		}
+	}
+}

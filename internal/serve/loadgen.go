@@ -14,22 +14,22 @@ import (
 // The load generator is a discrete-event simulation in virtual time, not
 // a wall-clock harness: it drives the live server's coalescer through a
 // deterministic arrival stream, with a device-free event standing in for
-// each device's dispatcher finishing a batch, models each device as the
-// serial executor a GPU is (one batch at a time), and takes each batch's
+// the dispatcher finishing a batch, models the device as the serial
+// executor a GPU is (one batch at a time), and takes each batch's
 // service time from the selector's predicted seconds — so the report
 // (latency percentiles, batch-size occupancy, algorithm selection) is a
 // pure function of (seed, config) and byte-identical across runs and
 // across -jobs counts. Real execution is not skipped: every ExecEvery-th
-// dispatched batch is additionally run for real through the Executor
-// with deterministic request images, and its output checksum lands in
-// the report (these sampled runs fan out across Jobs workers; their
-// results recombine in dispatch order, preserving determinism).
+// dispatched batch is additionally run for real through the model's
+// Executor with deterministic request images, and its output checksum
+// lands in the report (these sampled runs fan out across Jobs workers;
+// their results recombine in dispatch order, preserving determinism).
 //
 // The arrival stream is phased so every sweet spot appears: a burst
 // phase floods one queue far faster than service (the backlog leaves in
 // full 128s, and the in-flight high-water mark climbs past the
 // thousand-request criterion), then three paced phases of clumps of
-// 1 + k requests, k = 96, 64 and 32. A clump's head finds its device
+// 1 + k requests, k = 96, 64 and 32. A clump's head finds the device
 // idle and rides alone in a padded 32; the k behind it arrive while the
 // head runs and leave together as a full k.
 
@@ -37,30 +37,26 @@ import (
 // DemoModel(Seed).
 type LoadConfig struct {
 	Seed     uint64
-	Requests int          // total arrivals across all phases (default 4000)
-	Devices  []gpu.Device // default RTX2070
-	Selector Selector     // default cold NewTuneSelector(4)
-	Exec     Executor     // runs the sampled batches; default the model's Executor()
-	// ExecEvery really executes every k-th dispatched batch (default 23;
-	// < 0 disables sampling).
+	Requests int        // total arrivals across all phases (default 4000)
+	Device   gpu.Device // default (the zero value) RTX2070
+	Selector Selector   // default cold NewTuneSelector(4)
+	// ExecEvery really executes every k-th dispatched batch on the
+	// model's Executor (default 23; < 0 disables sampling).
 	ExecEvery int
 	// Jobs parallelizes the sampled real executions (default 1). The
 	// report bytes are identical for every value.
 	Jobs int
 }
 
-func (c LoadConfig) withDefaults(m *Model) LoadConfig {
+func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Requests <= 0 {
 		c.Requests = 4000
 	}
-	if len(c.Devices) == 0 {
-		c.Devices = []gpu.Device{gpu.RTX2070()}
+	if c.Device.Name == "" {
+		c.Device = gpu.RTX2070()
 	}
 	if c.Selector == nil {
 		c.Selector = NewTuneSelector(4)
-	}
-	if c.Exec == nil {
-		c.Exec = m.Executor()
 	}
 	if c.ExecEvery == 0 {
 		c.ExecEvery = 23
@@ -109,25 +105,13 @@ type arrival struct {
 	qi int
 }
 
-// simQueue is the DES twin of a server queue: a lane of its device's
-// coalescer, plus its accounting.
+// simQueue is the DES twin of a server queue (its index is its lane of
+// the coalescer), plus its accounting.
 type simQueue struct {
-	dev      int // index into cfg.Devices
-	lane     int
 	spec     LayerSpec
-	flt      *tensor.Tensor
 	accepted int
 	rejected int
 	lats     []int64 // per completed request: done - arrive, in cut order
-}
-
-// simDevice is the DES twin of a server device: the same coalescer,
-// driven in virtual time, and while a batch runs, its device-free event.
-type simDevice struct {
-	co     *coalescer[int64] // items are arrival instants, virtual nanos
-	queues []int             // simQueue index by lane
-	busy   bool
-	free   int64 // virtual nanos; meaningful while busy
 }
 
 // simBatch is one dispatched batch on the virtual timeline.
@@ -140,44 +124,40 @@ type simBatch struct {
 // Generate runs the load simulation and builds the report.
 func Generate(cfg LoadConfig) (*Report, error) {
 	model := DemoModel(cfg.Seed)
-	cfg = cfg.withDefaults(model)
-	names := model.LayerNames()
+	cfg = cfg.withDefaults()
 
-	// One simulated queue per (device, layer), in deterministic order.
+	// One simulated queue per layer, in the server's lane order.
 	var queues []*simQueue
-	devs := make([]*simDevice, len(cfg.Devices))
-	for d := range devs {
-		devs[d] = &simDevice{co: newCoalescer[int64](len(names))}
-		for lane, name := range names {
-			spec, flt, _ := model.Layer(name)
-			devs[d].queues = append(devs[d].queues, len(queues))
-			queues = append(queues, &simQueue{dev: d, lane: lane, spec: spec, flt: flt})
-		}
+	for _, name := range model.LayerNames() {
+		queues = append(queues, &simQueue{spec: model.layers[name].spec})
 	}
 
 	arrivals := genArrivals(cfg.Seed, cfg.Requests, len(queues))
 
-	// --- the event loop: arrivals merged with the device-free events ---
+	// --- the event loop: arrivals merged with the device-free event ---
+	// The server's coalescer, driven in virtual time; its items are
+	// arrival instants, virtual nanos. While a batch runs, the device
+	// is busy until free.
+	co := newCoalescer[int64](len(queues))
+	busy, free := false, int64(0)
 	var batches []simBatch
 	var intervals [][2]int64 // (arrive, done) per accepted request
-	// pull is device d's dispatcher, free at now: it cuts the next batch,
-	// if any is pending, and runs it for the predicted seconds.
-	pull := func(d int, now int64) error {
-		dv := devs[d]
-		lane, b, ok := dv.co.cut()
-		if dv.busy = ok; !ok {
+	// pull is the dispatcher, free at now: it cuts the next batch, if
+	// any is pending, and runs it for the predicted seconds.
+	pull := func(now int64) error {
+		qi, b, ok := co.cut()
+		if busy = ok; !ok {
 			return nil
 		}
-		qi := dv.queues[lane]
 		q := queues[qi]
-		ch, err := cfg.Selector.Choose(cfg.Devices[d], q.spec.Problem(b.n))
+		ch, err := cfg.Selector.Choose(cfg.Device, q.spec.Problem(b.n))
 		if err != nil {
 			return err
 		}
-		dv.free = now + max(int64(ch.Seconds*1e9), 1)
+		free = now + max(int64(ch.Seconds*1e9), 1)
 		for _, arrive := range b.items {
-			q.lats = append(q.lats, dv.free-arrive)
-			intervals = append(intervals, [2]int64{arrive, dv.free})
+			q.lats = append(q.lats, free-arrive)
+			intervals = append(intervals, [2]int64{arrive, free})
 		}
 		batches = append(batches, simBatch{
 			qi: qi, batchN: b.n, filled: len(b.items),
@@ -186,50 +166,41 @@ func Generate(cfg LoadConfig) (*Report, error) {
 		return nil
 	}
 
-	ai := 0
-	for {
-		d := -1 // the earliest device-free event, lowest device on ties
-		for i, dv := range devs {
-			if dv.busy && (d < 0 || dv.free < devs[d].free) {
-				d = i
+	for _, a := range arrivals {
+		// Device-free events strictly before the arrival come first: a
+		// request arriving as the device frees joins the cut.
+		for busy && free < a.t {
+			if err := pull(free); err != nil {
+				return nil, err
 			}
 		}
-		// Arrivals first: a request arriving as its device frees joins
-		// the cut.
-		if ai < len(arrivals) && (d < 0 || arrivals[ai].t <= devs[d].free) {
-			a := arrivals[ai]
-			ai++
-			q := queues[a.qi]
-			dv := devs[q.dev]
-			if !dv.co.admits(q.lane) {
-				q.rejected++
-				continue
-			}
-			q.accepted++
-			dv.co.push(q.lane, a.t)
-			if !dv.busy {
-				if err := pull(q.dev, a.t); err != nil {
-					return nil, err
-				}
-			}
+		q := queues[a.qi]
+		if !co.admits(a.qi) {
+			q.rejected++
 			continue
 		}
-		if d < 0 {
-			break
+		q.accepted++
+		co.push(a.qi, a.t)
+		if !busy {
+			if err := pull(a.t); err != nil {
+				return nil, err
+			}
 		}
-		if err := pull(d, devs[d].free); err != nil {
+	}
+	for busy {
+		if err := pull(free); err != nil {
 			return nil, err
 		}
 	}
 
-	return buildReport(cfg, queues, batches, intervals)
+	return buildReport(cfg, model.Executor(), queues, batches, intervals)
 }
 
 // The arrival stream's spacing, in virtual nanos: mean gaps, jittered
 // as below. A burst outruns service at once, and a clump's k requests
 // land within its head's batch time (0.6–2.5 µs per batch on the demo
 // model). Clump heads are spaced far wider than a clump's service time,
-// so each clump finds its device idle, and the phase gap lets the
+// so each clump finds the device idle, and the phase gap lets the
 // burst's backlog drain before the next phase.
 const (
 	trainGap = 4       // inside a burst or a clump
@@ -281,8 +252,9 @@ func genArrivals(seed uint64, requests, nqueues int) []arrival {
 	return arrivals
 }
 
-// buildReport turns the simulation record into the deterministic tables.
-func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, intervals [][2]int64) (*Report, error) {
+// buildReport turns the simulation record into the deterministic tables,
+// running the sampled batches on exec.
+func buildReport(cfg LoadConfig, exec Executor, queues []*simQueue, batches []simBatch, intervals [][2]int64) (*Report, error) {
 	rep := &Report{Batches: map[int]int{}}
 
 	// Peak in-flight: +1 at arrival, -1 at completion, completions first
@@ -329,7 +301,7 @@ func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, interva
 		if len(s) > 0 {
 			mx = s[len(s)-1]
 		}
-		lat.AddRow(cfg.Devices[q.dev].Name, q.spec.Name,
+		lat.AddRow(cfg.Device.Name, q.spec.Name,
 			fmt.Sprint(q.accepted), fmt.Sprint(q.rejected),
 			us(pct(s, 50)), us(pct(s, 95)), us(pct(s, 99)), us(mx))
 	}
@@ -366,7 +338,7 @@ func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, interva
 	for _, k := range keys {
 		q := queues[k.qi]
 		fill := 100 * float64(occFill[k]) / float64(occCount[k]*k.n)
-		occ.AddRow(cfg.Devices[q.dev].Name, q.spec.Name, fmt.Sprint(k.n),
+		occ.AddRow(cfg.Device.Name, q.spec.Name, fmt.Sprint(k.n),
 			fmt.Sprint(occCount[k]), fmt.Sprint(occFill[k]),
 			fmt.Sprintf("%.1f", fill), occAlgo[k], occSrc[k])
 	}
@@ -374,7 +346,7 @@ func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, interva
 		rep.PaddedSlots, len(batches))
 
 	// Sampled real executions: every ExecEvery-th dispatched batch runs
-	// through the Executor with per-slot deterministic images. Fan out
+	// through the model's Executor with per-slot deterministic images. Fan out
 	// across Jobs workers, recombine in dispatch order.
 	exe := &bench.Table{ID: "serve-exec", Title: "sampled real batch executions (cudart.Forward)",
 		Header: []string{"batch", "device", "layer", "batch N", "filled", "algo", "output checksum"}}
@@ -399,14 +371,14 @@ func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, interva
 			}
 			images[s] = img
 		}
-		ch, err := cfg.Selector.Choose(cfg.Devices[q.dev], q.spec.Problem(b.batchN))
+		ch, err := cfg.Selector.Choose(cfg.Device, q.spec.Problem(b.batchN))
 		if err != nil {
 			return err
 		}
-		out, err := cfg.Exec.Run(q.spec, q.flt, ch, images, b.batchN)
+		out, err := exec.Run(q.spec, nil, ch, images, b.batchN) // the model's executor reads its own filter
 		if err != nil {
 			return fmt.Errorf("serve: sampled batch %d (%s/%s N=%d): %w",
-				sampled[si], cfg.Devices[q.dev].Name, q.spec.Name, b.batchN, err)
+				sampled[si], cfg.Device.Name, q.spec.Name, b.batchN, err)
 		}
 		sum := 0.0
 		for _, v := range out.Data {
@@ -421,7 +393,7 @@ func buildReport(cfg LoadConfig, queues []*simQueue, batches []simBatch, interva
 	for si, bi := range sampled {
 		b := batches[bi]
 		q := queues[b.qi]
-		exe.AddRow(fmt.Sprint(bi), cfg.Devices[q.dev].Name, q.spec.Name,
+		exe.AddRow(fmt.Sprint(bi), cfg.Device.Name, q.spec.Name,
 			fmt.Sprint(b.batchN), fmt.Sprint(b.filled), b.algo, fmt.Sprintf("%.6e", sums[si]))
 	}
 	rep.Sampled = len(sampled)

@@ -3,13 +3,11 @@ package serve
 import "testing"
 
 // quickLoad is a small but fully representative config: big enough for
-// every sweet spot to appear, stub-executed so the DES itself is what
-// the test times.
+// every sweet spot to appear, with a few sampled batches run for real.
 func quickLoad(seed uint64, jobs int) LoadConfig {
 	return LoadConfig{
 		Seed:      seed,
 		Requests:  900,
-		Exec:      &stubExec{},
 		ExecEvery: 7,
 		Jobs:      jobs,
 	}
@@ -82,7 +80,7 @@ func TestGenerateAllSweetSpots(t *testing.T) {
 // TestGenerateInFlightCriterion: at the default request volume the burst
 // phase must hold over a thousand requests in flight at once.
 func TestGenerateInFlightCriterion(t *testing.T) {
-	rep, err := Generate(LoadConfig{Seed: 7, Exec: &stubExec{}, ExecEvery: -1})
+	rep, err := Generate(LoadConfig{Seed: 7, ExecEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ package serve
 // results apply directly.
 func SweetSpots() []int { return []int{32, 64, 96, 128} }
 
-// queueCap is the admission bound per (device, layer) queue, applied by
+// queueCap is the admission bound per layer queue, applied by
 // the coalescer below: a request arriving while that many wait to be cut
 // is rejected immediately (ErrOverloaded) rather than queued into
 // unbounded latency.
@@ -35,7 +35,7 @@ type cut[T any] struct {
 
 // coalescer is the batch-cut state machine of one device, which both the
 // live server (serve.go) and the load generator (loadgen.go) drive: one
-// FIFO lane per (device, layer) queue. It never reads a clock. A cut is
+// FIFO lane per layer queue. It never reads a clock. A cut is
 // asked for only when the device is free — by the server's dispatcher
 // goroutine in wall time, by the load generator's device-free events in
 // virtual time — so a request on an idle device leaves at once, and a

@@ -11,9 +11,10 @@ import (
 	"repro/internal/tune"
 )
 
-// Selector chooses the algorithm for one batch shape. Implementations
-// must be safe for concurrent use: every device dispatcher and the load
-// generator's sampled executions call Choose.
+// Selector chooses the algorithm for one batch shape on a device.
+// Implementations must be safe for concurrent use: the server's
+// dispatcher and the load generator's sampled executions, fanned out
+// over its Jobs workers, call Choose.
 type Selector interface {
 	Choose(dev gpu.Device, p kernels.Problem) (tune.Choice, error)
 }

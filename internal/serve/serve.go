@@ -1,12 +1,12 @@
 // Package serve is a batched multi-tenant inference service on top of
-// cudart's prepared weights (cudart.Weights): requests for one (device,
-// layer) shape wait in a bounded queue until their device is free, then
+// cudart's prepared weights (cudart.Weights), on one device: requests
+// for one layer wait in a bounded queue until the device is free, then
 // leave as one batch padded up to a sweet spot (N ∈ {32, 64, 96, 128})
 // that runs the algorithm a warm tune.Select chose for that shape; only
-// its live images are computed. Every batch cut is
-// decided by one clock-free state machine (the coalescer in policy.go),
-// which one dispatcher goroutine per device drives here and the
-// deterministic load generator (loadgen.go) drives in virtual time.
+// its live images are computed. Every batch cut is decided by one
+// clock-free state machine (the coalescer in policy.go), which the
+// server's dispatcher goroutine drives here and the deterministic load
+// generator (loadgen.go) drives in virtual time.
 // Cold-miss selection is deduplicated by internal/sched's caching
 // singleflight.
 package serve
@@ -25,7 +25,7 @@ import (
 )
 
 var (
-	// ErrOverloaded rejects a request whose (device, layer) queue is full —
+	// ErrOverloaded rejects a request whose layer's queue is full —
 	// the admission-control half of the policy: bounded queues fail fast
 	// instead of absorbing unbounded latency.
 	ErrOverloaded = errors.New("serve: queue full, request rejected")
@@ -142,9 +142,9 @@ func DemoModel(seed uint64) *Model {
 }
 
 // Request is one inference call: a single image for one layer of the
-// model, to run on one device.
+// model, to run on the server's device.
 type Request struct {
-	Device string    // registered gpu device name (e.g. "RTX2070")
+	Device string    // the server's gpu device name (e.g. "RTX2070")
 	Layer  string    // model layer name
 	Image  []float32 // length LayerSpec.InLen(), (c, h, w) row-major
 
@@ -216,9 +216,9 @@ func sliceOutput(spec LayerSpec, out *tensor.Tensor, n int) []float32 {
 // Config configures a Server.
 type Config struct {
 	Model    *Model
-	Selector Selector     // default: cold NewTuneSelector(4) (analytic-model fallback)
-	Exec     Executor     // default: Model.Executor()
-	Devices  []gpu.Device // default: RTX2070
+	Selector Selector   // default: cold NewTuneSelector(4) (analytic-model fallback)
+	Exec     Executor   // default: Model.Executor()
+	Device   gpu.Device // default (the zero value): RTX2070
 }
 
 func (c Config) withDefaults() Config {
@@ -231,103 +231,85 @@ func (c Config) withDefaults() Config {
 	if c.Exec == nil {
 		c.Exec = c.Model.Executor()
 	}
-	if len(c.Devices) == 0 {
-		c.Devices = []gpu.Device{gpu.RTX2070()}
+	if c.Device.Name == "" {
+		c.Device = gpu.RTX2070()
 	}
 	return c
 }
 
-// queue is one (device, layer) request stream: a lane of its device's
+// queue is one layer's request stream: a lane of the server's
 // coalescer.
 type queue struct {
-	d    *device
 	lane int
 	spec LayerSpec
 	flt  *tensor.Tensor
 }
 
-func queueKey(device, layer string) string { return device + "|" + layer }
-
-// device is one GPU: the coalescer holding its queues' pending requests
-// and the state its dispatcher goroutine sleeps on. A GPU serializes
-// kernel launches, so the dispatcher runs one batch at a time.
-type device struct {
-	gpu    gpu.Device
-	queues []*queue // by lane
+// Server is the batched inference service on one device: one coalescer
+// holding every layer's pending requests, and one dispatcher goroutine
+// that runs them a batch at a time, as a GPU serializes kernel launches.
+// Responses are delivered per request.
+type Server struct {
+	cfg    Config
+	queues map[string]*queue // by layer name
+	lanes  []*queue          // by lane
 
 	mu     sync.Mutex
 	wake   sync.Cond // signalled by Submit and Close
 	co     *coalescer[*Request]
 	closed bool
+	done   chan struct{} // closed when the dispatcher returns
 }
 
-// Server is the batched inference service: one coalescer and one
-// dispatcher per device, responses delivered per request.
-type Server struct {
-	cfg     Config
-	queues  map[string]*queue
-	devices []*device
-	wg      sync.WaitGroup // live dispatchers
-}
-
-// NewServer starts a dispatcher for every device of the config. Close
-// must be called to drain it.
+// NewServer starts the server's dispatcher. Close must be called to
+// drain it.
 func NewServer(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	names := cfg.Model.LayerNames()
 	if len(names) == 0 {
 		return nil, errors.New("serve: model has no layers")
 	}
-	s := &Server{cfg: cfg, queues: map[string]*queue{}}
-	for _, dev := range cfg.Devices {
-		for _, d := range s.devices {
-			if d.gpu.Name == dev.Name {
-				return nil, fmt.Errorf("serve: duplicate device %q", dev.Name)
-			}
-		}
-		d := &device{gpu: dev, co: newCoalescer[*Request](len(names))}
-		d.wake.L = &d.mu
-		for lane, name := range names {
-			spec, flt, _ := cfg.Model.Layer(name)
-			q := &queue{d: d, lane: lane, spec: spec, flt: flt}
-			d.queues = append(d.queues, q)
-			s.queues[queueKey(dev.Name, name)] = q
-		}
-		s.devices = append(s.devices, d)
+	s := &Server{
+		cfg:    cfg,
+		queues: map[string]*queue{},
+		co:     newCoalescer[*Request](len(names)),
+		done:   make(chan struct{}),
 	}
-	// Not par.For: each dispatcher is a long-lived loop that runs until
-	// Close, not one index of a fan-out.
-	for _, d := range s.devices {
-		s.wg.Add(1)
-		go s.dispatch(d)
+	s.wake.L = &s.mu
+	for lane, name := range names {
+		spec, flt, _ := cfg.Model.Layer(name)
+		q := &queue{lane: lane, spec: spec, flt: flt}
+		s.lanes = append(s.lanes, q)
+		s.queues[name] = q
 	}
+	go s.dispatch()
 	return s, nil
 }
 
 // Submit enqueues a request and returns the channel its Response will
 // arrive on (buffered; the response is never dropped). It fails fast
 // with ErrOverloaded when queueCap requests of its queue already wait
-// to be cut, ErrClosed after Close.
+// to be cut, ErrClosed after Close. A request for another device than
+// the server's has no queue.
 func (s *Server) Submit(req *Request) (<-chan Response, error) {
-	q, ok := s.queues[queueKey(req.Device, req.Layer)]
-	if !ok {
+	q, ok := s.queues[req.Layer]
+	if !ok || req.Device != s.cfg.Device.Name {
 		return nil, fmt.Errorf("serve: no queue for device %q layer %q", req.Device, req.Layer)
 	}
 	if len(req.Image) != q.spec.InLen() {
 		return nil, fmt.Errorf("serve: layer %q wants %d image floats, got %d", req.Layer, q.spec.InLen(), len(req.Image))
 	}
-	d := q.d
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch {
-	case d.closed:
+	case s.closed:
 		return nil, ErrClosed
-	case !d.co.admits(q.lane):
+	case !s.co.admits(q.lane):
 		return nil, ErrOverloaded
 	}
 	req.resp = make(chan Response, 1)
-	d.co.push(q.lane, req)
-	d.wake.Signal()
+	s.co.push(q.lane, req)
+	s.wake.Signal()
 	return req.resp, nil
 }
 
@@ -340,41 +322,39 @@ func (s *Server) Infer(req *Request) (Response, error) {
 	return <-ch, nil
 }
 
-// Close stops intake, runs every queued request through the executors
+// Close stops intake, runs every queued request through the executor
 // (cut as they would be on a free device), waits for all of it to
 // finish, and returns. Requests submitted after Close fail with
 // ErrClosed; calling it again is a no-op.
 func (s *Server) Close() {
-	for _, d := range s.devices {
-		d.mu.Lock()
-		d.closed = true
-		d.wake.Signal()
-		d.mu.Unlock()
-	}
-	s.wg.Wait()
+	s.mu.Lock()
+	s.closed = true
+	s.wake.Signal()
+	s.mu.Unlock()
+	<-s.done
 }
 
-// dispatch is one device's dispatcher. Whenever it is free it pulls the
-// next cut from the coalescer, so a request on an idle device leaves at
-// once and the backlog that forms while a batch runs leaves as one
-// batch. It sleeps while nothing is pending and returns once the device
-// is closed and drained.
-func (s *Server) dispatch(d *device) {
-	defer s.wg.Done()
-	d.mu.Lock()
+// dispatch is the server's dispatcher. Whenever the device is free it
+// pulls the next cut from the coalescer, so a request on an idle device
+// leaves at once and the backlog that forms while a batch runs leaves
+// as one batch. It sleeps while nothing is pending and returns once the
+// server is closed and drained.
+func (s *Server) dispatch() {
+	defer close(s.done)
+	s.mu.Lock()
 	for {
-		lane, b, ok := d.co.cut()
+		lane, b, ok := s.co.cut()
 		if !ok {
-			if d.closed {
-				d.mu.Unlock()
+			if s.closed {
+				s.mu.Unlock()
 				return
 			}
-			d.wake.Wait()
+			s.wake.Wait()
 			continue
 		}
-		d.mu.Unlock()
-		s.runBatch(d.queues[lane], b.items, b.n)
-		d.mu.Lock()
+		s.mu.Unlock()
+		s.runBatch(s.lanes[lane], b.items, b.n)
+		s.mu.Lock()
 	}
 }
 
@@ -399,10 +379,10 @@ func (s *Server) execBatch(q *queue, reqs []*Request, batchN int) (resps []Respo
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			fail(fmt.Errorf("%w: %s N=%d on %s: %v", ErrPanicked, q.spec.Name, batchN, q.d.gpu.Name, p))
+			fail(fmt.Errorf("%w: %s N=%d on %s: %v", ErrPanicked, q.spec.Name, batchN, s.cfg.Device.Name, p))
 		}
 	}()
-	choice, err := s.cfg.Selector.Choose(q.d.gpu, q.spec.Problem(batchN))
+	choice, err := s.cfg.Selector.Choose(s.cfg.Device, q.spec.Problem(batchN))
 	if err != nil {
 		return fail(err)
 	}

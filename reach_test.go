@@ -2,6 +2,7 @@ package repro
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/token"
 	"go/types"
@@ -52,7 +53,8 @@ type roots struct {
 // reached code writes, so that every binary reads the zero value. A
 // write is a keyed or positional composite literal, an assignment or
 // op-assignment to the field or to an element of it, an increment or
-// decrement, or taking its address. Last come the problems of r.keys: a
+// decrement, or taking its address; a default fill, which sets the field
+// only where it holds its zero value, is not one. Last come the problems of r.keys: a
 // key that names no declaration or field, a key that the other roots
 // reach already, and a field key that reached code writes or never
 // reads.
@@ -354,10 +356,14 @@ type fieldAccess struct{ reads, writes []*types.Var }
 // increment or decrement, or under &, and so is every field selector
 // between there and the root of that operand (x.F.G = v and
 // x.F[i] += d both write F); a field a composite literal sets, by key
-// or by position, is a write too. Every other use is a read.
+// or by position, is a write too. A default fill is not a write: its
+// assignment only replaces a zero value, so a field that nothing else
+// sets still holds what the fill picks in every binary. Every other use
+// is a read.
 func fieldAccesses(info *types.Info, n ast.Node) fieldAccess {
 	var fa fieldAccess
 	written := map[*ast.Ident]bool{}
+	fills := map[*ast.AssignStmt]bool{}
 	operand := func(e ast.Expr) {
 		for {
 			switch x := e.(type) {
@@ -379,8 +385,12 @@ func fieldAccesses(info *types.Info, n ast.Node) fieldAccess {
 	// under it, so they are marked before they are classified.
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			if a := defaultFill(info, n); a != nil {
+				fills[a] = true
+			}
 		case *ast.AssignStmt:
-			if n.Tok != token.DEFINE {
+			if n.Tok != token.DEFINE && !fills[n] {
 				for _, e := range n.Lhs {
 					operand(e)
 				}
@@ -419,6 +429,66 @@ func fieldAccesses(info *types.Info, n ast.Node) fieldAccess {
 		return true
 	})
 	return fa
+}
+
+// defaultFill returns the assignment of an if statement that fills a
+// default, `if x.F == z { x.F = v }` with no init or else, where z is
+// nil or a constant zero, == may be <=, and the condition may be
+// len(x.F) == 0. It returns nil for any other statement.
+func defaultFill(info *types.Info, n *ast.IfStmt) *ast.AssignStmt {
+	cond, ok := n.Cond.(*ast.BinaryExpr)
+	if !ok || n.Init != nil || n.Else != nil || len(n.Body.List) != 1 || cond.Op != token.EQL && cond.Op != token.LEQ || !isZero(info, cond.Y) {
+		return nil
+	}
+	a, ok := n.Body.List[0].(*ast.AssignStmt)
+	if !ok || a.Tok != token.ASSIGN || len(a.Lhs) != 1 {
+		return nil
+	}
+	x := cond.X
+	if call, ok := x.(*ast.CallExpr); ok && len(call.Args) == 1 && info.Uses[identOf(call.Fun)] == types.Universe.Lookup("len") {
+		x = call.Args[0]
+	}
+	if _, ok := a.Lhs[0].(*ast.SelectorExpr); !ok || !sameOperand(info, x, a.Lhs[0]) {
+		return nil
+	}
+	return a
+}
+
+// identOf returns e as an identifier, or nil.
+func identOf(e ast.Expr) *ast.Ident {
+	id, _ := e.(*ast.Ident)
+	return id
+}
+
+// isZero reports whether e is nil or a constant zero number or empty
+// string.
+func isZero(info *types.Info, e ast.Expr) bool {
+	tv := info.Types[e]
+	switch v := tv.Value; {
+	case tv.IsNil():
+		return true
+	case v == nil:
+		return false
+	case v.Kind() == constant.String:
+		return constant.StringVal(v) == ""
+	case v.Kind() == constant.Int || v.Kind() == constant.Float:
+		return constant.Sign(v) == 0
+	}
+	return false
+}
+
+// sameOperand reports whether a and b are the same chain of field
+// selectors on the same variable.
+func sameOperand(info *types.Info, a, b ast.Expr) bool {
+	switch a := a.(type) {
+	case *ast.Ident:
+		b, ok := b.(*ast.Ident)
+		return ok && info.Uses[a] != nil && info.Uses[a] == info.Uses[b]
+	case *ast.SelectorExpr:
+		b, ok := b.(*ast.SelectorExpr)
+		return ok && info.Uses[a.Sel] == info.Uses[b.Sel] && sameOperand(info, a.X, b.X)
+	}
+	return false
 }
 
 // fieldUses returns the fields that reached code reads and writes.
@@ -637,6 +707,25 @@ func TestReachRules(t *testing.T) {
 		name: "a field whose address is taken",
 		lib:  opts,
 		app:  "var o a.Opts\np := &o.N\n*p = 2\n_ = a.Use(o)",
+	}, {
+		name: "a field only a default fill sets",
+		lib:  "type Opts struct{ N int }\nfunc Use(o Opts) int {\n\tif o.N == 0 {\n\t\to.N = 4\n\t}\n\treturn o.N\n}",
+		app:  "_ = a.Use(a.Opts{})",
+		dead: []string{"Opts.N"},
+	}, {
+		name: "fields only <= 0, nil and len() == 0 default fills set",
+		lib:  "type Opts struct {\n\tN int\n\tP *int\n\tS []int\n}\nfunc Use(o *Opts) int {\n\tif o.N <= 0 {\n\t\to.N = 4\n\t}\n\tif o.P == nil {\n\t\to.P = new(int)\n\t}\n\tif len(o.S) == 0 {\n\t\to.S = []int{1}\n\t}\n\treturn o.N + *o.P + o.S[0]\n}",
+		app:  "_ = a.Use(&a.Opts{})",
+		dead: []string{"Opts.N", "Opts.P", "Opts.S"},
+	}, {
+		name: "a field a default fill and a keyed literal set",
+		lib:  "type Opts struct{ N int }\nfunc Use(o Opts) int {\n\tif o.N == 0 {\n\t\to.N = 4\n\t}\n\treturn o.N\n}",
+		app:  "_ = a.Use(a.Opts{N: 2})",
+	}, {
+		name: "a conditional assignment that is no default fill",
+		lib:  "type Opts struct{ N, M int }\nfunc Use(o Opts) int {\n\tif o.N == 1 {\n\t\to.N = 4\n\t}\n\tif o.M == 0 {\n\t\to.N = 4\n\t}\n\treturn o.N + o.M\n}",
+		app:  "_ = a.Use(a.Opts{})",
+		dead: []string{"Opts.M"},
 	}, {
 		name: "a field only an unreached func sets",
 		lib:  opts + "\nfunc unused() Opts { return Opts{N: 1} }",
