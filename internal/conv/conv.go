@@ -64,6 +64,8 @@ func DirectParallel(in, flt *tensor.Tensor, p Params) (*tensor.Tensor, error) {
 
 // direct runs the reference loop nest, one (n, k) output plane per
 // par.For index, on at most workers goroutines (GOMAXPROCS when <= 0).
+// Each product is rounded before its add, so no platform fuses the two
+// into a multiply-add and every GOARCH gives the same bits.
 func direct(in, flt *tensor.Tensor, p Params, workers int) (*tensor.Tensor, error) {
 	is := in.ImageShape()
 	fs := flt.FilterShapeOf()
@@ -88,7 +90,7 @@ func direct(in, flt *tensor.Tensor, p Params, workers int) (*tensor.Tensor, erro
 							if ix < 0 || ix >= is.W {
 								continue
 							}
-							acc += in.ImageAt(n, c, iy, ix) * flt.FilterAt(k, c, r, s)
+							acc += float32(in.ImageAt(n, c, iy, ix) * flt.FilterAt(k, c, r, s))
 						}
 					}
 				}

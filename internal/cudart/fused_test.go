@@ -315,7 +315,9 @@ func TestForwardFusedAllocsPinned(t *testing.T) {
 // N=32 (filled1), and a ResNet-like C=K=64 layer, all through the
 // one-shot Forward, which transforms the filter on every call; then
 // the lone request as the server runs it (live1): prepared weights, the
-// one live image of an N=32 batch.
+// one live image of an N=32 batch. The fused live1 rows are
+// internal/perf's forward/conv_a_live1/fused and conv_b_live1/fused,
+// where BENCH_sim.json gates them.
 func BenchmarkForward(b *testing.B) {
 	algos := []struct {
 		name string
@@ -339,7 +341,7 @@ func BenchmarkForward(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, algo := range algos {
+		for _, algo := range algos[1:] { // not fused: see above
 			b.Run(fc.name+"_live1/"+algo.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {

@@ -22,7 +22,9 @@ const (
 )
 
 // Blocked computes C = A*B using cache blocking (the Lam/Rothberg/Wolf
-// strategy the paper cites for its own two-level blocking).
+// strategy the paper cites for its own two-level blocking). Each
+// product is rounded before its add, so no platform fuses the two into
+// a multiply-add and every GOARCH gives the same bits.
 func Blocked(a, b, c []float32, m, k, n int) {
 	checkDims(a, b, c, m, k, n)
 	for i := range c[:m*n] {
@@ -44,7 +46,7 @@ func Blocked(a, b, c []float32, m, k, n int) {
 						}
 						brow := b[p*n : p*n+n]
 						for j := jj; j < jMax; j++ {
-							crow[j] += av * brow[j]
+							crow[j] += float32(av * brow[j])
 						}
 					}
 				}

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/cudart"
 	"repro/internal/gpu"
 	"repro/internal/kernels"
 	"repro/internal/microbench"
@@ -77,6 +78,8 @@ func Benchmarks() []Benchmark {
 		{"store/load", benchStoreLoad},
 		{"serve/handler/conv_a", benchHandler("conv_a")},
 		{"serve/handler/conv_b", benchHandler("conv_b")},
+		{"forward/conv_a_live1/fused", benchForwardLive1("conv_a")},
+		{"forward/conv_b_live1/fused", benchForwardLive1("conv_b")},
 		{"microbench/calibrate", benchMicrobenchCalibrate},
 	}
 }
@@ -218,6 +221,33 @@ func benchHandler(layer string) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			serveOne()
+		}
+	}
+}
+
+// benchForwardLive1 returns the row timing the fused forward of a lone
+// request for layer as the server runs it: the demo model's weights
+// prepared once, then one live image of an N=32 batch per call. It is
+// the executor's share of a serve/handler row, without the wire codec.
+func benchForwardLive1(layer string) func(b *testing.B) {
+	return func(b *testing.B) {
+		spec, flt, _ := serve.DemoModel(31).Layer(layer)
+		w, err := cudart.Prepare(flt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in := tensor.NewImage(tensor.CHWN, tensor.Shape4{N: 1, C: spec.C, H: spec.H, W: spec.W})
+		in.FillRandom(7)
+		fused := tune.Choice{Algo: tune.AlgoFused}
+		if _, err := w.Forward(in, 32, fused); err != nil { // warm: the pooled blocks
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.Forward(in, 32, fused); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

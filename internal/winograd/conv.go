@@ -279,7 +279,7 @@ const (
 // kernel's shared input buffer and its register accumulators. Blocks are
 // recycled through fusedBlocks, so a warm forward pass allocates none.
 type fusedBlock struct {
-	acc   [bk * area2 * bn]float32 // (k, e, n): one filter's tiles are contiguous for the output transform
+	acc   [area2 * bn * bk]float32 // (e, n, k): four consecutive filters are one vector
 	inHat [area2 * bn * bc]float32 // (e, n, c): c fastest, the EWMM reduction
 }
 
@@ -317,7 +317,7 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int) *tensor.Tensor {
 
 		b := fusedBlocks.Get().(*fusedBlock)
 		defer fusedBlocks.Put(b)
-		acc := b.acc[:nk*area2*nn]
+		acc := b.acc[:area2*nn*nk]
 		clear(acc)
 		var tiles [bn][3]int // (batch, th, tw) of each of the block's tiles
 		for ni := range tiles[:nn] {
@@ -341,33 +341,26 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int) *tensor.Tensor {
 				}
 			}
 			// EWMM as batched matrix multiply (Algorithm 1 lines 9-15):
-			// per tile element e, acc[e] += F_hat[e][c0:c0+nc][k0:k1]^T x inHat[e].
+			// per tile element e, acc[e] += inHat[e] x F_hat[e][c0:c0+nc][k0:k1].
 			for e := 0; e < area2; e++ {
 				fE := fltHat[(e*is.C+c0)*filters+k0:]
-				ewmm(acc[e*nn:], area2*nn, fE, filters, b.inHat[e*nn*bc:(e+1)*nn*bc], nk, nn, nc)
+				ewmm(acc[e*nn*nk:], nk, fE, filters, b.inHat[e*nn*bc:(e+1)*nn*bc], nk, nn, nc)
 			}
 		}
 		// Output transform (Algorithm 1 lines 17-18). A whole tile is
 		// transformed and stored in one step; a partial edge tile goes
 		// through a staging tile and the bounds-checked scatter.
-		var whole [bn]int // output offset of each whole tile, else -1
-		for ni, t := range tiles[:nn] {
-			whole[ni] = -1
-			if y0, x0 := t[1]*g.m, t[2]*g.m; y0+2 <= g.oh && x0+2 <= g.ow {
-				whole[ni] = t[0]*dst.sn + y0*dst.sh + x0*dst.sw
-			}
-		}
 		var post [4]float32
-		for ki := 0; ki < nk; ki++ {
-			accK := acc[ki*area2*nn : (ki+1)*area2*nn]
-			kBase := (k0 + ki) * dst.sc
-			for ni, t := range tiles[:nn] {
-				if whole[ni] >= 0 {
-					transformOutput2(accK[ni:], nn, dst.data[kBase+whole[ni]:], dst.sh, dst.sw)
-					continue
-				}
+		for ni, t := range tiles[:nn] {
+			accT := acc[ni*nk:]
+			if y0, x0 := t[1]*g.m, t[2]*g.m; y0+2 <= g.oh && x0+2 <= g.ow {
+				at := k0*dst.sc + t[0]*dst.sn + y0*dst.sh + x0*dst.sw
+				transformOutputs(accT, nn*nk, dst.data[at:], dst.sh, dst.sw, dst.sc, nk)
+				continue
+			}
+			for ki := 0; ki < nk; ki++ {
 				for e := range hat {
-					hat[e] = accK[e*nn+ni]
+					hat[e] = accT[e*nn*nk+ki]
 				}
 				TransformOutputTile(F2x2, hat[:], post[:])
 				scatterOutputTile(dst, g, k0+ki, t[0], t[1], t[2], post[:])
@@ -377,82 +370,52 @@ func convFused(in *tensor.Tensor, f *Filter, pad, oh, ow int) *tensor.Tensor {
 	return out
 }
 
-// ewmm runs one bc-channel step of one tile element's block GEMM:
-// acc[k][n] += sum over c of f[c][k] * x[n][c], for nk filters (acc rows
-// of stride lda, f rows of stride ldf) and nn tiles (x rows of stride
-// bc, nc <= bc channels used). The register tile is four filters by two
-// tiles, the CPU analogue of the paper's register-tiled outer product:
-// each loaded input value feeds four accumulators and each loaded
-// filter value two. c stays the innermost, ascending reduction loop,
-// which fixes every element's summation order. The product is rounded
-// before the add (the explicit conversion forbids a fused multiply-add),
-// as the thread-for-thread kernel does.
-func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc int) {
-	ki := 0
+// ewmmGo is the portable EWMM, one bc-channel step of one tile element's
+// block GEMM for the filter columns [k0, nk): acc[n][k] += sum over c of
+// f[c][k] * x[n][c], for nn tiles (acc rows of stride lda, x rows of
+// stride bc, nc <= bc channels used) and f rows of stride ldf. It is
+// the whole EWMM where no vector kernel exists, the columns past the
+// vector kernel's last group where one does, and the bitwise reference
+// the vector kernel is tested against. The register tile is two tiles
+// by four filters: each loaded input value feeds four accumulators and
+// each filter value two. c stays the innermost, ascending reduction
+// loop, which fixes every element's summation order. The product is
+// rounded before the add (the explicit conversion forbids a fused
+// multiply-add), as the thread-for-thread kernel does.
+func ewmmGo(acc []float32, lda int, f []float32, ldf int, x []float32, k0, nk, nn, nc int) {
+	ki := k0
 	for ; ki+4 <= nk; ki += 4 {
 		var fq [bc][4]float32
 		for ci := 0; ci < nc; ci++ {
-			copy(fq[ci][:], f[ci*ldf+ki:ci*ldf+ki+4])
+			fq[ci] = *(*[4]float32)(f[ci*ldf+ki:])
 		}
 		fs := fq[:nc]
-		r0 := acc[ki*lda : ki*lda+nn]
-		r1 := acc[(ki+1)*lda : (ki+1)*lda+nn]
-		r2 := acc[(ki+2)*lda : (ki+2)*lda+nn]
-		r3 := acc[(ki+3)*lda : (ki+3)*lda+nn]
 		ni := 0
 		for ; ni+2 <= nn; ni += 2 {
+			a := (*[4]float32)(acc[ni*lda+ki:])
+			b := (*[4]float32)(acc[(ni+1)*lda+ki:])
 			xs := x[ni*bc : ni*bc+len(fs)]
 			ys := x[(ni+1)*bc : (ni+1)*bc+len(fs)]
-			a0, a1, a2, a3 := r0[ni], r1[ni], r2[ni], r3[ni]
-			b0, b1, b2, b3 := r0[ni+1], r1[ni+1], r2[ni+1], r3[ni+1]
-			if len(fs) == bc {
-				// A whole bc step, unrolled: Go does not unroll loops,
-				// and the loop below keeps its counter and an
-				// accumulator on the stack.
-				xs, ys := (*[bc]float32)(xs), (*[bc]float32)(ys)
-				xv, yv, fc := xs[0], ys[0], &fq[0]
-				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
-				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
-				xv, yv, fc = xs[1], ys[1], &fq[1]
-				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
-				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
-				xv, yv, fc = xs[2], ys[2], &fq[2]
-				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
-				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
-				xv, yv, fc = xs[3], ys[3], &fq[3]
-				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
-				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
-				xv, yv, fc = xs[4], ys[4], &fq[4]
-				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
-				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
-				xv, yv, fc = xs[5], ys[5], &fq[5]
-				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
-				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
-				xv, yv, fc = xs[6], ys[6], &fq[6]
-				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
-				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
-				xv, yv, fc = xs[7], ys[7], &fq[7]
-				a0, a1, a2, a3 = a0+float32(fc[0]*xv), a1+float32(fc[1]*xv), a2+float32(fc[2]*xv), a3+float32(fc[3]*xv)
-				b0, b1, b2, b3 = b0+float32(fc[0]*yv), b1+float32(fc[1]*yv), b2+float32(fc[2]*yv), b3+float32(fc[3]*yv)
-			} else {
-				for ci := range fs {
-					xv, yv, fc := xs[ci], ys[ci], &fs[ci]
-					a0 += float32(fc[0] * xv)
-					a1 += float32(fc[1] * xv)
-					a2 += float32(fc[2] * xv)
-					a3 += float32(fc[3] * xv)
-					b0 += float32(fc[0] * yv)
-					b1 += float32(fc[1] * yv)
-					b2 += float32(fc[2] * yv)
-					b3 += float32(fc[3] * yv)
-				}
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+			for ci := range fs {
+				xv, yv, fc := xs[ci], ys[ci], &fs[ci]
+				a0 += float32(fc[0] * xv)
+				a1 += float32(fc[1] * xv)
+				a2 += float32(fc[2] * xv)
+				a3 += float32(fc[3] * xv)
+				b0 += float32(fc[0] * yv)
+				b1 += float32(fc[1] * yv)
+				b2 += float32(fc[2] * yv)
+				b3 += float32(fc[3] * yv)
 			}
-			r0[ni], r1[ni], r2[ni], r3[ni] = a0, a1, a2, a3
-			r0[ni+1], r1[ni+1], r2[ni+1], r3[ni+1] = b0, b1, b2, b3
+			a[0], a[1], a[2], a[3] = a0, a1, a2, a3
+			b[0], b[1], b[2], b[3] = b0, b1, b2, b3
 		}
 		if ni < nn {
+			a := (*[4]float32)(acc[ni*lda+ki:])
 			xs := x[ni*bc : ni*bc+len(fs)]
-			a0, a1, a2, a3 := r0[ni], r1[ni], r2[ni], r3[ni]
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 			for ci := range fs {
 				xv, fc := xs[ci], &fs[ci]
 				a0 += float32(fc[0] * xv)
@@ -460,19 +423,29 @@ func ewmm(acc []float32, lda int, f []float32, ldf int, x []float32, nk, nn, nc 
 				a2 += float32(fc[2] * xv)
 				a3 += float32(fc[3] * xv)
 			}
-			r0[ni], r1[ni], r2[ni], r3[ni] = a0, a1, a2, a3
+			a[0], a[1], a[2], a[3] = a0, a1, a2, a3
 		}
 	}
 	for ; ki < nk; ki++ {
-		row := acc[ki*lda : ki*lda+nn]
-		for ni := range row {
-			xs := x[ni*bc : ni*bc+nc]
-			a := row[ni]
-			for ci, xv := range xs {
+		for ni := 0; ni < nn; ni++ {
+			a := acc[ni*lda+ki]
+			for ci, xv := range x[ni*bc : ni*bc+nc] {
 				a += float32(f[ci*ldf+ki] * xv)
 			}
-			row[ni] = a
+			acc[ni*lda+ki] = a
 		}
+	}
+}
+
+// transformOutputsGo is the portable output transform of one whole
+// F(2x2,3x3) tile for the filters [k0, nk): filter k's 16 accumulators
+// are acc[e*estride+k], and its 2x2 result goes to out[k*sk] with row
+// and column strides sh and sw. Like ewmmGo, it is the whole transform
+// where no vector kernel exists, the remainder where one does, and the
+// vector kernel's bitwise reference.
+func transformOutputsGo(acc []float32, estride int, out []float32, sh, sw, sk, k0, nk int) {
+	for ki := k0; ki < nk; ki++ {
+		transformOutput2(acc[ki:], estride, out[ki*sk:], sh, sw)
 	}
 }
 

@@ -121,14 +121,15 @@ func (t *GeneralTransform) MulCount() (winograd, direct int, reduction float64) 
 }
 
 // nestedTransform computes T x T^T for a rows-in x rows-in tile where T is
-// rowsOut x rowsIn.
+// rowsOut x rowsIn. Each product is rounded before its add, so no
+// platform fuses the two into a multiply-add.
 func nestedTransform(tm [][]float64, tile []float64, rowsIn, rowsOut int) []float64 {
 	tmp := make([]float64, rowsOut*rowsIn)
 	for i := 0; i < rowsOut; i++ {
 		for j := 0; j < rowsIn; j++ {
 			var acc float64
 			for p := 0; p < rowsIn; p++ {
-				acc += tm[i][p] * tile[p*rowsIn+j]
+				acc += float64(tm[i][p] * tile[p*rowsIn+j])
 			}
 			tmp[i*rowsIn+j] = acc
 		}
@@ -138,7 +139,7 @@ func nestedTransform(tm [][]float64, tile []float64, rowsIn, rowsOut int) []floa
 		for j := 0; j < rowsOut; j++ {
 			var acc float64
 			for p := 0; p < rowsIn; p++ {
-				acc += tmp[i*rowsIn+p] * tm[j][p]
+				acc += float64(tmp[i*rowsIn+p] * tm[j][p])
 			}
 			out[i*rowsOut+j] = acc
 		}
@@ -169,8 +170,8 @@ func polyFromRoots(roots []float64) []float64 {
 	for _, root := range roots {
 		next := make([]float64, len(coef)+1)
 		for i, c := range coef {
-			next[i+1] += c       // x * p(x)
-			next[i] += -root * c // -root * p(x)
+			next[i+1] += c                // x * p(x)
+			next[i] += float64(-root * c) // -root * p(x)
 		}
 		coef = next
 	}

@@ -64,6 +64,8 @@ func round32(xs []float64) []float64 {
 	return xs
 }
 
+// direct2D64 is the float64 direct convolution of one m x m output
+// tile; each product is rounded before its add, as in nestedTransform.
 func direct2D64(d, g []float64, n, r, m int) []float64 {
 	out := make([]float64, m*m)
 	for y := 0; y < m; y++ {
@@ -71,7 +73,7 @@ func direct2D64(d, g []float64, n, r, m int) []float64 {
 			var acc float64
 			for ry := 0; ry < r; ry++ {
 				for rx := 0; rx < r; rx++ {
-					acc += d[(y+ry)*n+(x+rx)] * g[ry*r+rx]
+					acc += float64(d[(y+ry)*n+(x+rx)] * g[ry*r+rx])
 				}
 			}
 			out[y*m+x] = acc

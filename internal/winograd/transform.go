@@ -129,7 +129,9 @@ func transformFilter2(f *FilterTile3, dst []float32) {
 }
 
 // The F(4x4,3x3) matrices as row slices for the generic transforms,
-// built once so a tile transform allocates nothing.
+// built once so a tile transform allocates nothing. The transforms
+// round each product before its add (float32(a*b)), so no platform
+// fuses them into a multiply-add and every GOARCH gives the same bits.
 var (
 	g4Rows  = [][]float32{G4[0][:], G4[1][:], G4[2][:], G4[3][:], G4[4][:], G4[5][:]}
 	bt4Rows = [][]float32{BT4[0][:], BT4[1][:], BT4[2][:], BT4[3][:], BT4[4][:], BT4[5][:]}
@@ -145,7 +147,7 @@ func transformFilterGeneric(t int, g [][]float32, f *FilterTile3, dst []float32)
 		for j := 0; j < 3; j++ {
 			var acc float32
 			for p := 0; p < 3; p++ {
-				acc += g[i][p] * f[p*3+j]
+				acc += float32(g[i][p] * f[p*3+j])
 			}
 			gf[i*3+j] = acc
 		}
@@ -155,7 +157,7 @@ func transformFilterGeneric(t int, g [][]float32, f *FilterTile3, dst []float32)
 		for j := 0; j < t; j++ {
 			var acc float32
 			for p := 0; p < 3; p++ {
-				acc += gf[i*3+p] * g[j][p]
+				acc += float32(gf[i*3+p] * g[j][p])
 			}
 			dst[i*t+j] = acc
 		}
@@ -207,7 +209,7 @@ func transformInputGeneric(t int, bt [][]float32, d, dst []float32) {
 		for j := 0; j < t; j++ {
 			var acc float32
 			for p := 0; p < t; p++ {
-				acc += bt[i][p] * d[p*t+j]
+				acc += float32(bt[i][p] * d[p*t+j])
 			}
 			tmp[i*t+j] = acc
 		}
@@ -216,7 +218,7 @@ func transformInputGeneric(t int, bt [][]float32, d, dst []float32) {
 		for j := 0; j < t; j++ {
 			var acc float32
 			for p := 0; p < t; p++ {
-				acc += tmp[i*t+p] * bt[j][p]
+				acc += float32(tmp[i*t+p] * bt[j][p])
 			}
 			dst[i*t+j] = acc
 		}
@@ -264,7 +266,7 @@ func transformOutputGeneric(t, m int, at [][]float32, src, dst []float32) {
 		for j := 0; j < t; j++ {
 			var acc float32
 			for p := 0; p < t; p++ {
-				acc += at[i][p] * src[p*t+j]
+				acc += float32(at[i][p] * src[p*t+j])
 			}
 			tmp[i*t+j] = acc
 		}
@@ -273,7 +275,7 @@ func transformOutputGeneric(t, m int, at [][]float32, src, dst []float32) {
 		for j := 0; j < m; j++ {
 			var acc float32
 			for p := 0; p < t; p++ {
-				acc += tmp[i*t+p] * at[j][p]
+				acc += float32(tmp[i*t+p] * at[j][p])
 			}
 			dst[i*m+j] = acc
 		}
